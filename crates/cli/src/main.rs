@@ -338,15 +338,14 @@ fn write_report(
 /// Execute `run`/`load` as the distributed hub (`--distributed`):
 /// listen on `--listen` (default loopback TCP, OS-assigned port) and,
 /// with `--spawn`, fork one `protogen serve` child per place. With a
-/// registry the hub records at place 0, stamps its trace id into every
-/// session `Open`, and absorbs the entity-side recorder chunks; with
-/// `--metrics` it serves Prometheus text on `/metrics` for the run's
-/// duration (plus `/trace` when recording).
+/// registry in `cfg` the hub records at place 0, stamps its trace id
+/// into every session `Open`, and absorbs the entity-side recorder
+/// chunks; with `--metrics` it serves Prometheus text on `/metrics` for
+/// the run's duration (plus `/trace` when recording).
 fn run_distributed(
     derived: &protogen::pipeline::Derived,
     cfg: &RuntimeConfig,
     args: &[String],
-    registry: Option<Arc<Registry>>,
 ) -> Result<RuntimeReport, ProtogenError> {
     let d = derived.derivation();
     let listen = match flag_value(args, "--listen") {
@@ -444,7 +443,7 @@ fn run_distributed(
         }
     }
 
-    let report = runtime::run_hub_obs(d, cfg, &dcfg, listener, registry).map_err(io_err);
+    let report = runtime::run_hub_on(d, cfg, &dcfg, listener).map_err(io_err);
     // Entities exit on Shutdown; whatever is still running once the
     // grace period lapses (e.g. after an aborted run) is cleaned up.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
@@ -506,8 +505,8 @@ fn execute_runtime(
     }
     let registry = (trace_path.is_some() || cfg.record)
         .then(|| Registry::new(runtime::trace_id_for(cfg.seed), obs::DEFAULT_CAPACITY));
-    if registry.is_some() {
-        cfg = cfg.record(true);
+    if let Some(reg) = &registry {
+        cfg = cfg.record(true).registry(Arc::clone(reg));
     }
     let rec = registry.as_ref().map(|r| r.recorder(0));
     let rec = rec.as_ref();
@@ -525,12 +524,8 @@ fn execute_runtime(
     }
     let mut report = staged(rec, &mut phases, "run", || {
         if distributed {
-            run_distributed(&derived, &cfg, rest, registry.clone())
+            run_distributed(&derived, &cfg, rest)
         } else {
-            let mut cfg = cfg.clone();
-            if let Some(reg) = &registry {
-                cfg = cfg.registry(Arc::clone(reg));
-            }
             runtime::try_run(derived.derivation(), &cfg).map_err(ProtogenError::Usage)
         }
     })?;

@@ -85,39 +85,6 @@ impl PipelineConfig {
         self.explore = self.explore.threads(n);
         self
     }
-
-    /// Serialize to JSON (hand-rolled; the build environment has no serde).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"derive\":{{\"enforce_restrictions\":{},\"disable_mode\":\"{}\"}},\"explore\":{}}}",
-            self.derive.enforce_restrictions,
-            match self.derive.disable_mode {
-                crate::derive::DisableMode::Broadcast => "broadcast",
-                crate::derive::DisableMode::RequestAck => "request_ack",
-            },
-            self.explore.to_json(),
-        )
-    }
-
-    /// Parse from JSON produced by [`Self::to_json`]. Absent keys keep
-    /// their defaults.
-    pub fn from_json(s: &str) -> Result<PipelineConfig, String> {
-        let mut cfg = PipelineConfig::new();
-        cfg.explore = ExploreConfig::from_json(s)?;
-        if let Some(b) = semantics::jsonish::get_bool(s, "enforce_restrictions") {
-            cfg.derive.enforce_restrictions = b;
-        }
-        if let Some(m) = semantics::jsonish::get_str(s, "disable_mode") {
-            cfg.derive.disable_mode = if m == "broadcast" {
-                crate::derive::DisableMode::Broadcast
-            } else if m == "request_ack" {
-                crate::derive::DisableMode::RequestAck
-            } else {
-                return Err(format!("unknown disable_mode `{m}`"));
-            };
-        }
-        Ok(cfg)
-    }
 }
 
 /// Stage 0: a parsed service specification.
@@ -384,16 +351,15 @@ mod tests {
     }
 
     #[test]
-    fn config_json_round_trips() {
+    fn config_builder() {
         let cfg = PipelineConfig::new()
             .disable_mode(crate::derive::DisableMode::RequestAck)
             .unchecked()
             .explore(ExploreConfig::new().max_states(123).threads(7));
-        let back = PipelineConfig::from_json(&cfg.to_json()).unwrap();
-        assert_eq!(back.explore, cfg.explore);
-        assert!(!back.derive.enforce_restrictions);
+        assert_eq!(cfg.explore, ExploreConfig::new().max_states(123).threads(7));
+        assert!(!cfg.derive.enforce_restrictions);
         assert_eq!(
-            back.derive.disable_mode,
+            cfg.derive.disable_mode,
             crate::derive::DisableMode::RequestAck
         );
     }

@@ -10,11 +10,9 @@
 //! +----+----+---------+------+-----------------+---------+------------+
 //! ```
 //!
-//! * `version` is [`WIRE_VERSION`]; decoders accept the compatibility
-//!   window `[MIN_WIRE_VERSION, WIRE_VERSION]` and reject anything else
-//!   so a protocol change can never be misread silently — a new reader
-//!   still accepts old writers, while an old reader fails an
-//!   unknown-future frame with an explicit [`CodecError::BadVersion`];
+//! * `version` is [`WIRE_VERSION`]; decoders reject any other version
+//!   with an explicit [`CodecError::BadVersion`], so a peer built from a
+//!   different layout fails loudly instead of being misread;
 //! * `kind` is an application discriminant the codec carries opaquely
 //!   (the transport crate maps it to its message vocabulary);
 //! * `payload_len` is a LEB128 varint ([`put_varint`]); payloads above
@@ -31,17 +29,9 @@
 use crate::Msg;
 use lotos::event::{MsgId, SyncKind};
 
-/// Wire-format version written by this build. Bump on any layout
-/// change. History: v1 = original framing; v2 = trace context (trace id
-/// on session open, Lamport clocks on data/prim, recorder chunks);
-/// v3 = a trailing piggybacked cumulative-ack varint on every payload,
-/// so data frames carry acknowledgements and pure ack frames become
-/// rare. v1/v2 streams stay in the decode-compat window.
+/// The one wire-format version this build writes and reads. Bump on
+/// any layout change. (v2 added trace context, v3 the piggybacked ack.)
 pub const WIRE_VERSION: u8 = 3;
-
-/// Oldest wire version this decoder still accepts. Version-dependent
-/// payload fields are resolved by the layer above via [`Frame::version`].
-pub const MIN_WIRE_VERSION: u8 = 1;
 
 /// Frame magic: `b"PG"`.
 pub const MAGIC: [u8; 2] = *b"PG";
@@ -148,12 +138,9 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 // ---- frames -------------------------------------------------------------
 
-/// A decoded transport frame: the wire version it arrived under, an
-/// opaque `kind`, and payload bytes. The version lets the layer above
-/// decode payloads whose trailing fields grew across versions.
+/// A decoded transport frame: an opaque `kind` and payload bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Frame {
-    pub version: u8,
     pub kind: u8,
     pub payload: Vec<u8>,
 }
@@ -163,25 +150,17 @@ pub struct Frame {
 /// receive path never clones payload bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FrameRef<'a> {
-    pub version: u8,
     pub kind: u8,
     pub payload: &'a [u8],
 }
 
-/// Encode one frame (header, payload, checksum) into `out` at the
-/// current [`WIRE_VERSION`].
+/// Encode one frame (header, payload, checksum) into `out` at
+/// [`WIRE_VERSION`].
 pub fn encode_frame(kind: u8, payload: &[u8], out: &mut Vec<u8>) {
-    encode_frame_versioned(WIRE_VERSION, kind, payload, out);
-}
-
-/// Encode one frame stamped with an explicit `version`. The payload must
-/// already be laid out for that version; this exists so compatibility
-/// tests (and down-level writers) can produce old-version frames.
-pub fn encode_frame_versioned(version: u8, kind: u8, payload: &[u8], out: &mut Vec<u8>) {
     debug_assert!(payload.len() <= MAX_PAYLOAD);
     out.extend_from_slice(&MAGIC);
     let body_start = out.len();
-    out.push(version);
+    out.push(WIRE_VERSION);
     out.push(kind);
     put_varint(out, payload.len() as u64);
     out.extend_from_slice(payload);
@@ -230,7 +209,6 @@ impl FrameDecoder {
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<Frame>, CodecError> {
         Ok(self.next_ref()?.map(|f| Frame {
-            version: f.version,
             kind: f.kind,
             payload: f.payload.to_vec(),
         }))
@@ -252,7 +230,7 @@ impl FrameDecoder {
             return Ok(None);
         }
         let version = b[2];
-        if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
+        if version != WIRE_VERSION {
             return Err(CodecError::BadVersion(version));
         }
         let kind = b[3];
@@ -279,7 +257,6 @@ impl FrameDecoder {
         let at = self.start;
         self.start += crc_at + 4;
         Ok(Some(FrameRef {
-            version,
             kind,
             payload: &self.buf[at + payload_at..at + crc_at],
         }))
@@ -492,39 +469,19 @@ mod tests {
 
     #[test]
     fn future_version_rejected_explicitly() {
-        // An old reader facing a newer writer must fail loudly, never
-        // misread: patching the version byte past WIRE_VERSION breaks
-        // the crc too, but the version check fires first.
-        let mut payload = Vec::new();
-        encode_msg(&sample(), &mut payload);
-        let mut bytes = Vec::new();
-        encode_frame_versioned(WIRE_VERSION + 1, 2, &payload, &mut bytes);
-        let mut dec = FrameDecoder::new();
-        dec.feed(&bytes);
-        assert_eq!(dec.next(), Err(CodecError::BadVersion(WIRE_VERSION + 1)));
-    }
-
-    #[test]
-    fn versions_in_compat_window_accepted() {
-        let mut payload = Vec::new();
-        encode_msg(&sample(), &mut payload);
-        for version in MIN_WIRE_VERSION..=WIRE_VERSION {
-            let mut bytes = Vec::new();
-            encode_frame_versioned(version, 7, &payload, &mut bytes);
+        // A peer speaking any other layout must fail loudly, never be
+        // misread: each frame below has valid magic and a valid crc, and
+        // differs from a good frame only in its version byte.
+        for version in [0u8, 1, 2, WIRE_VERSION + 1, 255] {
+            let mut bytes = msg_frame(2, &sample());
+            bytes[2] = version;
+            let crc_at = bytes.len() - 4;
+            let crc = crc32(&bytes[2..crc_at]);
+            bytes[crc_at..].copy_from_slice(&crc.to_le_bytes());
             let mut dec = FrameDecoder::new();
             dec.feed(&bytes);
-            let frame = dec.next().unwrap().unwrap();
-            assert_eq!(frame.version, version);
-            assert_eq!(frame.kind, 7);
+            assert_eq!(dec.next(), Err(CodecError::BadVersion(version)));
         }
-        let mut bytes = Vec::new();
-        encode_frame_versioned(MIN_WIRE_VERSION - 1, 7, &payload, &mut bytes);
-        let mut dec = FrameDecoder::new();
-        dec.feed(&bytes);
-        assert_eq!(
-            dec.next(),
-            Err(CodecError::BadVersion(MIN_WIRE_VERSION - 1))
-        );
     }
 
     #[test]

@@ -308,43 +308,6 @@ impl RuntimeConfig {
             self.stall_after.map_or(0, |d| d.as_millis())
         )
     }
-
-    /// Parse from JSON produced by [`Self::to_json`]. Absent keys keep
-    /// their defaults.
-    pub fn from_json(s: &str) -> Result<RuntimeConfig, String> {
-        if !s.trim_start().starts_with('{') {
-            return Err("expected a JSON object".to_string());
-        }
-        let mut cfg = RuntimeConfig::default();
-        if let Some(n) = semantics::jsonish::get_u64(s, "sessions") {
-            cfg.sessions = n as usize;
-        }
-        if let Some(n) = semantics::jsonish::get_u64(s, "threads") {
-            cfg.threads = n as usize;
-        }
-        if let Some(n) = semantics::jsonish::get_u64(s, "seed") {
-            cfg.seed = n;
-        }
-        if let Some(n) = semantics::jsonish::get_u64(s, "capacity") {
-            cfg.capacity = n as usize;
-        }
-        if let Some(n) = semantics::jsonish::get_u64(s, "max_steps") {
-            cfg.max_steps = n as usize;
-        }
-        if let Some(p) = semantics::jsonish::get_str(s, "faults") {
-            cfg.faults = FaultProfile::parse(p)?;
-        }
-        if let Some(b) = semantics::jsonish::get_bool(s, "record") {
-            cfg.record = b;
-        }
-        if let Some(b) = semantics::jsonish::get_str(s, "backend") {
-            cfg.backend = BackendChoice::parse(b)?;
-        }
-        if let Some(ms) = semantics::jsonish::get_u64(s, "stall_after_ms") {
-            cfg.stall_after = (ms > 0).then(|| Duration::from_millis(ms));
-        }
-        Ok(cfg)
-    }
 }
 
 #[cfg(test)]
@@ -375,7 +338,7 @@ mod tests {
     }
 
     #[test]
-    fn config_json_round_trip() {
+    fn config_builder_and_json() {
         let cfg = RuntimeConfig::new()
             .sessions(500)
             .threads(4)
@@ -386,24 +349,28 @@ mod tests {
             .record(true)
             .backend(BackendChoice::Compiled)
             .stall_after(Duration::from_millis(250));
-        let back = RuntimeConfig::from_json(&cfg.to_json()).unwrap();
-        assert_eq!(back.sessions, 500);
-        assert_eq!(back.threads, 4);
-        assert_eq!(back.seed, 42);
-        assert_eq!(back.capacity, 8);
-        assert_eq!(back.max_steps, 9000);
-        assert_eq!(back.faults, FaultProfile::Lossy { loss: 0.25 });
-        assert!(back.record);
-        assert_eq!(back.backend, BackendChoice::Compiled);
-        assert_eq!(back.stall_after, Some(Duration::from_millis(250)));
-        // Documents written before the `record` key keep the default,
-        // and `stall_after_ms: 0` means "no configured deadline".
-        let old = RuntimeConfig::from_json("{\"sessions\":3}").unwrap();
-        assert!(!old.record);
-        assert_eq!(old.backend, BackendChoice::Auto);
-        assert_eq!(old.stall_after, None);
-        let zero = RuntimeConfig::from_json("{\"stall_after_ms\":0}").unwrap();
-        assert_eq!(zero.stall_after, None);
+        assert_eq!(cfg.sessions, 500);
+        assert_eq!(cfg.threads, 4);
+        assert_eq!(cfg.seed, 42);
+        assert_eq!(cfg.capacity, 8);
+        assert_eq!(cfg.max_steps, 9000);
+        assert_eq!(cfg.faults, FaultProfile::Lossy { loss: 0.25 });
+        assert!(cfg.record);
+        assert_eq!(cfg.backend, BackendChoice::Compiled);
+        assert_eq!(cfg.stall_after, Some(Duration::from_millis(250)));
+        assert_eq!(
+            cfg.to_json(),
+            "{\"sessions\":500,\"threads\":4,\"seed\":42,\"capacity\":8,\
+             \"max_steps\":9000,\"faults\":\"lossy:0.25\",\"record\":true,\
+             \"backend\":\"compiled\",\"stall_after_ms\":250}"
+        );
+        // The defaults: no recording, auto backend, and no configured
+        // stall deadline (written as `stall_after_ms: 0`).
+        let dflt = RuntimeConfig::new();
+        assert!(!dflt.record);
+        assert_eq!(dflt.backend, BackendChoice::Auto);
+        assert_eq!(dflt.stall_after, None);
+        assert!(dflt.to_json().contains("\"stall_after_ms\":0}"));
     }
 
     #[test]

@@ -472,51 +472,34 @@ fn report_of(link: &Link) -> LinkReport {
 }
 
 /// Run `cfg.sessions` sessions of the derived protocol over socket
-/// links, as the hub (medium + monitor + supervisor). Returns when every
-/// session has completed or been aborted — never hangs: a dead link
-/// aborts its sessions after [`DistributedConfig::reconnect_deadline`],
+/// links on `listener`, as the hub (medium + monitor + supervisor). The
+/// caller binds the listener, so it can learn the resolved address
+/// (port 0, generated UDS paths) before starting entities. Returns when
+/// every session has completed or been aborted — never hangs: a dead
+/// link aborts its sessions after [`DistributedConfig::reconnect_deadline`],
 /// and total silence aborts after [`DistributedConfig::stall_timeout`].
 ///
 /// `cfg.threads` bounds the session window (like the in-process
 /// engine); `cfg.faults` and `cfg.capacity` do not apply — connection
 /// faults are injected with [`transport::FaultProxy`] between the
 /// entities and the hub.
-pub fn run_hub(
-    d: &Derivation,
-    cfg: &RuntimeConfig,
-    dcfg: &DistributedConfig,
-) -> io::Result<RuntimeReport> {
-    run_hub_on(d, cfg, dcfg, dcfg.listen.listen()?)
-}
-
-/// [`run_hub`] on a listener the caller already bound — so the caller
-/// can learn the resolved address (port 0, generated UDS paths) before
-/// starting entities.
+///
+/// Recording follows [`RuntimeConfig::registry`]/[`RuntimeConfig::record`]
+/// as in [`crate::try_run`]. When recording, the hub propagates its
+/// trace id in every `Open` frame, absorbs the [`WireMsg::Trace`] chunks
+/// entities flush at shutdown, and merges everything into one causal
+/// log; violation and abort reports carry their session's tail.
 pub fn run_hub_on(
     d: &Derivation,
     cfg: &RuntimeConfig,
     dcfg: &DistributedConfig,
     listener: transport::Listener,
 ) -> io::Result<RuntimeReport> {
-    let registry = cfg
-        .record
-        .then(|| Registry::new(trace_id_for(cfg.seed), obs::DEFAULT_CAPACITY));
-    run_hub_obs(d, cfg, dcfg, listener, registry)
-}
-
-/// [`run_hub_on`] recording into a caller-supplied flight-recorder
-/// registry. The hub propagates its trace id in every `Open` frame (wire
-/// v2), absorbs the [`WireMsg::Trace`] chunks entities flush at
-/// shutdown, and merges everything into one causal log; violation and
-/// abort reports carry their session's tail.
-pub fn run_hub_obs(
-    d: &Derivation,
-    cfg: &RuntimeConfig,
-    dcfg: &DistributedConfig,
-    listener: transport::Listener,
-    registry: Option<Arc<Registry>>,
-) -> io::Result<RuntimeReport> {
     let started = Instant::now();
+    let registry = cfg.registry.clone().or_else(|| {
+        cfg.record
+            .then(|| Registry::new(trace_id_for(cfg.seed), obs::DEFAULT_CAPACITY))
+    });
     // The entities run in their own processes, but they are launched from
     // the same derivation with the same backend choice — so the hub's
     // `backend` field reports what `cfg.backend` lowers to, and a
@@ -1024,7 +1007,6 @@ pub fn run_hub_obs(
     let mut report = RuntimeReport {
         engine: "distributed",
         backend: backend_desc(&lowered),
-        schema_version: crate::metrics::REPORT_SCHEMA_VERSION,
         config: cfg.clone(),
         sessions: tally.reports.len(),
         conforming: tally.conforming,

@@ -105,26 +105,6 @@ pub fn trace_id_for(seed: u64) -> u64 {
     semantics::hash::fx_hash(&(seed, 0x0b5_7ace_u64)).max(1)
 }
 
-/// Superseded spelling of "[`run`] into a caller-supplied registry":
-/// the registry now travels in the config
-/// ([`RuntimeConfig::registry`]), so one `run` entry point covers
-/// traced and untraced runs.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `run` with `RuntimeConfig::registry(..)` / `.record(true)` instead"
-)]
-pub fn run_obs(
-    d: &Derivation,
-    cfg: &RuntimeConfig,
-    registry: Option<Arc<Registry>>,
-) -> RuntimeReport {
-    let mut cfg = cfg.clone();
-    if let Some(r) = registry {
-        cfg.registry = Some(r);
-    }
-    run(d, &cfg)
-}
-
 /// Post-run recorder export: embed the trace metadata in the report and
 /// attach each violating/aborted session's flight-recorder tail.
 pub(crate) fn attach_recorder_artifacts(report: &mut RuntimeReport, registry: &Arc<Registry>) {
@@ -333,7 +313,6 @@ fn run_concurrent(
     RuntimeReport {
         engine: "concurrent",
         backend: backend_desc(lowered),
-        schema_version: crate::metrics::REPORT_SCHEMA_VERSION,
         config: cfg.clone(),
         sessions: tally.reports.len(),
         conforming: tally.conforming,
@@ -663,7 +642,6 @@ fn run_deterministic(
     RuntimeReport {
         engine: "deterministic",
         backend,
-        schema_version: crate::metrics::REPORT_SCHEMA_VERSION,
         config: cfg.clone(),
         sessions: tally.reports.len(),
         conforming: tally.conforming,

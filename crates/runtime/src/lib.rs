@@ -58,17 +58,13 @@ pub use compiled::{
     lower_for, make_backend, BState, Backend, BackendKind, EntityBackend, OfferView,
 };
 pub use config::{BackendChoice, FaultProfile, RuntimeConfig};
-pub use distributed::{
-    run_hub, run_hub_obs, run_hub_on, serve_entity, DistributedConfig, ServeConfig, ServeOutcome,
-};
-#[allow(deprecated)]
-pub use exec::run_obs;
+pub use distributed::{run_hub_on, serve_entity, DistributedConfig, ServeConfig, ServeOutcome};
 pub use exec::{run, trace_id_for, try_run};
 pub use faults::FaultLink;
 pub use metrics::{
-    GaugeSnapshot, HistSummary, Histogram, LinkReport, Metrics, ReportSummary, RuntimeReport,
-    SessionReport, StageBreakdown, StageSet, StageSummaries, StallRecord, TraceMeta,
-    ViolationRecord, REPORT_SCHEMA_VERSION,
+    GaugeSnapshot, HistSummary, Histogram, LinkReport, Metrics, RuntimeReport, SessionReport,
+    StageBreakdown, StageSet, StageSummaries, StallRecord, TraceMeta, ViolationRecord,
+    REPORT_SCHEMA_VERSION,
 };
 pub use pipeline_ext::PipelineRun;
 pub use session::{SessionCore, SessionEnd, SessionSlot};

@@ -12,6 +12,7 @@ use crate::session::SessionEnd;
 use lotos::ast::{Expr, Spec};
 use lotos::event::{Event, SyncKind};
 use lotos::place::PlaceId;
+use semantics::jsonish::quote;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -236,7 +237,7 @@ impl StageSet {
     }
 }
 
-/// Rendered per-stage summaries for the report (v6 `stages` object).
+/// Rendered per-stage summaries for the report (the `stages` object).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageSummaries {
     pub queue_wait: HistSummary,
@@ -257,7 +258,7 @@ impl StageSummaries {
     }
 }
 
-/// Point-in-time queue/backlog gauges (v6): multiplexer window
+/// Point-in-time queue/backlog gauges: multiplexer window
 /// occupancy, hub link outbound backlog, and batch-buffer-pool
 /// utilization.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -336,13 +337,12 @@ pub struct StallRecord {
 
 impl StallRecord {
     pub fn to_json(&self) -> String {
-        let quoted = |s: &str| format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""));
         let entity_state: Vec<String> = self
             .entity_state
             .iter()
             .map(|(e, s)| format!("[{e},{s}]"))
             .collect();
-        let tail: Vec<String> = self.tail.iter().map(|l| quoted(l)).collect();
+        let tail: Vec<String> = self.tail.iter().map(|l| quote(l)).collect();
         format!(
             "{{\"session\":{},\"age_us\":{},\"deadline_us\":{},\"stages\":{},\
              \"entity_state\":[{}],\"gauges\":{},\"tail\":[{}]}}",
@@ -374,11 +374,11 @@ pub struct Metrics {
     /// Payload bytes flushed over distributed links.
     pub bytes_sent: AtomicUsize,
     /// Cumulative acks that rode on outgoing data frames instead of
-    /// costing a dedicated `Ack` frame (wire v3 piggybacking).
+    /// costing a dedicated `Ack` frame (piggybacking).
     pub piggybacked_acks: AtomicUsize,
     /// End-to-end session latency (wall µs).
     pub session_latency: Histogram,
-    /// Per-stage session latency attribution (wall µs; v6).
+    /// Per-stage session latency attribution (wall µs).
     pub stages: StageSet,
     /// Multiplexer in-flight window occupancy (live sessions).
     pub window_occupancy: AtomicUsize,
@@ -718,36 +718,16 @@ pub fn service_primitives(spec: &Spec) -> Vec<(String, PlaceId)> {
     out
 }
 
-/// Version of the [`RuntimeReport`] JSON layout. Bump on any field
-/// rename or semantic change so downstream tooling can dispatch.
-///
-/// * 1 — the original report (implicit; reports without the field).
-/// * 2 — adds `schema_version`, `aborted`, `per_link`, and
-///   `transport_events`.
-/// * 3 — adds `phases` (per-phase pipeline timings), `trace` (flight
-///   recorder metadata, `null` when recording is off),
-///   `recorder_tails` (per-session tails of aborted sessions), and a
-///   `tail` array on each violation. Every v2 field is unchanged, so
-///   v2 consumers keep working; [`ReportSummary::from_json`] parses
-///   both.
-/// * 4 — adds `backend` (which entity-stepping backend actually ran:
-///   `"interpreted"`, `"compiled"`, or `"mixed"` when an `auto` run
-///   lowered only some entities) and a `backend` key inside `config`.
-///   Older documents summarize with an empty backend string.
-/// * 5 — each `per_link` entry gains `batches`, `bytes_sent`,
-///   `piggybacked_acks`, and `frames_per_batch_p50`/`_p99` from the
-///   batched vectored-I/O transport path. All v4 fields are unchanged;
-///   v4 consumers that ignore unknown keys keep working and
-///   [`ReportSummary::from_json`] still parses v4 documents.
-/// * 6 — adds `stages` (per-stage latency summaries: `queue_wait` /
-///   `step` / `notify_wait` / `wire`), `stalls` (stall-forensics
-///   records with recorder tails and backlog gauges), and `gauges`
-///   (final queue/backlog gauge snapshot). All v5 fields are
-///   unchanged; v5 consumers that ignore unknown keys keep working and
-///   [`ReportSummary::from_json`] still parses v5 documents.
+/// Version of the [`RuntimeReport`] JSON layout, written as its
+/// `schema_version`. Bump on any field rename or semantic change.
+/// Version 6 carries the run counters, `config`, `backend`, `per_link`
+/// fault/batching counters, `transport_events`, `phases`, `trace`
+/// (flight-recorder metadata, `null` when recording is off),
+/// `recorder_tails`, per-violation `tail`s, `stages` (per-stage latency
+/// summaries), `stalls` (stall-forensics records) and `gauges`.
 pub const REPORT_SCHEMA_VERSION: u32 = 6;
 
-/// Flight-recorder metadata embedded in a v3 report when recording was
+/// Flight-recorder metadata embedded in the report when recording was
 /// enabled for the run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceMeta {
@@ -785,15 +765,15 @@ pub struct LinkReport {
     pub dup_dropped: usize,
     /// Send/receive failures observed (distributed).
     pub faults: usize,
-    /// Coalesced batches flushed (v5; distributed links).
+    /// Coalesced batches flushed (distributed links).
     pub batches: usize,
-    /// Payload bytes flushed (v5; distributed links).
+    /// Payload bytes flushed (distributed links).
     pub bytes_sent: usize,
-    /// Acks carried on outgoing data frames (v5; distributed links).
+    /// Acks carried on outgoing data frames (distributed links).
     pub piggybacked_acks: usize,
-    /// Median frames per flushed batch (v5; 0 when no batch flushed).
+    /// Median frames per flushed batch (0 when no batch flushed).
     pub frames_per_batch_p50: u32,
-    /// 99th-percentile frames per flushed batch (v5).
+    /// 99th-percentile frames per flushed batch.
     pub frames_per_batch_p99: u32,
 }
 
@@ -849,7 +829,7 @@ pub struct SessionReport {
     pub steps: usize,
     /// Wall-clock session latency in microseconds.
     pub latency_us: u64,
-    /// Stage attribution of `latency_us` (v6; sums to ≤ `latency_us`).
+    /// Stage attribution of `latency_us` (sums to ≤ `latency_us`).
     pub stages: StageBreakdown,
     /// The primitive trace — kept for single-session runs and for
     /// violating sessions; empty otherwise (load runs would hoard memory).
@@ -867,8 +847,6 @@ pub struct RuntimeReport {
     /// entities). Distinct from `config.backend`, which records what was
     /// *requested*.
     pub backend: &'static str,
-    /// JSON layout version ([`REPORT_SCHEMA_VERSION`]).
-    pub schema_version: u32,
     pub config: RuntimeConfig,
     pub sessions: usize,
     pub conforming: usize,
@@ -894,11 +872,11 @@ pub struct RuntimeReport {
     pub wall_s: f64,
     pub sessions_per_sec: f64,
     pub session_latency: HistSummary,
-    /// Per-stage latency summaries (v6).
+    /// Per-stage latency summaries.
     pub stages: StageSummaries,
-    /// Sessions flagged by stall forensics (v6); capped per run.
+    /// Sessions flagged by stall forensics; capped per run.
     pub stalls: Vec<StallRecord>,
-    /// Final queue/backlog gauge snapshot (v6).
+    /// Final queue/backlog gauge snapshot.
     pub gauges: GaugeSnapshot,
     pub per_prim: BTreeMap<String, HistSummary>,
     /// Pipeline phase timings `(phase, milliseconds)` in execution order
@@ -940,24 +918,20 @@ impl RuntimeReport {
         let per_kind: Vec<String> = self
             .messages_per_kind
             .iter()
-            .map(|(k, n)| format!("\"{k}\":{n}"))
+            .map(|(k, n)| format!("{}:{n}", quote(&k.to_string())))
             .collect();
         let per_prim: Vec<String> = self
             .per_prim
             .iter()
-            .map(|(name, h)| format!("\"{name}\":{}", h.to_json()))
+            .map(|(name, h)| format!("{}:{}", quote(name), h.to_json()))
             .collect();
         let per_link: Vec<String> = self
             .per_link
             .iter()
-            .map(|(k, l)| format!("\"{k}\":{}", l.to_json()))
+            .map(|(k, l)| format!("{}:{}", quote(k), l.to_json()))
             .collect();
-        let transport_events: Vec<String> = self
-            .transport_events
-            .iter()
-            .map(|e| format!("\"{}\"", e.replace('\\', "\\\\").replace('"', "\\\"")))
-            .collect();
-        let quoted = |s: &str| format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""));
+        let transport_events: Vec<String> =
+            self.transport_events.iter().map(|e| quote(e)).collect();
         let violations: Vec<String> = self
             .violations
             .iter()
@@ -965,15 +939,15 @@ impl RuntimeReport {
                 let trace: Vec<String> = v
                     .trace
                     .iter()
-                    .map(|(n, p)| format!("\"{n}@{p}\""))
+                    .map(|(n, p)| quote(&format!("{n}@{p}")))
                     .collect();
-                let tail: Vec<String> = v.tail.iter().map(|l| quoted(l)).collect();
+                let tail: Vec<String> = v.tail.iter().map(|l| quote(l)).collect();
                 format!(
-                    "{{\"session\":{},\"seed\":{},\"primitive\":\"{}\",\"place\":{},\
+                    "{{\"session\":{},\"seed\":{},\"primitive\":{},\"place\":{},\
                      \"at\":{},\"trace\":[{}],\"tail\":[{}]}}",
                     v.session,
                     v.seed,
-                    v.primitive,
+                    quote(&v.primitive),
                     v.place,
                     v.at,
                     trace.join(","),
@@ -984,7 +958,7 @@ impl RuntimeReport {
         let phases: Vec<String> = self
             .phases
             .iter()
-            .map(|(name, ms)| format!("\"{name}\":{ms:.3}"))
+            .map(|(name, ms)| format!("{}:{ms:.3}", quote(name)))
             .collect();
         let trace_meta = match &self.trace_meta {
             Some(t) => t.to_json(),
@@ -994,13 +968,13 @@ impl RuntimeReport {
             .abort_tails
             .iter()
             .map(|(session, lines)| {
-                let lines: Vec<String> = lines.iter().map(|l| quoted(l)).collect();
+                let lines: Vec<String> = lines.iter().map(|l| quote(l)).collect();
                 format!("\"{session}\":[{}]", lines.join(","))
             })
             .collect();
         let stalls: Vec<String> = self.stalls.iter().map(|s| s.to_json()).collect();
         format!(
-            "{{\"schema_version\":{},\"engine\":\"{}\",\"backend\":\"{}\",\
+            "{{\"schema_version\":{},\"engine\":{},\"backend\":{},\
              \"config\":{},\"sessions\":{},\
              \"conforming\":{},\
              \"terminated\":{},\"deadlocked\":{},\"step_limited\":{},\"aborted\":{},\
@@ -1013,9 +987,9 @@ impl RuntimeReport {
              \"phases\":{{{}}},\"trace\":{},\"recorder_tails\":{{{}}},\
              \"stalls\":[{}],\"gauges\":{},\
              \"violations\":[{}]}}",
-            self.schema_version,
-            self.engine,
-            self.backend,
+            REPORT_SCHEMA_VERSION,
+            quote(self.engine),
+            quote(self.backend),
             self.config.to_json(),
             self.sessions,
             self.conforming,
@@ -1045,92 +1019,6 @@ impl RuntimeReport {
             self.gauges.to_json(),
             violations.join(",")
         )
-    }
-}
-
-/// The slice of a [`RuntimeReport`] JSON document downstream tooling
-/// (bench snapshots, CI checks) actually dispatches on, parseable from
-/// every schema version: fields introduced later decode to their empty
-/// defaults from older documents.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ReportSummary {
-    /// 1 when the document predates the `schema_version` field.
-    pub schema_version: u32,
-    pub engine: String,
-    /// v4+; empty for older documents.
-    pub backend: String,
-    pub sessions: u64,
-    pub conforming: u64,
-    pub aborted: u64,
-    /// v3+; empty for older documents.
-    pub phases: Vec<(String, f64)>,
-    /// v3+; `None` for older documents or untraced runs.
-    pub trace_meta: Option<TraceMeta>,
-}
-
-impl ReportSummary {
-    /// Parse from report JSON of any schema version. `None` only when
-    /// the document lacks the mandatory `sessions` field.
-    pub fn from_json(json: &str) -> Option<ReportSummary> {
-        use semantics::jsonish::{get_str, get_u64};
-        // The embedded config object carries its own "sessions" key and
-        // precedes the top-level counters; scope those lookups past it.
-        // The config object is flat, so its first `}` closes it.
-        let counters = match json.find("\"config\"") {
-            Some(at) => {
-                let rest = &json[at..];
-                match rest
-                    .find('{')
-                    .and_then(|o| rest[o..].find('}').map(|c| o + c))
-                {
-                    Some(close) => &rest[close..],
-                    None => json,
-                }
-            }
-            None => json,
-        };
-        let sessions = get_u64(counters, "sessions")?;
-        let phases = match json.find("\"phases\"") {
-            None => Vec::new(),
-            Some(at) => {
-                let body = &json[at..];
-                let open = body.find('{')?;
-                let close = body[open..].find('}')? + open;
-                body[open + 1..close]
-                    .split(',')
-                    .filter_map(|kv| {
-                        let (k, v) = kv.split_once(':')?;
-                        Some((
-                            k.trim().trim_matches('"').to_string(),
-                            v.trim().parse().ok()?,
-                        ))
-                    })
-                    .collect()
-            }
-        };
-        // `"trace"` also names the per-violation trace array in v2
-        // documents, so recorder metadata is keyed on `trace_id` — a
-        // field only the v3 meta object carries — and its absence is
-        // simply "no recording", never a parse failure.
-        let trace_meta = json.find("\"trace\"").and_then(|at| {
-            let body = &json[at..];
-            Some(TraceMeta {
-                trace_id: get_u64(body, "trace_id")?,
-                rings: get_u64(body, "rings")? as usize,
-                events: get_u64(body, "events")?,
-                dropped: get_u64(body, "dropped")?,
-            })
-        });
-        Some(ReportSummary {
-            schema_version: get_u64(json, "schema_version").unwrap_or(1) as u32,
-            engine: get_str(json, "engine").unwrap_or("").to_string(),
-            backend: get_str(json, "backend").unwrap_or("").to_string(),
-            sessions,
-            conforming: get_u64(counters, "conforming").unwrap_or(0),
-            aborted: get_u64(counters, "aborted").unwrap_or(0),
-            phases,
-            trace_meta,
-        })
     }
 }
 
@@ -1269,8 +1157,7 @@ mod tests {
         );
     }
 
-    #[test]
-    fn report_json_round_trips_schema_and_link_counters() {
+    fn sample_report() -> RuntimeReport {
         let mut per_link = BTreeMap::new();
         per_link.insert(
             "1->2".to_string(),
@@ -1287,10 +1174,9 @@ mod tests {
                 frames_per_batch_p99: 31,
             },
         );
-        let report = RuntimeReport {
+        RuntimeReport {
             engine: "concurrent",
             backend: "compiled",
-            schema_version: REPORT_SCHEMA_VERSION,
             config: RuntimeConfig::new(),
             sessions: 7,
             conforming: 6,
@@ -1344,9 +1230,39 @@ mod tests {
             }),
             abort_tails: BTreeMap::from([(4u64, vec!["lc=9 place=1 prim a@1".to_string()])]),
             reports: Vec::new(),
-        };
+        }
+    }
+
+    /// Is `json` lexically sound: every string closed, no raw control
+    /// character inside one, only known escapes, brackets balanced?
+    fn well_formed(json: &str) -> bool {
+        let (mut depth, mut in_str, mut chars) = (0i32, false, json.chars());
+        while let Some(c) = chars.next() {
+            match (in_str, c) {
+                (true, '"') => in_str = false,
+                (true, '\\') => match chars.next() {
+                    Some('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' | 'u') => {}
+                    _ => return false,
+                },
+                (true, c) if (c as u32) < 0x20 => return false,
+                (false, '"') => in_str = true,
+                (false, '{' | '[') => depth += 1,
+                (false, '}' | ']') => depth -= 1,
+                _ => {}
+            }
+            if depth < 0 {
+                return false;
+            }
+        }
+        !in_str && depth == 0
+    }
+
+    #[test]
+    fn report_json_round_trips_schema_and_link_counters() {
+        let report = sample_report();
         let json = report.to_json();
-        use semantics::jsonish::get_u64;
+        assert!(well_formed(&json), "{json}");
+        use semantics::jsonish::{get_str, get_u64};
         assert_eq!(
             get_u64(&json, "schema_version"),
             Some(REPORT_SCHEMA_VERSION as u64)
@@ -1360,7 +1276,7 @@ mod tests {
         assert_eq!(get_u64(link_json, "reconnects"), Some(1));
         assert_eq!(get_u64(link_json, "dup_dropped"), Some(2));
         assert_eq!(get_u64(link_json, "faults"), Some(4));
-        // v5 batching counters ride in the same per-link object.
+        // Batching counters ride in the same per-link object.
         assert_eq!(get_u64(link_json, "batches"), Some(6));
         assert_eq!(get_u64(link_json, "bytes_sent"), Some(4096));
         assert_eq!(get_u64(link_json, "piggybacked_acks"), Some(9));
@@ -1369,18 +1285,14 @@ mod tests {
         assert!(json.contains("link place:2 declared dead"), "{json}");
         // An aborted session fails the run even with zero violations.
         assert!(!report.passed());
-        // v3 additions are present and machine-readable.
-        let summary = ReportSummary::from_json(&json).unwrap();
-        assert_eq!(summary.schema_version, REPORT_SCHEMA_VERSION);
-        assert_eq!(summary.backend, "compiled");
-        assert_eq!(summary.sessions, 7);
-        assert_eq!(
-            summary.phases,
-            vec![("parse".to_string(), 1.25), ("derive".to_string(), 3.5)]
-        );
-        assert_eq!(summary.trace_meta.unwrap().events, 420);
+        // Backend, phases and recorder metadata are machine-readable.
+        assert_eq!(get_str(&json, "backend"), Some("compiled"));
+        assert!(json.contains("\"phases\":{\"parse\":1.250,\"derive\":3.500}"));
+        let trace_json = &json[json.find("\"trace\":{").unwrap()..];
+        assert_eq!(get_u64(trace_json, "trace_id"), Some(77));
+        assert_eq!(get_u64(trace_json, "events"), Some(420));
         assert!(json.contains("\"recorder_tails\":{\"4\":[\"lc=9 place=1 prim a@1\"]}"));
-        // v6 additions: stage summaries, stall records, gauges.
+        // Stage summaries, stall records, gauges.
         assert!(json.contains("\"stages\":{\"queue_wait\":{"), "{json}");
         let stall_json = &json[json.find("\"stalls\"").unwrap()..];
         assert_eq!(get_u64(stall_json, "age_us"), Some(5000));
@@ -1392,106 +1304,31 @@ mod tests {
         assert!(gauge_json.contains("\"per_link_backlog\":{\"place:2\":11}"));
     }
 
-    /// Schema v2 documents (no phases/trace/recorder_tails, violations
-    /// without tails) must keep parsing — downstream bench tooling
-    /// reads stored snapshots. The literal below is a verbatim slice of
-    /// a v2 report as the previous release wrote it.
+    /// A primitive name arrives from a socket peer, so quotes, newlines
+    /// and backslashes in it (or in event text) must be escaped, never
+    /// written raw into the report.
     #[test]
-    fn schema_v2_reports_still_parse() {
-        let v2 = "{\"schema_version\":2,\"engine\":\"concurrent\",\
-            \"config\":{\"sessions\":200,\"threads\":4,\"seed\":49374,\"capacity\":64,\
-            \"max_steps\":100000,\"faults\":\"none\"},\"sessions\":200,\"conforming\":200,\
-            \"terminated\":200,\"deadlocked\":0,\"step_limited\":0,\"aborted\":0,\
-            \"primitives\":1200,\"messages\":1800,\"delivered\":1800,\
-            \"overhead_ratio\":1.500,\"messages_per_kind\":{\"seq\":1800},\
-            \"max_queue_depth\":3,\"frames_lost\":0,\"retransmissions\":0,\
-            \"per_link\":{},\"transport_events\":[],\
-            \"wall_s\":0.0373,\"sessions_per_sec\":5367.1,\
-            \"session_latency\":{\"count\":200,\"mean_us\":150.0,\"p50_us\":128.0,\
-            \"p90_us\":256.0,\"p99_us\":320.0,\"max_us\":400},\
-            \"per_prim\":{},\"violations\":[]}";
-        let summary = ReportSummary::from_json(v2).unwrap();
-        assert_eq!(summary.schema_version, 2);
-        assert_eq!(summary.engine, "concurrent");
-        assert_eq!(summary.backend, "");
-        assert_eq!(summary.sessions, 200);
-        assert_eq!(summary.conforming, 200);
-        assert_eq!(summary.aborted, 0);
-        assert!(summary.phases.is_empty());
-        assert_eq!(summary.trace_meta, None);
-        // v1 documents (no schema_version at all) default to 1.
-        let v1 = "{\"engine\":\"deterministic\",\"sessions\":5,\"conforming\":5}";
-        let summary = ReportSummary::from_json(v1).unwrap();
-        assert_eq!(summary.schema_version, 1);
-        assert_eq!(summary.sessions, 5);
-    }
-
-    /// Schema v4 documents — per_link entries without the v5 batching
-    /// counters — must keep round-tripping through [`ReportSummary`]:
-    /// stored bench snapshots from the previous release are v4. The
-    /// literal is a verbatim slice of a v4 report as that release wrote
-    /// it.
-    #[test]
-    fn schema_v4_reports_still_parse() {
-        let v4 = "{\"schema_version\":4,\"engine\":\"concurrent\",\"backend\":\"compiled\",\
-            \"config\":{\"sessions\":100,\"threads\":3,\"seed\":7,\"capacity\":64,\
-            \"max_steps\":100000,\"faults\":\"none\",\"backend\":\"auto\"},\
-            \"sessions\":100,\"conforming\":100,\
-            \"terminated\":100,\"deadlocked\":0,\"step_limited\":0,\"aborted\":0,\
-            \"primitives\":600,\"messages\":900,\"delivered\":900,\
-            \"overhead_ratio\":1.500,\"messages_per_kind\":{\"seq\":900},\
-            \"max_queue_depth\":3,\"frames_lost\":0,\"retransmissions\":2,\
-            \"per_link\":{\"place:1\":{\"lost\":0,\"retransmissions\":2,\"reconnects\":1,\
-            \"dup_dropped\":0,\"faults\":1}},\"transport_events\":[],\
-            \"wall_s\":0.1200,\"sessions_per_sec\":833.3,\
-            \"session_latency\":{\"count\":100,\"mean_us\":150.0,\"p50_us\":128.0,\
-            \"p90_us\":256.0,\"p99_us\":320.0,\"max_us\":400},\"per_prim\":{},\
-            \"phases\":{\"parse\":0.200},\"trace\":null,\"recorder_tails\":{},\
-            \"violations\":[]}";
-        let summary = ReportSummary::from_json(v4).unwrap();
-        assert_eq!(summary.schema_version, 4);
-        assert_eq!(summary.engine, "concurrent");
-        assert_eq!(summary.backend, "compiled");
-        assert_eq!(summary.sessions, 100);
-        assert_eq!(summary.conforming, 100);
-        assert_eq!(summary.aborted, 0);
-        assert_eq!(summary.phases, vec![("parse".to_string(), 0.2)]);
-        assert_eq!(summary.trace_meta, None);
-    }
-
-    /// Schema v5 documents — per_link entries with batching counters
-    /// but no `stages`/`stalls`/`gauges` — must keep round-tripping
-    /// through [`ReportSummary`]: stored bench snapshots from the
-    /// previous release are v5. The literal is a verbatim slice of a v5
-    /// report as that release wrote it.
-    #[test]
-    fn schema_v5_reports_still_parse() {
-        let v5 = "{\"schema_version\":5,\"engine\":\"distributed\",\"backend\":\"interpreted\",\
-            \"config\":{\"sessions\":50,\"threads\":2,\"seed\":7,\"capacity\":64,\
-            \"max_steps\":100000,\"faults\":\"none\",\"backend\":\"interpreted\"},\
-            \"sessions\":50,\"conforming\":50,\
-            \"terminated\":50,\"deadlocked\":0,\"step_limited\":0,\"aborted\":0,\
-            \"primitives\":300,\"messages\":450,\"delivered\":450,\
-            \"overhead_ratio\":1.500,\"messages_per_kind\":{\"seq\":450},\
-            \"max_queue_depth\":0,\"frames_lost\":0,\"retransmissions\":1,\
-            \"per_link\":{\"place:1\":{\"lost\":0,\"retransmissions\":1,\"reconnects\":1,\
-            \"dup_dropped\":0,\"faults\":1,\"batches\":40,\"bytes_sent\":8192,\
-            \"piggybacked_acks\":12,\"frames_per_batch_p50\":4,\
-            \"frames_per_batch_p99\":16}},\"transport_events\":[],\
-            \"wall_s\":0.2100,\"sessions_per_sec\":238.1,\
-            \"session_latency\":{\"count\":50,\"mean_us\":900.0,\"p50_us\":768.0,\
-            \"p90_us\":1536.0,\"p99_us\":2048.0,\"max_us\":2500},\"per_prim\":{},\
-            \"phases\":{\"parse\":0.150},\"trace\":null,\"recorder_tails\":{},\
-            \"violations\":[]}";
-        let summary = ReportSummary::from_json(v5).unwrap();
-        assert_eq!(summary.schema_version, 5);
-        assert_eq!(summary.engine, "distributed");
-        assert_eq!(summary.backend, "interpreted");
-        assert_eq!(summary.sessions, 50);
-        assert_eq!(summary.conforming, 50);
-        assert_eq!(summary.aborted, 0);
-        assert_eq!(summary.phases, vec![("parse".to_string(), 0.15)]);
-        assert_eq!(summary.trace_meta, None);
+    fn report_json_escapes_peer_supplied_strings() {
+        let mut report = sample_report();
+        report.violations.push(ViolationRecord {
+            session: 2,
+            seed: 9,
+            primitive: "a\"b\n".to_string(),
+            place: 1,
+            at: 0,
+            trace: vec![("a\"b\n".to_string(), 1)],
+            tail: vec!["recv C:\\tmp".to_string()],
+        });
+        report
+            .transport_events
+            .push("peer said \"bye\\\"".to_string());
+        let json = report.to_json();
+        assert!(well_formed(&json), "{json}");
+        assert!(json.contains(r#""primitive":"a\"b\n","#), "{json}");
+        assert!(json.contains(r#""trace":["a\"b\n@1"]"#), "{json}");
+        assert!(json.contains(r#""tail":["recv C:\\tmp"]"#), "{json}");
+        assert!(json.contains(r#""peer said \"bye\\\"""#), "{json}");
+        assert!(!well_formed("{\"a\":\"x\ny\"}"));
     }
 
     /// `attribute` clamps components in order so the stage sum never

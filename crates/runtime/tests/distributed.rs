@@ -381,3 +381,72 @@ fn dead_entity_aborts_sessions_with_diagnostics() {
         "the cut-off entity should report a dead link"
     );
 }
+
+/// A peer speaking another wire version gets a typed error, not a hang:
+/// a fake entity for place 1 opens with a `Hello` framed at version 2
+/// (valid magic and checksum). The hub must log the handshake failure,
+/// declare the place dead once `join_deadline` lapses, and return with
+/// every session aborted.
+#[test]
+fn wrong_version_peer_fails_handshake_and_aborts() {
+    use medium::codec::{crc32, put_varint, MAGIC};
+
+    let watchdog = Watchdog::arm(
+        "wrong_version_peer_fails_handshake_and_aborts",
+        Duration::from_secs(60),
+    );
+    watchdog.enter("v2-hello".to_string());
+    let derived = Pipeline::load("SPEC a1; b2; exit ENDSPEC")
+        .unwrap()
+        .check()
+        .unwrap()
+        .derive()
+        .unwrap();
+    let d = derived.derivation();
+    let dcfg = DistributedConfig {
+        heartbeat: Duration::from_millis(20),
+        dead_after: Duration::from_millis(400),
+        join_deadline: Duration::from_millis(500),
+        handshake_timeout: Duration::from_secs(2),
+        poll: Duration::from_millis(2),
+        stall_timeout: Duration::from_secs(20),
+        ..DistributedConfig::new(Addr::Tcp("127.0.0.1:0".to_string()))
+    };
+    let listener = dcfg.listen.listen().unwrap();
+    let hub_addr = listener.local_addr().unwrap();
+    const SESSIONS: usize = 3;
+    let cfg = RuntimeConfig::new().sessions(SESSIONS).threads(1).seed(7);
+
+    // Place 2 is a real entity; place 1 is the down-level peer.
+    let (p2, spec2) = d.entities[1].clone();
+    let mut scfg2 = ServeConfig::new(hub_addr.clone(), p2);
+    scfg2.heartbeat = Duration::from_millis(20);
+    let h2 = std::thread::spawn(move || serve_entity(&spec2, &scfg2));
+
+    // Hello { place: 1, last_seen: 0 } as a version-2 frame: payload is
+    // seq 0, place, last_seen (no trailing ack); kind 0 is Hello.
+    let payload = [0u8, d.entities[0].0, 0];
+    let mut frame = MAGIC.to_vec();
+    frame.extend_from_slice(&[2, 0]);
+    put_varint(&mut frame, payload.len() as u64);
+    frame.extend_from_slice(&payload);
+    let crc = crc32(&frame[2..]);
+    frame.extend_from_slice(&crc.to_le_bytes());
+    let mut fake = hub_addr.connect(Duration::from_secs(2)).unwrap();
+    fake.write_all(&frame).unwrap();
+
+    let report = run_hub_on(d, &cfg, &dcfg, listener).expect("hub run");
+    drop(fake);
+
+    assert!(
+        report
+            .transport_events
+            .iter()
+            .any(|e| e == "handshake failed: unsupported wire version 2"),
+        "no version diagnostic: {:?}",
+        report.transport_events
+    );
+    assert_eq!(report.aborted, SESSIONS, "{:?}", report.transport_events);
+    assert!(!report.passed());
+    h2.join().unwrap().expect("healthy entity");
+}

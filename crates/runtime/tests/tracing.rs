@@ -8,7 +8,7 @@
 use obs::EventKind;
 use protogen::Pipeline;
 use runtime::{
-    run_hub_obs, serve_entity, trace_id_for, DistributedConfig, RuntimeConfig, RuntimeReport,
+    run_hub_on, serve_entity, trace_id_for, DistributedConfig, RuntimeConfig, RuntimeReport,
     ServeConfig,
 };
 use std::io::{Read, Write};
@@ -61,12 +61,13 @@ fn run_traced(
     let listener = dcfg.listen.listen().expect("hub bind");
     let hub_addr = listener.local_addr().expect("hub addr");
 
+    let registry = obs::Registry::new(trace_id_for(seed), obs::DEFAULT_CAPACITY);
     let cfg = RuntimeConfig::new()
         .sessions(sessions)
         .threads(2)
         .seed(seed)
         .max_steps(20_000)
-        .record(true);
+        .registry(Arc::clone(&registry));
 
     let mut proxies = Vec::new();
     let mut handles = Vec::new();
@@ -91,9 +92,7 @@ fn run_traced(
         proxies.push(proxy);
     }
 
-    let registry = obs::Registry::new(trace_id_for(seed), obs::DEFAULT_CAPACITY);
-    let report =
-        run_hub_obs(d, &cfg, &dcfg, listener, Some(Arc::clone(&registry))).expect("hub run");
+    let report = run_hub_on(d, &cfg, &dcfg, listener).expect("hub run");
     for p in proxies {
         p.stop();
     }
@@ -271,11 +270,11 @@ fn hub_metrics_endpoint_serves_prometheus_and_trace() {
         .seed(3)
         .record(true);
 
-    let cfg2 = cfg.clone();
-    let registry = obs::Registry::new(trace_id_for(cfg.seed), obs::DEFAULT_CAPACITY);
-    let hub = std::thread::spawn(move || {
-        run_hub_obs(derived.derivation(), &cfg2, &dcfg, listener, Some(registry))
-    });
+    let cfg2 = cfg.clone().registry(obs::Registry::new(
+        trace_id_for(cfg.seed),
+        obs::DEFAULT_CAPACITY,
+    ));
+    let hub = std::thread::spawn(move || run_hub_on(derived.derivation(), &cfg2, &dcfg, listener));
 
     // Scrape while the hub is waiting for entities to join.
     let deadline = Instant::now() + Duration::from_secs(10);

@@ -121,33 +121,6 @@ impl ExploreConfig {
             .map(|n| n.get())
             .unwrap_or(1)
     }
-
-    /// Serialize to a JSON object (the offline stand-in for serde; see
-    /// `docs/PIPELINE.md`).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"max_states\":{},\"max_depth\":{},\"threads\":{}}}",
-            self.max_states, self.max_depth, self.threads
-        )
-    }
-
-    /// Parse from a JSON object; absent keys keep their defaults.
-    pub fn from_json(s: &str) -> Result<ExploreConfig, String> {
-        if !s.trim_start().starts_with('{') {
-            return Err(format!("expected a JSON object, got `{s}`"));
-        }
-        let mut cfg = ExploreConfig::default();
-        if let Some(v) = crate::jsonish::get_u64(s, "max_states") {
-            cfg.max_states = v as usize;
-        }
-        if let Some(v) = crate::jsonish::get_u64(s, "max_depth") {
-            cfg.max_depth = v as usize;
-        }
-        if let Some(v) = crate::jsonish::get_u64(s, "threads") {
-            cfg.threads = v as usize;
-        }
-        Ok(cfg)
-    }
 }
 
 /// What a transition costs towards the depth bound.
@@ -908,18 +881,12 @@ mod tests {
     }
 
     #[test]
-    fn config_builder_and_json_roundtrip() {
+    fn config_builder() {
         let cfg = ExploreConfig::new()
             .max_states(1234)
             .max_depth(9)
             .threads(2);
-        let back = ExploreConfig::from_json(&cfg.to_json()).unwrap();
-        assert_eq!(cfg, back);
-        assert!(ExploreConfig::from_json("nonsense").is_err());
-        // absent keys keep defaults
-        let partial = ExploreConfig::from_json("{\"threads\":5}").unwrap();
-        assert_eq!(partial.threads, 5);
-        assert_eq!(partial.max_states, ExploreConfig::default().max_states);
+        assert_eq!((cfg.max_states, cfg.max_depth, cfg.threads), (1234, 9, 2));
         assert_eq!(ExploreConfig::default().sequential().effective_threads(), 1);
     }
 }

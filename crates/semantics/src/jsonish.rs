@@ -1,10 +1,10 @@
-//! Minimal JSON field extraction for the config types.
+//! Minimal JSON helpers for the hand-written emitters and readers.
 //!
-//! The build environment has no crates.io mirror, so the configuration
-//! family (`ExploreConfig`, `PipelineConfig`, `SimConfig`, …) cannot derive
-//! serde traits; each type hand-writes `to_json`/`from_json` over these
-//! helpers instead. Deliberately small: flat objects, no escapes inside
-//! strings, no nested arrays — exactly what the config surface needs.
+//! The build environment has no crates.io mirror, so nothing here can
+//! derive serde traits. Emitters escape strings with [`quote`]; the few
+//! readers (trace import, `protogen top`, `perf-gate`) pull single fields
+//! out of documents this workspace wrote. Deliberately small: flat
+//! objects, no escapes inside extracted strings, no nested arrays.
 
 /// Quote a string as a JSON string literal, escaping the characters the
 /// emitters here can actually produce (quotes, backslashes, control
@@ -45,18 +45,6 @@ pub fn get_f64(json: &str, key: &str) -> Option<f64> {
     v[..end].parse().ok()
 }
 
-/// Extract a boolean field: `"key": true`.
-pub fn get_bool(json: &str, key: &str) -> Option<bool> {
-    let v = value_after(json, key)?;
-    if v.starts_with("true") {
-        Some(true)
-    } else if v.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
 /// Extract a string field: `"key": "value"` (no escape handling).
 pub fn get_str<'a>(json: &'a str, key: &str) -> Option<&'a str> {
     let v = value_after(json, key)?.strip_prefix('"')?;
@@ -80,7 +68,6 @@ mod tests {
     fn extracts_each_type() {
         assert_eq!(get_u64(DOC, "states"), Some(600));
         assert_eq!(get_f64(DOC, "rate"), Some(0.25));
-        assert_eq!(get_bool(DOC, "deep"), Some(false));
         assert_eq!(get_str(DOC, "mode"), Some("broadcast"));
     }
 
@@ -88,7 +75,6 @@ mod tests {
     fn missing_and_malformed_fields_are_none() {
         assert_eq!(get_u64(DOC, "absent"), None);
         assert_eq!(get_u64("{\"states\": \"oops\"}", "states"), None);
-        assert_eq!(get_bool("{\"deep\": 3}", "deep"), None);
         assert_eq!(get_str("{\"mode\": 3}", "mode"), None);
     }
 }

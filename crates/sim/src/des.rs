@@ -132,52 +132,6 @@ impl SimConfig {
         self.link = Some(link);
         self
     }
-
-    /// Serialize to JSON (hand-rolled; the build environment has no
-    /// serde). `order` and `refuse` keep their defaults.
-    pub fn to_json(&self) -> String {
-        let link = match &self.link {
-            None => "null".to_string(),
-            Some(l) => format!(
-                "{{\"loss\":{},\"arq\":{},\"arq_timeout\":{}}}",
-                l.loss, l.arq, l.arq_timeout
-            ),
-        };
-        format!(
-            "{{\"seed\":{},\"delay_min\":{},\"delay_max\":{},\"max_steps\":{},\"link\":{}}}",
-            self.seed, self.delay_min, self.delay_max, self.max_steps, link
-        )
-    }
-
-    /// Parse from JSON produced by [`Self::to_json`]. Absent keys keep
-    /// their defaults.
-    pub fn from_json(s: &str) -> Result<SimConfig, String> {
-        if !s.trim_start().starts_with('{') {
-            return Err("expected a JSON object".to_string());
-        }
-        let mut cfg = SimConfig::default();
-        if let Some(n) = semantics::jsonish::get_u64(s, "seed") {
-            cfg.seed = n;
-        }
-        if let Some(x) = semantics::jsonish::get_f64(s, "delay_min") {
-            cfg.delay_min = x;
-        }
-        if let Some(x) = semantics::jsonish::get_f64(s, "delay_max") {
-            cfg.delay_max = x;
-        }
-        if let Some(n) = semantics::jsonish::get_u64(s, "max_steps") {
-            cfg.max_steps = n as usize;
-        }
-        if let Some(loss) = semantics::jsonish::get_f64(s, "loss") {
-            cfg.link = Some(LinkConfig {
-                loss,
-                arq: semantics::jsonish::get_bool(s, "arq").unwrap_or(true),
-                arq_timeout: semantics::jsonish::get_f64(s, "arq_timeout")
-                    .unwrap_or_else(|| LinkConfig::default().arq_timeout),
-            });
-        }
-        Ok(cfg)
-    }
 }
 
 /// One logged simulation event.
@@ -1007,7 +961,7 @@ mod tests {
     }
 
     #[test]
-    fn config_builds_and_json_round_trips() {
+    fn config_builds() {
         let cfg = SimConfig::new()
             .seed(42)
             .delays(0.5, 2.0)
@@ -1017,19 +971,14 @@ mod tests {
                 arq: false,
                 arq_timeout: 12.5,
             });
-        let back = SimConfig::from_json(&cfg.to_json()).unwrap();
-        assert_eq!(back.seed, 42);
-        assert_eq!(back.delay_min, 0.5);
-        assert_eq!(back.delay_max, 2.0);
-        assert_eq!(back.max_steps, 500);
-        let link = back.link.unwrap();
+        assert_eq!(cfg.seed, 42);
+        assert_eq!(cfg.delay_min, 0.5);
+        assert_eq!(cfg.delay_max, 2.0);
+        assert_eq!(cfg.max_steps, 500);
+        let link = cfg.link.unwrap();
         assert_eq!(link.loss, 0.25);
         assert!(!link.arq);
         assert_eq!(link.arq_timeout, 12.5);
-        // no link -> none after the round trip either
-        assert!(SimConfig::from_json(&SimConfig::new().to_json())
-            .unwrap()
-            .link
-            .is_none());
+        assert!(SimConfig::new().link.is_none());
     }
 }

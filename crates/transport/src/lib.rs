@@ -13,7 +13,7 @@
 //!   exactly-once resumption across reconnects, and the seeded
 //!   exponential [`Backoff`] policy with a retry budget. Sends coalesce
 //!   into a batch ([`BatchConfig`]) flushed with one vectored write,
-//!   acks piggyback on outgoing frames (wire v3), and buffers recycle
+//!   acks piggyback on outgoing frames, and buffers recycle
 //!   through a [`BufPool`] so the steady state allocates nothing;
 //! * [`pool`] — the bounded buffer free-list behind the batch path;
 //! * [`proxy`] — a seeded connection-level fault injector

@@ -29,7 +29,7 @@ use crate::pool::BufPool;
 use crate::wire::WireMsg;
 
 /// How often (in sequenced frames received) a cumulative ack is pushed
-/// without waiting for other traffic. With wire v3 this is a backstop:
+/// without waiting for other traffic. This is a backstop:
 /// acks normally piggyback on outgoing frames, and an idle receiver
 /// acks on [`BatchConfig::flush_interval`] instead.
 const ACK_EVERY: u64 = 64;
@@ -79,7 +79,7 @@ pub struct LinkStats {
     /// Pure cumulative-ack frames pushed to the peer.
     pub acks_sent: u64,
     /// Cumulative acks that rode an outgoing frame instead of costing a
-    /// pure ack frame (wire v3).
+    /// pure ack frame.
     pub piggybacked_acks: u64,
     /// Batches flushed to the socket.
     pub batches_sent: u64,
@@ -242,8 +242,8 @@ impl Link {
     /// Queue a message into the outgoing batch without flushing it.
     /// Sequenced messages get the next sequence number and are buffered
     /// for retransmission; control messages carry sequence 0 and are
-    /// never buffered. Every frame piggybacks the cumulative ack (wire
-    /// v3), so queueing while acks are owed settles them for free.
+    /// never buffered. Every frame piggybacks the cumulative ack, so
+    /// queueing while acks are owed settles them for free.
     pub fn queue(&mut self, msg: WireMsg) {
         let ack = self.last_delivered;
         if self.since_ack > 0 {

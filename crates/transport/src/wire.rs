@@ -18,30 +18,25 @@
 //! instance is canonical. [`WireMsg::Data`] carries the path; each
 //! endpoint resolves it against its local table.
 //!
-//! **Trace context (wire v2).** [`WireMsg::Open`] carries the run's
-//! trace id (0 = recording off), [`WireMsg::Data`]/[`WireMsg::Prim`]
-//! carry the sender's per-session Lamport clock, and
-//! [`WireMsg::Trace`] ships flight-recorder chunks back to the hub at
-//! shutdown, so one process can merge a causal log of the whole run.
-//! The fields are appended to the v1 payloads: a v2 reader decodes v1
-//! frames with zeroed trace context (interop), while a v1 reader
-//! rejects v2 frames explicitly at the codec layer ([`CodecError::BadVersion`]).
+//! **Trace context.** [`WireMsg::Open`] carries the run's trace id
+//! (0 = recording off), [`WireMsg::Data`]/[`WireMsg::Prim`] carry the
+//! sender's per-session Lamport clock, and [`WireMsg::Trace`] ships
+//! flight-recorder chunks back to the hub at shutdown, so one process
+//! can merge a causal log of the whole run.
 //!
-//! **Piggybacked acks (wire v3).** Every v3 payload ends with a
-//! trailing cumulative-ack varint: the sender's `last_delivered`
-//! high-water mark for *incoming* sequenced traffic rides on every
-//! outgoing frame, so a busy link almost never spends a frame on a pure
-//! [`WireMsg::Ack`]. [`poll_messages`] surfaces a nonzero trailing ack
-//! as a synthetic `(0, Ack)` entry ahead of the message it rode on, so
-//! link bookkeeping is identical for pure and piggybacked acks. v1/v2
-//! frames decode with ack 0; a v2 reader handed a v3-laid-out payload
-//! ignores the trailing field (readers stop at the fields their version
-//! knows), which is what keeps the `[1, 3]` compat window sound.
+//! **Piggybacked acks.** Every payload ends with a trailing
+//! cumulative-ack varint: the sender's `last_delivered` high-water mark
+//! for *incoming* sequenced traffic rides on every outgoing frame, so a
+//! busy link almost never spends a frame on a pure [`WireMsg::Ack`].
+//! [`poll_messages`] surfaces a nonzero trailing ack as a synthetic
+//! `(0, Ack)` entry ahead of the message it rode on, so link
+//! bookkeeping is identical for pure and piggybacked acks.
+//!
+//! Only [`WIRE_VERSION`](medium::codec::WIRE_VERSION) is written or
+//! read; the codec rejects any other version with
+//! [`CodecError::BadVersion`].
 
-use medium::codec::{
-    self, encode_frame_versioned, put_str, put_varint, CodecError, Frame, FrameDecoder,
-    WIRE_VERSION,
-};
+use medium::codec::{self, encode_frame, put_str, put_varint, CodecError, Frame, FrameDecoder};
 use medium::Msg;
 use std::io;
 
@@ -72,8 +67,7 @@ pub enum WireMsg {
         nonce: u64,
     },
     /// Hub → entity: start interpreting a session. `trace` is the run's
-    /// trace id; non-zero asks the entity to flight-record the session
-    /// (wire v2; decodes as 0 from v1 frames).
+    /// trace id; non-zero asks the entity to flight-record the session.
     Open {
         session: u64,
         seed: u64,
@@ -83,8 +77,8 @@ pub enum WireMsg {
     /// A synchronization message of one session. `msg.occ` is the
     /// *sender-local* occurrence number (informational); `path` is the
     /// canonical site-tag path the receiver resolves locally. `lc` is
-    /// the sender's per-session Lamport clock at the send (wire v2;
-    /// 0 from v1 frames or when recording is off).
+    /// the sender's per-session Lamport clock at the send (0 when
+    /// recording is off).
     Data {
         session: u64,
         msg: Msg,
@@ -122,7 +116,7 @@ pub enum WireMsg {
     /// Hub → entity: no more sessions; exit cleanly.
     Shutdown,
     /// Entity → hub: a flight-recorder chunk, flushed at shutdown so the
-    /// hub can merge one causal log across processes (wire v2).
+    /// hub can merge one causal log across processes.
     Trace {
         chunk: obs::Chunk,
     },
@@ -155,55 +149,27 @@ impl WireMsg {
     }
 
     /// Encode as one complete frame with the given sequence number
-    /// (`0` for control traffic) at the current wire version, with no
-    /// piggybacked ack.
+    /// (`0` for control traffic) and no piggybacked ack.
     pub fn encode(&self, seq: u64) -> Vec<u8> {
-        self.encode_versioned(seq, WIRE_VERSION)
-    }
-
-    /// Encode laid out for an explicit wire `version` — `1` omits the
-    /// trace-context fields, `< 3` omits the trailing ack. Down-level
-    /// layouts exist for the cross-version interop tests; production
-    /// traffic uses [`WireMsg::encode`] or the batched
-    /// [`WireMsg::encode_into`].
-    pub fn encode_versioned(&self, seq: u64, version: u8) -> Vec<u8> {
-        self.encode_versioned_with_ack(seq, version, 0)
-    }
-
-    /// [`WireMsg::encode_versioned`] with an explicit piggybacked
-    /// cumulative ack (written for `version >= 3` only).
-    pub fn encode_versioned_with_ack(&self, seq: u64, version: u8, ack: u64) -> Vec<u8> {
         let mut scratch = Vec::with_capacity(24);
         let mut out = Vec::with_capacity(34);
-        self.encode_frame_into(seq, ack, version, &mut scratch, &mut out);
+        self.encode_into(seq, 0, &mut scratch, &mut out);
         out
     }
 
     /// Append one complete frame to `out`, reusing `scratch` for the
     /// payload bytes — the allocation-free path the batch encoder and
     /// resume retransmission run on. `ack` is the piggybacked cumulative
-    /// ack (v3+; ignored for older layouts).
+    /// ack.
     pub fn encode_into(&self, seq: u64, ack: u64, scratch: &mut Vec<u8>, out: &mut Vec<u8>) {
-        self.encode_frame_into(seq, ack, WIRE_VERSION, scratch, out);
-    }
-
-    fn encode_frame_into(
-        &self,
-        seq: u64,
-        ack: u64,
-        version: u8,
-        scratch: &mut Vec<u8>,
-        out: &mut Vec<u8>,
-    ) {
         scratch.clear();
-        let kind = self.encode_payload(seq, ack, version, scratch);
-        encode_frame_versioned(version, kind, scratch, out);
+        let kind = self.encode_payload(seq, ack, scratch);
+        encode_frame(kind, scratch, out);
     }
 
-    /// Write the payload bytes for `version` into `p` (appended) and
-    /// return the frame kind.
-    fn encode_payload(&self, seq: u64, ack: u64, version: u8, p: &mut Vec<u8>) -> u8 {
-        let v2 = version >= 2;
+    /// Write the payload bytes into `p` (appended) and return the frame
+    /// kind.
+    fn encode_payload(&self, seq: u64, ack: u64, p: &mut Vec<u8>) -> u8 {
         put_varint(p, seq);
         let kind = match self {
             WireMsg::Hello { place, last_seen } => {
@@ -236,9 +202,7 @@ impl WireMsg {
                 put_varint(p, *session);
                 put_varint(p, *seed);
                 put_varint(p, *max_steps);
-                if v2 {
-                    put_varint(p, *trace);
-                }
+                put_varint(p, *trace);
                 K_OPEN
             }
             WireMsg::Data {
@@ -253,9 +217,7 @@ impl WireMsg {
                 for site in path {
                     put_varint(p, *site as u64);
                 }
-                if v2 {
-                    put_varint(p, *lc);
-                }
+                put_varint(p, *lc);
                 K_DATA
             }
             WireMsg::Prim {
@@ -267,9 +229,7 @@ impl WireMsg {
                 put_varint(p, *session);
                 p.push(*place);
                 put_str(p, name);
-                if v2 {
-                    put_varint(p, *lc);
-                }
+                put_varint(p, *lc);
                 K_PRIM
             }
             WireMsg::Status {
@@ -300,35 +260,25 @@ impl WireMsg {
                 K_TRACE
             }
         };
-        if version >= 3 {
-            put_varint(p, ack);
-        }
+        put_varint(p, ack);
         kind
     }
 
-    /// Decode a frame into `(sequence number, message)`, discarding any
-    /// piggybacked ack. Trace-context fields exist from wire v2 on; v1
-    /// frames decode them as zero.
+    /// Decode a frame into `(sequence number, message)`, discarding the
+    /// piggybacked ack.
     pub fn decode(frame: &Frame) -> Result<(u64, WireMsg), CodecError> {
-        let (seq, msg, _ack) = Self::decode_parts(frame.version, frame.kind, &frame.payload)?;
+        let (seq, msg, _ack) = Self::decode_parts(frame.kind, &frame.payload)?;
         Ok((seq, msg))
     }
 
     /// Decode a frame into `(sequence number, message, piggybacked ack)`.
-    /// The ack is the trailing cumulative-ack varint of wire v3; v1/v2
-    /// frames decode it as zero.
     pub fn decode_full(frame: &Frame) -> Result<(u64, WireMsg, u64), CodecError> {
-        Self::decode_parts(frame.version, frame.kind, &frame.payload)
+        Self::decode_parts(frame.kind, &frame.payload)
     }
 
     /// [`WireMsg::decode_full`] on borrowed frame parts — what the
     /// zero-copy receive path ([`poll_messages_into`]) uses.
-    pub fn decode_parts(
-        version: u8,
-        kind: u8,
-        payload: &[u8],
-    ) -> Result<(u64, WireMsg, u64), CodecError> {
-        let v2 = version >= 2;
+    pub fn decode_parts(kind: u8, payload: &[u8]) -> Result<(u64, WireMsg, u64), CodecError> {
         let b = payload;
         let mut at = 0usize;
         let seq = rd_varint(b, &mut at)?;
@@ -354,7 +304,7 @@ impl WireMsg {
                 let session = rd_varint(b, &mut at)?;
                 let seed = rd_varint(b, &mut at)?;
                 let max_steps = rd_varint(b, &mut at)?;
-                let trace = if v2 { rd_varint(b, &mut at)? } else { 0 };
+                let trace = rd_varint(b, &mut at)?;
                 WireMsg::Open {
                     session,
                     seed,
@@ -374,7 +324,7 @@ impl WireMsg {
                 for _ in 0..n {
                     path.push(rd_varint(b, &mut at)? as u32);
                 }
-                let lc = if v2 { rd_varint(b, &mut at)? } else { 0 };
+                let lc = rd_varint(b, &mut at)?;
                 WireMsg::Data {
                     session,
                     msg,
@@ -387,7 +337,7 @@ impl WireMsg {
                 let place = rd_byte(b, &mut at)?;
                 let (name, used) = codec::get_str(&b[at..])?;
                 at += used;
-                let lc = if v2 { rd_varint(b, &mut at)? } else { 0 };
+                let lc = rd_varint(b, &mut at)?;
                 WireMsg::Prim {
                     session,
                     name,
@@ -424,11 +374,7 @@ impl WireMsg {
             }
             _ => return Err(CodecError::Truncated),
         };
-        let ack = if version >= 3 {
-            rd_varint(b, &mut at)?
-        } else {
-            0
-        };
+        let ack = rd_varint(b, &mut at)?;
         Ok((seq, msg, ack))
     }
 }
@@ -478,9 +424,8 @@ pub fn poll_messages_into(
     loop {
         match dec.next_ref() {
             Ok(Some(frame)) => {
-                let (seq, msg, ack) =
-                    WireMsg::decode_parts(frame.version, frame.kind, frame.payload)
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+                let (seq, msg, ack) = WireMsg::decode_parts(frame.kind, frame.payload)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
                 if ack > 0 {
                     out.push((0, WireMsg::Ack { upto: ack }));
                 }
@@ -496,6 +441,12 @@ pub fn poll_messages_into(
 mod tests {
     use super::*;
     use lotos::event::{MsgId, SyncKind};
+
+    fn encode_with_ack(m: &WireMsg, seq: u64, ack: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        m.encode_into(seq, ack, &mut Vec::new(), &mut out);
+        out
+    }
 
     fn round_trip(m: WireMsg, seq: u64) {
         let bytes = m.encode(seq);
@@ -605,120 +556,8 @@ mod tests {
         .sequenced());
     }
 
-    /// A v2 reader accepts v1 frames: the trace-context fields decode as
-    /// zero and everything else is preserved.
-    #[test]
-    fn v1_frames_decode_with_zeroed_trace_context() {
-        let msgs = [
-            WireMsg::Open {
-                session: 12,
-                seed: 7,
-                max_steps: 1000,
-                trace: 0xDEAD,
-            },
-            WireMsg::Data {
-                session: 3,
-                msg: Msg {
-                    from: 1,
-                    to: 2,
-                    id: MsgId::Named("x".into()),
-                    occ: 2,
-                    kind: SyncKind::Alt,
-                },
-                path: vec![4, 2],
-                lc: 55,
-            },
-            WireMsg::Prim {
-                session: 3,
-                name: "conreq".into(),
-                place: 1,
-                lc: 9,
-            },
-        ];
-        for m in msgs {
-            let bytes = m.encode_versioned(8, 1);
-            let mut dec = FrameDecoder::new();
-            dec.feed(&bytes);
-            let frame = dec.next().unwrap().unwrap();
-            assert_eq!(frame.version, 1);
-            let (seq, back) = WireMsg::decode(&frame).unwrap();
-            assert_eq!(seq, 8);
-            let expected = match m {
-                WireMsg::Open {
-                    trace: _,
-                    session,
-                    seed,
-                    max_steps,
-                } => WireMsg::Open {
-                    session,
-                    seed,
-                    max_steps,
-                    trace: 0,
-                },
-                WireMsg::Data {
-                    lc: _,
-                    session,
-                    msg,
-                    path,
-                } => WireMsg::Data {
-                    session,
-                    msg,
-                    path,
-                    lc: 0,
-                },
-                WireMsg::Prim {
-                    lc: _,
-                    session,
-                    name,
-                    place,
-                } => WireMsg::Prim {
-                    session,
-                    name,
-                    place,
-                    lc: 0,
-                },
-                other => other,
-            };
-            assert_eq!(back, expected);
-        }
-    }
-
-    /// One byte stream may interleave frame versions (a peer that
-    /// restarted under an older build mid-conversation): each frame
-    /// resolves its trace-context fields per its own stamped version.
-    #[test]
-    fn mixed_version_stream_resolves_context_per_frame() {
-        let prim = WireMsg::Prim {
-            session: 9,
-            name: "datind".into(),
-            place: 2,
-            lc: 77,
-        };
-        let mut stream = Vec::new();
-        stream.extend_from_slice(&prim.encode_versioned(1, 2));
-        stream.extend_from_slice(&prim.encode_versioned(2, 1));
-        stream.extend_from_slice(&prim.encode_versioned(3, 2));
-
-        let mut dec = FrameDecoder::new();
-        dec.feed(&stream);
-        let mut lcs = Vec::new();
-        while let Ok(Some(frame)) = dec.next() {
-            let (seq, back) = WireMsg::decode(&frame).unwrap();
-            match back {
-                WireMsg::Prim { lc, session, .. } => {
-                    assert_eq!(session, 9);
-                    lcs.push((seq, lc));
-                }
-                other => panic!("unexpected message: {other:?}"),
-            }
-        }
-        // The v1 frame in the middle loses its logical clock; the v2
-        // frames around it keep theirs.
-        assert_eq!(lcs, vec![(1, 77), (2, 0), (3, 77)]);
-    }
-
-    /// Wire v3 round-trips the trailing piggybacked ack; `decode`
-    /// discards it, `decode_full` surfaces it.
+    /// The trailing piggybacked ack round-trips; `decode` discards it,
+    /// `decode_full` surfaces it.
     #[test]
     fn v3_round_trips_piggybacked_ack() {
         let m = WireMsg::Data {
@@ -733,87 +572,16 @@ mod tests {
             path: vec![2, 9],
             lc: 12,
         };
-        let bytes = m.encode_versioned_with_ack(41, WIRE_VERSION, 1 << 33);
+        let bytes = encode_with_ack(&m, 41, 1 << 33);
         let mut dec = FrameDecoder::new();
         dec.feed(&bytes);
         let frame = dec.next().unwrap().unwrap();
-        assert_eq!(frame.version, WIRE_VERSION);
         let (seq, back, ack) = WireMsg::decode_full(&frame).unwrap();
         assert_eq!((seq, ack), (41, 1 << 33));
         assert_eq!(back, m);
         let (seq, back) = WireMsg::decode(&frame).unwrap();
         assert_eq!(seq, 41);
         assert_eq!(back, m);
-    }
-
-    /// v1 and v2 frames (no trailing field) decode with ack 0 — the old
-    /// half of the `[1, 3]` compat window.
-    #[test]
-    fn v1_and_v2_frames_decode_with_zero_ack() {
-        let m = WireMsg::Close { session: 9, end: 1 };
-        for version in [1u8, 2] {
-            let bytes = m.encode_versioned(6, version);
-            let mut dec = FrameDecoder::new();
-            dec.feed(&bytes);
-            let frame = dec.next().unwrap().unwrap();
-            let (seq, back, ack) = WireMsg::decode_full(&frame).unwrap();
-            assert_eq!((seq, ack), (6, 0), "version {version}");
-            assert_eq!(back, m);
-        }
-    }
-
-    /// An old (v2-era) reader handed a payload that happens to carry the
-    /// v3 trailing ack ignores it: decoders stop at the fields their
-    /// stamped version knows and never inspect trailing bytes. This is
-    /// the property that makes appending the ack a compatible change.
-    #[test]
-    fn old_reader_ignores_trailing_ack_bytes() {
-        let m = WireMsg::Prim {
-            session: 4,
-            name: "disind".into(),
-            place: 2,
-            lc: 31,
-        };
-        // v3-laid-out payload (trailing ack present) stamped as a v2
-        // frame — exactly what a v2 decoder would be asked to read.
-        let mut payload = Vec::new();
-        let kind = m.encode_payload(17, 999, 3, &mut payload);
-        let mut bytes = Vec::new();
-        encode_frame_versioned(2, kind, &payload, &mut bytes);
-        let mut dec = FrameDecoder::new();
-        dec.feed(&bytes);
-        let frame = dec.next().unwrap().unwrap();
-        assert_eq!(frame.version, 2);
-        let (seq, back, ack) = WireMsg::decode_full(&frame).unwrap();
-        assert_eq!(seq, 17);
-        assert_eq!(back, m, "v2 decode misread known fields");
-        assert_eq!(ack, 0, "v2 decode must not interpret trailing bytes");
-    }
-
-    /// One stream interleaving all three versions: each frame resolves
-    /// trace context *and* piggybacked ack per its own stamped version.
-    #[test]
-    fn mixed_v1_v2_v3_stream_decodes_per_frame() {
-        let prim = WireMsg::Prim {
-            session: 2,
-            name: "dtreq".into(),
-            place: 1,
-            lc: 50,
-        };
-        let mut stream = Vec::new();
-        stream.extend_from_slice(&prim.encode_versioned(1, 1));
-        stream.extend_from_slice(&prim.encode_versioned(2, 2));
-        stream.extend_from_slice(&prim.encode_versioned_with_ack(3, 3, 7));
-        let mut dec = FrameDecoder::new();
-        dec.feed(&stream);
-        let mut got = Vec::new();
-        while let Ok(Some(frame)) = dec.next() {
-            got.push(WireMsg::decode_full(&frame).unwrap());
-        }
-        assert_eq!(got.len(), 3);
-        assert!(matches!(got[0], (1, WireMsg::Prim { lc: 0, .. }, 0)));
-        assert!(matches!(got[1], (2, WireMsg::Prim { lc: 50, .. }, 0)));
-        assert!(matches!(got[2], (3, WireMsg::Prim { lc: 50, .. }, 7)));
     }
 
     /// A frame with a nonzero piggybacked ack surfaces through
@@ -828,8 +596,7 @@ mod tests {
         let mut b = l.accept().unwrap().unwrap();
         b.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
         let m = WireMsg::Close { session: 1, end: 0 };
-        a.write_all(&m.encode_versioned_with_ack(4, WIRE_VERSION, 9))
-            .unwrap();
+        a.write_all(&encode_with_ack(&m, 4, 9)).unwrap();
         let mut dec = FrameDecoder::new();
         let mut got = Vec::new();
         for _ in 0..20 {

@@ -112,41 +112,6 @@ impl VerifyConfig {
         self.try_bisim = b;
         self
     }
-
-    /// Serialize to JSON (hand-rolled; the build environment has no
-    /// serde). The medium configuration keeps its default.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"trace_len\":{},\"finite_probe_states\":{},\"try_bisim\":{},\"explore\":{}}}",
-            self.trace_len,
-            self.finite_probe_states,
-            self.try_bisim,
-            self.explore.to_json(),
-        )
-    }
-
-    /// Parse from JSON produced by [`Self::to_json`]. Absent keys keep
-    /// their defaults.
-    pub fn from_json(s: &str) -> Result<VerifyConfig, String> {
-        let mut cfg = VerifyConfig {
-            explore: ExploreConfig::from_json(s)?.max_states(
-                semantics::jsonish::get_u64(s, "max_states")
-                    .map(|n| n as usize)
-                    .unwrap_or(60_000),
-            ),
-            ..VerifyConfig::default()
-        };
-        if let Some(n) = semantics::jsonish::get_u64(s, "trace_len") {
-            cfg.trace_len = n as usize;
-        }
-        if let Some(n) = semantics::jsonish::get_u64(s, "finite_probe_states") {
-            cfg.finite_probe_states = n as usize;
-        }
-        if let Some(b) = semantics::jsonish::get_bool(s, "try_bisim") {
-            cfg.try_bisim = b;
-        }
-        Ok(cfg)
-    }
 }
 
 /// Run `f` on a thread with a large stack. Deeply recursive service
@@ -496,17 +461,19 @@ mod tests {
     }
 
     #[test]
-    fn config_json_round_trips() {
+    fn config_builder() {
         let cfg = VerifyConfig::new()
             .trace_len(9)
             .max_states(4_321)
             .threads(3)
             .finite_probe(77)
             .try_bisim(false);
-        let back = VerifyConfig::from_json(&cfg.to_json()).unwrap();
-        assert_eq!(back.trace_len, 9);
-        assert_eq!(back.explore, cfg.explore);
-        assert_eq!(back.finite_probe_states, 77);
-        assert!(!back.try_bisim);
+        assert_eq!(cfg.trace_len, 9);
+        assert_eq!(
+            cfg.explore,
+            ExploreConfig::new().max_states(4_321).threads(3)
+        );
+        assert_eq!(cfg.finite_probe_states, 77);
+        assert!(!cfg.try_bisim);
     }
 }
