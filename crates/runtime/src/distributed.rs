@@ -50,10 +50,9 @@
 use crate::compiled::{lower_for, make_backend, BState, Backend, EntityBackend, OfferView};
 use crate::config::{BackendChoice, RuntimeConfig};
 use crate::entity::pack_msg_event;
-use crate::exec::{backend_desc, replay_conformance, trace_id_for, Tally};
+use crate::exec::{backend_desc, configured_refusal, run_registry, Completed, Monitor, Tally};
 use crate::metrics::{
-    GaugeSnapshot, LinkReport, Metrics, RuntimeReport, SessionReport, StageBreakdown, StallRecord,
-    ViolationRecord,
+    GaugeSnapshot, LinkReport, Metrics, RuntimeReport, StageBreakdown, StallRecord,
 };
 use crate::session::SessionEnd;
 use crate::stall::{StallTracker, MAX_STALLS};
@@ -81,6 +80,32 @@ use transport::{
 /// idle waiting.
 const HOT_POLL: Duration = Duration::from_micros(50);
 
+/// Socket read-poll window when a link is idle, and the cap on the hub's
+/// adaptive park between empty sweeps (drives idle latency; busy links
+/// are polled with [`HOT_POLL`]). An idle entity parks inside this read.
+const IDLE_POLL: Duration = Duration::from_millis(2);
+
+/// How long the hub waits for a fresh connection's `Hello`.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// How long an entity waits for one connection attempt to the hub.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Link batching: the transport defaults, with the configured frame
+/// budget (`--batch-frames`).
+fn batch_config(batch_frames: usize) -> BatchConfig {
+    BatchConfig {
+        batch_frames,
+        ..BatchConfig::default()
+    }
+}
+
+/// Concurrent sessions the hub keeps open for `threads` worker threads —
+/// batching thrives on in-flight work.
+fn session_window(threads: usize) -> usize {
+    (threads * 8).max(32)
+}
+
 /// Timing and address knobs of the distributed runtime. The defaults
 /// suit loopback; tests shrink them, WAN deployments stretch them.
 #[derive(Clone, Debug)]
@@ -97,30 +122,12 @@ pub struct DistributedConfig {
     pub reconnect_deadline: Duration,
     /// How long an entity may take to join at startup.
     pub join_deadline: Duration,
-    /// Handshake (Hello/Welcome) timeout per connection.
-    pub handshake_timeout: Duration,
-    /// Socket read-poll window when a link is idle, and the cap on the
-    /// hub's adaptive park between empty sweeps (drives idle latency;
-    /// busy links are polled with a much smaller window).
-    pub poll: Duration,
     /// Global no-progress guard: if *nothing* happens for this long the
     /// run aborts every live session rather than hang.
     pub stall_timeout: Duration,
-    /// Send-side coalescing: bytes per batch segment before it is
-    /// sealed for the vectored flush.
-    pub batch_bytes: usize,
     /// Frames queued on a link before it is flushed mid-sweep instead
     /// of waiting for the per-sweep flush.
     pub batch_frames: usize,
-    /// Idle-ack timer: received traffic is acked this long after it
-    /// arrived if no outgoing frame piggybacked the ack first.
-    pub flush_interval: Duration,
-    /// Encode buffers pooled per link (steady-state sends allocate
-    /// nothing).
-    pub pool_bufs: usize,
-    /// Concurrent sessions the hub keeps open. `0` = auto:
-    /// `max(threads × 8, 32)` — batching thrives on in-flight work.
-    pub session_window: usize,
     /// TCP address for the live observability listener (`--metrics`):
     /// serves Prometheus text exposition at `/metrics` and, when the run
     /// is recorded, a Chrome-trace snapshot of the merged log at
@@ -136,14 +143,8 @@ impl Default for DistributedConfig {
             dead_after: Duration::from_secs(2),
             reconnect_deadline: Duration::from_secs(3),
             join_deadline: Duration::from_secs(30),
-            handshake_timeout: Duration::from_secs(2),
-            poll: Duration::from_millis(2),
             stall_timeout: Duration::from_secs(20),
-            batch_bytes: 16 * 1024,
             batch_frames: 128,
-            flush_interval: Duration::from_micros(500),
-            pool_bufs: 8,
-            session_window: 0,
             metrics: None,
         }
     }
@@ -155,45 +156,6 @@ impl DistributedConfig {
             listen,
             ..DistributedConfig::default()
         }
-    }
-
-    /// The link-layer batching tunables this config implies.
-    pub fn batch_config(&self) -> BatchConfig {
-        BatchConfig {
-            batch_bytes: self.batch_bytes,
-            batch_frames: self.batch_frames,
-            flush_interval: self.flush_interval,
-            pool_bufs: self.pool_bufs,
-        }
-    }
-
-    /// The concurrent-session window for `threads` worker threads.
-    pub fn window(&self, threads: usize) -> usize {
-        if self.session_window > 0 {
-            self.session_window
-        } else {
-            (threads * 8).max(32)
-        }
-    }
-}
-
-fn end_to_byte(e: SessionEnd) -> u8 {
-    match e {
-        SessionEnd::Terminated => 0,
-        SessionEnd::Deadlock => 1,
-        SessionEnd::StepLimit => 2,
-        SessionEnd::Aborted => 3,
-    }
-}
-
-/// Decode a [`WireMsg::Close`] outcome byte (unknown bytes read as
-/// `Aborted` — the conservative outcome).
-pub fn end_from_byte(b: u8) -> SessionEnd {
-    match b {
-        0 => SessionEnd::Terminated,
-        1 => SessionEnd::Deadlock,
-        2 => SessionEnd::StepLimit,
-        _ => SessionEnd::Aborted,
     }
 }
 
@@ -297,6 +259,31 @@ impl HubSession {
                 Mark::Step => self.step_ns += dt,
                 Mark::Notify => self.notify_ns += dt,
             }
+        }
+    }
+
+    /// What the hub measured for a session it closes with `end`.
+    fn completed(mut self, end: SessionEnd, cfg: &RuntimeConfig) -> Completed {
+        self.mark(Instant::now(), Mark::Notify);
+        let latency_us = self.started.elapsed().as_micros() as u64;
+        Completed {
+            id: self.id,
+            seed: self.seed,
+            end,
+            trace: self.trace,
+            latency_us,
+            stages: StageBreakdown::attribute(
+                latency_us,
+                self.queue_ns / 1000,
+                self.step_ns / 1000,
+                self.wire_ns / 1000,
+                Some(self.notify_ns / 1000),
+            ),
+            messages: self.messages,
+            steps: 0,
+            lc: self.lc,
+            refused: configured_refusal(cfg, end),
+            monitor: Monitor::Replay,
         }
     }
 
@@ -419,13 +406,15 @@ impl EntityLink {
 /// atomics the `/metrics` endpoint serves. Stats only grow, so a plain
 /// store of the sums is race-free against the scraping thread.
 fn publish_batch_counters(links: &[EntityLink], metrics: &Metrics) {
-    let (mut batches, mut bytes, mut piggy) = (0usize, 0usize, 0usize);
+    let (mut batches, mut bytes, mut piggy, mut resent) = (0usize, 0usize, 0usize, 0usize);
     for link in links {
         let s = &link.link.stats;
         batches += s.batches_sent as usize;
         bytes += s.bytes_sent as usize;
         piggy += s.piggybacked_acks as usize;
+        resent += s.frames_resent as usize;
     }
+    metrics.retransmissions.store(resent, Ordering::Relaxed);
     metrics.batches_sent.store(batches, Ordering::Relaxed);
     metrics.bytes_sent.store(bytes, Ordering::Relaxed);
     metrics.piggybacked_acks.store(piggy, Ordering::Relaxed);
@@ -496,10 +485,7 @@ pub fn run_hub_on(
     listener: transport::Listener,
 ) -> io::Result<RuntimeReport> {
     let started = Instant::now();
-    let registry = cfg.registry.clone().or_else(|| {
-        cfg.record
-            .then(|| Registry::new(trace_id_for(cfg.seed), obs::DEFAULT_CAPACITY))
-    });
+    let registry = run_registry(cfg);
     // The entities run in their own processes, but they are launched from
     // the same derivation with the same backend choice — so the hub's
     // `backend` field reports what `cfg.backend` lowers to, and a
@@ -514,7 +500,7 @@ pub fn run_hub_on(
     let place_index: BTreeMap<PlaceId, usize> =
         places.iter().enumerate().map(|(i, p)| (*p, i)).collect();
     let now = Instant::now();
-    let bcfg = dcfg.batch_config();
+    let bcfg = batch_config(dcfg.batch_frames);
     let mut links: Vec<EntityLink> = places
         .iter()
         .map(|&p| EntityLink::new(p, now, bcfg))
@@ -559,22 +545,21 @@ pub fn run_hub_on(
         }
         None => None,
     };
-    let mut tally = Tally::new();
+    let mut tally = Tally::new(&d.service, cfg, &metrics);
     let mut events: Vec<String> = Vec::new();
     let mut sessions: BTreeMap<u64, HubSession> = BTreeMap::new();
-    let window = dcfg.window(cfg.threads.max(1));
+    let window = session_window(cfg.threads.max(1));
     metrics.window_size.store(window, Ordering::Relaxed);
     let mut stall_flagged: BTreeSet<u64> = BTreeSet::new();
     let mut stall_records: Vec<StallRecord> = Vec::new();
     let mut last_stall_check = Instant::now();
     let mut last_backlog_refresh = Instant::now();
     let mut next = 0usize;
-    let mut messages = 0usize;
     let mut last_progress = Instant::now();
     let mut dead_entity: Option<PlaceId> = None;
     // Adaptive park: consecutive sweeps that moved nothing. A few free
     // yields first (traffic usually follows traffic), then exponential
-    // sleeps capped at `dcfg.poll`.
+    // sleeps capped at `IDLE_POLL`.
     let mut idle_sweeps = 0u32;
     let mut inbuf: Vec<(u64, WireMsg)> = Vec::new();
 
@@ -666,7 +651,6 @@ pub fn run_hub_on(
                                 &mut links,
                                 &mut sessions,
                                 metrics.as_ref(),
-                                &mut messages,
                                 &mut events,
                                 &mut closed,
                                 cfg,
@@ -676,13 +660,11 @@ pub fn run_hub_on(
                         }
                     }
                     finish_closed(
-                        d,
                         cfg,
                         closed,
                         &mut sessions,
                         &mut links,
                         &mut events,
-                        metrics.as_ref(),
                         &mut tally,
                         rec.as_ref(),
                     );
@@ -715,7 +697,6 @@ pub fn run_hub_on(
                                 &mut links,
                                 &mut sessions,
                                 metrics.as_ref(),
-                                &mut messages,
                                 &mut events,
                                 &mut closed,
                                 cfg,
@@ -734,13 +715,11 @@ pub fn run_hub_on(
             }
         }
         finish_closed(
-            d,
             cfg,
             closed,
             &mut sessions,
             &mut links,
             &mut events,
-            metrics.as_ref(),
             &mut tally,
             rec.as_ref(),
         );
@@ -868,7 +847,7 @@ pub fn run_hub_on(
                 std::thread::yield_now();
             } else {
                 let exp = (idle_sweeps - 3).min(6); // 100µs … 3.2ms pre-cap
-                let nap = Duration::from_micros(50u64 << exp).min(dcfg.poll);
+                let nap = Duration::from_micros(50u64 << exp).min(IDLE_POLL);
                 std::thread::sleep(nap);
             }
         }
@@ -882,35 +861,26 @@ pub fn run_hub_on(
         sessions.insert(id, HubSession::new(id, cfg.session_seed(next), n));
         next += 1;
     }
-    let live: Vec<u64> = sessions.keys().copied().collect();
-    for id in live {
-        let s = sessions.remove(&id).expect("live session");
-        if let Some(p) = dead_entity {
-            events.push(format!(
-                "session {id}: aborted (entity at place {p} is dead)"
-            ));
-        } else {
-            events.push(format!("session {id}: aborted (run stalled)"));
-        }
-        for link in links.iter_mut() {
-            link.push(
-                WireMsg::Close {
-                    session: id,
-                    end: end_to_byte(SessionEnd::Aborted),
-                },
-                &mut events,
-            );
-        }
-        finalize_hub_session(
-            d,
-            cfg,
-            s,
-            SessionEnd::Aborted,
-            metrics.as_ref(),
-            &mut tally,
-            rec.as_ref(),
-        );
+    let why = match dead_entity {
+        Some(p) => format!("entity at place {p} is dead"),
+        None => "run stalled".to_string(),
+    };
+    let live: Vec<(u64, SessionEnd)> = sessions
+        .keys()
+        .map(|&id| (id, SessionEnd::Aborted))
+        .collect();
+    for (id, _) in &live {
+        events.push(format!("session {id}: aborted ({why})"));
     }
+    finish_closed(
+        cfg,
+        live,
+        &mut sessions,
+        &mut links,
+        &mut events,
+        &mut tally,
+        rec.as_ref(),
+    );
 
     // Orderly shutdown of surviving entities, with a bounded drain: the
     // listener stays open so an entity that was mid-reconnect can come
@@ -998,55 +968,20 @@ pub fn run_hub_on(
         std::thread::sleep(Duration::from_micros(300));
     }
 
-    let per_link: BTreeMap<String, LinkReport> = links
+    // The drain may have resent frames: publish the final link counters.
+    publish_batch_counters(&links, metrics.as_ref());
+    tally.per_link = links
         .iter()
         .map(|l| (format!("place:{}", l.place), l.report()))
         .collect();
-
-    let wall_s = started.elapsed().as_secs_f64();
-    let mut report = RuntimeReport {
-        engine: "distributed",
-        backend: backend_desc(&lowered),
-        config: cfg.clone(),
-        sessions: tally.reports.len(),
-        conforming: tally.conforming,
-        terminated: tally.terminated,
-        deadlocked: tally.deadlocked,
-        step_limited: tally.step_limited,
-        aborted: tally.aborted,
-        violations: std::mem::take(&mut tally.violations),
-        primitives: tally.reports.iter().map(|r| r.primitives).sum(),
-        messages,
-        delivered: messages,
-        messages_per_kind: std::mem::take(&mut tally.per_kind),
-        max_queue_depth: 0,
-        frames_lost: 0,
-        retransmissions: per_link.values().map(|l| l.retransmissions).sum(),
-        per_link,
-        transport_events: events,
-        wall_s,
-        sessions_per_sec: if wall_s > 0.0 {
-            tally.reports.len() as f64 / wall_s
-        } else {
-            0.0
-        },
-        session_latency: metrics.session_latency.summary(),
-        stages: metrics.stages.summaries(),
-        stalls: stall_records,
-        gauges: GaugeSnapshot::capture(&metrics),
-        per_prim: metrics
-            .per_prim
-            .iter()
-            .map(|(k, h)| (k.clone(), h.summary()))
-            .collect(),
-        phases: Vec::new(),
-        trace_meta: None,
-        abort_tails: BTreeMap::new(),
-        reports: std::mem::take(&mut tally.reports),
-    };
-    if let Some(reg) = &registry {
-        crate::exec::attach_recorder_artifacts(&mut report, reg);
-    }
+    let report = tally.finish(
+        "distributed",
+        backend_desc(&lowered),
+        started,
+        stall_records,
+        events,
+        registry.as_ref(),
+    );
     if let Some(srv) = server {
         srv.stop();
     }
@@ -1059,10 +994,10 @@ pub fn run_hub_on(
 type Handshake = (PlaceId, u64, Channel, Vec<(u64, WireMsg)>);
 
 fn hub_handshake(conn: transport::Conn, dcfg: &DistributedConfig) -> io::Result<Handshake> {
-    conn.set_read_timeout(Some(dcfg.poll))?;
+    conn.set_read_timeout(Some(IDLE_POLL))?;
     conn.set_write_timeout(Some(dcfg.dead_after))?;
     let mut chan = Channel::new(conn);
-    let deadline = Instant::now() + dcfg.handshake_timeout;
+    let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
     loop {
         let mut batch = poll_messages(&mut chan.conn, &mut chan.dec)?.into_iter();
         if let Some((_, first)) = batch.next() {
@@ -1091,7 +1026,6 @@ fn hub_handle(
     links: &mut [EntityLink],
     sessions: &mut BTreeMap<u64, HubSession>,
     metrics: &Metrics,
-    messages: &mut usize,
     events: &mut Vec<String>,
     closed: &mut Vec<(u64, SessionEnd)>,
     cfg: &RuntimeConfig,
@@ -1137,7 +1071,6 @@ fn hub_handle(
             s.mark(Instant::now(), Mark::Step);
             s.forwarded[dest] += 1;
             s.messages += 1;
-            *messages += 1;
             metrics.messages_sent.fetch_add(1, Ordering::Relaxed);
             s.lc = s.lc.max(lc) + 1;
             if let Some(rec) = rec {
@@ -1198,16 +1131,14 @@ fn hub_handle(
     }
 }
 
-/// Close decided sessions: notify every entity, then finalize.
-#[allow(clippy::too_many_arguments)]
+/// Close decided sessions: notify every entity, then hand each to the
+/// tally.
 fn finish_closed(
-    d: &Derivation,
     cfg: &RuntimeConfig,
     closed: Vec<(u64, SessionEnd)>,
     sessions: &mut BTreeMap<u64, HubSession>,
     links: &mut [EntityLink],
     events: &mut Vec<String>,
-    metrics: &Metrics,
     tally: &mut Tally,
     rec: Option<&Recorder>,
 ) {
@@ -1219,79 +1150,13 @@ fn finish_closed(
             link.push(
                 WireMsg::Close {
                     session: id,
-                    end: end_to_byte(end),
+                    end: end.code(),
                 },
                 events,
             );
         }
-        finalize_hub_session(d, cfg, s, end, metrics, tally, rec);
+        tally.close(s.completed(end, cfg), rec);
     }
-}
-
-/// Note: `Close` frames are pushed by the caller (it owns the links).
-fn finalize_hub_session(
-    d: &Derivation,
-    cfg: &RuntimeConfig,
-    mut s: HubSession,
-    end: SessionEnd,
-    metrics: &Metrics,
-    tally: &mut Tally,
-    rec: Option<&Recorder>,
-) {
-    s.mark(Instant::now(), Mark::Notify);
-    let latency_us = s.started.elapsed().as_micros() as u64;
-    metrics.session_latency.record(latency_us);
-    metrics.sessions_completed.fetch_add(1, Ordering::Relaxed);
-    let stages = StageBreakdown::attribute(
-        latency_us,
-        s.queue_ns / 1000,
-        s.step_ns / 1000,
-        s.wire_ns / 1000,
-        Some(s.notify_ns / 1000),
-    );
-    metrics.stages.record(&stages);
-    let (violation, may_terminate) = replay_conformance(&d.service, &s.trace);
-    let conforms = violation.is_none() && end == SessionEnd::Terminated && may_terminate;
-    if let Some(rec) = rec {
-        if let Some((name, place, _)) = &violation {
-            rec.record_named(EventKind::Violation, s.id, s.lc, name, *place as u64);
-        }
-        if end == SessionEnd::Aborted {
-            rec.record(EventKind::Abort, s.id, s.lc, 0, 0);
-        }
-        rec.record(
-            EventKind::SessionClose,
-            s.id,
-            s.lc,
-            end_to_byte(end) as u64,
-            0,
-        );
-    }
-    if let Some((name, place, at)) = &violation {
-        tally.violations.push(ViolationRecord {
-            session: s.id,
-            seed: s.seed,
-            primitive: name.clone(),
-            place: *place,
-            at: *at,
-            trace: s.trace.clone(),
-            tail: Vec::new(),
-        });
-    }
-    let keep_trace = violation.is_some() || cfg.sessions == 1 || end == SessionEnd::Aborted;
-    tally.absorb(SessionReport {
-        id: s.id,
-        seed: s.seed,
-        end,
-        conforms,
-        violation: violation.as_ref().map(|(n, p, _)| (n.clone(), *p)),
-        primitives: s.trace.len(),
-        messages: s.messages,
-        steps: 0,
-        latency_us,
-        stages,
-        trace: if keep_trace { s.trace } else { Vec::new() },
-    });
 }
 
 // ======================================================================
@@ -1311,19 +1176,11 @@ pub struct ServeConfig {
     pub refuse: Vec<(String, PlaceId)>,
     /// Jitter seed for the reconnect backoff.
     pub seed: u64,
-    /// Read-poll window while idle — the entity parks inside this read,
-    /// so it doubles as the idle loop latency. Busy loops use a tiny
-    /// window instead.
-    pub poll: Duration,
     pub heartbeat: Duration,
-    /// Send-side coalescing knobs, mirroring [`DistributedConfig`].
-    pub batch_bytes: usize,
+    /// Frames queued before a mid-sweep flush, as on the hub.
     pub batch_frames: usize,
-    pub flush_interval: Duration,
-    pub pool_bufs: usize,
     /// Silence from the hub before the connection is presumed dead.
     pub dead_after: Duration,
-    pub connect_timeout: Duration,
     pub backoff_base: Duration,
     pub backoff_cap: Duration,
     /// Consecutive failed reconnect attempts before giving up.
@@ -1338,27 +1195,12 @@ impl ServeConfig {
             backend: BackendChoice::default(),
             refuse: Vec::new(),
             seed: 0xC0FFEE,
-            poll: Duration::from_millis(2),
             heartbeat: Duration::from_millis(100),
-            batch_bytes: 16 * 1024,
             batch_frames: 128,
-            flush_interval: Duration::from_micros(500),
-            pool_bufs: 8,
             dead_after: Duration::from_secs(2),
-            connect_timeout: Duration::from_secs(1),
             backoff_base: Duration::from_millis(25),
             backoff_cap: Duration::from_secs(1),
             retry_budget: 40,
-        }
-    }
-
-    /// The link-layer batching tunables this config implies.
-    pub fn batch_config(&self) -> BatchConfig {
-        BatchConfig {
-            batch_bytes: self.batch_bytes,
-            batch_frames: self.batch_frames,
-            flush_interval: self.flush_interval,
-            pool_bufs: self.pool_bufs,
         }
     }
 }
@@ -1423,7 +1265,7 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
         &Arc::new(TermArena::new()),
         &occ,
     );
-    let mut link = Link::with_batch(cfg.batch_config());
+    let mut link = Link::with_batch(batch_config(cfg.batch_frames));
     let mut chan: Option<Channel> = None;
     let mut backoff = Backoff::new(
         cfg.backoff_base,
@@ -1445,7 +1287,7 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
     // The entity's one socket is its natural park: a long read timeout
     // when no session is runnable (data wakes it instantly), a tiny one
     // while work is in flight. Tracked to avoid redundant setsockopts.
-    let mut cur_poll = cfg.poll;
+    let mut cur_poll = IDLE_POLL;
 
     loop {
         // (Re)connect under the backoff policy.
@@ -1460,7 +1302,7 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
             match entity_connect(cfg, &mut link, &mut backoff) {
                 Ok((c, leftovers)) => {
                     chan = Some(c);
-                    cur_poll = cfg.poll; // try_connect left it at cfg.poll
+                    cur_poll = IDLE_POLL; // try_connect left it there
                     backoff.reset();
                     last_heard = Instant::now();
                     for (seq, m) in leftovers {
@@ -1503,7 +1345,7 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
         let mut dropped = false;
         if let Some(ch) = chan.as_mut() {
             let want = if runnable.is_empty() && !shutdown && link.queued_frames() == 0 {
-                cfg.poll
+                IDLE_POLL
             } else {
                 HOT_POLL
             };
@@ -1694,9 +1536,9 @@ fn try_connect(
 ) -> Result<(Channel, Vec<(u64, WireMsg)>), String> {
     let conn = cfg
         .hub
-        .connect(cfg.connect_timeout)
+        .connect(CONNECT_TIMEOUT)
         .map_err(|e| e.to_string())?;
-    conn.set_read_timeout(Some(cfg.poll))
+    conn.set_read_timeout(Some(IDLE_POLL))
         .map_err(|e| e.to_string())?;
     conn.set_write_timeout(Some(cfg.dead_after))
         .map_err(|e| e.to_string())?;
@@ -1952,14 +1794,8 @@ mod tests {
             dead_after: Duration::from_millis(900),
             reconnect_deadline: Duration::from_millis(1500),
             join_deadline: Duration::from_secs(10),
-            handshake_timeout: Duration::from_secs(2),
-            poll: Duration::from_millis(2),
             stall_timeout: Duration::from_secs(10),
-            batch_bytes: 16 * 1024,
             batch_frames: 128,
-            flush_interval: Duration::from_micros(500),
-            pool_bufs: 8,
-            session_window: 0,
             metrics: None,
         }
     }

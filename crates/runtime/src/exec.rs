@@ -17,8 +17,8 @@ use crate::compiled::{lower_for, make_backend};
 use crate::config::{FaultProfile, RuntimeConfig};
 use crate::entity::{CompletionQueue, EntityWorker, Notifier};
 use crate::metrics::{
-    GaugeSnapshot, Metrics, RuntimeReport, SessionReport, StageBreakdown, TraceMeta,
-    ViolationRecord,
+    GaugeSnapshot, LinkReport, Metrics, RuntimeReport, SessionReport, StageBreakdown, StallRecord,
+    TraceMeta, ViolationRecord,
 };
 use crate::session::{SessionCore, SessionEnd, SessionSlot};
 use crate::stall::StallTracker;
@@ -67,20 +67,22 @@ pub fn run(d: &Derivation, cfg: &RuntimeConfig) -> RuntimeReport {
 /// [`run`], with backend-selection failure as an `Err` instead of a
 /// panic (only `--backend compiled` on a non-lowerable entity fails).
 pub fn try_run(d: &Derivation, cfg: &RuntimeConfig) -> Result<RuntimeReport, String> {
-    let registry = cfg.registry.clone().or_else(|| {
-        cfg.record
-            .then(|| Registry::new(trace_id_for(cfg.seed), obs::DEFAULT_CAPACITY))
-    });
+    let registry = run_registry(cfg);
     let lowered = lower_for(&d.entities, cfg.backend)?;
-    let mut report = if cfg.threads <= 1 {
+    Ok(if cfg.threads <= 1 {
         run_deterministic(d, cfg, registry.as_ref(), &lowered)
     } else {
         run_concurrent(d, cfg, registry.as_ref(), &lowered)
-    };
-    if let Some(reg) = &registry {
-        attach_recorder_artifacts(&mut report, reg);
-    }
-    Ok(report)
+    })
+}
+
+/// The run's flight recorder: the caller's [`RuntimeConfig::registry`],
+/// else a fresh one when [`RuntimeConfig::record`] is set.
+pub(crate) fn run_registry(cfg: &RuntimeConfig) -> Option<Arc<Registry>> {
+    cfg.registry.clone().or_else(|| {
+        cfg.record
+            .then(|| Registry::new(trace_id_for(cfg.seed), obs::DEFAULT_CAPACITY))
+    })
 }
 
 /// What actually ran, for the report's `backend` field: `"compiled"`
@@ -107,7 +109,7 @@ pub fn trace_id_for(seed: u64) -> u64 {
 
 /// Post-run recorder export: embed the trace metadata in the report and
 /// attach each violating/aborted session's flight-recorder tail.
-pub(crate) fn attach_recorder_artifacts(report: &mut RuntimeReport, registry: &Arc<Registry>) {
+fn attach_recorder_artifacts(report: &mut RuntimeReport, registry: &Arc<Registry>) {
     let log = registry.snapshot();
     let (rings, events, dropped) = registry.stats();
     report.trace_meta = Some(TraceMeta {
@@ -126,13 +128,13 @@ pub(crate) fn attach_recorder_artifacts(report: &mut RuntimeReport, registry: &A
     }
 }
 
+/// The service monitor's verdict on a primitive trace: the first
+/// violation (primitive, place, index) and whether the service could
+/// terminate where the trace ends.
+pub(crate) type MonitorVerdict = (Option<(String, PlaceId, usize)>, bool);
+
 /// Replay a completed session's primitive trace against the service.
-/// Returns the first violation (primitive, place, index) and whether the
-/// service could terminate where the trace ends.
-pub(crate) fn replay_conformance(
-    service: &Spec,
-    trace: &[(String, PlaceId)],
-) -> (Option<(String, PlaceId, usize)>, bool) {
+fn replay_conformance(service: &Spec, trace: &[(String, PlaceId)]) -> MonitorVerdict {
     let mut mon = ServiceMonitor::new(service.clone());
     for (i, (name, place)) in trace.iter().enumerate() {
         if !mon.step(name, *place) {
@@ -142,21 +144,83 @@ pub(crate) fn replay_conformance(
     (None, mon.may_terminate())
 }
 
-pub(crate) struct Tally {
-    pub(crate) conforming: usize,
-    pub(crate) terminated: usize,
-    pub(crate) deadlocked: usize,
-    pub(crate) step_limited: usize,
-    pub(crate) aborted: usize,
-    pub(crate) violations: Vec<ViolationRecord>,
-    pub(crate) per_kind: BTreeMap<SyncKind, usize>,
-    pub(crate) per_link: BTreeMap<String, crate::metrics::LinkReport>,
-    pub(crate) reports: Vec<SessionReport>,
+/// Memoized conformance replays, keyed by the full primitive trace.
+/// Load runs drive many sessions down identical traces; replaying the
+/// service monitor once per *distinct* trace instead of once per session
+/// takes conformance checking off the multiplexer's and the hub's
+/// critical path.
+type ReplayCache = FxHashMap<Vec<(String, PlaceId)>, MonitorVerdict>;
+
+/// Where a completed session's monitor verdict comes from.
+pub(crate) enum Monitor {
+    /// The engine stepped the monitor alongside the run (the DES does,
+    /// which keeps its verdicts identical to `protogen simulate`).
+    Known(MonitorVerdict),
+    /// Replay the trace through the run's [`ReplayCache`].
+    Replay,
 }
 
-impl Tally {
-    pub(crate) fn new() -> Tally {
+/// What an engine measured for one completed session: the input of
+/// [`Tally::close`].
+pub(crate) struct Completed {
+    pub(crate) id: u64,
+    pub(crate) seed: u64,
+    pub(crate) end: SessionEnd,
+    /// The global service-primitive trace, in execution order.
+    pub(crate) trace: Vec<(String, PlaceId)>,
+    pub(crate) latency_us: u64,
+    pub(crate) stages: StageBreakdown,
+    pub(crate) messages: usize,
+    pub(crate) steps: usize,
+    /// Logical clock the close events are recorded at.
+    pub(crate) lc: u64,
+    /// The offer a `--refuse` entry withheld: a deadlock with this set
+    /// is reported as a violation naming it.
+    pub(crate) refused: Option<(String, PlaceId)>,
+    pub(crate) monitor: Monitor,
+}
+
+/// The refused offer for engines that cannot see which offer an entity
+/// blocked on (the DES, the hub): a deadlock under `--refuse` is the
+/// refusal biting — verified derivations are otherwise deadlock-free —
+/// and is attributed to the first configured refusal.
+pub(crate) fn configured_refusal(
+    cfg: &RuntimeConfig,
+    end: SessionEnd,
+) -> Option<(String, PlaceId)> {
+    if end == SessionEnd::Deadlock {
+        cfg.refuse.first().cloned()
+    } else {
+        None
+    }
+}
+
+/// The verdicts of one run, shared by all three engines: every completed
+/// session goes through [`Tally::close`], and [`Tally::finish`] builds
+/// the run's report.
+pub(crate) struct Tally<'a> {
+    service: &'a Spec,
+    cfg: &'a RuntimeConfig,
+    metrics: &'a Metrics,
+    replays: ReplayCache,
+    conforming: usize,
+    terminated: usize,
+    deadlocked: usize,
+    step_limited: usize,
+    aborted: usize,
+    violations: Vec<ViolationRecord>,
+    pub(crate) per_kind: BTreeMap<SyncKind, usize>,
+    pub(crate) per_link: BTreeMap<String, LinkReport>,
+    reports: Vec<SessionReport>,
+}
+
+impl<'a> Tally<'a> {
+    pub(crate) fn new(service: &'a Spec, cfg: &'a RuntimeConfig, metrics: &'a Metrics) -> Self {
         Tally {
+            service,
+            cfg,
+            metrics,
+            replays: ReplayCache::default(),
             conforming: 0,
             terminated: 0,
             deadlocked: 0,
@@ -169,25 +233,147 @@ impl Tally {
         }
     }
 
-    pub(crate) fn absorb(&mut self, rep: SessionReport) {
-        match rep.end {
+    /// Turn a completed session into its verdict: the conformance rule
+    /// (no violation, terminated, and the service may terminate there),
+    /// refused-offer violations, the recorder's close events, and the
+    /// session's report. The trace is kept for violating and aborted
+    /// sessions and single-session runs (load runs would hoard memory).
+    pub(crate) fn close(&mut self, s: Completed, rec: Option<&Recorder>) {
+        self.metrics.session_latency.record(s.latency_us);
+        self.metrics.stages.record(&s.stages);
+        self.metrics
+            .sessions_completed
+            .fetch_add(1, Ordering::Relaxed);
+        let (mut violation, may_terminate) = match s.monitor {
+            Monitor::Known(verdict) => verdict,
+            Monitor::Replay => match self.replays.get(s.trace.as_slice()) {
+                Some(hit) => hit.clone(),
+                None => {
+                    let verdict = replay_conformance(self.service, &s.trace);
+                    self.replays.insert(s.trace.clone(), verdict.clone());
+                    verdict
+                }
+            },
+        };
+        let conforms = violation.is_none() && s.end == SessionEnd::Terminated && may_terminate;
+        // A deadlock against a refused offer is a conformance failure the
+        // monitor cannot see (the primitive never executed): report the
+        // offer as the violation, at the index it would have taken.
+        if violation.is_none() && s.end == SessionEnd::Deadlock {
+            violation = s.refused.map(|(name, place)| (name, place, s.trace.len()));
+        }
+        if let Some(rec) = rec {
+            if let Some((name, place, _)) = &violation {
+                rec.record_named(EventKind::Violation, s.id, s.lc, name, *place as u64);
+            }
+            if s.end == SessionEnd::Aborted {
+                rec.record(EventKind::Abort, s.id, s.lc, 0, 0);
+            }
+            rec.record(
+                EventKind::SessionClose,
+                s.id,
+                s.lc,
+                s.end.code() as u64,
+                s.steps as u64,
+            );
+        }
+        match s.end {
             SessionEnd::Terminated => self.terminated += 1,
             SessionEnd::Deadlock => self.deadlocked += 1,
             SessionEnd::StepLimit => self.step_limited += 1,
             SessionEnd::Aborted => self.aborted += 1,
         }
-        if rep.conforms {
+        if conforms {
             self.conforming += 1;
         }
-        self.reports.push(rep);
+        if let Some((name, place, at)) = &violation {
+            self.violations.push(ViolationRecord {
+                session: s.id,
+                seed: s.seed,
+                primitive: name.clone(),
+                place: *place,
+                at: *at,
+                trace: s.trace.clone(),
+                tail: Vec::new(),
+            });
+        }
+        let keep_trace =
+            violation.is_some() || self.cfg.sessions == 1 || s.end == SessionEnd::Aborted;
+        self.reports.push(SessionReport {
+            id: s.id,
+            seed: s.seed,
+            end: s.end,
+            conforms,
+            violation: violation.map(|(name, place, _)| (name, place)),
+            primitives: s.trace.len(),
+            messages: s.messages,
+            steps: s.steps,
+            latency_us: s.latency_us,
+            stages: s.stages,
+            trace: if keep_trace { s.trace } else { Vec::new() },
+        });
+    }
+
+    /// The run's report: the verdict counts plus the counters, latency
+    /// histograms and gauges the engine fed into [`Metrics`]. With a
+    /// recorder, violating and aborted sessions get their tails.
+    pub(crate) fn finish(
+        self,
+        engine: &'static str,
+        backend: &'static str,
+        started: Instant,
+        stalls: Vec<StallRecord>,
+        transport_events: Vec<String>,
+        registry: Option<&Arc<Registry>>,
+    ) -> RuntimeReport {
+        let m = self.metrics;
+        let wall_s = started.elapsed().as_secs_f64();
+        let mut report = RuntimeReport {
+            engine,
+            backend,
+            config: self.cfg.clone(),
+            sessions: self.reports.len(),
+            conforming: self.conforming,
+            terminated: self.terminated,
+            deadlocked: self.deadlocked,
+            step_limited: self.step_limited,
+            aborted: self.aborted,
+            violations: self.violations,
+            primitives: m.primitives.load(Ordering::Relaxed),
+            messages: m.messages_sent.load(Ordering::Relaxed),
+            delivered: m.messages_delivered.load(Ordering::Relaxed),
+            messages_per_kind: self.per_kind,
+            max_queue_depth: m.max_queue_depth.load(Ordering::Relaxed),
+            frames_lost: m.frames_lost.load(Ordering::Relaxed),
+            retransmissions: m.retransmissions.load(Ordering::Relaxed),
+            per_link: self.per_link,
+            transport_events,
+            wall_s,
+            sessions_per_sec: if wall_s > 0.0 {
+                self.reports.len() as f64 / wall_s
+            } else {
+                0.0
+            },
+            session_latency: m.session_latency.summary(),
+            stages: m.stages.summaries(),
+            stalls,
+            gauges: GaugeSnapshot::capture(m),
+            per_prim: m
+                .per_prim
+                .iter()
+                .map(|(k, h)| (k.clone(), h.summary()))
+                .collect(),
+            phases: Vec::new(),
+            trace_meta: None,
+            abort_tails: BTreeMap::new(),
+            reports: self.reports,
+        };
+        if let Some(reg) = registry {
+            attach_recorder_artifacts(&mut report, reg);
+        }
+        report
     }
 }
-
-/// Memoized conformance replays, keyed by the full primitive trace.
-/// Load runs drive many sessions down identical traces; replaying the
-/// service monitor once per *distinct* trace instead of once per session
-/// takes conformance checking off the multiplexer's critical path.
-type ReplayCache = FxHashMap<Vec<(String, PlaceId)>, (Option<(String, PlaceId, usize)>, bool)>;
 
 fn run_concurrent(
     d: &Derivation,
@@ -212,8 +398,7 @@ fn run_concurrent(
     let metrics = Arc::new(Metrics::for_service(&d.service));
     let stalls = Arc::new(StallTracker::new());
 
-    let mut tally = Tally::new();
-    let mut replay_cache = ReplayCache::default();
+    let mut tally = Tally::new(&d.service, cfg, &metrics);
     std::thread::scope(|scope| {
         for (idx, (place, spec)) in d.entities.iter().enumerate() {
             let worker = EntityWorker {
@@ -291,17 +476,8 @@ fn run_concurrent(
             let slot = completions.pop();
             in_flight -= 1;
             metrics.window_occupancy.store(in_flight, Ordering::Relaxed);
-            let rep = finalize_session(
-                d,
-                cfg,
-                &slot,
-                &metrics,
-                &mut tally,
-                &mut replay_cache,
-                mux_rec.as_ref(),
-            );
-            stalls.remove(rep.id);
-            tally.absorb(rep);
+            let id = close_concurrent(&slot, &metrics, &mut tally, mux_rec.as_ref());
+            stalls.remove(id);
         }
         stalls.stop_sampler();
         for nt in &notifiers {
@@ -309,78 +485,31 @@ fn run_concurrent(
         }
     });
 
-    let wall_s = started.elapsed().as_secs_f64();
-    RuntimeReport {
-        engine: "concurrent",
-        backend: backend_desc(lowered),
-        config: cfg.clone(),
-        sessions: tally.reports.len(),
-        conforming: tally.conforming,
-        terminated: tally.terminated,
-        deadlocked: tally.deadlocked,
-        step_limited: tally.step_limited,
-        aborted: tally.aborted,
-        violations: std::mem::take(&mut tally.violations),
-        primitives: metrics.primitives.load(Ordering::Relaxed),
-        messages: metrics.messages_sent.load(Ordering::Relaxed),
-        delivered: metrics.messages_delivered.load(Ordering::Relaxed),
-        messages_per_kind: tally.per_kind,
-        max_queue_depth: metrics.max_queue_depth.load(Ordering::Relaxed),
-        frames_lost: metrics.frames_lost.load(Ordering::Relaxed),
-        retransmissions: metrics.retransmissions.load(Ordering::Relaxed),
-        per_link: std::mem::take(&mut tally.per_link),
-        transport_events: Vec::new(),
-        wall_s,
-        sessions_per_sec: if wall_s > 0.0 {
-            tally.reports.len() as f64 / wall_s
-        } else {
-            0.0
-        },
-        session_latency: metrics.session_latency.summary(),
-        stages: metrics.stages.summaries(),
-        stalls: stalls.take_records(),
-        gauges: GaugeSnapshot::capture(&metrics),
-        per_prim: metrics
-            .per_prim
-            .iter()
-            .map(|(k, h)| (k.clone(), h.summary()))
-            .collect(),
-        phases: Vec::new(),
-        trace_meta: None,
-        abort_tails: BTreeMap::new(),
-        reports: tally.reports,
-    }
+    tally.finish(
+        "concurrent",
+        backend_desc(lowered),
+        started,
+        stalls.take_records(),
+        Vec::new(),
+        registry,
+    )
 }
 
-/// [`obs::EventKind::SessionClose`] end code for a session verdict.
-fn end_code(end: SessionEnd) -> u64 {
-    match end {
-        SessionEnd::Terminated => 0,
-        SessionEnd::Deadlock => 1,
-        SessionEnd::StepLimit => 2,
-        SessionEnd::Aborted => 3,
-    }
-}
-
-/// Turn a completed session into a [`SessionReport`]: replay conformance,
-/// merge its medium statistics, record its latency.
-fn finalize_session(
-    d: &Derivation,
-    cfg: &RuntimeConfig,
+/// Hand a session the entity threads completed to the tally: attribute
+/// its latency to stages and merge its medium statistics. Returns its id.
+fn close_concurrent(
     slot: &SessionSlot,
     metrics: &Metrics,
     tally: &mut Tally,
-    replay_cache: &mut ReplayCache,
     rec: Option<&Recorder>,
-) -> SessionReport {
-    let core = slot.core.lock().expect("session poisoned");
+) -> u64 {
+    let mut core = slot.core.lock().expect("session poisoned");
     let end = core.completed.expect("finalized session not completed");
     let latency_us = core
         .ended
         .unwrap_or_else(Instant::now)
         .duration_since(core.started)
         .as_micros() as u64;
-    metrics.session_latency.record(latency_us);
     // Stage attribution: queue_wait runs from open to the first executed
     // move; step is the lock-held stepping time the entity threads
     // credited; wire is zero in-process; the residual is notify_wait
@@ -389,9 +518,6 @@ fn finalize_session(
         .first_step
         .map(|t| t.saturating_duration_since(core.started).as_micros() as u64)
         .unwrap_or(latency_us);
-    let stages = StageBreakdown::attribute(latency_us, queue_us, core.step_ns / 1000, 0, None);
-    metrics.stages.record(&stages);
-    metrics.sessions_completed.fetch_add(1, Ordering::Relaxed);
     let (lost, retx) = core.link_totals();
     metrics.frames_lost.fetch_add(lost, Ordering::Relaxed);
     metrics.retransmissions.fetch_add(retx, Ordering::Relaxed);
@@ -403,79 +529,27 @@ fn finalize_session(
     for (k, c) in &core.stats.sent_per_kind {
         *tally.per_kind.entry(*k).or_default() += c;
     }
-
-    let (mut violation, may_terminate) = match replay_cache.get(core.trace.as_slice()) {
-        Some(hit) => hit.clone(),
-        None => {
-            let v = replay_conformance(&d.service, &core.trace);
-            replay_cache.insert(core.trace.clone(), v.clone());
-            v
-        }
-    };
-    let conforms = violation.is_none() && end == SessionEnd::Terminated && may_terminate;
-    // A deadlock against a refused offer is a conformance failure the
-    // monitor cannot see (the primitive never executed): surface the
-    // offer an entity recorded while blocked as a synthesized violation.
-    if violation.is_none() && end == SessionEnd::Deadlock {
-        if let Some((name, place)) = core.refused_offer.clone() {
-            violation = Some((name, place, core.trace.len()));
-        }
-    }
-    if let Some((name, place, at)) = &violation {
-        if let Some(rec) = rec {
-            rec.record_named(
-                EventKind::Violation,
-                core.id,
-                core.steps as u64,
-                name,
-                *place as u64,
-            );
-        }
-        tally.violations.push(ViolationRecord {
-            session: core.id,
+    let id = core.id;
+    tally.close(
+        Completed {
+            id,
             seed: core.seed,
-            primitive: name.clone(),
-            place: *place,
-            at: *at,
-            trace: core.trace.clone(),
-            tail: Vec::new(),
-        });
-    }
-    if let Some(rec) = rec {
-        rec.record(
-            EventKind::SessionClose,
-            core.id,
-            core.steps as u64,
-            end_code(end),
-            core.steps as u64,
-        );
-        if lost + retx > 0 {
-            rec.record(
-                EventKind::FaultSummary,
-                core.id,
-                0,
-                lost as u64,
-                retx as u64,
-            );
-        }
-    }
-    SessionReport {
-        id: core.id,
-        seed: core.seed,
-        end,
-        conforms,
-        violation: violation.as_ref().map(|(n, p, _)| (n.clone(), *p)),
-        primitives: core.trace.len(),
-        messages: core.stats.sent,
-        steps: core.steps,
-        latency_us,
-        stages,
-        trace: if violation.is_some() || cfg.sessions == 1 {
-            core.trace.clone()
-        } else {
-            Vec::new()
+            end,
+            trace: std::mem::take(&mut core.trace),
+            latency_us,
+            stages: StageBreakdown::attribute(latency_us, queue_us, core.step_ns / 1000, 0, None),
+            messages: core.stats.sent,
+            steps: core.steps,
+            lc: core.steps as u64,
+            refused: core.refused_offer.take(),
+            monitor: Monitor::Replay,
         },
+        rec,
+    );
+    if let Some(rec) = rec.filter(|_| lost + retx > 0) {
+        rec.record(EventKind::FaultSummary, id, 0, lost as u64, retx as u64);
     }
+    id
 }
 
 /// Map the runtime fault profile onto the DES configuration. Wire-level
@@ -511,7 +585,10 @@ fn run_deterministic(
     lowered: &[Option<Arc<CompiledEntity>>],
 ) -> RuntimeReport {
     let started = Instant::now();
-    let metrics = Metrics::for_service(&d.service);
+    let mut metrics = Metrics::for_service(&d.service);
+    // Per-primitive wall latency is an inter-thread measurement; the
+    // sequential engine reports session-level latency only.
+    metrics.per_prim.clear();
     // The DES steps compiled tables only when *every* entity lowered —
     // a per-entity mix would still pay the interpreter's engine setup
     // per session, which is what compiled stepping is here to avoid.
@@ -526,13 +603,7 @@ fn run_deterministic(
     // each session's primitive trace into the ring (lc = trace index + 1,
     // matching the concurrent engine's per-session step clocks).
     let rec = registry.map(|r| r.recorder(0));
-    let mut tally = Tally::new();
-    let mut primitives = 0usize;
-    let mut messages = 0usize;
-    let mut delivered = 0usize;
-    let mut max_queue_depth = 0usize;
-    let mut frames_lost = 0usize;
-    let mut retransmissions = 0usize;
+    let mut tally = Tally::new(&d.service, cfg, &metrics);
 
     for k in 0..cfg.sessions {
         let t0 = Instant::now();
@@ -541,28 +612,27 @@ fn run_deterministic(
             None => sim::des::simulate(d, des_config(cfg, k)),
         };
         let latency_us = t0.elapsed().as_micros() as u64;
-        metrics.session_latency.record(latency_us);
-        // The DES runs a whole session inline: all of it is "step".
-        let stages = StageBreakdown {
-            queue_wait_us: 0,
-            step_us: latency_us,
-            notify_wait_us: 0,
-            wire_us: 0,
-        };
-        metrics.stages.record(&stages);
-
-        primitives += outcome.metrics.primitives;
-        messages += outcome.metrics.messages;
-        delivered += outcome
-            .metrics
-            .per_place
-            .values()
-            .map(|l| l.received)
-            .sum::<usize>();
-        max_queue_depth = max_queue_depth.max(outcome.metrics.max_queue_depth);
-        frames_lost += outcome.metrics.frames_lost;
-        retransmissions += outcome.metrics.retransmissions;
-        for (kind, c) in &outcome.metrics.messages_per_kind {
+        let m = &outcome.metrics;
+        metrics
+            .primitives
+            .fetch_add(m.primitives, Ordering::Relaxed);
+        metrics
+            .messages_sent
+            .fetch_add(m.messages, Ordering::Relaxed);
+        let delivered = m.per_place.values().map(|l| l.received).sum::<usize>();
+        metrics
+            .messages_delivered
+            .fetch_add(delivered, Ordering::Relaxed);
+        metrics
+            .max_queue_depth
+            .fetch_max(m.max_queue_depth, Ordering::Relaxed);
+        metrics
+            .frames_lost
+            .fetch_add(m.frames_lost, Ordering::Relaxed);
+        metrics
+            .retransmissions
+            .fetch_add(m.retransmissions, Ordering::Relaxed);
+        for (kind, c) in &m.messages_per_kind {
             *tally.per_kind.entry(*kind).or_default() += c;
         }
 
@@ -571,15 +641,6 @@ fn run_deterministic(
             SimResult::Deadlock => SessionEnd::Deadlock,
             SimResult::StepLimit => SessionEnd::StepLimit,
         };
-        let conforms = outcome.conforms() && end == SessionEnd::Terminated;
-        let mut violation = outcome.violation.clone();
-        // Mirror the concurrent engine's refusal synthesis: a fault-free
-        // DES deadlock under `--refuse` is the refusal biting (verified
-        // derivations are otherwise deadlock-free), attributed to the
-        // first refused primitive.
-        if violation.is_none() && end == SessionEnd::Deadlock && !cfg.refuse.is_empty() {
-            violation = Some(cfg.refuse[0].clone());
-        }
         if let Some(rec) = &rec {
             rec.record(EventKind::SessionOpen, k as u64, 0, cfg.session_seed(k), 0);
             for (i, (name, place)) in outcome.trace.iter().enumerate() {
@@ -591,92 +652,40 @@ fn run_deterministic(
                     *place as u64,
                 );
             }
-            if let Some((name, place)) = &violation {
-                rec.record_named(
-                    EventKind::Violation,
-                    k as u64,
-                    outcome.trace.len() as u64,
-                    name,
-                    *place as u64,
-                );
-            }
-            rec.record(
-                EventKind::SessionClose,
-                k as u64,
-                outcome.trace.len() as u64,
-                end_code(end),
-                outcome.metrics.steps as u64,
-            );
         }
-        if let Some((name, place)) = &violation {
-            tally.violations.push(ViolationRecord {
-                session: k as u64,
+        // The DES monitor stops at the first violation: it is the last
+        // primitive of the trace.
+        let at = outcome.trace.len().saturating_sub(1);
+        tally.close(
+            Completed {
+                id: k as u64,
                 seed: cfg.session_seed(k),
-                primitive: name.clone(),
-                place: *place,
-                at: outcome.trace.len().saturating_sub(1),
-                trace: outcome.trace.clone(),
-                tail: Vec::new(),
-            });
-        }
-        tally.absorb(SessionReport {
-            id: k as u64,
-            seed: cfg.session_seed(k),
-            end,
-            conforms,
-            violation: violation.clone(),
-            primitives: outcome.trace.len(),
-            messages: outcome.metrics.messages,
-            steps: outcome.metrics.steps,
-            latency_us,
-            stages,
-            trace: if violation.is_some() || cfg.sessions == 1 {
-                outcome.trace.clone()
-            } else {
-                Vec::new()
+                end,
+                latency_us,
+                // The DES runs a whole session inline: all of it is "step".
+                stages: StageBreakdown::attribute(latency_us, 0, latency_us, 0, None),
+                messages: m.messages,
+                steps: m.steps,
+                lc: outcome.trace.len() as u64,
+                refused: configured_refusal(cfg, end),
+                monitor: Monitor::Known((
+                    outcome.violation.map(|(name, place)| (name, place, at)),
+                    outcome.service_could_terminate,
+                )),
+                trace: outcome.trace,
             },
-        });
+            rec.as_ref(),
+        );
     }
 
-    let wall_s = started.elapsed().as_secs_f64();
-    RuntimeReport {
-        engine: "deterministic",
+    // The sequential engine cannot stall (no threads to wait on) and has
+    // no queues to gauge.
+    tally.finish(
+        "deterministic",
         backend,
-        config: cfg.clone(),
-        sessions: tally.reports.len(),
-        conforming: tally.conforming,
-        terminated: tally.terminated,
-        deadlocked: tally.deadlocked,
-        step_limited: tally.step_limited,
-        aborted: tally.aborted,
-        violations: std::mem::take(&mut tally.violations),
-        primitives,
-        messages,
-        delivered,
-        messages_per_kind: tally.per_kind,
-        max_queue_depth,
-        frames_lost,
-        retransmissions,
-        per_link: BTreeMap::new(),
-        transport_events: Vec::new(),
-        wall_s,
-        sessions_per_sec: if wall_s > 0.0 {
-            tally.reports.len() as f64 / wall_s
-        } else {
-            0.0
-        },
-        session_latency: metrics.session_latency.summary(),
-        stages: metrics.stages.summaries(),
-        // The sequential engine cannot stall (no threads to wait on) and
-        // has no queues to gauge.
-        stalls: Vec::new(),
-        gauges: GaugeSnapshot::default(),
-        // Per-primitive wall-latency is an inter-thread measurement; the
-        // sequential engine reports session-level latency only.
-        per_prim: BTreeMap::new(),
-        phases: Vec::new(),
-        trace_meta: None,
-        abort_tails: BTreeMap::new(),
-        reports: tally.reports,
-    }
+        started,
+        Vec::new(),
+        Vec::new(),
+        registry,
+    )
 }

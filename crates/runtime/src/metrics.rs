@@ -590,7 +590,8 @@ impl Metrics {
 
     /// The `/health` JSON document — a compact live snapshot for
     /// `protogen top` and external probes: throughput, per-stage
-    /// latency quantiles, and queue/backlog gauges.
+    /// latency summaries (rendered as the report's `stages`), and
+    /// queue/backlog gauges.
     pub fn health_json(&self, uptime_s: f64) -> String {
         let sessions = self.sessions_completed.load(Ordering::Relaxed);
         let rate = if uptime_s > 0.0 {
@@ -598,31 +599,18 @@ impl Metrics {
         } else {
             0.0
         };
-        let stages: Vec<String> = self
-            .stages
-            .all()
-            .iter()
-            .map(|(name, h)| {
-                format!(
-                    "\"{name}\":{{\"p50_us\":{:.1},\"p99_us\":{:.1},\"count\":{}}}",
-                    h.quantile(0.50),
-                    h.quantile(0.99),
-                    h.count()
-                )
-            })
-            .collect();
         format!(
             "{{\"status\":\"ok\",\"uptime_s\":{uptime_s:.3},\
              \"sessions_completed\":{sessions},\"sessions_per_sec\":{rate:.1},\
              \"primitives\":{},\"messages_sent\":{},\
              \"session_p50_us\":{:.1},\"session_p99_us\":{:.1},\
-             \"stages\":{{{}}},\"gauges\":{},\
+             \"stages\":{},\"gauges\":{},\
              \"batches_sent\":{},\"bytes_sent\":{}}}",
             self.primitives.load(Ordering::Relaxed),
             self.messages_sent.load(Ordering::Relaxed),
             self.session_latency.quantile(0.50),
             self.session_latency.quantile(0.99),
-            stages.join(","),
+            self.stages.summaries().to_json(),
             GaugeSnapshot::capture(self).to_json(),
             self.batches_sent.load(Ordering::Relaxed),
             self.bytes_sent.load(Ordering::Relaxed),
@@ -1444,7 +1432,14 @@ mod tests {
         assert_eq!(get_str(&body, "status"), Some("ok"));
         assert_eq!(get_u64(&body, "sessions_completed"), Some(20));
         assert!(body.contains("\"sessions_per_sec\":10.0"), "{body}");
-        assert!(body.contains("\"queue_wait\":{\"p50_us\""), "{body}");
+        // Stages render exactly as the report's `stages` object.
+        assert!(
+            body.contains(&format!("\"stages\":{}", m.stages.summaries().to_json())),
+            "{body}"
+        );
+        let queue = &body[body.find("\"queue_wait\":{").unwrap()..];
+        assert_eq!(get_u64(queue, "count"), Some(1));
+        assert!(queue.contains("\"p50_us\":") && queue.contains("\"p99_us\":"));
         assert!(body.contains("\"window_occupancy\":4"));
         assert!(body.contains("\"per_link_backlog\":{\"place:2\":3}"));
     }

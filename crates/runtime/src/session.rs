@@ -36,6 +36,30 @@ pub enum SessionEnd {
     Aborted,
 }
 
+impl SessionEnd {
+    /// The outcome's one-byte code: the `end` of a `WireMsg::Close` frame
+    /// and of a recorded `SessionClose` event.
+    pub fn code(self) -> u8 {
+        match self {
+            SessionEnd::Terminated => 0,
+            SessionEnd::Deadlock => 1,
+            SessionEnd::StepLimit => 2,
+            SessionEnd::Aborted => 3,
+        }
+    }
+
+    /// Inverse of [`Self::code`]; unknown bytes read as `Aborted` — the
+    /// conservative outcome.
+    pub fn from_code(b: u8) -> SessionEnd {
+        match b {
+            0 => SessionEnd::Terminated,
+            1 => SessionEnd::Deadlock,
+            2 => SessionEnd::StepLimit,
+            _ => SessionEnd::Aborted,
+        }
+    }
+}
+
 /// The session's channels: the paper's reliable medium, or one ARQ fault
 /// link per directed channel.
 #[derive(Debug)]
@@ -449,6 +473,19 @@ mod tests {
         assert!(core.all_blocked(3));
         core.clear_blocked(1);
         assert!(!core.all_blocked(3));
+    }
+
+    #[test]
+    fn end_codes_round_trip() {
+        for end in [
+            SessionEnd::Terminated,
+            SessionEnd::Deadlock,
+            SessionEnd::StepLimit,
+            SessionEnd::Aborted,
+        ] {
+            assert_eq!(SessionEnd::from_code(end.code()), end);
+        }
+        assert_eq!(SessionEnd::from_code(200), SessionEnd::Aborted);
     }
 
     #[test]

@@ -144,8 +144,6 @@ fn run_one(
         dead_after: Duration::from_millis(700),
         reconnect_deadline: Duration::from_secs(5),
         join_deadline: Duration::from_secs(15),
-        handshake_timeout: Duration::from_secs(2),
-        poll: Duration::from_millis(2),
         stall_timeout: Duration::from_secs(30),
         ..DistributedConfig::new(listen_addr(uds))
     };
@@ -299,8 +297,6 @@ fn dead_entity_aborts_sessions_with_diagnostics() {
         dead_after: Duration::from_millis(400),
         reconnect_deadline: Duration::from_millis(800),
         join_deadline: Duration::from_secs(10),
-        handshake_timeout: Duration::from_secs(2),
-        poll: Duration::from_millis(2),
         stall_timeout: Duration::from_secs(20),
         ..DistributedConfig::new(Addr::Tcp("127.0.0.1:0".to_string()))
     };
@@ -407,8 +403,6 @@ fn wrong_version_peer_fails_handshake_and_aborts() {
         heartbeat: Duration::from_millis(20),
         dead_after: Duration::from_millis(400),
         join_deadline: Duration::from_millis(500),
-        handshake_timeout: Duration::from_secs(2),
-        poll: Duration::from_millis(2),
         stall_timeout: Duration::from_secs(20),
         ..DistributedConfig::new(Addr::Tcp("127.0.0.1:0".to_string()))
     };
@@ -449,4 +443,73 @@ fn wrong_version_peer_fails_handshake_and_aborts() {
     assert_eq!(report.aborted, SESSIONS, "{:?}", report.transport_events);
     assert!(!report.passed());
     h2.join().unwrap().expect("healthy entity");
+}
+
+/// One verdict whatever executes the entities: refusing `b@2` in
+/// `a1; b2; exit` deadlocks every session, and the deterministic engine
+/// (threads 1), the concurrent engine (threads 2) and the hub must all
+/// count the same conforming and deadlocked sessions and report the
+/// refused primitive as the same violations.
+#[test]
+fn refusal_verdicts_agree_across_engines() {
+    let watchdog = Watchdog::arm(
+        "refusal_verdicts_agree_across_engines",
+        Duration::from_secs(60),
+    );
+    watchdog.enter("refuse b@2".to_string());
+    let derived = Pipeline::load("SPEC a1; b2; exit ENDSPEC")
+        .unwrap()
+        .check()
+        .unwrap()
+        .derive()
+        .unwrap();
+    let d = derived.derivation();
+    let cfg = |threads: usize| {
+        RuntimeConfig::new()
+            .sessions(3)
+            .threads(threads)
+            .seed(7)
+            .refuse("b", 2)
+    };
+    let verdict = |r: &RuntimeReport| {
+        let mut prims: Vec<String> = r.violations.iter().map(|v| v.primitive.clone()).collect();
+        prims.sort();
+        (r.conforming, r.deadlocked, prims)
+    };
+
+    let deterministic = runtime::run(d, &cfg(1));
+    let concurrent = runtime::run(d, &cfg(2));
+
+    let dist_cfg = cfg(2);
+    let dcfg = DistributedConfig {
+        heartbeat: Duration::from_millis(20),
+        ..DistributedConfig::new(Addr::Tcp("127.0.0.1:0".to_string()))
+    };
+    let listener = dcfg.listen.listen().unwrap();
+    let hub_addr = listener.local_addr().unwrap();
+    let handles: Vec<_> = d
+        .entities
+        .iter()
+        .map(|(p, spec)| {
+            let mut scfg = ServeConfig::new(hub_addr.clone(), *p);
+            scfg.heartbeat = Duration::from_millis(20);
+            scfg.refuse = dist_cfg.refuse.clone();
+            let spec = spec.clone();
+            std::thread::spawn(move || serve_entity(&spec, &scfg))
+        })
+        .collect();
+    let distributed = run_hub_on(d, &dist_cfg, &dcfg, listener).expect("hub run");
+    for h in handles {
+        h.join().expect("entity thread").expect("entity outcome");
+    }
+
+    let expected = (0, 3, vec!["b".to_string(); 3]);
+    assert_eq!(verdict(&deterministic), expected, "threads 1");
+    assert_eq!(verdict(&concurrent), expected, "threads 2");
+    assert_eq!(
+        verdict(&distributed),
+        expected,
+        "distributed; events: {:?}",
+        distributed.transport_events
+    );
 }

@@ -35,8 +35,6 @@ fn dcfg(listen: Addr) -> DistributedConfig {
         dead_after: Duration::from_millis(700),
         reconnect_deadline: Duration::from_secs(5),
         join_deadline: Duration::from_secs(20),
-        handshake_timeout: Duration::from_secs(2),
-        poll: Duration::from_millis(2),
         stall_timeout: Duration::from_secs(30),
         ..DistributedConfig::new(listen)
     }
