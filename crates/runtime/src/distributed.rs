@@ -46,6 +46,20 @@
 //! reconnection runs under a seeded exponential backoff with a retry
 //! budget ([`transport::Backoff`]); an exhausted budget fails the
 //! `serve` process the same way.
+//!
+//! ## Event loops
+//!
+//! Both loops are driven by readiness, not by timers. Each hub sweep
+//! blocks in one `poll(2)` ([`transport::wait_readable`]) over the
+//! listener, every connected link and every connection still owing its
+//! `Hello`, and reads only what is readable. The wait is zero right
+//! after a sweep that moved something; otherwise it lasts until the
+//! earliest timer the hub keeps anyway (a pure-ack deadline, a
+//! heartbeat, a silence limit, a reconnect or join deadline, the stall
+//! check). An entity polls its one socket without waiting while it has
+//! runnable sessions and otherwise blocks until data arrives or its own
+//! ack, heartbeat or silence timer is due. Nothing else ever needs to
+//! wake either loop, so there is no self-pipe.
 
 use crate::compiled::{lower_for, make_backend, BState, Backend, EntityBackend, OfferView};
 use crate::config::{BackendChoice, RuntimeConfig};
@@ -68,25 +82,22 @@ use semantics::hash::fx_hash;
 use semantics::term::{Label, OccTable};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
+use std::os::fd::RawFd;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use transport::{
-    poll_messages, poll_messages_into, Addr, Backoff, BatchConfig, Channel, Link, WireMsg,
+    poll_messages, poll_messages_into, wait_readable, Addr, Backoff, BatchConfig, Channel, Link,
+    Listener, WireMsg,
 };
 
-/// Read-poll window for links with work in flight: small enough that a
-/// sweep over every link stays cheap, the adaptive park supplies the
-/// idle waiting.
-const HOT_POLL: Duration = Duration::from_micros(50);
+/// Read timeout set once on every connection. The event loops read a
+/// socket only after [`wait_readable`] reports it ready, so a read never
+/// waits in practice; this bounds the damage if one ever does.
+const READ_BACKSTOP: Duration = Duration::from_millis(10);
 
-/// Socket read-poll window when a link is idle, and the cap on the hub's
-/// adaptive park between empty sweeps (drives idle latency; busy links
-/// are polled with [`HOT_POLL`]). An idle entity parks inside this read.
-const IDLE_POLL: Duration = Duration::from_millis(2);
-
-/// How long the hub waits for a fresh connection's `Hello`.
-const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
+/// How often the hub looks for sessions past their stall deadline.
+const STALL_CHECK: Duration = Duration::from_millis(5);
 
 /// How long an entity waits for one connection attempt to the hub.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
@@ -115,7 +126,8 @@ pub struct DistributedConfig {
     /// Hub→entity heartbeat interval.
     pub heartbeat: Duration,
     /// Silence on a *connected* link before its connection is presumed
-    /// dead and torn down (opens the reconnect window).
+    /// dead and torn down (opens the reconnect window). A fresh
+    /// connection gets the same time to send its `Hello`.
     pub dead_after: Duration,
     /// How long a disconnected entity may take to reconnect before it is
     /// declared dead and its sessions aborted.
@@ -381,6 +393,39 @@ impl EntityLink {
         had_queued
     }
 
+    /// How long this link may stay disconnected before its entity is
+    /// declared dead: the reconnect window once it has been connected,
+    /// the join window before.
+    fn connect_deadline(&self, dcfg: &DistributedConfig) -> Duration {
+        if self.ever_connected {
+            dcfg.reconnect_deadline
+        } else {
+            dcfg.join_deadline
+        }
+    }
+
+    /// Adopt an identified connection: answer `Welcome`, resume the
+    /// link over it and replace any previous connection. Returns `false`
+    /// (and leaves the link disconnected) if either write fails.
+    fn attach(&mut self, mut chan: Channel, last_seen: u64) -> bool {
+        if let Some(old) = self.chan.take() {
+            old.conn.shutdown();
+        }
+        let welcome = WireMsg::Welcome {
+            last_seen: self.link.last_delivered(),
+        };
+        if chan.conn.write_all(&welcome.encode(0)).is_err()
+            || self.link.resume(&mut chan.conn, last_seen).is_err()
+        {
+            chan.conn.shutdown();
+            self.disconnected_at.get_or_insert_with(Instant::now);
+            return false;
+        }
+        self.chan = Some(chan);
+        self.disconnected_at = None;
+        true
+    }
+
     fn drop_conn(&mut self, events: &mut Vec<String>, why: &str) {
         if let Some(ch) = self.chan.take() {
             ch.conn.shutdown();
@@ -482,7 +527,7 @@ pub fn run_hub_on(
     d: &Derivation,
     cfg: &RuntimeConfig,
     dcfg: &DistributedConfig,
-    listener: transport::Listener,
+    listener: Listener,
 ) -> io::Result<RuntimeReport> {
     let started = Instant::now();
     let registry = run_registry(cfg);
@@ -557,10 +602,11 @@ pub fn run_hub_on(
     let mut next = 0usize;
     let mut last_progress = Instant::now();
     let mut dead_entity: Option<PlaceId> = None;
-    // Adaptive park: consecutive sweeps that moved nothing. A few free
-    // yields first (traffic usually follows traffic), then exponential
-    // sleeps capped at `IDLE_POLL`.
-    let mut idle_sweeps = 0u32;
+    let mut hellos = Handshakes::default();
+    let mut fds: Vec<RawFd> = Vec::new();
+    // Whether the previous sweep moved anything: if so, look again
+    // without blocking, since traffic usually follows traffic.
+    let mut moved = true;
     let mut inbuf: Vec<(u64, WireMsg)> = Vec::new();
 
     'run: loop {
@@ -592,92 +638,34 @@ pub fn run_hub_on(
             progress = true;
         }
 
-        // Accept (re)connections.
-        while let Ok(Some(conn)) = listener.accept() {
-            match hub_handshake(conn, dcfg) {
-                Ok((place, last_seen, mut chan, leftovers)) => {
-                    let Some(&idx) = place_index.get(&place) else {
-                        events.push(format!("rejected connection for unknown place {place}"));
-                        continue;
-                    };
-                    let link = &mut links[idx];
-                    if let Some(old) = link.chan.take() {
-                        old.conn.shutdown();
-                    }
-                    let welcome = WireMsg::Welcome {
-                        last_seen: link.link.last_delivered(),
-                    };
-                    let resent_before = link.link.stats.frames_resent;
-                    let hello_ok = chan.conn.write_all(&welcome.encode(0)).is_ok()
-                        && link.link.resume(&mut chan.conn, last_seen).is_ok();
-                    if !hello_ok {
-                        chan.conn.shutdown();
-                        continue;
-                    }
-                    // Connected links are swept with a tiny poll window;
-                    // idle waiting is the adaptive park's job.
-                    let _ = chan.conn.set_read_timeout(Some(HOT_POLL));
-                    let was_connected = link.ever_connected;
-                    link.chan = Some(chan);
-                    link.ever_connected = true;
-                    link.disconnected_at = None;
-                    link.last_heard = Instant::now();
-                    if was_connected {
-                        events.push(format!("link place:{place}: reconnected and resumed"));
-                    }
-                    if let Some(rec) = &rec {
-                        if was_connected {
-                            rec.record_global(
-                                EventKind::LinkReconnect,
-                                place as u64,
-                                link.link.stats.reconnects.saturating_sub(1),
-                            );
-                        } else {
-                            rec.record_global(EventKind::LinkConnect, place as u64, 0);
-                        }
-                        let resent = link.link.stats.frames_resent - resent_before;
-                        if resent > 0 {
-                            rec.record_global(EventKind::LinkRetransmit, place as u64, resent);
-                        }
-                    }
-                    last_progress = Instant::now();
-                    progress = true;
-                    let mut closed = Vec::new();
-                    for (seq, m) in leftovers {
-                        if let Some(m) = links[idx].link.accept(seq, m) {
-                            hub_handle(
-                                m,
-                                idx,
-                                &mut links,
-                                &mut sessions,
-                                metrics.as_ref(),
-                                &mut events,
-                                &mut closed,
-                                cfg,
-                                rec.as_ref(),
-                                registry.as_ref(),
-                            );
-                        }
-                    }
-                    finish_closed(
-                        cfg,
-                        closed,
-                        &mut sessions,
-                        &mut links,
-                        &mut events,
-                        &mut tally,
-                        rec.as_ref(),
-                    );
-                }
-                Err(e) => events.push(format!("handshake failed: {e}")),
-            }
-        }
+        // Block until a link, the listener or a pending handshake is
+        // readable, or the earliest timer is due.
+        let timeout = if moved || progress {
+            Some(Duration::ZERO)
+        } else {
+            hub_wake(
+                &links,
+                !sessions.is_empty(),
+                dcfg,
+                last_stall_check + STALL_CHECK,
+                last_progress,
+            )
+            .into_iter()
+            .chain(hellos.next_deadline())
+            .min()
+            .map(|t| t.saturating_duration_since(Instant::now()))
+        };
+        fill_poll_set(&mut fds, &listener, &links, &hellos, |_| true);
+        let ready = wait_readable(&fds, timeout)?;
 
-        // Poll every connected link and process its traffic. Replies
+        // Read every readable link and process its traffic. Replies
         // and forwards queue on the destination links; they go out in
         // the flush phase below, one vectored write per link per sweep.
         let mut closed: Vec<(u64, SessionEnd)> = Vec::new();
         for idx in 0..n {
+            if !ready[1 + idx] {
+                continue;
+            }
             let Some(ch) = links[idx].chan.as_mut() else {
                 continue;
             };
@@ -714,6 +702,62 @@ pub fn run_hub_on(
                 }
             }
         }
+
+        // Finish the handshakes that became readable, then accept new
+        // connections into the pending set (the next wait covers them).
+        for (place, last_seen, chan, leftovers) in hellos.advance(&ready[1 + n..], &mut events) {
+            let Some(&idx) = place_index.get(&place) else {
+                events.push(format!("rejected connection for unknown place {place}"));
+                continue;
+            };
+            let link = &mut links[idx];
+            let resent_before = link.link.stats.frames_resent;
+            if !link.attach(chan, last_seen) {
+                continue;
+            }
+            let was_connected = link.ever_connected;
+            link.ever_connected = true;
+            link.last_heard = Instant::now();
+            if was_connected {
+                events.push(format!("link place:{place}: reconnected and resumed"));
+            }
+            if let Some(rec) = &rec {
+                if was_connected {
+                    rec.record_global(
+                        EventKind::LinkReconnect,
+                        place as u64,
+                        link.link.stats.reconnects.saturating_sub(1),
+                    );
+                } else {
+                    rec.record_global(EventKind::LinkConnect, place as u64, 0);
+                }
+                let resent = link.link.stats.frames_resent - resent_before;
+                if resent > 0 {
+                    rec.record_global(EventKind::LinkRetransmit, place as u64, resent);
+                }
+            }
+            last_progress = Instant::now();
+            progress = true;
+            for (seq, m) in leftovers {
+                if let Some(m) = links[idx].link.accept(seq, m) {
+                    hub_handle(
+                        m,
+                        idx,
+                        &mut links,
+                        &mut sessions,
+                        metrics.as_ref(),
+                        &mut events,
+                        &mut closed,
+                        cfg,
+                        rec.as_ref(),
+                        registry.as_ref(),
+                    );
+                }
+            }
+        }
+        if ready[0] {
+            hellos.accept(&listener, dcfg);
+        }
         finish_closed(
             cfg,
             closed,
@@ -740,11 +784,7 @@ pub fn run_hub_on(
                 }
             }
             if let Some(t) = link.disconnected_at {
-                let deadline = if link.ever_connected {
-                    dcfg.reconnect_deadline
-                } else {
-                    dcfg.join_deadline
-                };
+                let deadline = link.connect_deadline(dcfg);
                 if now.duration_since(t) > deadline && !sessions.is_empty() {
                     dead_entity = Some(link.place);
                     events.push(format!(
@@ -781,7 +821,7 @@ pub fn run_hub_on(
         // Stall forensics (hub side): flag sessions past the configured
         // or p99-derived deadline, once each, with the stage split and
         // backlog gauges captured at flag time.
-        if now.duration_since(last_stall_check) >= Duration::from_millis(5) {
+        if now.duration_since(last_stall_check) >= STALL_CHECK {
             last_stall_check = now;
             if let Some(deadline) = StallTracker::deadline(cfg, &metrics) {
                 for s in sessions.values() {
@@ -838,19 +878,7 @@ pub fn run_hub_on(
             break;
         }
 
-        // Adaptive park: back off only when a full sweep moved nothing.
-        if progress {
-            idle_sweeps = 0;
-        } else {
-            idle_sweeps += 1;
-            if idle_sweeps <= 3 {
-                std::thread::yield_now();
-            } else {
-                let exp = (idle_sweeps - 3).min(6); // 100µs … 3.2ms pre-cap
-                let nap = Duration::from_micros(50u64 << exp).min(IDLE_POLL);
-                std::thread::sleep(nap);
-            }
-        }
+        moved = progress;
     }
 
     // Abort whatever is still live (dead entity or stall) — including
@@ -897,44 +925,18 @@ pub fn run_hub_on(
     }
     let drain_deadline = Instant::now() + dcfg.reconnect_deadline;
     let mut done: Vec<bool> = links.iter().map(|l| Some(l.place) == dead_entity).collect();
-    while Instant::now() < drain_deadline && done.iter().any(|d| !d) {
-        while let Ok(Some(conn)) = listener.accept() {
-            let Ok((place, last_seen, mut chan, leftovers)) = hub_handshake(conn, dcfg) else {
-                continue;
-            };
-            let Some(&idx) = place_index.get(&place) else {
-                continue;
-            };
-            let link = &mut links[idx];
-            if let Some(old) = link.chan.take() {
-                old.conn.shutdown();
-            }
-            let welcome = WireMsg::Welcome {
-                last_seen: link.link.last_delivered(),
-            };
-            if chan.conn.write_all(&welcome.encode(0)).is_ok()
-                && link.link.resume(&mut chan.conn, last_seen).is_ok()
-            {
-                link.chan = Some(chan);
-                for (seq, m) in leftovers {
-                    // Trace chunks are the one payload still expected
-                    // during drain — an entity flushes its recorder
-                    // right before exiting.
-                    if let Some(WireMsg::Trace { chunk }) = link.link.accept(seq, m) {
-                        if let Some(reg) = &registry {
-                            reg.absorb(&chunk);
-                        }
-                    }
-                }
-                // Ack what the resume delivered so the entity can
-                // retire its resend buffer and exit promptly.
-                if let Some(ch) = link.chan.as_mut() {
-                    let _ = link.link.maybe_ack(&mut ch.conn, true);
-                }
-            }
+    while done.iter().any(|d| !d) {
+        let now = Instant::now();
+        if now >= drain_deadline {
+            break;
         }
+        let wake = hellos
+            .next_deadline()
+            .map_or(drain_deadline, |t| t.min(drain_deadline));
+        fill_poll_set(&mut fds, &listener, &links, &hellos, |i| !done[i]);
+        let ready = wait_readable(&fds, Some(wake.saturating_duration_since(now)))?;
         for (idx, done_flag) in done.iter_mut().enumerate() {
-            if *done_flag {
+            if *done_flag || !ready[1 + idx] {
                 continue;
             }
             let link = &mut links[idx];
@@ -965,7 +967,37 @@ pub fn run_hub_on(
                 }
             }
         }
-        std::thread::sleep(Duration::from_micros(300));
+        for (place, last_seen, chan, leftovers) in hellos.advance(&ready[1 + n..], &mut events) {
+            let Some(&idx) = place_index.get(&place) else {
+                events.push(format!("rejected connection for unknown place {place}"));
+                continue;
+            };
+            let link = &mut links[idx];
+            if !link.attach(chan, last_seen) {
+                continue;
+            }
+            for (seq, m) in leftovers {
+                // Trace chunks are the one payload still expected
+                // during drain — an entity flushes its recorder right
+                // before exiting.
+                if let Some(WireMsg::Trace { chunk }) = link.link.accept(seq, m) {
+                    if let Some(reg) = &registry {
+                        reg.absorb(&chunk);
+                    }
+                }
+            }
+            // Ack what the resume delivered so the entity can retire
+            // its resend buffer and exit promptly.
+            if let Some(ch) = link.chan.as_mut() {
+                let _ = link.link.maybe_ack(&mut ch.conn, true);
+            }
+        }
+        if ready[0] {
+            hellos.accept(&listener, dcfg);
+        }
+    }
+    for _ in hellos.pending.drain(..) {
+        events.push("handshake abandoned: the run ended before its Hello arrived".to_string());
     }
 
     // The drain may have resent frames: publish the final link counters.
@@ -988,34 +1020,141 @@ pub fn run_hub_on(
     Ok(report)
 }
 
-/// Read the entity's `Hello` off a fresh connection. Returns the place,
-/// the peer's `last_seen`, the channel, and any frames that arrived in
-/// the same batch (already decoded, not yet accepted).
+/// An identified connection: the entity's place, its `last_seen`, the
+/// channel, and any frames that arrived behind the `Hello` (decoded,
+/// not yet accepted).
 type Handshake = (PlaceId, u64, Channel, Vec<(u64, WireMsg)>);
 
-fn hub_handshake(conn: transport::Conn, dcfg: &DistributedConfig) -> io::Result<Handshake> {
-    conn.set_read_timeout(Some(IDLE_POLL))?;
-    conn.set_write_timeout(Some(dcfg.dead_after))?;
-    let mut chan = Channel::new(conn);
-    let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-    loop {
-        let mut batch = poll_messages(&mut chan.conn, &mut chan.dec)?.into_iter();
-        if let Some((_, first)) = batch.next() {
-            let WireMsg::Hello { place, last_seen } = first else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "expected Hello as the first frame",
-                ));
-            };
-            return Ok((place, last_seen, chan, batch.collect()));
-        }
-        if Instant::now() >= deadline {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "no Hello within the handshake timeout",
-            ));
+/// Connections accepted but not yet identified. Each waits in the poll
+/// set for its `Hello` until its own deadline
+/// ([`DistributedConfig::dead_after`] after the accept), so a silent or
+/// slow peer never holds up the sessions in flight.
+#[derive(Default)]
+struct Handshakes {
+    pending: Vec<(Channel, Instant)>,
+}
+
+impl Handshakes {
+    /// Accept every connection the listener has waiting.
+    fn accept(&mut self, listener: &Listener, dcfg: &DistributedConfig) {
+        while let Ok(Some(conn)) = listener.accept() {
+            if conn.set_read_timeout(Some(READ_BACKSTOP)).is_ok()
+                && conn.set_write_timeout(Some(dcfg.dead_after)).is_ok()
+            {
+                let deadline = Instant::now() + dcfg.dead_after;
+                self.pending.push((Channel::new(conn), deadline));
+            }
         }
     }
+
+    fn fds(&self) -> impl Iterator<Item = RawFd> + '_ {
+        self.pending.iter().map(|(ch, _)| ch.conn.raw_fd())
+    }
+
+    fn next_deadline(&self) -> Option<Instant> {
+        self.pending.iter().map(|&(_, t)| t).min()
+    }
+
+    /// Read the pending connections `ready` marks (indexed like
+    /// [`Handshakes::fds`]) and return those that said `Hello`. A
+    /// malformed first frame, a closed peer or a passed deadline fails
+    /// the handshake with a `transport_events` entry.
+    fn advance(&mut self, ready: &[bool], events: &mut Vec<String>) -> Vec<Handshake> {
+        let now = Instant::now();
+        let mut identified = Vec::new();
+        for (i, (mut chan, deadline)) in std::mem::take(&mut self.pending).into_iter().enumerate() {
+            let hello = if ready.get(i) == Some(&true) {
+                read_hello(&mut chan)
+            } else {
+                Ok(None)
+            };
+            match hello {
+                Ok(Some((place, last_seen, rest))) => {
+                    identified.push((place, last_seen, chan, rest));
+                }
+                Ok(None) if now < deadline => self.pending.push((chan, deadline)),
+                Ok(None) => {
+                    chan.conn.shutdown();
+                    events.push(
+                        "handshake failed: no Hello within the handshake timeout".to_string(),
+                    );
+                }
+                Err(e) => {
+                    chan.conn.shutdown();
+                    events.push(format!("handshake failed: {e}"));
+                }
+            }
+        }
+        identified
+    }
+}
+
+/// Read what a readable, unidentified connection sent: `None` until a
+/// whole frame is in, then its `Hello` and the frames behind it.
+#[allow(clippy::type_complexity)]
+fn read_hello(chan: &mut Channel) -> io::Result<Option<(PlaceId, u64, Vec<(u64, WireMsg)>)>> {
+    let mut batch = poll_messages(&mut chan.conn, &mut chan.dec)?.into_iter();
+    let Some((_, first)) = batch.next() else {
+        return Ok(None);
+    };
+    let WireMsg::Hello { place, last_seen } = first else {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "expected Hello as the first frame",
+        ));
+    };
+    Ok(Some((place, last_seen, batch.collect())))
+}
+
+/// Lay out one readiness wait: the listener, then one slot per link
+/// (`-1` when it is disconnected or `watch` declines it), then every
+/// pending handshake.
+fn fill_poll_set(
+    fds: &mut Vec<RawFd>,
+    listener: &Listener,
+    links: &[EntityLink],
+    hellos: &Handshakes,
+    watch: impl Fn(usize) -> bool,
+) {
+    fds.clear();
+    fds.push(listener.raw_fd());
+    fds.extend(links.iter().enumerate().map(|(i, l)| match &l.chan {
+        Some(ch) if watch(i) => ch.conn.raw_fd(),
+        _ => -1,
+    }));
+    fds.extend(hellos.fds());
+}
+
+/// The earliest timer the hub must wake for when no socket is readable:
+/// each connected link's pure-ack deadline, next heartbeat and silence
+/// limit; while sessions are live, each disconnected link's reconnect
+/// or join deadline, the next stall check and the global no-progress
+/// guard. `None` when nothing is pending.
+fn hub_wake(
+    links: &[EntityLink],
+    live: bool,
+    dcfg: &DistributedConfig,
+    stall_check: Instant,
+    last_progress: Instant,
+) -> Option<Instant> {
+    let mut wake: Option<Instant> = None;
+    let mut at = |t: Instant| wake = Some(wake.map_or(t, |w| w.min(t)));
+    for l in links {
+        if l.chan.is_some() {
+            if let Some(t) = l.link.ack_due() {
+                at(t);
+            }
+            at(l.last_heartbeat + dcfg.heartbeat);
+            at(l.last_heard + dcfg.dead_after);
+        } else if let (true, Some(t)) = (live, l.disconnected_at) {
+            at(t + l.connect_deadline(dcfg));
+        }
+    }
+    if live {
+        at(stall_check);
+        at(last_progress + dcfg.stall_timeout);
+    }
+    wake
 }
 
 /// Dispatch one accepted message from entity `idx`.
@@ -1284,10 +1423,6 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
     let mut last_hb = Instant::now();
     let mut outbox: Vec<WireMsg> = Vec::new();
     let mut inbuf: Vec<(u64, WireMsg)> = Vec::new();
-    // The entity's one socket is its natural park: a long read timeout
-    // when no session is runnable (data wakes it instantly), a tiny one
-    // while work is in flight. Tracked to avoid redundant setsockopts.
-    let mut cur_poll = IDLE_POLL;
 
     loop {
         // (Re)connect under the backoff policy.
@@ -1299,10 +1434,12 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
                 outcome.link = stats_of(&link);
                 return Ok(outcome);
             }
-            match entity_connect(cfg, &mut link, &mut backoff) {
+            // While lingering after a shutdown, stop retrying at the
+            // flush deadline rather than spend the whole retry budget.
+            let give_up = trace_flushed.then_some(flush_deadline);
+            match entity_connect(cfg, &mut link, &mut backoff, give_up) {
                 Ok((c, leftovers)) => {
                     chan = Some(c);
-                    cur_poll = IDLE_POLL; // try_connect left it there
                     backoff.reset();
                     last_heard = Instant::now();
                     for (seq, m) in leftovers {
@@ -1338,22 +1475,39 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
             }
         }
 
-        // Drain the wire. The read timeout adapts to the workload:
-        // while sessions are runnable (or a shutdown drain is pending)
-        // the read must not stall the stepping below, so it is tiny;
-        // once everything is parked, this read IS the idle wait.
+        // Wait for the hub. While this pass has work of its own —
+        // runnable sessions, replies to send, a shutdown to act on — the
+        // socket is only polled. Once everything is parked this wait is
+        // the idle park, bounded by the entity's own timers: the
+        // pure-ack deadline, the next heartbeat, the hub's silence limit
+        // and, while lingering after a shutdown, the trace-flush
+        // deadline.
         let mut dropped = false;
         if let Some(ch) = chan.as_mut() {
-            let want = if runnable.is_empty() && !shutdown && link.queued_frames() == 0 {
-                IDLE_POLL
+            let busy = !runnable.is_empty()
+                || !outbox.is_empty()
+                || (shutdown && sessions.is_empty() && !trace_flushed);
+            let timeout = if busy {
+                Duration::ZERO
             } else {
-                HOT_POLL
+                let mut wake = (last_hb + cfg.heartbeat).min(last_heard + cfg.dead_after);
+                if let Some(t) = link.ack_due() {
+                    wake = wake.min(t);
+                }
+                if trace_flushed {
+                    wake = wake.min(flush_deadline);
+                }
+                wake.saturating_duration_since(Instant::now())
             };
-            if want != cur_poll && ch.conn.set_read_timeout(Some(want)).is_ok() {
-                cur_poll = want;
-            }
+            let readable = wait_readable(&[ch.conn.raw_fd()], Some(timeout))
+                .map_err(|e| format!("place {}: waiting on the hub link: {e}", cfg.place))?;
             inbuf.clear();
-            match poll_messages_into(&mut ch.conn, &mut ch.dec, &mut inbuf) {
+            let read = if readable[0] {
+                poll_messages_into(&mut ch.conn, &mut ch.dec, &mut inbuf)
+            } else {
+                Ok(())
+            };
+            match read {
                 Ok(()) => {
                     if !inbuf.is_empty() {
                         last_heard = Instant::now();
@@ -1508,17 +1662,23 @@ fn stats_of(link: &Link) -> LinkReport {
     report_of(link)
 }
 
-/// Connect + handshake + resume, retrying under the backoff schedule.
+/// Connect + handshake + resume, retrying under the backoff schedule
+/// until the retry budget is spent or the next attempt would start
+/// after `give_up`.
 fn entity_connect(
     cfg: &ServeConfig,
     link: &mut Link,
     backoff: &mut Backoff,
+    give_up: Option<Instant>,
 ) -> Result<(Channel, Vec<(u64, WireMsg)>), String> {
     loop {
         match try_connect(cfg, link) {
             Ok(ok) => return Ok(ok),
             Err(e) => match backoff.next_delay() {
-                Some(delay) => std::thread::sleep(delay),
+                Some(delay) if give_up.is_none_or(|t| Instant::now() + delay < t) => {
+                    std::thread::sleep(delay)
+                }
+                Some(_) => return Err(format!("gave up reconnecting; last error: {e}")),
                 None => {
                     return Err(format!(
                         "retry budget ({}) exhausted; last error: {e}",
@@ -1538,7 +1698,7 @@ fn try_connect(
         .hub
         .connect(CONNECT_TIMEOUT)
         .map_err(|e| e.to_string())?;
-    conn.set_read_timeout(Some(IDLE_POLL))
+    conn.set_read_timeout(Some(READ_BACKSTOP))
         .map_err(|e| e.to_string())?;
     conn.set_write_timeout(Some(cfg.dead_after))
         .map_err(|e| e.to_string())?;
@@ -1554,6 +1714,13 @@ fn try_connect(
     // handed back for normal processing.
     let deadline = Instant::now() + cfg.dead_after;
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err("no Welcome within the handshake window".to_string());
+        }
+        if !wait_readable(&[chan.conn.raw_fd()], Some(left)).map_err(|e| e.to_string())?[0] {
+            continue;
+        }
         let mut batch = poll_messages(&mut chan.conn, &mut chan.dec)
             .map_err(|e| e.to_string())?
             .into_iter();
@@ -1564,9 +1731,6 @@ fn try_connect(
             link.resume(&mut chan.conn, last_seen)
                 .map_err(|e| e.to_string())?;
             return Ok((chan, batch.collect()));
-        }
-        if Instant::now() >= deadline {
-            return Err("no Welcome within the handshake window".to_string());
         }
     }
 }

@@ -95,17 +95,20 @@ fn refusals(name: &str) -> Vec<(&'static str, u8)> {
 }
 
 /// Fast-cadence fault profiles (the CLI-facing parse() defaults are
-/// tuned for human-scale runs; the matrix wants tight windows).
+/// tuned for human-scale runs; the matrix wants tight windows). A
+/// two-session run takes a few milliseconds to a few tens of them, so
+/// the faults have to strike within the first milliseconds of a
+/// connection to land inside the run at all.
 fn profile(which: &str) -> LinkFaults {
     match which {
         "clean" => LinkFaults::Clean,
         "flaky-link" => LinkFaults::Flaky {
             max_kills: 2,
-            life_ms: (40, 110),
+            life_ms: (3, 15),
         },
         "partition-heal" => LinkFaults::Partition {
-            after_ms: (30, 70),
-            heal_ms: (60, 140),
+            after_ms: (3, 15),
+            heal_ms: (20, 60),
         },
         other => panic!("unknown profile {other}"),
     }
@@ -511,5 +514,145 @@ fn refusal_verdicts_agree_across_engines() {
         expected,
         "distributed; events: {:?}",
         distributed.transport_events
+    );
+}
+
+fn transport2() -> String {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/transport2.lotos");
+    std::fs::read_to_string(path).expect("specs/transport2.lotos")
+}
+
+/// A connection that never says `Hello` must not hold up the run: the
+/// hub keeps it in its poll set with its own deadline (`dead_after`)
+/// while the sessions flow. One silent peer is queued on the listener
+/// before any entity joins, so its deadline passes during the run and
+/// it must be reported as timed out; a second connects while the
+/// sessions are running. Every session must conform, and none may wait
+/// anywhere near the 300 ms the hub gives a silent connection.
+#[test]
+fn silent_peer_does_not_stall_the_hub() {
+    let watchdog = Watchdog::arm(
+        "silent_peer_does_not_stall_the_hub",
+        Duration::from_secs(120),
+    );
+    watchdog.enter("transport2, 2000 sessions, two silent peers".to_string());
+    let derived = Pipeline::load(&transport2())
+        .unwrap()
+        .check()
+        .unwrap()
+        .derive()
+        .unwrap();
+    let d = derived.derivation();
+    let dcfg = DistributedConfig {
+        heartbeat: Duration::from_millis(20),
+        dead_after: Duration::from_millis(300),
+        join_deadline: Duration::from_secs(10),
+        stall_timeout: Duration::from_secs(20),
+        ..DistributedConfig::new(Addr::Tcp("127.0.0.1:0".to_string()))
+    };
+    let listener = dcfg.listen.listen().unwrap();
+    let hub_addr = listener.local_addr().unwrap();
+    const SESSIONS: usize = 2000;
+    let cfg = RuntimeConfig::new().sessions(SESSIONS).threads(2).seed(7);
+
+    let early_silent = hub_addr.connect(Duration::from_secs(2)).unwrap();
+    let entities = d.entities.clone();
+    let launcher = std::thread::spawn(move || {
+        // Join after the early peer's handshake deadline has passed.
+        std::thread::sleep(Duration::from_millis(450));
+        let handles: Vec<_> = entities
+            .into_iter()
+            .map(|(p, spec)| {
+                let mut scfg = ServeConfig::new(hub_addr.clone(), p);
+                scfg.heartbeat = Duration::from_millis(20);
+                std::thread::spawn(move || serve_entity(&spec, &scfg))
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(20));
+        let late_silent = hub_addr.connect(Duration::from_secs(2)).unwrap();
+        let outcomes: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        // Still open: the hub may be in its shutdown drain.
+        (outcomes, late_silent)
+    });
+
+    let report = run_hub_on(d, &cfg, &dcfg, listener).expect("hub run");
+    let (outcomes, late_silent) = launcher.join().unwrap();
+    for outcome in outcomes {
+        outcome.expect("entity outcome");
+    }
+    drop((early_silent, late_silent));
+
+    assert_eq!(report.sessions, SESSIONS);
+    assert_eq!(
+        report.conforming, SESSIONS,
+        "events: {:?}",
+        report.transport_events
+    );
+    let slowest = report.reports.iter().map(|r| r.latency_us).max().unwrap();
+    assert!(
+        slowest < 1_000_000,
+        "a silent peer stalled the hub: slowest session took {slowest} µs"
+    );
+    assert!(
+        report
+            .transport_events
+            .iter()
+            .any(|e| e == "handshake failed: no Hello within the handshake timeout"),
+        "silent peer not reported: {:?}",
+        report.transport_events
+    );
+    let hello_events = report
+        .transport_events
+        .iter()
+        .filter(|e| e.contains("Hello"))
+        .count();
+    assert_eq!(
+        hello_events, 2,
+        "each silent peer is reported once: {:?}",
+        report.transport_events
+    );
+}
+
+/// With one session in flight the hub must be woken by the traffic, not
+/// by a timer: the fastest of five one-session transport2 runs over
+/// loopback finishes (set-up, session and shutdown drain) within 10 ms.
+#[test]
+fn single_session_is_not_timer_bound() {
+    let watchdog = Watchdog::arm("single_session_is_not_timer_bound", Duration::from_secs(60));
+    watchdog.enter("transport2, 1 session, 5 runs".to_string());
+    let derived = Pipeline::load(&transport2())
+        .unwrap()
+        .check()
+        .unwrap()
+        .derive()
+        .unwrap();
+    let d = derived.derivation();
+    let cfg = RuntimeConfig::new().sessions(1).threads(1).seed(7);
+    let mut walls = Vec::new();
+    for _ in 0..5 {
+        let dcfg = DistributedConfig::new(Addr::Tcp("127.0.0.1:0".to_string()));
+        let listener = dcfg.listen.listen().unwrap();
+        let hub_addr = listener.local_addr().unwrap();
+        let handles: Vec<_> = d
+            .entities
+            .iter()
+            .map(|(p, spec)| {
+                let scfg = ServeConfig::new(hub_addr.clone(), *p);
+                let spec = spec.clone();
+                std::thread::spawn(move || serve_entity(&spec, &scfg))
+            })
+            .collect();
+        let report = run_hub_on(d, &cfg, &dcfg, listener).expect("hub run");
+        for h in handles {
+            h.join().expect("entity thread").expect("entity outcome");
+        }
+        assert!(report.passed(), "events: {:?}", report.transport_events);
+        walls.push(report.wall_s);
+    }
+    let fastest = walls.iter().copied().fold(f64::INFINITY, f64::min);
+    assert!(
+        fastest < 0.010,
+        "fastest one-session run took {:.1} ms (runs: {walls:?})",
+        fastest * 1e3
     );
 }

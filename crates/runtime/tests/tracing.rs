@@ -113,13 +113,16 @@ fn distributed_flaky_run_merges_one_causal_trace() {
     // a reconnect and a retransmission (each run must be causally sound
     // regardless). Short connection lives and a deep session backlog
     // keep frames in flight when the kill lands, so a retransmitting
-    // resume shows up within a few seeds on any host.
+    // resume shows up within a few seeds on any host. A hundred
+    // sessions last a few milliseconds over loopback, so the kills come
+    // within the first milliseconds of a connection; the recorder rings
+    // (4096 events each) still hold every event of the run.
     for seed in [0xC0FFEEu64, 991, 7, 42, 0xBEEF, 12345, 5, 0xDEAD, 99, 2024] {
         let faults = LinkFaults::Flaky {
             max_kills: 4,
-            life_ms: (20, 70),
+            life_ms: (2, 8),
         };
-        let (report, log) = run_traced(&src, faults, seed, 12);
+        let (report, log) = run_traced(&src, faults, seed, 100);
         assert!(
             report.passed(),
             "seed {seed}: flaky run failed: {:?}",

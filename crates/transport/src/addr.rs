@@ -4,6 +4,7 @@
 use std::fmt;
 use std::io;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -96,6 +97,15 @@ impl Listener {
         match self {
             Listener::Tcp(l) => Ok(Addr::Tcp(l.local_addr()?.to_string())),
             Listener::Uds(_, path) => Ok(Addr::Uds(path.clone())),
+        }
+    }
+
+    /// The listening socket's file descriptor: readable when a
+    /// connection is waiting to be accepted.
+    pub fn raw_fd(&self) -> RawFd {
+        match self {
+            Listener::Tcp(l) => l.as_raw_fd(),
+            Listener::Uds(l, _) => l.as_raw_fd(),
         }
     }
 

@@ -34,7 +34,7 @@ pub mod proxy;
 pub mod wire;
 
 pub use addr::{Addr, Listener};
-pub use conn::{is_poll_timeout, Conn};
+pub use conn::{is_poll_timeout, wait_readable, Conn};
 pub use link::{Backoff, BatchConfig, Channel, Link, LinkStats};
 pub use pool::BufPool;
 pub use proxy::{FaultProxy, LinkFaults};

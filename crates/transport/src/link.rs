@@ -389,6 +389,13 @@ impl Link {
         Some(msg)
     }
 
+    /// When the idle timer makes a pure ack due, if one is owed: the
+    /// latest an event loop may sleep before calling
+    /// [`Link::maybe_ack`].
+    pub fn ack_due(&self) -> Option<Instant> {
+        self.ack_due
+    }
+
     /// Push a pure cumulative ack if one is owed: unconditionally with
     /// `force`, after [`ACK_EVERY`] sequenced frames as a backstop, or
     /// once the idle timer ([`BatchConfig::flush_interval`]) expires

@@ -25,7 +25,11 @@ use std::time::{Duration, Instant};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::addr::Addr;
-use crate::conn::{is_poll_timeout, Conn};
+use crate::conn::{is_poll_timeout, wait_readable, Conn};
+
+/// How often the proxy's threads look at the stop flag, the kill
+/// deadline and the partition window while no bytes arrive.
+const STOP_CHECK: Duration = Duration::from_millis(5);
 
 /// Connection-level fault profile.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,7 +136,9 @@ impl FaultProxy {
                             pump(client, upstream, kill_at, window, stop3, kills3);
                         }));
                     }
-                    Ok(None) => thread::sleep(Duration::from_millis(2)),
+                    Ok(None) => {
+                        let _ = wait_readable(&[listener.raw_fd()], Some(STOP_CHECK));
+                    }
                     Err(_) => break,
                 }
             }
@@ -176,8 +182,11 @@ fn in_window(window: Option<(Instant, Instant)>, now: Instant) -> bool {
     window.is_some_and(|(from, to)| now >= from && now < to)
 }
 
-/// Forward bytes in both directions on one thread with short poll
-/// timeouts, honouring the kill deadline and the partition window.
+/// Forward bytes in both directions on one thread, full duplex: wait
+/// until either side is readable and move what arrived, so neither
+/// direction waits on the other. The wait is bounded by [`STOP_CHECK`],
+/// which is also the granularity of the kill deadline and the partition
+/// window.
 fn pump(
     mut client: Conn,
     mut upstream: Conn,
@@ -186,8 +195,9 @@ fn pump(
     stop: Arc<AtomicBool>,
     kills: Arc<AtomicU64>,
 ) {
-    let poll = Some(Duration::from_millis(5));
-    if client.set_read_timeout(poll).is_err() || upstream.set_read_timeout(poll).is_err() {
+    // Reads follow readiness; the timeout is only a backstop.
+    let backstop = Some(STOP_CHECK);
+    if client.set_read_timeout(backstop).is_err() || upstream.set_read_timeout(backstop).is_err() {
         return;
     }
     let _ = client.set_write_timeout(Some(Duration::from_millis(500)));
@@ -205,41 +215,28 @@ fn pump(
         if in_window(window, now) {
             break; // partition hits established connections too
         }
-        let fwd = forward(&mut client, &mut upstream, &mut buf);
-        let bwd = match fwd {
-            Step::Dead => Step::Dead,
-            _ => forward(&mut upstream, &mut client, &mut buf),
+        let Ok(ready) = wait_readable(&[client.raw_fd(), upstream.raw_fd()], Some(STOP_CHECK))
+        else {
+            break;
         };
-        if matches!(fwd, Step::Dead) || matches!(bwd, Step::Dead) {
+        if ready[0] && !forward(&mut client, &mut upstream, &mut buf) {
             break;
         }
-        if matches!(fwd, Step::Idle) && matches!(bwd, Step::Idle) {
-            thread::sleep(Duration::from_millis(1));
+        if ready[1] && !forward(&mut upstream, &mut client, &mut buf) {
+            break;
         }
     }
     client.shutdown();
     upstream.shutdown();
 }
 
-enum Step {
-    Idle,
-    Moved,
-    Dead,
-}
-
-/// Move whatever bytes are ready from `src` to `dst`.
-fn forward(src: &mut Conn, dst: &mut Conn, buf: &mut [u8]) -> Step {
+/// Move whatever bytes are ready from `src` to `dst`. `false` once
+/// either side is gone.
+fn forward(src: &mut Conn, dst: &mut Conn, buf: &mut [u8]) -> bool {
     match src.read(buf) {
-        Ok(0) => Step::Dead, // orderly EOF: tear down both directions
-        Ok(n) => {
-            if dst.write_all(&buf[..n]).is_err() {
-                Step::Dead
-            } else {
-                Step::Moved
-            }
-        }
-        Err(e) if is_poll_timeout(&e) => Step::Idle,
-        Err(_) => Step::Dead,
+        Ok(0) => false, // orderly EOF: tear down both directions
+        Ok(n) => dst.write_all(&buf[..n]).is_ok(),
+        Err(e) => is_poll_timeout(&e),
     }
 }
 

@@ -393,8 +393,9 @@ fn rd_byte(b: &[u8], at: &mut usize) -> Result<u8, CodecError> {
 
 /// Read whatever bytes are available within the connection's read
 /// timeout, feed the frame decoder, and return the decoded messages.
-/// `Ok(..)` with an empty vec means the poll window elapsed quietly;
-/// `Err` means the connection is gone (EOF, reset, or corrupt stream).
+/// `Ok(..)` with an empty vec means no whole frame arrived (the read
+/// timed out, or only part of a frame is in); `Err` means the
+/// connection is gone (EOF, reset, or corrupt stream).
 ///
 /// A frame carrying a nonzero piggybacked ack yields a synthetic
 /// `(0, WireMsg::Ack)` entry *before* the message itself, so callers
