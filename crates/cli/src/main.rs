@@ -619,9 +619,9 @@ fn run(args: &[String]) -> Result<(), ProtogenError> {
             Ok(())
         }
         "derive" => {
+            let only: Option<u8> = parse_flag(rest, "-p")?;
             let derived = load_pipeline(rest)?.check()?.derive()?;
             let d = derived.derivation();
-            let only: Option<u8> = flag_value(rest, "-p").map(|v| v.parse().unwrap_or(0));
             for (p, entity) in &d.entities {
                 if let Some(q) = only {
                     if *p != q {
@@ -674,9 +674,7 @@ fn run(args: &[String]) -> Result<(), ProtogenError> {
                     ..sim::LinkConfig::default()
                 });
             }
-            let runs: usize = flag_value(rest, "--runs")
-                .map(|v| v.parse().unwrap_or(1))
-                .unwrap_or(1);
+            let runs: usize = parse_flag(rest, "--runs")?.unwrap_or(1);
             let mut ok = true;
             for r in 0..runs {
                 let outcome = simulate(

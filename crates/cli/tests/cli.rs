@@ -480,3 +480,23 @@ fn run_rejects_bad_fault_profile() {
     assert!(!ok);
     assert!(stderr.contains("--faults"), "{stderr}");
 }
+
+/// Non-numeric values of `derive -p` and `simulate --runs` are usage
+/// errors (exit 1), like `--seed`, not silently place 0 or one run.
+#[test]
+fn bad_place_and_runs_values_fail_with_usage() {
+    let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/transport2.lotos");
+    for (args, msg) in [
+        (["derive", spec, "-p", "x"], "bad -p value"),
+        (["simulate", spec, "--runs", "x"], "bad --runs value"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_protogen"))
+            .args(args)
+            .output()
+            .expect("run protogen");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(msg), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed output");
+    }
+}

@@ -1,392 +1,29 @@
-//! The executor backend API: interpreted vs compiled entity stepping.
+//! Backend selection for a run: which entities step from tables.
 //!
-//! Both the local multiplexer ([`crate::exec`]) and the distributed
-//! server ([`crate::distributed::serve_entity`]) drive one place-local
-//! behaviour per session. This module abstracts *how* a step is taken
-//! behind [`EntityBackend`]:
-//!
-//! * [`InterpretedBackend`] — the original path: hash-consed
-//!   [`Engine`] terms, memoized transition rows.
-//! * [`CompiledBackend`] — a [`semantics::lower::CompiledEntity`]
-//!   transition table walked with array indexing; per-session state is a
-//!   dense state id plus a small occurrence-register file (see
-//!   `docs/COMPILED.md`).
-//!
-//! The row a backend exposes preserves the interpreted successor order
-//! exactly (tables are built from [`Engine::transitions`], which matches
-//! `sos::transitions`), so backend choice never changes which move a
-//! given RNG draw selects — the property the differential parity suite
-//! pins down.
-//!
-//! ## Call discipline
-//!
-//! `offers(&mut self, state)` loads the current row and returns its
-//! length; [`EntityBackend::offer`] then gives borrowing views into it
-//! and [`EntityBackend::step`] advances along one of its entries. The
-//! row stays valid until the next `offers`/`step` call (one backend
-//! instance serves many sessions by re-loading between them).
+//! The stepper itself — [`EntityBackend`], [`Backend`] and its
+//! interpreted and compiled implementations — lives in
+//! [`semantics::backend`], because the discrete-event simulator in `sim`
+//! steps entities through it too. This module adds what needs the
+//! runtime's [`BackendChoice`]: [`lower_for`] lowers each entity of a
+//! derivation once per run, and every engine (deterministic, concurrent,
+//! the hub and `serve_entity`) builds its backends from the result with
+//! [`make_backend`].
 
 use crate::config::BackendChoice;
 use lotos::ast::Spec;
-use lotos::event::{MsgId, SyncKind};
 use lotos::place::PlaceId;
-use semantics::engine::{Engine, TermArena, TermId};
-use semantics::hash::FxHashMap;
-use semantics::lower::{lower_entity, CompiledEntity, LabelTpl, LowerConfig, OccBase};
-use semantics::term::{Label, OccTable};
-use std::sync::{Arc, Mutex};
+use semantics::lower::{lower_entity, CompiledEntity, LowerConfig};
+use std::sync::Arc;
 
-/// Per-session cursor into a backend: an opaque state id plus the
-/// occurrence registers of that state (empty for the interpreted
-/// backend, whose terms carry concrete occurrences internally).
-#[derive(Clone, Debug)]
-pub struct BState {
-    pub id: u32,
-    pub regs: Vec<u32>,
-}
-
-/// Which backend implementation is running (reported per run, recorded
-/// in BENCH snapshots so numbers from different backends never mix).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BackendKind {
-    Interpreted,
-    Compiled,
-}
-
-impl BackendKind {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            BackendKind::Interpreted => "interpreted",
-            BackendKind::Compiled => "compiled",
-        }
-    }
-}
-
-/// A borrowed view of one offered transition — everything the executor
-/// needs to classify the move against the medium, nothing owned.
-pub enum OfferView<'a> {
-    I,
-    Delta,
-    Prim {
-        name: &'a str,
-        place: PlaceId,
-    },
-    Send {
-        to: PlaceId,
-        msg: &'a MsgId,
-        occ: u32,
-        kind: SyncKind,
-    },
-    Recv {
-        from: PlaceId,
-        msg: &'a MsgId,
-        occ: u32,
-        kind: SyncKind,
-    },
-}
-
-/// How a protocol entity is stepped, one session at a time.
-pub trait EntityBackend {
-    /// Fresh per-session cursor at the entity's initial state.
-    fn init(&mut self) -> BState;
-    /// Load the offer row of `s`; returns the number of offers. The row
-    /// order is the interpreted successor order.
-    fn offers(&mut self, s: &BState) -> usize;
-    /// View offer `i` of the loaded row.
-    fn offer(&self, i: usize) -> OfferView<'_>;
-    /// Owned label of offer `i` of the loaded row (for effects/tracing).
-    fn label(&self, i: usize) -> Label;
-    /// Advance `s` along offer `i` of the loaded row.
-    fn step(&mut self, s: &mut BState, i: usize);
-    /// Does `s` offer δ (a termination vote)?
-    fn is_final(&mut self, s: &BState) -> bool;
-    fn kind(&self) -> BackendKind;
-}
-
-fn view_of(label: &Label) -> OfferView<'_> {
-    match label {
-        Label::I => OfferView::I,
-        Label::Delta => OfferView::Delta,
-        Label::Prim { name, place } => OfferView::Prim {
-            name,
-            place: *place,
-        },
-        Label::Send { to, msg, occ, kind } => OfferView::Send {
-            to: *to,
-            msg,
-            occ: *occ,
-            kind: *kind,
-        },
-        Label::Recv {
-            from,
-            msg,
-            occ,
-            kind,
-        } => OfferView::Recv {
-            from: *from,
-            msg,
-            occ: *occ,
-            kind: *kind,
-        },
-    }
-}
-
-/// Term interpretation via the hash-consed engine (the original
-/// executor path, now behind the backend API).
-pub struct InterpretedBackend {
-    pub engine: Engine,
-    row: Arc<[(Label, TermId)]>,
-}
-
-impl InterpretedBackend {
-    pub fn new(engine: Engine) -> InterpretedBackend {
-        InterpretedBackend {
-            engine,
-            row: Arc::from(Vec::new().into_boxed_slice()),
-        }
-    }
-}
-
-impl EntityBackend for InterpretedBackend {
-    fn init(&mut self) -> BState {
-        BState {
-            id: self.engine.root().raw(),
-            regs: Vec::new(),
-        }
-    }
-
-    fn offers(&mut self, s: &BState) -> usize {
-        self.row = self.engine.transitions(TermId::from_raw(s.id));
-        self.row.len()
-    }
-
-    fn offer(&self, i: usize) -> OfferView<'_> {
-        view_of(&self.row[i].0)
-    }
-
-    fn label(&self, i: usize) -> Label {
-        self.row[i].0.clone()
-    }
-
-    fn step(&mut self, s: &mut BState, i: usize) {
-        s.id = self.row[i].1.raw();
-    }
-
-    fn is_final(&mut self, s: &BState) -> bool {
-        self.engine
-            .transitions(TermId::from_raw(s.id))
-            .iter()
-            .any(|(l, _)| matches!(l, Label::Delta))
-    }
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::Interpreted
-    }
-}
-
-/// Table-driven stepping over a lowered entity. Occurrence values are
-/// produced by evaluating each transition's register sources against the
-/// run's shared occurrence table; a local `(parent, site) → child` cache
-/// keeps the shared-table mutex off the hot path (child interning is
-/// append-only, so cached entries never go stale).
-pub struct CompiledBackend {
-    pub ent: Arc<CompiledEntity>,
-    occ: Arc<Mutex<OccTable>>,
-    child_cache: FxHashMap<(u32, u32), u32>,
-    /// Evaluated occurrence per transition of the loaded row.
-    occs: Vec<u32>,
-    /// Loaded row bounds into `ent.trans`.
-    row_start: usize,
-    row_len: usize,
-    regs_scratch: Vec<u32>,
-}
-
-impl CompiledBackend {
-    pub fn new(ent: Arc<CompiledEntity>, occ: Arc<Mutex<OccTable>>) -> CompiledBackend {
-        CompiledBackend {
-            ent,
-            occ,
-            child_cache: FxHashMap::default(),
-            occs: Vec::new(),
-            row_start: 0,
-            row_len: 0,
-            regs_scratch: Vec::new(),
-        }
-    }
-}
-
-/// Evaluate an occurrence source against `regs`, chaining through the
-/// backend-local child cache (falling back to the shared table to
-/// intern). Free function so callers can borrow the table and the cache
-/// disjointly from the rest of the backend.
-fn eval_src(
-    src: &semantics::lower::OccSrc,
-    regs: &[u32],
-    cache: &mut FxHashMap<(u32, u32), u32>,
-    occ: &Mutex<OccTable>,
-) -> u32 {
-    let mut v = match src.base {
-        OccBase::Root => 0,
-        OccBase::Reg(j) => regs[j as usize],
-    };
-    for &site in &src.sites {
-        v = match cache.get(&(v, site)) {
-            Some(&c) => c,
-            None => {
-                let c = occ.lock().expect("occ table poisoned").child(v, site);
-                cache.insert((v, site), c);
-                c
-            }
-        };
-    }
-    v
-}
-
-impl EntityBackend for CompiledBackend {
-    fn init(&mut self) -> BState {
-        let regs = self
-            .ent
-            .initial_regs
-            .iter()
-            .map(|s| eval_src(s, &[], &mut self.child_cache, &self.occ))
-            .collect();
-        BState { id: 0, regs }
-    }
-
-    fn offers(&mut self, s: &BState) -> usize {
-        self.row_start = self.ent.row_off[s.id as usize] as usize;
-        let row_end = self.ent.row_off[s.id as usize + 1] as usize;
-        self.row_len = row_end - self.row_start;
-        self.occs.clear();
-        for t in &self.ent.trans[self.row_start..row_end] {
-            // Occurrences only matter on Send/Recv, but evaluating
-            // unconditionally is branch-free: non-message labels carry a
-            // Root/empty source that evaluates to 0.
-            let v = match t.occ.as_reg() {
-                Some(j) => s.regs[j as usize],
-                None => eval_src(&t.occ, &s.regs, &mut self.child_cache, &self.occ),
-            };
-            self.occs.push(v);
-        }
-        self.row_len
-    }
-
-    fn offer(&self, i: usize) -> OfferView<'_> {
-        let t = &self.ent.trans[self.row_start + i];
-        match &self.ent.labels[t.label as usize] {
-            LabelTpl::I => OfferView::I,
-            LabelTpl::Delta => OfferView::Delta,
-            LabelTpl::Prim { name, place } => OfferView::Prim {
-                name,
-                place: *place,
-            },
-            LabelTpl::Send { to, msg, kind } => OfferView::Send {
-                to: *to,
-                msg,
-                occ: self.occs[i],
-                kind: *kind,
-            },
-            LabelTpl::Recv { from, msg, kind } => OfferView::Recv {
-                from: *from,
-                msg,
-                occ: self.occs[i],
-                kind: *kind,
-            },
-        }
-    }
-
-    fn label(&self, i: usize) -> Label {
-        let t = &self.ent.trans[self.row_start + i];
-        self.ent.labels[t.label as usize].materialize(self.occs[i])
-    }
-
-    fn step(&mut self, s: &mut BState, i: usize) {
-        let t = &self.ent.trans[self.row_start + i];
-        self.regs_scratch.clear();
-        for src in &t.regs {
-            let v = match src.as_reg() {
-                Some(j) => s.regs[j as usize],
-                None => eval_src(src, &s.regs, &mut self.child_cache, &self.occ),
-            };
-            self.regs_scratch.push(v);
-        }
-        std::mem::swap(&mut s.regs, &mut self.regs_scratch);
-        s.id = t.next;
-    }
-
-    fn is_final(&mut self, s: &BState) -> bool {
-        self.ent.offers_delta[s.id as usize]
-    }
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::Compiled
-    }
-}
-
-/// The two backends behind one statically-dispatched type (executor hot
-/// loops stay monomorphic; no `dyn`).
-pub enum Backend {
-    Interpreted(InterpretedBackend),
-    Compiled(CompiledBackend),
-}
-
-impl EntityBackend for Backend {
-    fn init(&mut self) -> BState {
-        match self {
-            Backend::Interpreted(b) => b.init(),
-            Backend::Compiled(b) => b.init(),
-        }
-    }
-
-    fn offers(&mut self, s: &BState) -> usize {
-        match self {
-            Backend::Interpreted(b) => b.offers(s),
-            Backend::Compiled(b) => b.offers(s),
-        }
-    }
-
-    fn offer(&self, i: usize) -> OfferView<'_> {
-        match self {
-            Backend::Interpreted(b) => b.offer(i),
-            Backend::Compiled(b) => b.offer(i),
-        }
-    }
-
-    fn label(&self, i: usize) -> Label {
-        match self {
-            Backend::Interpreted(b) => b.label(i),
-            Backend::Compiled(b) => b.label(i),
-        }
-    }
-
-    fn step(&mut self, s: &mut BState, i: usize) {
-        match self {
-            Backend::Interpreted(b) => b.step(s, i),
-            Backend::Compiled(b) => b.step(s, i),
-        }
-    }
-
-    fn is_final(&mut self, s: &BState) -> bool {
-        match self {
-            Backend::Interpreted(b) => b.is_final(s),
-            Backend::Compiled(b) => b.is_final(s),
-        }
-    }
-
-    fn kind(&self) -> BackendKind {
-        match self {
-            Backend::Interpreted(b) => b.kind(),
-            Backend::Compiled(b) => b.kind(),
-        }
-    }
-}
+pub use semantics::backend::{make_backend, BState, Backend, EntityBackend, OfferView};
 
 /// Lower each entity of a derivation once per run, honoring the backend
 /// choice. Returns `None` per entity that must interpret:
 ///
 /// * `Interpreted` — never lowers;
 /// * `Auto` — lowers where possible, silently falls back where not
-///   (unbounded recursion unrolling, see [`LowerError`]);
+///   (unbounded recursion unrolling, see
+///   [`semantics::lower::LowerError`]);
 /// * `Compiled` — lowering failure is a hard error (the caller asked for
 ///   tables; running something else would silently change what is being
 ///   measured).
@@ -411,83 +48,10 @@ pub fn lower_for(
         .collect()
 }
 
-/// Build the backend for one entity of a run: compiled when tables were
-/// lowered for it, interpreted otherwise. `arena`/`occ` are the run's
-/// shared term arena and §3.5 occurrence table (both backends intern
-/// occurrences through the same table, so entities agree on instance
-/// numbers regardless of per-entity backend mix).
-pub fn make_backend(
-    spec: &Spec,
-    compiled: Option<Arc<CompiledEntity>>,
-    arena: &Arc<TermArena>,
-    occ: &Arc<Mutex<OccTable>>,
-) -> Backend {
-    match compiled {
-        Some(ent) => Backend::Compiled(CompiledBackend::new(ent, Arc::clone(occ))),
-        None => Backend::Interpreted(InterpretedBackend::new(Engine::with_shared(
-            spec.clone(),
-            Arc::clone(arena),
-            Arc::clone(occ),
-        ))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lotos::parser::parse_spec;
-
-    fn backends(src: &str) -> (Backend, Backend) {
-        let spec = parse_spec(src).unwrap();
-        let arena = Arc::new(TermArena::new());
-        let occ = Arc::new(Mutex::new(OccTable::new()));
-        let interp = make_backend(&spec, None, &arena, &occ);
-        let ent = lower_entity(&spec, 1, &LowerConfig::default()).unwrap();
-        let arena2 = Arc::new(TermArena::new());
-        let occ2 = Arc::new(Mutex::new(OccTable::new()));
-        let comp = make_backend(&spec, Some(Arc::new(ent)), &arena2, &occ2);
-        (interp, comp)
-    }
-
-    /// Walk both backends lock-step, always taking the first offer, and
-    /// require identical label sequences.
-    #[test]
-    fn first_offer_walk_agrees() {
-        let (mut a, mut b) = backends(
-            "SPEC s2(s,1); exit >> A WHERE PROC A = r2(s,2); exit >> s2(s,3); exit >> A END ENDSPEC",
-        );
-        let mut sa = a.init();
-        let mut sb = b.init();
-        for _ in 0..40 {
-            let (na, nb) = (a.offers(&sa), b.offers(&sb));
-            assert_eq!(na, nb);
-            if na == 0 {
-                break;
-            }
-            let (la, lb) = (a.label(0), b.label(0));
-            assert_eq!(format!("{la}"), format!("{lb}"));
-            if matches!(la, Label::Delta) {
-                break;
-            }
-            a.step(&mut sa, 0);
-            b.step(&mut sb, 0);
-        }
-    }
-
-    #[test]
-    fn is_final_agrees_on_terminal_state() {
-        let (mut a, mut b) = backends("SPEC a1; exit ENDSPEC");
-        let mut sa = a.init();
-        let mut sb = b.init();
-        assert!(!a.is_final(&sa));
-        assert!(!b.is_final(&sb));
-        a.offers(&sa);
-        a.step(&mut sa, 0);
-        b.offers(&sb);
-        b.step(&mut sb, 0);
-        assert!(a.is_final(&sa));
-        assert!(b.is_final(&sb));
-    }
 
     #[test]
     fn lower_for_honors_choice() {

@@ -61,7 +61,7 @@
 //! ack, heartbeat or silence timer is due. Nothing else ever needs to
 //! wake either loop, so there is no self-pipe.
 
-use crate::compiled::{lower_for, make_backend, BState, Backend, EntityBackend, OfferView};
+use crate::compiled::lower_for;
 use crate::config::{BackendChoice, RuntimeConfig};
 use crate::entity::pack_msg_event;
 use crate::exec::{backend_desc, configured_refusal, run_registry, Completed, Monitor, Tally};
@@ -77,6 +77,7 @@ use obs::{EventKind, Recorder, Registry};
 use protogen::derive::Derivation;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use semantics::backend::{make_backend, BState, Backend, EntityBackend, OfferView};
 use semantics::engine::TermArena;
 use semantics::hash::fx_hash;
 use semantics::term::{Label, OccTable};
@@ -371,7 +372,7 @@ impl EntityLink {
     }
 
     /// Queue unsequenced control traffic (dropped if disconnected).
-    fn push_control(&mut self, msg: WireMsg, _events: &mut Vec<String>) {
+    fn push_control(&mut self, msg: WireMsg) {
         if self.chan.is_some() {
             self.link.queue(msg);
         }
@@ -440,10 +441,6 @@ impl EntityLink {
                 self.place
             ));
         }
-    }
-
-    fn report(&self) -> LinkReport {
-        report_of(&self.link)
     }
 }
 
@@ -780,7 +777,7 @@ pub fn run_hub_on(
                 } else if now.duration_since(link.last_heartbeat) >= dcfg.heartbeat {
                     link.last_heartbeat = now;
                     let nonce = link.link.stats.frames_sent;
-                    link.push_control(WireMsg::Heartbeat { nonce }, &mut events);
+                    link.push_control(WireMsg::Heartbeat { nonce });
                 }
             }
             if let Some(t) = link.disconnected_at {
@@ -1004,7 +1001,7 @@ pub fn run_hub_on(
     publish_batch_counters(&links, metrics.as_ref());
     tally.per_link = links
         .iter()
-        .map(|l| (format!("place:{}", l.place), l.report()))
+        .map(|l| (format!("place:{}", l.place), report_of(&l.link)))
         .collect();
     let report = tally.finish(
         "distributed",
@@ -1258,7 +1255,7 @@ fn hub_handle(
             }
         }
         WireMsg::Heartbeat { nonce } => {
-            links[idx].push_control(WireMsg::HeartbeatAck { nonce }, events);
+            links[idx].push_control(WireMsg::HeartbeatAck { nonce });
         }
         WireMsg::HeartbeatAck { .. } => {}
         other => {
@@ -1362,7 +1359,6 @@ struct EntSession {
     consumed: u64,
     steps: u64,
     max_steps: u64,
-    parked: bool,
     /// Per-session Lamport clock: merged with the wire clock of every
     /// arriving `Data` frame, +1 per executed move, and stamped on every
     /// outgoing `Prim`/`Data` frame and recorded event.
@@ -1431,7 +1427,7 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
                 // The run is over and the tail flush is best-effort:
                 // don't burn the whole retry budget chasing a hub that
                 // already closed its drain window.
-                outcome.link = stats_of(&link);
+                outcome.link = report_of(&link);
                 return Ok(outcome);
             }
             // While lingering after a shutdown, stop retrying at the
@@ -1464,7 +1460,7 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
                         // Completed run, unreachable hub: exit cleanly
                         // rather than report a transport failure just
                         // because the trace tail could not land.
-                        outcome.link = stats_of(&link);
+                        outcome.link = report_of(&link);
                         return Ok(outcome);
                     }
                     return Err(format!(
@@ -1578,7 +1574,7 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
                 if let Some(ch) = chan.as_mut() {
                     let _ = link.maybe_ack(&mut ch.conn, true);
                 }
-                outcome.link = stats_of(&link);
+                outcome.link = report_of(&link);
                 return Ok(outcome);
             }
         }
@@ -1656,10 +1652,6 @@ fn drop_chan(chan: &mut Option<Channel>, link: &mut Link) {
         ch.conn.shutdown();
     }
     link.discard_batch();
-}
-
-fn stats_of(link: &Link) -> LinkReport {
-    report_of(link)
 }
 
 /// Connect + handshake + resume, retrying under the backoff schedule
@@ -1771,7 +1763,6 @@ fn entity_handle(
                     consumed: 0,
                     steps: 0,
                     max_steps,
-                    parked: false,
                     lc: 0,
                 },
             );
@@ -1792,7 +1783,6 @@ fn entity_handle(
             };
             msg.occ = occ.lock().expect("occ table poisoned").resolve_path(&path);
             s.seen += 1;
-            s.parked = false;
             // Lamport merge: everything this session does next is causally
             // after the sender's clock at send time.
             s.lc = s.lc.max(lc);
@@ -1933,8 +1923,7 @@ fn step_session(
 
 /// Park a session: report a [`WireMsg::Status`] so the hub can count
 /// quiescence.
-fn park(id: u64, s: &mut EntSession, vote: bool, outbox: &mut Vec<WireMsg>) {
-    s.parked = true;
+fn park(id: u64, s: &EntSession, vote: bool, outbox: &mut Vec<WireMsg>) {
     outbox.push(WireMsg::Status {
         session: id,
         seen: s.seen,

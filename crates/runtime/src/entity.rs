@@ -27,7 +27,6 @@
 //!   ([`medium::Capacity::Bounded`] semantics) — the thread never parks
 //!   on one session's backpressure; it works other sessions.
 
-use crate::compiled::{BState, Backend, EntityBackend, OfferView};
 use crate::config::RuntimeConfig;
 use crate::metrics::Metrics;
 use crate::session::{SessionEnd, SessionSlot};
@@ -37,6 +36,7 @@ use medium::Msg;
 use obs::{EventKind, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use semantics::backend::{BState, Backend, EntityBackend, OfferView};
 use semantics::hash::{fx_hash, FxHashMap};
 use semantics::term::Label;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -199,7 +199,7 @@ pub struct EntityWorker {
     /// Total number of entities.
     pub n: usize,
     /// How this entity's behaviour is stepped: interpreted terms or a
-    /// compiled transition table (see [`crate::compiled`]).
+    /// compiled transition table (see [`semantics::backend`]).
     pub backend: Backend,
     pub cfg: RuntimeConfig,
     /// Notifiers of *all* entities, indexed like the entity list.

@@ -12,8 +12,14 @@
 //!   of the discrete-event simulator ([`sim::des`]) — bit-reproducible,
 //!   and byte-identical to `protogen simulate` for the same seed. This is
 //!   the reference engine the concurrent one is tested against.
+//!
+//! Both engines step entities through [`semantics::backend`], with one
+//! backend per entity built once per run (`run_backends`) from the
+//! same [`lower_for`] result over one shared arena and occurrence table.
+//! So under `--backend auto` both run (and report) the same per-entity
+//! mix of compiled and interpreted entities.
 
-use crate::compiled::{lower_for, make_backend};
+use crate::compiled::{lower_for, make_backend, Backend};
 use crate::config::{FaultProfile, RuntimeConfig};
 use crate::entity::{CompletionQueue, EntityWorker, Notifier};
 use crate::metrics::{
@@ -375,6 +381,19 @@ impl<'a> Tally<'a> {
     }
 }
 
+/// One backend per entity of `d`, for a whole run. They share one arena
+/// and one occurrence table, so all entities (and all sessions) agree on
+/// §3.5 instance numbers and share transition memoization.
+fn run_backends(d: &Derivation, lowered: &[Option<Arc<CompiledEntity>>]) -> Vec<Backend> {
+    let arena = Arc::new(TermArena::new());
+    let occ = Arc::new(Mutex::new(OccTable::new()));
+    d.entities
+        .iter()
+        .zip(lowered)
+        .map(|((_, spec), ent)| make_backend(spec, ent.clone(), &arena, &occ))
+        .collect()
+}
+
 fn run_concurrent(
     d: &Derivation,
     cfg: &RuntimeConfig,
@@ -388,11 +407,6 @@ fn run_concurrent(
         places.iter().enumerate().map(|(i, p)| (*p, i)).collect();
     let channels = medium::channels(d.all);
 
-    // One arena + one occurrence table shared by every entity engine, so
-    // all entities (and all sessions) agree on §3.5 instance numbers and
-    // share transition memoization.
-    let arena = Arc::new(TermArena::new());
-    let occ = Arc::new(Mutex::new(OccTable::new()));
     let notifiers: Vec<Arc<Notifier>> = (0..n).map(|_| Arc::new(Notifier::new())).collect();
     let completions = Arc::new(CompletionQueue::new());
     let metrics = Arc::new(Metrics::for_service(&d.service));
@@ -400,12 +414,14 @@ fn run_concurrent(
 
     let mut tally = Tally::new(&d.service, cfg, &metrics);
     std::thread::scope(|scope| {
-        for (idx, (place, spec)) in d.entities.iter().enumerate() {
+        for (idx, ((place, _), backend)) in
+            d.entities.iter().zip(run_backends(d, lowered)).enumerate()
+        {
             let worker = EntityWorker {
                 idx,
                 place: *place,
                 n,
-                backend: make_backend(spec, lowered[idx].clone(), &arena, &occ),
+                backend,
                 cfg: cfg.clone(),
                 notifiers: notifiers.clone(),
                 place_index: place_index.clone(),
@@ -589,16 +605,7 @@ fn run_deterministic(
     // Per-primitive wall latency is an inter-thread measurement; the
     // sequential engine reports session-level latency only.
     metrics.per_prim.clear();
-    // The DES steps compiled tables only when *every* entity lowered —
-    // a per-entity mix would still pay the interpreter's engine setup
-    // per session, which is what compiled stepping is here to avoid.
-    let tables: Option<Vec<Arc<CompiledEntity>>> =
-        lowered.iter().cloned().collect::<Option<Vec<_>>>();
-    let backend = if tables.is_some() {
-        "compiled"
-    } else {
-        "interpreted"
-    };
+    let mut backends = run_backends(d, lowered);
     // The DES engine is single-threaded: one recorder at place 0 replays
     // each session's primitive trace into the ring (lc = trace index + 1,
     // matching the concurrent engine's per-session step clocks).
@@ -607,10 +614,7 @@ fn run_deterministic(
 
     for k in 0..cfg.sessions {
         let t0 = Instant::now();
-        let outcome = match &tables {
-            Some(tables) => sim::des::simulate_compiled(d, des_config(cfg, k), tables),
-            None => sim::des::simulate(d, des_config(cfg, k)),
-        };
+        let outcome = sim::des::simulate_on(d, des_config(cfg, k), &mut backends);
         let latency_us = t0.elapsed().as_micros() as u64;
         let m = &outcome.metrics;
         metrics
@@ -682,7 +686,7 @@ fn run_deterministic(
     // no queues to gauge.
     tally.finish(
         "deterministic",
-        backend,
+        backend_desc(lowered),
         started,
         Vec::new(),
         Vec::new(),

@@ -8,10 +8,11 @@
 //! [`protogen::derive::Derivation`] as a distributed system in
 //! miniature:
 //!
-//! * one OS thread per protocol entity, interpreting its place-local
-//!   behaviour with the hash-consed [`semantics::engine::Engine`] (one
+//! * one OS thread per protocol entity, stepping its place-local
+//!   behaviour through [`semantics::backend`] — the hash-consed
+//!   [`semantics::engine::Engine`] or a table lowered from it — over one
 //!   shared term arena + §3.5 occurrence table, so transition memoization
-//!   is shared across sessions);
+//!   is shared across sessions;
 //! * per-ordered-pair channels reusing [`medium::Msg`] framing with
 //!   [`medium::Capacity`] send-side backpressure;
 //! * a session multiplexer driving many independent service sessions
@@ -54,9 +55,7 @@ pub mod pipeline_ext;
 pub mod session;
 mod stall;
 
-pub use compiled::{
-    lower_for, make_backend, BState, Backend, BackendKind, EntityBackend, OfferView,
-};
+pub use compiled::{lower_for, make_backend, BState, Backend, EntityBackend, OfferView};
 pub use config::{BackendChoice, FaultProfile, RuntimeConfig};
 pub use distributed::{run_hub_on, serve_entity, DistributedConfig, ServeConfig, ServeOutcome};
 pub use exec::{run, trace_id_for, try_run};

@@ -517,6 +517,74 @@ fn refusal_verdicts_agree_across_engines() {
     );
 }
 
+/// One backend report whatever executes the entities: under
+/// `--backend auto` each entity steps from tables where it lowers, so a
+/// derivation with some lowerable entities reports `mixed` on the
+/// deterministic engine (threads 1), the concurrent engine (threads 2)
+/// and the hub alike.
+#[test]
+fn backend_report_agrees_across_engines() {
+    let watchdog = Watchdog::arm(
+        "backend_report_agrees_across_engines",
+        Duration::from_secs(60),
+    );
+    for name in [
+        "example2_anbn.lotos",
+        "example5_choice.lotos",
+        "transport3_abort.lotos",
+    ] {
+        watchdog.enter(name.to_string());
+        let path = format!("{}/../../specs/{name}", env!("CARGO_MANIFEST_DIR"));
+        let derived = Pipeline::load_file(&path)
+            .unwrap()
+            .check()
+            .unwrap()
+            .derive()
+            .unwrap();
+        let d = derived.derivation();
+        let cfg = |threads: usize| {
+            let mut cfg = RuntimeConfig::new()
+                .sessions(2)
+                .threads(threads)
+                .seed(5)
+                .max_steps(20_000);
+            for (prim, place) in refusals(name) {
+                cfg = cfg.refuse(prim, place);
+            }
+            cfg
+        };
+        let deterministic = runtime::run(d, &cfg(1));
+        let concurrent = runtime::run(d, &cfg(2));
+
+        let hub_cfg = cfg(2);
+        let dcfg = DistributedConfig {
+            heartbeat: Duration::from_millis(20),
+            ..DistributedConfig::new(Addr::Tcp("127.0.0.1:0".to_string()))
+        };
+        let listener = dcfg.listen.listen().unwrap();
+        let hub_addr = listener.local_addr().unwrap();
+        let handles: Vec<_> = d
+            .entities
+            .iter()
+            .map(|(p, spec)| {
+                let mut scfg = ServeConfig::new(hub_addr.clone(), *p);
+                scfg.heartbeat = Duration::from_millis(20);
+                scfg.refuse = hub_cfg.refuse.clone();
+                let spec = spec.clone();
+                std::thread::spawn(move || serve_entity(&spec, &scfg))
+            })
+            .collect();
+        let distributed = run_hub_on(d, &hub_cfg, &dcfg, listener).expect("hub run");
+        for h in handles {
+            h.join().expect("entity thread").expect("entity outcome");
+        }
+
+        assert_eq!(deterministic.backend, "mixed", "{name}: threads 1");
+        assert_eq!(concurrent.backend, "mixed", "{name}: threads 2");
+        assert_eq!(distributed.backend, "mixed", "{name}: hub");
+    }
+}
+
 fn transport2() -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/transport2.lotos");
     std::fs::read_to_string(path).expect("specs/transport2.lotos")

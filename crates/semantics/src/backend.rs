@@ -1,0 +1,432 @@
+//! The entity stepper every engine uses: interpreted vs compiled.
+//!
+//! The discrete-event simulator (`sim::des`), the concurrent runtime's
+//! entity threads and the distributed `serve_entity` loop all drive one
+//! place-local behaviour per session through [`EntityBackend`]. This
+//! module holds *how* a step is taken:
+//!
+//! * [`InterpretedBackend`] — hash-consed [`Engine`] terms with memoized
+//!   transition rows.
+//! * [`CompiledBackend`] — a [`CompiledEntity`] transition table walked
+//!   with array indexing; per-session state is a dense state id plus a
+//!   small occurrence-register file (see `docs/COMPILED.md`).
+//!
+//! The row a backend exposes preserves the [`Engine::transitions`]
+//! successor order exactly (tables are built from it, and it matches
+//! [`crate::sos::transitions`]), so backend choice never changes which
+//! move a given RNG draw selects.
+//!
+//! ## Call discipline
+//!
+//! `offers(&mut self, state)` loads the current row and returns its
+//! length; [`EntityBackend::offer`] then gives borrowing views into it
+//! and [`EntityBackend::step`] advances along one of its entries. The
+//! row stays valid until the next `offers`/`step` call (one backend
+//! instance serves many sessions by re-loading between them).
+
+use crate::engine::{Engine, TermArena, TermId, TermNode};
+use crate::hash::FxHashMap;
+use crate::lower::{CompiledEntity, LabelTpl, OccBase, OccSrc};
+use crate::term::{Label, OccTable};
+use lotos::ast::Spec;
+use lotos::event::{MsgId, SyncKind};
+use lotos::place::PlaceId;
+use std::sync::{Arc, Mutex};
+
+/// Per-session cursor into a backend: an opaque state id plus the
+/// occurrence registers of that state (empty for the interpreted
+/// backend, whose terms carry concrete occurrences internally).
+#[derive(Clone, Debug)]
+pub struct BState {
+    pub id: u32,
+    pub regs: Vec<u32>,
+}
+
+/// A borrowed view of one offered transition — everything an engine
+/// needs to classify the move against the medium, nothing owned.
+pub enum OfferView<'a> {
+    I,
+    Delta,
+    Prim {
+        name: &'a str,
+        place: PlaceId,
+    },
+    Send {
+        to: PlaceId,
+        msg: &'a MsgId,
+        occ: u32,
+        kind: SyncKind,
+    },
+    Recv {
+        from: PlaceId,
+        msg: &'a MsgId,
+        occ: u32,
+        kind: SyncKind,
+    },
+}
+
+/// How a protocol entity is stepped, one session at a time.
+pub trait EntityBackend {
+    /// Fresh per-session cursor at the entity's initial state.
+    fn init(&mut self) -> BState;
+    /// Load the offer row of `s`; returns the number of offers. The row
+    /// order is the interpreted successor order.
+    fn offers(&mut self, s: &BState) -> usize;
+    /// View offer `i` of the loaded row.
+    fn offer(&self, i: usize) -> OfferView<'_>;
+    /// Owned label of offer `i` of the loaded row (for effects/tracing).
+    fn label(&self, i: usize) -> Label;
+    /// Advance `s` along offer `i` of the loaded row.
+    fn step(&mut self, s: &mut BState, i: usize);
+    /// Is `s` literally `stop` (inaction after δ, not a deadlock)?
+    fn is_stop(&self, s: &BState) -> bool;
+}
+
+fn view_of(label: &Label) -> OfferView<'_> {
+    match label {
+        Label::I => OfferView::I,
+        Label::Delta => OfferView::Delta,
+        Label::Prim { name, place } => OfferView::Prim {
+            name,
+            place: *place,
+        },
+        Label::Send { to, msg, occ, kind } => OfferView::Send {
+            to: *to,
+            msg,
+            occ: *occ,
+            kind: *kind,
+        },
+        Label::Recv {
+            from,
+            msg,
+            occ,
+            kind,
+        } => OfferView::Recv {
+            from: *from,
+            msg,
+            occ: *occ,
+            kind: *kind,
+        },
+    }
+}
+
+/// Term interpretation via the hash-consed engine.
+pub struct InterpretedBackend {
+    engine: Engine,
+    row: Arc<[(Label, TermId)]>,
+}
+
+impl InterpretedBackend {
+    pub fn new(engine: Engine) -> InterpretedBackend {
+        InterpretedBackend {
+            engine,
+            row: Arc::from(Vec::new().into_boxed_slice()),
+        }
+    }
+}
+
+impl EntityBackend for InterpretedBackend {
+    fn init(&mut self) -> BState {
+        BState {
+            id: self.engine.root().raw(),
+            regs: Vec::new(),
+        }
+    }
+
+    fn offers(&mut self, s: &BState) -> usize {
+        self.row = self.engine.transitions(TermId::from_raw(s.id));
+        self.row.len()
+    }
+
+    fn offer(&self, i: usize) -> OfferView<'_> {
+        view_of(&self.row[i].0)
+    }
+
+    fn label(&self, i: usize) -> Label {
+        self.row[i].0.clone()
+    }
+
+    fn step(&mut self, s: &mut BState, i: usize) {
+        s.id = self.row[i].1.raw();
+    }
+
+    fn is_stop(&self, s: &BState) -> bool {
+        matches!(self.engine.node(TermId::from_raw(s.id)), TermNode::Stop)
+    }
+}
+
+/// Table-driven stepping over a lowered entity. Occurrence values are
+/// produced by evaluating each transition's register sources against the
+/// run's shared occurrence table; a local `(parent, site) → child` cache
+/// keeps the shared-table mutex off the hot path (child interning is
+/// append-only, so cached entries never go stale).
+pub struct CompiledBackend {
+    ent: Arc<CompiledEntity>,
+    occ: Arc<Mutex<OccTable>>,
+    child_cache: FxHashMap<(u32, u32), u32>,
+    /// Evaluated occurrence per transition of the loaded row.
+    occs: Vec<u32>,
+    /// Start of the loaded row in `ent.trans`.
+    row_start: usize,
+    regs_scratch: Vec<u32>,
+}
+
+impl CompiledBackend {
+    pub fn new(ent: Arc<CompiledEntity>, occ: Arc<Mutex<OccTable>>) -> CompiledBackend {
+        CompiledBackend {
+            ent,
+            occ,
+            child_cache: FxHashMap::default(),
+            occs: Vec::new(),
+            row_start: 0,
+            regs_scratch: Vec::new(),
+        }
+    }
+}
+
+/// Evaluate an occurrence source against `regs`, chaining through the
+/// backend-local child cache (falling back to the shared table to
+/// intern). Free function so callers can borrow the table and the cache
+/// disjointly from the rest of the backend.
+fn eval_src(
+    src: &OccSrc,
+    regs: &[u32],
+    cache: &mut FxHashMap<(u32, u32), u32>,
+    occ: &Mutex<OccTable>,
+) -> u32 {
+    let mut v = match src.base {
+        OccBase::Root => 0,
+        OccBase::Reg(j) => regs[j as usize],
+    };
+    for &site in &src.sites {
+        v = match cache.get(&(v, site)) {
+            Some(&c) => c,
+            None => {
+                let c = occ.lock().expect("occ table poisoned").child(v, site);
+                cache.insert((v, site), c);
+                c
+            }
+        };
+    }
+    v
+}
+
+impl EntityBackend for CompiledBackend {
+    fn init(&mut self) -> BState {
+        let regs = self
+            .ent
+            .initial_regs
+            .iter()
+            .map(|s| eval_src(s, &[], &mut self.child_cache, &self.occ))
+            .collect();
+        BState { id: 0, regs }
+    }
+
+    #[inline]
+    fn offers(&mut self, s: &BState) -> usize {
+        self.row_start = self.ent.row_off[s.id as usize] as usize;
+        let row_end = self.ent.row_off[s.id as usize + 1] as usize;
+        self.occs.clear();
+        for t in &self.ent.trans[self.row_start..row_end] {
+            // Occurrences only matter on Send/Recv, but evaluating
+            // unconditionally is branch-free: non-message labels carry a
+            // Root/empty source that evaluates to 0.
+            let v = match t.occ.as_reg() {
+                Some(j) => s.regs[j as usize],
+                None => eval_src(&t.occ, &s.regs, &mut self.child_cache, &self.occ),
+            };
+            self.occs.push(v);
+        }
+        self.occs.len()
+    }
+
+    #[inline]
+    fn offer(&self, i: usize) -> OfferView<'_> {
+        let t = &self.ent.trans[self.row_start + i];
+        match &self.ent.labels[t.label as usize] {
+            LabelTpl::I => OfferView::I,
+            LabelTpl::Delta => OfferView::Delta,
+            LabelTpl::Prim { name, place } => OfferView::Prim {
+                name,
+                place: *place,
+            },
+            LabelTpl::Send { to, msg, kind } => OfferView::Send {
+                to: *to,
+                msg,
+                occ: self.occs[i],
+                kind: *kind,
+            },
+            LabelTpl::Recv { from, msg, kind } => OfferView::Recv {
+                from: *from,
+                msg,
+                occ: self.occs[i],
+                kind: *kind,
+            },
+        }
+    }
+
+    #[inline]
+    fn label(&self, i: usize) -> Label {
+        let t = &self.ent.trans[self.row_start + i];
+        self.ent.labels[t.label as usize].materialize(self.occs[i])
+    }
+
+    #[inline]
+    fn step(&mut self, s: &mut BState, i: usize) {
+        let t = &self.ent.trans[self.row_start + i];
+        self.regs_scratch.clear();
+        for src in &t.regs {
+            let v = match src.as_reg() {
+                Some(j) => s.regs[j as usize],
+                None => eval_src(src, &s.regs, &mut self.child_cache, &self.occ),
+            };
+            self.regs_scratch.push(v);
+        }
+        std::mem::swap(&mut s.regs, &mut self.regs_scratch);
+        s.id = t.next;
+    }
+
+    fn is_stop(&self, s: &BState) -> bool {
+        self.ent.is_stop[s.id as usize]
+    }
+}
+
+/// The two backends behind one statically-dispatched type (engine hot
+/// loops stay monomorphic; no `dyn`).
+pub enum Backend {
+    Interpreted(InterpretedBackend),
+    Compiled(CompiledBackend),
+}
+
+impl EntityBackend for Backend {
+    #[inline]
+    fn init(&mut self) -> BState {
+        match self {
+            Backend::Interpreted(b) => b.init(),
+            Backend::Compiled(b) => b.init(),
+        }
+    }
+
+    #[inline]
+    fn offers(&mut self, s: &BState) -> usize {
+        match self {
+            Backend::Interpreted(b) => b.offers(s),
+            Backend::Compiled(b) => b.offers(s),
+        }
+    }
+
+    #[inline]
+    fn offer(&self, i: usize) -> OfferView<'_> {
+        match self {
+            Backend::Interpreted(b) => b.offer(i),
+            Backend::Compiled(b) => b.offer(i),
+        }
+    }
+
+    #[inline]
+    fn label(&self, i: usize) -> Label {
+        match self {
+            Backend::Interpreted(b) => b.label(i),
+            Backend::Compiled(b) => b.label(i),
+        }
+    }
+
+    #[inline]
+    fn step(&mut self, s: &mut BState, i: usize) {
+        match self {
+            Backend::Interpreted(b) => b.step(s, i),
+            Backend::Compiled(b) => b.step(s, i),
+        }
+    }
+
+    #[inline]
+    fn is_stop(&self, s: &BState) -> bool {
+        match self {
+            Backend::Interpreted(b) => b.is_stop(s),
+            Backend::Compiled(b) => b.is_stop(s),
+        }
+    }
+}
+
+/// Build the backend for one entity of a run: compiled when tables were
+/// lowered for it, interpreted otherwise. `arena`/`occ` are the run's
+/// shared term arena and §3.5 occurrence table (both backends intern
+/// occurrences through the same table, so entities agree on instance
+/// numbers regardless of per-entity backend mix).
+pub fn make_backend(
+    spec: &Spec,
+    compiled: Option<Arc<CompiledEntity>>,
+    arena: &Arc<TermArena>,
+    occ: &Arc<Mutex<OccTable>>,
+) -> Backend {
+    match compiled {
+        Some(ent) => Backend::Compiled(CompiledBackend::new(ent, Arc::clone(occ))),
+        None => Backend::Interpreted(InterpretedBackend::new(Engine::with_shared(
+            spec.clone(),
+            Arc::clone(arena),
+            Arc::clone(occ),
+        ))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lower::{lower_entity, LowerConfig};
+    use lotos::parser::parse_spec;
+
+    fn backends(src: &str) -> (Backend, Backend) {
+        let spec = parse_spec(src).unwrap();
+        let arena = Arc::new(TermArena::new());
+        let occ = Arc::new(Mutex::new(OccTable::new()));
+        let interp = make_backend(&spec, None, &arena, &occ);
+        let ent = lower_entity(&spec, 1, &LowerConfig::default()).unwrap();
+        let arena2 = Arc::new(TermArena::new());
+        let occ2 = Arc::new(Mutex::new(OccTable::new()));
+        let comp = make_backend(&spec, Some(Arc::new(ent)), &arena2, &occ2);
+        (interp, comp)
+    }
+
+    /// Walk both backends lock-step, always taking the first offer, and
+    /// require identical label sequences.
+    #[test]
+    fn first_offer_walk_agrees() {
+        let (mut a, mut b) = backends(
+            "SPEC s2(s,1); exit >> A WHERE PROC A = r2(s,2); exit >> s2(s,3); exit >> A END ENDSPEC",
+        );
+        let mut sa = a.init();
+        let mut sb = b.init();
+        for _ in 0..40 {
+            let (na, nb) = (a.offers(&sa), b.offers(&sb));
+            assert_eq!(na, nb);
+            if na == 0 {
+                break;
+            }
+            let (la, lb) = (a.label(0), b.label(0));
+            assert_eq!(format!("{la}"), format!("{lb}"));
+            if matches!(la, Label::Delta) {
+                break;
+            }
+            a.step(&mut sa, 0);
+            b.step(&mut sb, 0);
+        }
+    }
+
+    #[test]
+    fn is_stop_agrees_after_termination() {
+        let (mut a, mut b) = backends("SPEC a1; exit ENDSPEC");
+        let mut sa = a.init();
+        let mut sb = b.init();
+        for _ in 0..2 {
+            assert!(!a.is_stop(&sa));
+            assert!(!b.is_stop(&sb));
+            a.offers(&sa);
+            a.step(&mut sa, 0);
+            b.offers(&sb);
+            b.step(&mut sb, 0);
+        }
+        // a1, then δ: both land on `stop`
+        assert!(a.is_stop(&sa));
+        assert!(b.is_stop(&sb));
+    }
+}

@@ -14,7 +14,9 @@
 //!   refinement — the checker behind the Annex A law corpus and the
 //!   finite instances of the Section 5 theorem;
 //! * [`traces`] — bounded observable trace sets for the infinite-state
-//!   cases (unrestricted recursion makes full checking undecidable).
+//!   cases (unrestricted recursion makes full checking undecidable);
+//! * [`backend`] — the one entity stepper every engine drives: the
+//!   interned [`engine`] or a table from [`lower`], behind one API.
 //!
 //! ## Example — law I1 (`a;i;B = a;B`)
 //!
@@ -34,6 +36,7 @@
 //! assert_eq!(weak_equiv(&lx, &ly), Some(true));
 //! ```
 
+pub mod backend;
 pub mod bisim;
 pub mod condense;
 pub mod detdfa;

@@ -157,20 +157,6 @@ pub enum OccBase {
 }
 
 impl OccSrc {
-    /// Read the concrete occurrence value against `regs`, interning any
-    /// chain steps in `occ`.
-    #[inline]
-    pub fn eval(&self, regs: &[u32], occ: &mut OccTable) -> u32 {
-        let mut v = match self.base {
-            OccBase::Root => 0,
-            OccBase::Reg(j) => regs[j as usize],
-        };
-        for &s in &self.sites {
-            v = occ.child(v, s);
-        }
-        v
-    }
-
     /// Plain register read (the hot-path common case), if it is one.
     #[inline]
     pub fn as_reg(&self) -> Option<u32> {
@@ -297,17 +283,6 @@ impl CompiledEntity {
     /// Number of compiled states.
     pub fn n_states(&self) -> usize {
         self.nregs.len()
-    }
-
-    /// The transition row of state `s`.
-    #[inline]
-    pub fn row(&self, s: u32) -> &[CTrans] {
-        &self.trans[self.row_off[s as usize] as usize..self.row_off[s as usize + 1] as usize]
-    }
-
-    /// Initial register values, interned against `occ`.
-    pub fn init_regs(&self, occ: &mut OccTable) -> Vec<u32> {
-        self.initial_regs.iter().map(|s| s.eval(&[], occ)).collect()
     }
 
     /// Serialize to JSON (hand-rolled; no serde in the build
@@ -946,14 +921,19 @@ mod tests {
         vec![(1, parse_spec(src).unwrap())]
     }
 
+    /// The transition row of state `s`.
+    fn row(e: &CompiledEntity, s: u32) -> &[CTrans] {
+        &e.trans[e.row_off[s as usize] as usize..e.row_off[s as usize + 1] as usize]
+    }
+
     #[test]
     fn finite_prefix_chain_lowers_to_a_line() {
         let specs = entity_specs("SPEC a1; b1; exit ENDSPEC");
         let e = lower_entity(&specs[0].1, 1, &LowerConfig::default()).unwrap();
         // a1 -> b1 -> exit -> (δ) stop
         assert_eq!(e.n_states(), 4);
-        assert_eq!(e.row(0).len(), 1);
-        assert!(e.offers_delta[e.row(e.row(0)[0].next)[0].next as usize]);
+        assert_eq!(row(&e, 0).len(), 1);
+        assert!(e.offers_delta[row(&e, row(&e, 0)[0].next)[0].next as usize]);
         assert!(e.is_stop.iter().any(|&s| s));
     }
 
@@ -966,7 +946,7 @@ mod tests {
         assert!(e.n_states() <= 5, "{} states", e.n_states());
         // the a1 branch must loop: some state's first transition is a
         // self-loop (the recursive call re-canonicalizes to itself)
-        let loops = (0..e.n_states() as u32).any(|s| e.row(s).iter().any(|t| t.next == s));
+        let loops = (0..e.n_states() as u32).any(|s| row(&e, s).iter().any(|t| t.next == s));
         assert!(loops);
     }
 
@@ -979,11 +959,11 @@ mod tests {
         assert!(e.n_states() <= 3, "{} states", e.n_states());
         // The send's occurrence must be a register (or a chain), and the
         // self-loop must advance the register by a child step.
-        let t = &e.row(0)[0];
+        let t = &row(&e, 0)[0];
         let loops_back: bool = (0..e.n_states() as u32).any(|s| {
-            e.row(s)
+            row(&e, s)
                 .iter()
-                .any(|t| t.next == s || e.row(t.next).iter().any(|u| u.next == s))
+                .any(|t| t.next == s || row(&e, t.next).iter().any(|u| u.next == s))
         });
         assert!(loops_back);
         assert!(!t.regs.is_empty() || !e.initial_regs.is_empty());

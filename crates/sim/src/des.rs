@@ -1,8 +1,10 @@
 //! Discrete-event simulation of the derived protocol entities.
 //!
-//! Each entity interprets its derived behaviour term; the medium delivers
-//! messages over per-channel FIFO queues after seeded random delays
-//! (paper Section 1: "each of the messages is delivered after an
+//! Each entity is stepped through [`semantics::backend`] — the same
+//! stepper the concurrent and distributed runtimes use, interpreting the
+//! derived behaviour term or walking its lowered table. The medium
+//! delivers messages over per-channel FIFO queues after seeded random
+//! delays (paper Section 1: "each of the messages is delivered after an
 //! arbitrary delay"). Local actions execute instantaneously at the
 //! current clock; the clock advances only when every entity is blocked on
 //! in-flight messages. Nondeterminism — choice resolution by the users
@@ -21,14 +23,11 @@ use medium::{Msg, Order};
 use protogen::derive::Derivation;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use semantics::hash::FxHashMap;
-use semantics::lower::{CompiledEntity, OccBase, OccSrc};
-use semantics::sos::transitions;
-use semantics::term::{Env, Label, OccTable, RTerm};
-use std::cell::RefCell;
+use semantics::backend::{make_backend, BState, Backend, EntityBackend, OfferView};
+use semantics::engine::TermArena;
+use semantics::term::{Label, OccTable};
 use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Simulation configuration.
 #[derive(Clone, Debug)]
@@ -258,9 +257,10 @@ struct InFlight {
     arrive: f64,
 }
 
-/// The simulator.
-pub struct Simulator {
-    machines: Vec<EntityMachine>,
+/// The simulator: one backend and one cursor per entity.
+pub struct Simulator<'a> {
+    backends: &'a mut [Backend],
+    states: Vec<BState>,
     places: Vec<PlaceId>,
     channels: BTreeMap<(PlaceId, PlaceId), VecDeque<InFlight>>,
     /// Lossy-link state per directed channel (only with `cfg.link`).
@@ -293,184 +293,30 @@ impl Link {
     }
 }
 
-/// Where a move leads — an interpreted successor term, or an index into
-/// a compiled entity's transition array.
-enum Succ {
-    Term(Rc<RTerm>),
-    Row(usize),
-}
-
+/// A move is offer `i` of entity `k` in its backend's loaded row.
 enum Move {
-    Local(usize, Label, Succ),
-    Receive(usize, Label, Succ),
-    Terminate(Vec<Succ>),
+    /// A primitive, internal action or send: `(k, i)`.
+    Local(usize, usize),
+    /// A receive whose message is deliverable now: `(k, i)`.
+    Receive(usize, usize),
+    /// Global δ: every entity offers it and the medium is empty.
+    Terminate,
 }
 
-/// One entity's behaviour, stepped either by interpreting its derived
-/// term under SOS or by walking a pre-lowered transition table. Both
-/// expose offers in the same (SOS) order, so a run draws the same move
-/// for the same seed whichever machine is underneath — the property the
-/// backend-parity suite pins down.
-enum EntityMachine {
-    Interp {
-        env: Env,
-        term: Rc<RTerm>,
-    },
-    Table {
-        ent: Arc<CompiledEntity>,
-        state: u32,
-        /// Occurrence registers of `state` (see `docs/COMPILED.md`).
-        regs: Vec<u32>,
-        /// The run-shared occurrence table: all entities intern through
-        /// it, so sender and receiver agree on instance numbers.
-        occ: Rc<RefCell<OccTable>>,
-        /// `(parent, site) → child` memo; interning is append-only, so
-        /// entries never go stale.
-        cache: FxHashMap<(u32, u32), u32>,
-    },
-}
-
-/// Evaluate an occurrence source against a register file, interning
-/// missing children through the shared table.
-fn eval_src(
-    src: &OccSrc,
-    regs: &[u32],
-    cache: &mut FxHashMap<(u32, u32), u32>,
-    occ: &RefCell<OccTable>,
-) -> u32 {
-    let mut v = match src.base {
-        OccBase::Root => 0,
-        OccBase::Reg(j) => regs[j as usize],
-    };
-    for &site in &src.sites {
-        v = *cache
-            .entry((v, site))
-            .or_insert_with(|| occ.borrow_mut().child(v, site));
-    }
-    v
-}
-
-impl EntityMachine {
-    /// The current state's offers, in SOS successor order.
-    fn offers(&mut self) -> Vec<(Label, Succ)> {
-        match self {
-            EntityMachine::Interp { env, term } => transitions(env, term)
-                .into_iter()
-                .map(|(l, t)| (l, Succ::Term(t)))
-                .collect(),
-            EntityMachine::Table {
-                ent,
-                state,
-                regs,
-                occ,
-                cache,
-            } => {
-                let base = ent.row_off[*state as usize] as usize;
-                ent.row(*state)
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| {
-                        let v = eval_src(&t.occ, regs, cache, occ);
-                        let label = ent.labels[t.label as usize].materialize(v);
-                        (label, Succ::Row(base + i))
-                    })
-                    .collect()
-            }
-        }
-    }
-
-    fn advance(&mut self, succ: Succ) {
-        match (self, succ) {
-            (EntityMachine::Interp { term, .. }, Succ::Term(t)) => *term = t,
-            (
-                EntityMachine::Table {
-                    ent,
-                    state,
-                    regs,
-                    occ,
-                    cache,
-                },
-                Succ::Row(i),
-            ) => {
-                let t = &ent.trans[i];
-                let next: Vec<u32> = t
-                    .regs
-                    .iter()
-                    .map(|s| eval_src(s, regs, cache, occ))
-                    .collect();
-                *regs = next;
-                *state = t.next;
-            }
-            _ => unreachable!("successor kind does not match machine kind"),
-        }
-    }
-
-    fn is_stop(&self) -> bool {
-        match self {
-            EntityMachine::Interp { term, .. } => matches!(&**term, RTerm::Stop),
-            EntityMachine::Table { ent, state, .. } => ent.is_stop[*state as usize],
-        }
-    }
-}
-
-impl Simulator {
-    /// Set up a simulator for a derivation (interpreted entities).
-    pub fn new(d: &Derivation, cfg: SimConfig) -> Simulator {
-        let occ = Rc::new(RefCell::new(OccTable::new()));
-        let mut machines = Vec::new();
-        let mut places = Vec::new();
-        for (p, spec) in &d.entities {
-            let env = Env::with_occ(spec.clone(), Rc::clone(&occ));
-            let term = env.root();
-            machines.push(EntityMachine::Interp { env, term });
-            places.push(*p);
-        }
-        Simulator::with_machines(d, cfg, machines, places)
-    }
-
-    /// Set up a simulator stepping pre-lowered transition tables, one per
-    /// entity of `d` (in `d.entities` order).
-    pub fn new_compiled(
-        d: &Derivation,
-        cfg: SimConfig,
-        tables: &[Arc<CompiledEntity>],
-    ) -> Simulator {
-        assert_eq!(
-            tables.len(),
-            d.entities.len(),
-            "one compiled table per entity"
-        );
-        let occ = Rc::new(RefCell::new(OccTable::new()));
-        let mut machines = Vec::new();
-        let mut places = Vec::new();
-        for ((p, _), ent) in d.entities.iter().zip(tables) {
-            let regs = ent.init_regs(&mut occ.borrow_mut());
-            machines.push(EntityMachine::Table {
-                ent: Arc::clone(ent),
-                state: 0,
-                regs,
-                occ: Rc::clone(&occ),
-                cache: FxHashMap::default(),
-            });
-            places.push(*p);
-        }
-        Simulator::with_machines(d, cfg, machines, places)
-    }
-
-    fn with_machines(
-        d: &Derivation,
-        cfg: SimConfig,
-        machines: Vec<EntityMachine>,
-        places: Vec<PlaceId>,
-    ) -> Simulator {
-        let rng = StdRng::seed_from_u64(cfg.seed);
+impl<'a> Simulator<'a> {
+    /// Set up a simulator stepping `backends`, one per entity of `d` (in
+    /// `d.entities` order), each from its initial state.
+    pub fn new(d: &Derivation, cfg: SimConfig, backends: &'a mut [Backend]) -> Simulator<'a> {
+        assert_eq!(backends.len(), d.entities.len(), "one backend per entity");
+        let states = backends.iter_mut().map(|b| b.init()).collect();
         Simulator {
-            machines,
-            places,
+            backends,
+            states,
+            places: d.entities.iter().map(|(p, _)| *p).collect(),
             channels: BTreeMap::new(),
             links: BTreeMap::new(),
             clock: 0.0,
-            rng,
+            rng: StdRng::seed_from_u64(cfg.seed),
             cfg,
             monitor: ServiceMonitor::new(d.service.clone()),
         }
@@ -519,10 +365,7 @@ impl Simulator {
             metrics.steps += 1;
             let step = metrics.steps;
             match moves.into_iter().nth(choice).unwrap() {
-                Move::Terminate(next) => {
-                    for (k, succ) in next.into_iter().enumerate() {
-                        self.machines[k].advance(succ);
-                    }
+                Move::Terminate => {
                     events.push(SimEvent {
                         time: self.clock,
                         step,
@@ -531,8 +374,9 @@ impl Simulator {
                     result = SimResult::Terminated;
                     break;
                 }
-                Move::Local(k, label, succ) => {
-                    self.machines[k].advance(succ);
+                Move::Local(k, i) => {
+                    let label = self.backends[k].label(i);
+                    self.backends[k].step(&mut self.states[k], i);
                     match label {
                         Label::Prim { name, place } => {
                             self.monitor.step(&name, place);
@@ -607,17 +451,17 @@ impl Simulator {
                         other => unreachable!("local move with label {other}"),
                     }
                 }
-                Move::Receive(k, label, succ) => {
-                    let Label::Recv { from, msg, occ, .. } = label else {
+                Move::Receive(k, i) => {
+                    let Label::Recv { from, msg, occ, .. } = self.backends[k].label(i) else {
                         unreachable!()
                     };
+                    self.backends[k].step(&mut self.states[k], i);
                     let here = self.places[k];
                     metrics.per_place.entry(here).or_default().received += 1;
                     if self.cfg.link.is_some() {
                         let link = self.links.get_mut(&(from, here)).unwrap();
                         let delivered = link.arq.take_delivered().unwrap();
                         debug_assert!(delivered.id == msg && delivered.occ == occ);
-                        self.machines[k].advance(succ);
                         events.push(SimEvent {
                             time: self.clock,
                             step,
@@ -639,7 +483,6 @@ impl Simulator {
                     if q.is_empty() {
                         self.channels.remove(&(from, here));
                     }
-                    self.machines[k].advance(succ);
                     events.push(SimEvent {
                         time: self.clock,
                         step,
@@ -662,7 +505,10 @@ impl Simulator {
     }
 
     fn all_stopped(&self) -> bool {
-        self.machines.iter().all(|m| m.is_stop())
+        self.backends
+            .iter()
+            .zip(&self.states)
+            .all(|(b, s)| b.is_stop(s))
     }
 
     /// Earliest in-flight arrival (or link-layer deadline) strictly after
@@ -745,35 +591,36 @@ impl Simulator {
 
     fn enabled_moves(&mut self) -> Vec<Move> {
         let mut out = Vec::new();
-        let mut deltas: Vec<Option<Succ>> = Vec::with_capacity(self.machines.len());
-        for k in 0..self.machines.len() {
+        let mut all_delta = true;
+        for k in 0..self.backends.len() {
             let here = self.places[k];
-            let mut delta = None;
-            for (l, succ) in self.machines[k].offers() {
-                match &l {
-                    Label::Prim { name, place } => {
-                        let refused = self.cfg.refuse.iter().any(|(n, p)| n == name && p == place);
+            let mut delta = false;
+            for i in 0..self.backends[k].offers(&self.states[k]) {
+                match self.backends[k].offer(i) {
+                    OfferView::Prim { name, place } => {
+                        let refused = self
+                            .cfg
+                            .refuse
+                            .iter()
+                            .any(|(n, p)| n == name && *p == place);
                         if !refused {
-                            out.push(Move::Local(k, l, succ));
+                            out.push(Move::Local(k, i));
                         }
                     }
-                    Label::I => out.push(Move::Local(k, l, succ)),
-                    Label::Send { .. } => out.push(Move::Local(k, l, succ)),
-                    Label::Recv { from, msg, occ, .. } => {
-                        if self.receivable(*from, here, msg, *occ) {
-                            out.push(Move::Receive(k, l, succ));
+                    OfferView::I | OfferView::Send { .. } => out.push(Move::Local(k, i)),
+                    OfferView::Recv { from, msg, occ, .. } => {
+                        if self.receivable(from, here, msg, occ) {
+                            out.push(Move::Receive(k, i));
                         }
                     }
-                    Label::Delta => delta = Some(succ),
+                    OfferView::Delta => delta = true,
                 }
             }
-            deltas.push(delta);
+            all_delta &= delta;
         }
         let in_flight: usize = self.channels.values().map(|q| q.len()).sum();
-        if in_flight == 0 && deltas.iter().all(|d| d.is_some()) {
-            out.push(Move::Terminate(
-                deltas.into_iter().map(|d| d.unwrap()).collect(),
-            ));
+        if in_flight == 0 && all_delta {
+            out.push(Move::Terminate);
         }
         out
     }
@@ -805,22 +652,25 @@ impl Simulator {
     }
 }
 
-/// Run one simulation of a derivation.
+/// Run one simulation of a derivation, interpreting every entity with
+/// fresh backends.
 pub fn simulate(d: &Derivation, cfg: SimConfig) -> SimOutcome {
-    verify_stack(move || Simulator::new(d, cfg).run())
+    let arena = Arc::new(TermArena::new());
+    let occ = Arc::new(Mutex::new(OccTable::new()));
+    let mut backends: Vec<Backend> = d
+        .entities
+        .iter()
+        .map(|(_, spec)| make_backend(spec, None, &arena, &occ))
+        .collect();
+    simulate_on(d, cfg, &mut backends)
 }
 
-/// Run one simulation stepping pre-lowered transition tables (one per
-/// entity, in `d.entities` order) instead of interpreting terms. Same
-/// seed, same moves, same outcome as [`simulate`] — just faster per
-/// step. Entity stepping is iterative, but the conformance monitor
-/// still interprets the service term, so the big-stack harness stays.
-pub fn simulate_compiled(
-    d: &Derivation,
-    cfg: SimConfig,
-    tables: &[Arc<CompiledEntity>],
-) -> SimOutcome {
-    verify_stack(move || Simulator::new_compiled(d, cfg, tables).run())
+/// Run one simulation stepping the caller's backends, one per entity of
+/// `d` in `d.entities` order. Each starts from its initial state; what a
+/// backend memoizes (interned terms, transition rows, occurrences) carries
+/// over to the next run, so a multi-session run builds them once.
+pub fn simulate_on(d: &Derivation, cfg: SimConfig, backends: &mut [Backend]) -> SimOutcome {
+    verify_stack(move || Simulator::new(d, cfg, backends).run())
 }
 
 /// Deeply recursive entities build deep terms; give the interpreter room.

@@ -34,8 +34,8 @@ pub mod lossy;
 pub mod monitor;
 
 pub use des::{
-    simulate, LinkConfig, PlaceLoad, SimConfig, SimEvent, SimEventKind, SimMetrics, SimOutcome,
-    SimResult, Simulator,
+    simulate, simulate_on, LinkConfig, PlaceLoad, SimConfig, SimEvent, SimEventKind, SimMetrics,
+    SimOutcome, SimResult, Simulator,
 };
 pub use lossy::{ArqChannel, Frame, LossyLink};
 pub use monitor::ServiceMonitor;
