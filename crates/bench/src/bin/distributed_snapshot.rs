@@ -13,13 +13,12 @@
 //!
 //! Usage: `cargo run --release -p bench --bin distributed-snapshot [--quick]`
 
+use bench::snapshot::{distributed_entry, THREADS};
 use protogen::Pipeline;
 use runtime::{run_hub_on, BackendChoice, DistributedConfig, RuntimeConfig, ServeConfig};
-use std::fmt::Write as _;
 use std::time::Duration;
 use transport::{Addr, FaultProxy, LinkFaults};
 
-const THREADS: usize = 4;
 const SEED: u64 = 0xC0FFEE;
 
 /// Corpus spec + the disable trigger to refuse (if any).
@@ -147,25 +146,10 @@ fn main() {
                 report.session_latency.p99,
             );
 
-            let mut e = String::new();
-            write!(
-                e,
-                "    {{\"spec\":\"{name}\",\"mode\":\"{mode}\",\"link_faults\":\"{}\",\
-                 \"backend\":\"{}\",\"sessions\":{},\
-                 \"threads\":{THREADS},\"sessions_per_sec\":{:.1},\
-                 \"latency_p50_us\":{},\"latency_p99_us\":{},\
-                 \"messages\":{},\"kills\":{kills},\"reconnects\":{reconnects},\
-                 \"retransmissions\":{retx}}}",
-                faults_tag(faults),
-                report.backend,
-                report.sessions,
-                report.sessions_per_sec,
-                report.session_latency.p50,
-                report.session_latency.p99,
-                report.messages,
-            )
-            .unwrap();
-            entries.push(e);
+            entries.push(format!(
+                "    {}",
+                distributed_entry(name, mode, faults_tag(faults), &report, kills)
+            ));
         }
     }
 

@@ -19,11 +19,11 @@
 //!
 //! Usage: `cargo run --release -p bench --bin perf-snapshot`
 
+use bench::snapshot::{verify_entry, verify_speedup, KernelTiming};
 use semantics::detdfa::DetDfa;
 use semantics::explore::{explore_par, DepthMode, ExploreConfig};
 use semantics::lts::Lts;
 use semantics::{naive, traces};
-use std::fmt::Write as _;
 use std::time::Instant;
 use verify::{EngineComposition, EngineService};
 
@@ -72,27 +72,6 @@ fn explore_side(sys: &impl semantics::explore::ParSystem, bounded_fallback: bool
             .max_states(MAX_STATES)
             .max_depth(TRACE_LEN);
         explore_par(sys, &cfg, DepthMode::Observable).lts
-    }
-}
-
-struct KernelTiming {
-    naive_us: f64,
-    fast_us: f64,
-    agree: bool,
-}
-
-impl KernelTiming {
-    fn speedup(&self) -> f64 {
-        self.naive_us / self.fast_us.max(1e-3)
-    }
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"naive_us\":{:.1},\"fast_us\":{:.1},\"speedup\":{:.2},\"verdicts_agree\":{}}}",
-            self.naive_us,
-            self.fast_us,
-            self.speedup(),
-            self.agree
-        )
     }
 }
 
@@ -158,10 +137,7 @@ fn main() {
         let trace = bench_traces(&service, &comp);
         assert!(bisim.agree, "{name}: weak-bisim verdicts disagree");
         assert!(trace.agree, "{name}: trace verdicts disagree");
-        // The headline number: the full verification kernel (weak-bisim +
-        // trace comparison) naive vs fast.
-        let verify_speedup =
-            (bisim.naive_us + trace.naive_us) / (bisim.fast_us + trace.fast_us).max(1e-3);
+        let verify_speedup = verify_speedup(&bisim, &trace);
 
         println!(
             "{name:28} service {:>6} states, composition {:>6} states | \
@@ -178,18 +154,10 @@ fn main() {
             verify_speedup,
         );
 
-        let mut e = String::new();
-        write!(
-            e,
-            "    {{\"spec\":\"{name}\",\"service_states\":{},\"composition_states\":{},\
-             \"weak_bisim\":{},\"traces\":{},\"verify_speedup\":{verify_speedup:.2}}}",
-            service.len(),
-            comp.len(),
-            bisim.to_json(),
-            trace.to_json()
-        )
-        .unwrap();
-        entries.push(e);
+        entries.push(format!(
+            "    {}",
+            verify_entry(name, service.len(), comp.len(), &bisim, &trace)
+        ));
     }
 
     let json = format!(

@@ -21,11 +21,10 @@
 //! (compare its stdout against the committed baseline), not a baseline
 //! producer.
 
+use bench::snapshot::{runtime_entry, THREADS};
 use protogen::Pipeline;
 use runtime::{BackendChoice, FaultProfile, PipelineRun, RuntimeConfig};
-use std::fmt::Write as _;
 
-const THREADS: usize = 4;
 const SEED: u64 = 0xC0FFEE;
 
 /// Corpus spec + the disable trigger to refuse (if any).
@@ -106,28 +105,10 @@ fn main() {
                     report.retransmissions,
                 );
 
-                let mut e = String::new();
-                write!(
-                    e,
-                    "    {{\"spec\":\"{name}\",\"mode\":\"{mode}\",\"profile\":\"{}\",\
-                     \"backend\":\"{}\",\"sessions\":{},\
-                     \"threads\":{THREADS},\"sessions_per_sec\":{:.1},\
-                     \"latency_p50_us\":{},\"latency_p99_us\":{},\
-                     \"overhead_ratio\":{:.3},\"messages\":{},\"frames_lost\":{},\
-                     \"retransmissions\":{}}}",
-                    profile_tag(profile),
-                    report.backend,
-                    report.sessions,
-                    report.sessions_per_sec,
-                    report.session_latency.p50,
-                    report.session_latency.p99,
-                    report.overhead_ratio(),
-                    report.messages,
-                    report.frames_lost,
-                    report.retransmissions,
-                )
-                .unwrap();
-                entries.push(e);
+                entries.push(format!(
+                    "    {}",
+                    runtime_entry(name, mode, profile_tag(profile), &report)
+                ));
             }
         }
     }

@@ -3,6 +3,8 @@
 //! Every benchmark and experiment table draws its inputs from here so the
 //! numbers in EXPERIMENTS.md are regenerable from one place.
 
+pub mod snapshot;
+
 use lotos::Spec;
 use specgen::{GenConfig, OpWeights};
 

@@ -52,6 +52,7 @@ pub mod fxhash;
 /// [`hash::fx_hash`] for one-shot hashing (e.g. deriving per-link RNG
 /// seeds from a session seed).
 pub use fxhash as hash;
+pub mod json;
 pub mod jsonish;
 pub mod lower;
 pub mod lts;
