@@ -13,9 +13,10 @@
 //!
 //! Usage: `cargo run --release -p bench --bin distributed-snapshot [--quick]`
 
-use bench::snapshot::{distributed_entry, THREADS};
+use bench::snapshot::{distributed_entry, write_snapshot, THREADS};
 use protogen::Pipeline;
 use runtime::{run_hub_on, BackendChoice, DistributedConfig, RuntimeConfig, ServeConfig};
+use semantics::json_obj;
 use std::time::Duration;
 use transport::{Addr, FaultProxy, LinkFaults};
 
@@ -47,7 +48,7 @@ fn main() {
     // contain kills.
     let sessions = if quick { 40 } else { 2000 };
     let root = format!("{}/../..", env!("CARGO_MANIFEST_DIR"));
-    let mut entries: Vec<String> = Vec::new();
+    let mut entries = Vec::new();
 
     for &(name, refuse) in CORPUS {
         let derived = Pipeline::load_file(&format!("{root}/specs/{name}"))
@@ -146,20 +147,20 @@ fn main() {
                 report.session_latency.p99,
             );
 
-            entries.push(format!(
-                "    {}",
-                distributed_entry(name, mode, faults_tag(faults), &report, kills)
+            entries.push(distributed_entry(
+                name,
+                mode,
+                faults_tag(faults),
+                &report,
+                kills,
             ));
         }
     }
 
-    let json = format!(
-        "{{\n  \"generated_by\": \"cargo run --release -p bench --bin distributed-snapshot\",\n  \
-         \"config\": {{\"threads\":{THREADS},\"seed\":{SEED},\"quick\":{quick}}},\n  \
-         \"entries\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
+    write_snapshot(
+        &format!("{root}/BENCH_distributed.json"),
+        "cargo run --release -p bench --bin distributed-snapshot",
+        json_obj! { "threads" => THREADS, "seed" => SEED, "quick" => quick },
+        entries,
     );
-    let out = format!("{root}/BENCH_distributed.json");
-    std::fs::write(&out, json).expect("write BENCH_distributed.json");
-    println!("wrote {out}");
 }

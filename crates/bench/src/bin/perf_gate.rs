@@ -23,7 +23,7 @@
 //!   perf-gate --baseline BENCH_runtime.json --fresh fresh.json \
 //!             [--threshold 0.25] [--report-only]
 
-use semantics::jsonish::{get_f64, get_str, get_u64};
+use semantics::json::Json;
 use std::process::ExitCode;
 
 /// Default relative throughput drop tolerated as noise. Shared CI
@@ -49,50 +49,37 @@ struct Verdict {
     regression: bool,
 }
 
-/// Split the flat objects out of the snapshot's `"entries":[...]`
-/// array. Snapshot entries hold no nested objects, so brace matching
-/// degenerates to find-the-next-pair.
+/// The entries of a snapshot document's `entries` array.
 fn parse_snapshot(text: &str) -> Result<Vec<Entry>, String> {
-    let start = text
-        .find("\"entries\"")
-        .ok_or_else(|| "no \"entries\" array".to_string())?;
-    let mut entries = Vec::new();
-    let mut rest = &text[start..];
-    // Skip past the key itself so the config object above is never
-    // mistaken for an entry.
-    rest = &rest[rest.find('[').ok_or("no [ after \"entries\"")? + 1..];
-    while let Some(open) = rest.find('{') {
-        let close = rest[open..]
-            .find('}')
-            .ok_or_else(|| "unterminated entry object".to_string())?;
-        let obj = &rest[open..open + close + 1];
-        let spec = get_str(obj, "spec").ok_or_else(|| format!("entry without spec: {obj}"))?;
-        let mode = get_str(obj, "mode").unwrap_or("full");
-        // runtime snapshots call the fault column `profile`,
-        // distributed ones `link_faults`; either names the workload.
-        let profile = get_str(obj, "profile")
-            .or_else(|| get_str(obj, "link_faults"))
-            .unwrap_or("-");
-        let backend = get_str(obj, "backend").unwrap_or("-");
-        let threads = get_u64(obj, "threads").unwrap_or(0);
-        entries.push(Entry {
-            key: format!("{spec}/{mode}/{profile}/{backend}/t{threads}"),
-            sessions_per_sec: get_f64(obj, "sessions_per_sec")
-                .ok_or_else(|| format!("entry without sessions_per_sec: {obj}"))?,
-            latency_p99_us: get_u64(obj, "latency_p99_us").unwrap_or(0),
-        });
-        rest = &rest[open + close + 1..];
-        // Stop at the end of the entries array, not the document.
-        if let Some(next_sep) = rest.find([',', ']']) {
-            if rest.as_bytes()[next_sep] == b']' {
-                break;
-            }
-        }
-    }
+    let doc = Json::parse(text)?;
+    let entries = doc["entries"].as_array().ok_or("no \"entries\" array")?;
     if entries.is_empty() {
         return Err("snapshot has no entries".to_string());
     }
-    Ok(entries)
+    entries
+        .iter()
+        .map(|e| {
+            let spec = e["spec"]
+                .as_str()
+                .ok_or_else(|| format!("entry without spec: {e}"))?;
+            let mode = e["mode"].as_str().unwrap_or("full");
+            // runtime snapshots call the fault column `profile`,
+            // distributed ones `link_faults`; either names the workload.
+            let profile = e["profile"]
+                .as_str()
+                .or(e["link_faults"].as_str())
+                .unwrap_or("-");
+            let backend = e["backend"].as_str().unwrap_or("-");
+            let threads = e["threads"].as_u64().unwrap_or(0);
+            Ok(Entry {
+                key: format!("{spec}/{mode}/{profile}/{backend}/t{threads}"),
+                sessions_per_sec: e["sessions_per_sec"]
+                    .as_f64()
+                    .ok_or_else(|| format!("entry without sessions_per_sec: {e}"))?,
+                latency_p99_us: e["latency_p99_us"].as_f64().map_or(0, |v| v as u64),
+            })
+        })
+        .collect()
 }
 
 /// Pair baseline and fresh entries by key — positionally within
@@ -212,24 +199,24 @@ mod tests {
     use super::*;
 
     fn snapshot(rates: &[(&str, f64, u64)]) -> String {
-        let entries: Vec<String> = rates
-            .iter()
-            .map(|(key, rate, p99)| {
-                let mut parts = key.split('/');
-                format!(
-                    "{{\"spec\":\"{}\",\"mode\":\"{}\",\"profile\":\"{}\",\"backend\":\"{}\",\
-                     \"threads\":4,\"sessions_per_sec\":{rate},\"latency_p99_us\":{p99}}}",
-                    parts.next().unwrap(),
-                    parts.next().unwrap(),
-                    parts.next().unwrap(),
-                    parts.next().unwrap(),
-                )
-            })
-            .collect();
-        format!(
-            "{{\"config\":{{\"threads\":4}},\"entries\":[\n{}\n]}}",
-            entries.join(",\n")
-        )
+        let entries = rates.iter().map(|(key, rate, p99)| {
+            let mut parts = key.split('/');
+            let mut part = || parts.next().unwrap();
+            semantics::json_obj! {
+                "spec" => part(),
+                "mode" => part(),
+                "profile" => part(),
+                "backend" => part(),
+                "threads" => 4u64,
+                "sessions_per_sec" => *rate,
+                "latency_p99_us" => *p99,
+            }
+        });
+        let doc = semantics::json_obj! {
+            "config" => semantics::json_obj! { "threads" => 4u64 },
+            "entries" => entries.collect::<Json>(),
+        };
+        format!("{doc:#}")
     }
 
     #[test]
@@ -339,6 +326,25 @@ mod tests {
         )]))
         .unwrap();
         assert!(compare(&base, &fresh, 0.25).iter().all(|v| !v.regression));
+    }
+
+    /// Entries may carry nested objects and arrays (spread records,
+    /// per-layer breakdowns); the gate reads its fields around them.
+    #[test]
+    fn nested_entries_parse() {
+        let text = r#"{"entries": [
+            {"spec": "a.lotos", "spread": {"iqr": [1, {"x": 2}]},
+             "sessions_per_sec": 900.5, "threads": 2, "latency_p99_us": 64},
+            {"spec": "b.lotos", "sessions_per_sec": 10}]}"#;
+        let e = parse_snapshot(text).unwrap();
+        assert_eq!(e.len(), 2);
+        assert_eq!(e[0].key, "a.lotos/full/-/-/t2");
+        assert_eq!(e[0].sessions_per_sec, 900.5);
+        assert_eq!(e[0].latency_p99_us, 64);
+        assert_eq!(e[1].sessions_per_sec, 10.0);
+        assert!(parse_snapshot(r#"{"entries": [{"spec": "a"}]}"#).is_err());
+        assert!(parse_snapshot(r#"{"entries": []}"#).is_err());
+        assert!(parse_snapshot(r#"{"entries": [{"#).is_err());
     }
 
     #[test]

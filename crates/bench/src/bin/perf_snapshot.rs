@@ -19,9 +19,10 @@
 //!
 //! Usage: `cargo run --release -p bench --bin perf-snapshot`
 
-use bench::snapshot::{verify_entry, verify_speedup, KernelTiming};
+use bench::snapshot::{verify_entry, verify_speedup, write_snapshot, KernelTiming};
 use semantics::detdfa::DetDfa;
 use semantics::explore::{explore_par, DepthMode, ExploreConfig};
+use semantics::json_obj;
 use semantics::lts::Lts;
 use semantics::{naive, traces};
 use std::time::Instant;
@@ -117,7 +118,7 @@ fn bench_traces(service: &Lts, comp: &Lts) -> KernelTiming {
 
 fn main() {
     let root = format!("{}/../..", env!("CARGO_MANIFEST_DIR"));
-    let mut entries: Vec<String> = Vec::new();
+    let mut entries = Vec::new();
 
     for name in CORPUS {
         let src = std::fs::read_to_string(format!("{root}/specs/{name}"))
@@ -154,19 +155,23 @@ fn main() {
             verify_speedup,
         );
 
-        entries.push(format!(
-            "    {}",
-            verify_entry(name, service.len(), comp.len(), &bisim, &trace)
+        entries.push(verify_entry(
+            name,
+            service.len(),
+            comp.len(),
+            &bisim,
+            &trace,
         ));
     }
 
-    let json = format!(
-        "{{\n  \"generated_by\": \"cargo run --release -p bench --bin perf-snapshot\",\n  \
-         \"config\": {{\"trace_len\":{TRACE_LEN},\"max_states\":{MAX_STATES},\
-         \"finite_probe_states\":{FINITE_PROBE_STATES}}},\n  \"entries\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
+    write_snapshot(
+        &format!("{root}/BENCH_verify.json"),
+        "cargo run --release -p bench --bin perf-snapshot",
+        json_obj! {
+            "trace_len" => TRACE_LEN,
+            "max_states" => MAX_STATES,
+            "finite_probe_states" => FINITE_PROBE_STATES,
+        },
+        entries,
     );
-    let out = format!("{root}/BENCH_verify.json");
-    std::fs::write(&out, json).expect("write BENCH_verify.json");
-    println!("wrote {out}");
 }

@@ -21,9 +21,10 @@
 //! (compare its stdout against the committed baseline), not a baseline
 //! producer.
 
-use bench::snapshot::{runtime_entry, THREADS};
+use bench::snapshot::{runtime_entry, write_snapshot, THREADS};
 use protogen::Pipeline;
 use runtime::{BackendChoice, FaultProfile, PipelineRun, RuntimeConfig};
+use semantics::json_obj;
 
 const SEED: u64 = 0xC0FFEE;
 
@@ -53,7 +54,7 @@ fn main() {
     let record = std::env::args().any(|a| a == "--record");
     let sessions = if quick { 200 } else { 2000 };
     let root = format!("{}/../..", env!("CARGO_MANIFEST_DIR"));
-    let mut entries: Vec<String> = Vec::new();
+    let mut entries = Vec::new();
 
     for &(name, refuse) in CORPUS {
         let derived = Pipeline::load_file(&format!("{root}/specs/{name}"))
@@ -105,10 +106,7 @@ fn main() {
                     report.retransmissions,
                 );
 
-                entries.push(format!(
-                    "    {}",
-                    runtime_entry(name, mode, profile_tag(profile), &report)
-                ));
+                entries.push(runtime_entry(name, mode, profile_tag(profile), &report));
             }
         }
     }
@@ -117,13 +115,10 @@ fn main() {
         println!("--record: overhead measurement only, BENCH_runtime.json untouched");
         return;
     }
-    let json = format!(
-        "{{\n  \"generated_by\": \"cargo run --release -p bench --bin runtime-snapshot\",\n  \
-         \"config\": {{\"threads\":{THREADS},\"seed\":{SEED},\"quick\":{quick}}},\n  \
-         \"entries\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
+    write_snapshot(
+        &format!("{root}/BENCH_runtime.json"),
+        "cargo run --release -p bench --bin runtime-snapshot",
+        json_obj! { "threads" => THREADS, "seed" => SEED, "quick" => quick },
+        entries,
     );
-    let out = format!("{root}/BENCH_runtime.json");
-    std::fs::write(&out, json).expect("write BENCH_runtime.json");
-    println!("wrote {out}");
 }

@@ -1,31 +1,31 @@
-//! Entry layouts of the `BENCH_*.json` snapshots, shared by the
+//! The `BENCH_*.json` snapshot documents, shared by the
 //! `runtime-snapshot`, `distributed-snapshot` and `perf-snapshot`
 //! binaries (and pinned by the JSON golden test).
 
 use runtime::metrics::RuntimeReport;
+use semantics::json::Json;
+use semantics::json_obj;
 
 /// Threads every load snapshot runs with.
 pub const THREADS: usize = 4;
 
 /// One `BENCH_runtime.json` entry.
-pub fn runtime_entry(spec: &str, mode: &str, profile: &str, report: &RuntimeReport) -> String {
-    format!(
-        "{{\"spec\":\"{spec}\",\"mode\":\"{mode}\",\"profile\":\"{profile}\",\
-         \"backend\":\"{}\",\"sessions\":{},\
-         \"threads\":{THREADS},\"sessions_per_sec\":{:.1},\
-         \"latency_p50_us\":{},\"latency_p99_us\":{},\
-         \"overhead_ratio\":{:.3},\"messages\":{},\"frames_lost\":{},\
-         \"retransmissions\":{}}}",
-        report.backend,
-        report.sessions,
-        report.sessions_per_sec,
-        report.session_latency.p50,
-        report.session_latency.p99,
-        report.overhead_ratio(),
-        report.messages,
-        report.frames_lost,
-        report.retransmissions,
-    )
+pub fn runtime_entry(spec: &str, mode: &str, profile: &str, report: &RuntimeReport) -> Json {
+    json_obj! {
+        "spec" => spec,
+        "mode" => mode,
+        "profile" => profile,
+        "backend" => report.backend,
+        "sessions" => report.sessions,
+        "threads" => THREADS,
+        "sessions_per_sec" => report.sessions_per_sec,
+        "latency_p50_us" => report.session_latency.p50 as u64,
+        "latency_p99_us" => report.session_latency.p99 as u64,
+        "overhead_ratio" => report.overhead_ratio(),
+        "messages" => report.messages,
+        "frames_lost" => report.frames_lost,
+        "retransmissions" => report.retransmissions,
+    }
 }
 
 /// One `BENCH_distributed.json` entry; `kills` counts the connections
@@ -36,23 +36,22 @@ pub fn distributed_entry(
     link_faults: &str,
     report: &RuntimeReport,
     kills: u64,
-) -> String {
-    let reconnects: usize = report.per_link.values().map(|l| l.reconnects).sum();
-    let retx: usize = report.per_link.values().map(|l| l.retransmissions).sum();
-    format!(
-        "{{\"spec\":\"{spec}\",\"mode\":\"{mode}\",\"link_faults\":\"{link_faults}\",\
-         \"backend\":\"{}\",\"sessions\":{},\
-         \"threads\":{THREADS},\"sessions_per_sec\":{:.1},\
-         \"latency_p50_us\":{},\"latency_p99_us\":{},\
-         \"messages\":{},\"kills\":{kills},\"reconnects\":{reconnects},\
-         \"retransmissions\":{retx}}}",
-        report.backend,
-        report.sessions,
-        report.sessions_per_sec,
-        report.session_latency.p50,
-        report.session_latency.p99,
-        report.messages,
-    )
+) -> Json {
+    json_obj! {
+        "spec" => spec,
+        "mode" => mode,
+        "link_faults" => link_faults,
+        "backend" => report.backend,
+        "sessions" => report.sessions,
+        "threads" => THREADS,
+        "sessions_per_sec" => report.sessions_per_sec,
+        "latency_p50_us" => report.session_latency.p50 as u64,
+        "latency_p99_us" => report.session_latency.p99 as u64,
+        "messages" => report.messages,
+        "kills" => kills,
+        "reconnects" => report.per_link.values().map(|l| l.reconnects).sum::<usize>(),
+        "retransmissions" => report.per_link.values().map(|l| l.retransmissions).sum::<usize>(),
+    }
 }
 
 /// Naive-vs-fast timing of one verification kernel.
@@ -67,14 +66,13 @@ impl KernelTiming {
         self.naive_us / self.fast_us.max(1e-3)
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"naive_us\":{:.1},\"fast_us\":{:.1},\"speedup\":{:.2},\"verdicts_agree\":{}}}",
-            self.naive_us,
-            self.fast_us,
-            self.speedup(),
-            self.agree
-        )
+    fn to_json(&self) -> Json {
+        json_obj! {
+            "naive_us" => self.naive_us,
+            "fast_us" => self.fast_us,
+            "speedup" => self.speedup(),
+            "verdicts_agree" => self.agree,
+        }
     }
 }
 
@@ -91,13 +89,24 @@ pub fn verify_entry(
     composition_states: usize,
     bisim: &KernelTiming,
     traces: &KernelTiming,
-) -> String {
-    format!(
-        "{{\"spec\":\"{spec}\",\"service_states\":{service_states},\
-         \"composition_states\":{composition_states},\
-         \"weak_bisim\":{},\"traces\":{},\"verify_speedup\":{:.2}}}",
-        bisim.to_json(),
-        traces.to_json(),
-        verify_speedup(bisim, traces)
-    )
+) -> Json {
+    json_obj! {
+        "spec" => spec,
+        "service_states" => service_states,
+        "composition_states" => composition_states,
+        "weak_bisim" => bisim.to_json(),
+        "traces" => traces.to_json(),
+        "verify_speedup" => verify_speedup(bisim, traces),
+    }
+}
+
+/// Write a snapshot document to `path`, one entry per line.
+pub fn write_snapshot(path: &str, generated_by: &str, config: Json, entries: Vec<Json>) {
+    let doc = json_obj! {
+        "generated_by" => generated_by,
+        "config" => config,
+        "entries" => Json::Arr(entries),
+    };
+    std::fs::write(path, format!("{doc:#}\n")).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
 }

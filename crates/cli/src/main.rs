@@ -323,7 +323,7 @@ fn write_report(
 ) -> Result<(), ProtogenError> {
     match flag_value(args, "--report").or_else(|| flag_value(args, "--out")) {
         Some(path) => {
-            std::fs::write(path, report.to_json()).map_err(|e| ProtogenError::Io {
+            std::fs::write(path, report.to_json().to_string()).map_err(|e| ProtogenError::Io {
                 path: path.to_string(),
                 message: e.to_string(),
             })?;
@@ -871,9 +871,11 @@ fn run(args: &[String]) -> Result<(), ProtogenError> {
             // `--out` names the trace file here; only `--report` writes
             // the JSON report.
             if let Some(path) = flag_value(rest, "--report") {
-                std::fs::write(path, report.to_json()).map_err(|e| ProtogenError::Io {
-                    path: path.to_string(),
-                    message: e.to_string(),
+                std::fs::write(path, report.to_json().to_string()).map_err(|e| {
+                    ProtogenError::Io {
+                        path: path.to_string(),
+                        message: e.to_string(),
+                    }
                 })?;
                 println!("report: {path}");
             }
@@ -970,16 +972,15 @@ fn run(args: &[String]) -> Result<(), ProtogenError> {
                     .unwrap_or("service");
                 semantics::lower::emit_rust_module(&set, name)
             } else {
-                let mut s = String::from("{\"schema\": \"protogen-tables-v1\", \"entities\": [");
-                for (i, (_, e)) in set.entities.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push('\n');
-                    s.push_str(&e.to_json());
-                }
-                s.push_str("\n]}\n");
-                s
+                let tables = semantics::json_obj! {
+                    "schema" => "protogen-tables-v1",
+                    "entities" => set
+                        .entities
+                        .iter()
+                        .map(|(_, e)| e.to_json())
+                        .collect::<semantics::json::Json>(),
+                };
+                format!("{tables:#}\n")
             };
             eprintln!(
                 "codegen: {} entit{} lowered, {} states total",

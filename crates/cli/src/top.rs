@@ -6,7 +6,7 @@
 //! all the hub's exposition server needs.
 
 use protogen::ProtogenError;
-use semantics::jsonish::{get_f64, get_u64};
+use semantics::json::Json;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -53,13 +53,10 @@ fn parse_prom(text: &str) -> BTreeMap<String, f64> {
     out
 }
 
-/// Slice the object body of `"name":{...}` out of a (flat-valued) JSON
-/// document — enough structure for `/health`'s per-stage quantiles.
-fn object_slice<'a>(json: &'a str, name: &str) -> Option<&'a str> {
-    let pat = format!("\"{name}\":{{");
-    let start = json.find(&pat)? + pat.len();
-    let rest = &json[start..];
-    Some(&rest[..rest.find('}')?])
+/// The `/health` document; a body that is not JSON reads as `null`, so
+/// every field renders as zero.
+fn health_doc(body: &str) -> Json {
+    Json::parse(body).unwrap_or(Json::Null)
 }
 
 fn sparkline(history: &VecDeque<u64>) -> String {
@@ -89,16 +86,17 @@ struct Deltas {
 
 fn render(
     addr: &str,
-    health: &str,
+    health: &Json,
     prom: &BTreeMap<String, f64>,
     backlog_history: &VecDeque<u64>,
     prev: Option<&Deltas>,
     now: Instant,
 ) -> String {
     let mut out = String::with_capacity(1024);
-    let uptime = get_f64(health, "uptime_s").unwrap_or(0.0);
-    let sessions = get_u64(health, "sessions_completed").unwrap_or(0);
-    let avg_rate = get_f64(health, "sessions_per_sec").unwrap_or(0.0);
+    let num = |v: &Json| v.as_f64().unwrap_or(0.0);
+    let uptime = num(&health["uptime_s"]);
+    let sessions = health["sessions_completed"].as_u64().unwrap_or(0);
+    let avg_rate = num(&health["sessions_per_sec"]);
     let live_rate = prev.map(|p| {
         let dt = now.duration_since(p.at).as_secs_f64().max(1e-9);
         sessions.saturating_sub(p.sessions) as f64 / dt
@@ -113,32 +111,30 @@ fn render(
         )),
     }
     out.push_str(&format!(
-        "latency   p50 {}us   p99 {}us\n",
-        get_u64(health, "session_p50_us").unwrap_or(0),
-        get_u64(health, "session_p99_us").unwrap_or(0),
+        "latency   p50 {:.0}us   p99 {:.0}us\n",
+        num(&health["session_p50_us"]),
+        num(&health["session_p99_us"]),
     ));
     out.push_str(&format!(
         "\n{:<12} {:>10} {:>10} {:>10}\n",
         "stage", "p50(us)", "p99(us)", "count"
     ));
     for stage in ["queue_wait", "step", "notify_wait", "wire"] {
-        let (p50, p99, count) = match object_slice(health, stage) {
-            Some(s) => (
-                get_u64(s, "p50_us").unwrap_or(0),
-                get_u64(s, "p99_us").unwrap_or(0),
-                get_u64(s, "count").unwrap_or(0),
-            ),
-            None => (0, 0, 0),
-        };
-        out.push_str(&format!("{stage:<12} {p50:>10} {p99:>10} {count:>10}\n"));
+        let s = &health["stages"][stage];
+        out.push_str(&format!(
+            "{stage:<12} {:>10.0} {:>10.0} {:>10}\n",
+            num(&s["p50_us"]),
+            num(&s["p99_us"]),
+            s["count"].as_u64().unwrap_or(0)
+        ));
     }
-    let gauges = object_slice(health, "gauges").unwrap_or("");
+    let gauge = |key: &str| health["gauges"][key].as_u64().unwrap_or(0);
     out.push_str(&format!(
         "\nwindow    {}/{} in flight   pool {}/{} bufs free\n",
-        get_u64(gauges, "window_occupancy").unwrap_or(0),
-        get_u64(gauges, "window_size").unwrap_or(0),
-        get_u64(gauges, "pool_bufs_free").unwrap_or(0),
-        get_u64(gauges, "pool_bufs_total").unwrap_or(0),
+        gauge("window_occupancy"),
+        gauge("window_size"),
+        gauge("pool_bufs_free"),
+        gauge("pool_bufs_total"),
     ));
     let bytes = *prom.get("protogen_bytes_sent_total").unwrap_or(&0.0);
     let batches = *prom.get("protogen_batches_sent_total").unwrap_or(&0.0);
@@ -218,7 +214,7 @@ pub fn top(args: &[String]) -> Result<(), ProtogenError> {
     let mut history: VecDeque<u64> = VecDeque::with_capacity(SPARK_LEN);
     let mut prev: Option<Deltas> = None;
     loop {
-        let health = http_get(&addr, "/health").map_err(ProtogenError::Transport)?;
+        let health = health_doc(&http_get(&addr, "/health").map_err(ProtogenError::Transport)?);
         let prom = parse_prom(&http_get(&addr, "/metrics").map_err(ProtogenError::Transport)?);
         let now = Instant::now();
         let backlog = *prom.get("protogen_link_backlog_frames").unwrap_or(&0.0) as u64;
@@ -236,7 +232,7 @@ pub fn top(args: &[String]) -> Result<(), ProtogenError> {
         let _ = std::io::stdout().flush();
         prev = Some(Deltas {
             at: now,
-            sessions: get_u64(&health, "sessions_completed").unwrap_or(0),
+            sessions: health["sessions_completed"].as_u64().unwrap_or(0),
             bytes: *prom.get("protogen_bytes_sent_total").unwrap_or(&0.0),
         });
         std::thread::sleep(Duration::from_millis(interval));
@@ -262,15 +258,61 @@ mod tests {
         assert_eq!(m.len(), 3);
     }
 
+    fn frame(health: &str) -> String {
+        render(
+            "127.0.0.1:9464",
+            &health_doc(health),
+            &BTreeMap::new(),
+            &VecDeque::new(),
+            None,
+            Instant::now(),
+        )
+    }
+
     #[test]
     fn health_objects_slice_per_stage() {
-        let health = "{\"stages\":{\"queue_wait\":{\"p50_us\":5,\"p99_us\":9,\"count\":3},\
-                      \"step\":{\"p50_us\":1,\"p99_us\":2,\"count\":3}}}";
-        let q = object_slice(health, "queue_wait").unwrap();
-        assert_eq!(get_u64(q, "p99_us"), Some(9));
-        let s = object_slice(health, "step").unwrap();
-        assert_eq!(get_u64(s, "p50_us"), Some(1));
-        assert!(object_slice(health, "wire").is_none());
+        let f = frame(
+            r#"{"stages": {"queue_wait": {"p50_us": 5.0, "p99_us": 9.0, "count": 3},
+                           "step": {"p50_us": 1.25, "p99_us": 2.0, "count": 3}},
+                "gauges": {"window_occupancy": 4, "window_size": 64},
+                "session_p99_us": 2560.0}"#,
+        );
+        assert!(
+            f.contains("queue_wait            5          9          3"),
+            "{f}"
+        );
+        assert!(
+            f.contains("step                  1          2          3"),
+            "{f}"
+        );
+        assert!(
+            f.contains("wire                  0          0          0"),
+            "{f}"
+        );
+        assert!(f.contains("window    4/64 in flight"), "{f}");
+        assert!(f.contains("p99 2560us"), "{f}");
+    }
+
+    /// `/health` bytes come from a network peer: truncated, mistyped or
+    /// non-JSON bodies render as zeros, never a panic.
+    #[test]
+    fn malformed_health_renders_zeros() {
+        let good =
+            r#"{"uptime_s": 2.0, "sessions_completed": 20, "stages": {"step": {"count": 3}}}"#;
+        for body in [
+            &good[..good.len() - 1],
+            r#"{"stages": [1, 2], "gauges": "x", "sessions_completed": -4, "uptime_s": "7"}"#,
+            "HTTP/1.1 500",
+            "",
+        ] {
+            let f = frame(body);
+            assert!(f.contains("sessions  0 completed"), "{body}: {f}");
+            assert!(
+                f.contains("step                  0          0          0"),
+                "{f}"
+            );
+            assert!(f.contains("window    0/0 in flight"), "{f}");
+        }
     }
 
     #[test]
@@ -284,14 +326,7 @@ mod tests {
 
     #[test]
     fn render_survives_empty_inputs() {
-        let frame = render(
-            "127.0.0.1:9464",
-            "{}",
-            &BTreeMap::new(),
-            &VecDeque::new(),
-            None,
-            Instant::now(),
-        );
+        let frame = frame("{}");
         assert!(frame.contains("protogen top"));
         assert!(frame.contains("queue_wait"));
     }

@@ -1,5 +1,6 @@
 //! End-to-end tests of the `protogen` command-line tool.
 
+use semantics::json::Json;
 use std::io::Write;
 use std::process::{Command, Stdio};
 
@@ -261,11 +262,13 @@ fn load_reports_and_writes_json() {
     );
     assert!(ok, "{stdout}");
     assert!(stdout.contains("conforming=50"), "{stdout}");
-    let json = std::fs::read_to_string(&out).unwrap();
+    let json = Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
     std::fs::remove_file(&out).ok();
-    assert!(json.contains("\"sessions\":50"), "{json}");
-    assert!(json.contains("\"engine\":\"concurrent\""), "{json}");
-    assert!(json.contains("\"per_prim\""), "{json}");
+    assert_eq!(json["sessions"].as_u64(), Some(50), "{json}");
+    assert_eq!(json["engine"].as_str(), Some("concurrent"), "{json}");
+    for prim in ["a", "b", "c"] {
+        assert_eq!(json["per_prim"][prim]["count"].as_u64(), Some(50), "{json}");
+    }
 }
 
 #[test]
@@ -321,16 +324,21 @@ fn distributed_spawn_run_conforms_over_tcp() {
     assert!(stdout.contains("engine=distributed"), "{stdout}");
     assert!(stdout.contains("conforms=true"), "{stdout}");
     assert!(stdout.contains("trace: a1.b2.c1"), "{stdout}");
-    let json = std::fs::read_to_string(&report).unwrap();
+    let json = Json::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
     std::fs::remove_file(&report).ok();
     std::fs::remove_file(&spec).ok();
-    assert!(json.contains("\"engine\":\"distributed\""), "{json}");
-    let version = format!("\"schema_version\":{}", runtime::REPORT_SCHEMA_VERSION);
-    assert!(json.contains(&version), "{json}");
-    assert!(json.contains("\"stages\":"), "{json}");
-    assert!(json.contains("\"gauges\":"), "{json}");
-    assert!(json.contains("\"backend\":"), "{json}");
-    assert!(json.contains("\"per_link\""), "{json}");
+    assert_eq!(json["engine"].as_str(), Some("distributed"), "{json}");
+    assert_eq!(
+        json["schema_version"].as_u64(),
+        Some(runtime::REPORT_SCHEMA_VERSION as u64)
+    );
+    assert_eq!(json["stages"]["wire"]["count"].as_u64(), Some(1), "{json}");
+    assert!(json["gauges"]["window_size"].as_u64() > Some(0), "{json}");
+    assert!(json["backend"].as_str().is_some(), "{json}");
+    assert!(
+        matches!(json["per_link"], Json::Obj(ref links) if !links.is_empty()),
+        "{json}"
+    );
 }
 
 #[test]

@@ -3,6 +3,8 @@
 //! used by the distributed acceptance tests.
 
 use crate::event::{unpack_msg, Event, EventKind, NO_SESSION};
+use semantics::json::Json;
+use semantics::json_obj;
 use std::collections::BTreeMap;
 
 /// A resolved event: the raw [`Event`] plus its interned name, if any.
@@ -77,20 +79,18 @@ pub struct TraceLog {
 
 impl TraceLog {
     /// Render as Chrome `trace_event` JSON (the "JSON object format").
-    /// One event object per line, so the output is grep- and
-    /// hand-parseable; load it at `chrome://tracing` or in Perfetto.
-    /// `pid` is the place, `tid` the session.
+    /// One event object per line, so the output is grep-friendly; load it
+    /// at `chrome://tracing` or in Perfetto. `pid` is the place, `tid`
+    /// the session.
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 96 + 128);
-        out.push_str("{\"traceEvents\":[\n");
-        let mut first = true;
+        let us = |ns: u64| ns as f64 / 1000.0;
+        let mut events = Vec::with_capacity(self.events.len());
         // Pair phase spans into single "X" events; everything else is an
         // instant.
         let mut open_phases: BTreeMap<(u8, String), u64> = BTreeMap::new();
         for tev in &self.events {
             let ev = &tev.ev;
-            let ts = ev.wall_ns as f64 / 1000.0;
-            let line = match ev.kind {
+            events.push(match ev.kind {
                 EventKind::PhaseStart => {
                     open_phases
                         .insert((ev.place, tev.name.clone().unwrap_or_default()), ev.wall_ns);
@@ -99,42 +99,44 @@ impl TraceLog {
                 EventKind::PhaseEnd => {
                     let name = tev.name.clone().unwrap_or_default();
                     let start = open_phases.remove(&(ev.place, name.clone())).unwrap_or(0);
-                    format!(
-                        "{{\"name\":\"{}\",\"cat\":\"phase\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":{},\"tid\":0,\"args\":{{\"lc\":0,\"session\":-1}}}}",
-                        escape(&name),
-                        start as f64 / 1000.0,
-                        (ev.wall_ns.saturating_sub(start)) as f64 / 1000.0,
-                        ev.place,
-                    )
+                    json_obj! {
+                        "name" => name,
+                        "cat" => "phase",
+                        "ph" => "X",
+                        "ts" => us(start),
+                        "dur" => us(ev.wall_ns.saturating_sub(start)),
+                        "pid" => ev.place,
+                        "tid" => 0u64,
+                        "args" => json_obj! { "lc" => 0u64, "session" => -1i64 },
+                    }
                 }
                 _ => {
-                    let session = if ev.session == NO_SESSION {
-                        -1i64
-                    } else {
-                        ev.session as i64
-                    };
-                    format!(
-                        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts:.3},\"pid\":{},\"tid\":{},\"args\":{{\"lc\":{},\"session\":{session}}}}}",
-                        escape(&tev.label()),
-                        ev.kind.tag(),
-                        ev.place,
-                        if session < 0 { 0 } else { session },
-                        ev.lc,
-                    )
+                    let session = (ev.session != NO_SESSION).then_some(ev.session);
+                    json_obj! {
+                        "name" => tev.label(),
+                        "cat" => ev.kind.tag(),
+                        "ph" => "i",
+                        "s" => "t",
+                        "ts" => us(ev.wall_ns),
+                        "pid" => ev.place,
+                        "tid" => session.unwrap_or(0),
+                        "args" => json_obj! {
+                            "lc" => ev.lc,
+                            "session" => session.map_or(Json::I64(-1), Json::from),
+                        },
+                    }
                 }
-            };
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&line);
+            });
         }
-        out.push_str(
-            "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"tool\":\"protogen\",\"trace_id\":\"",
-        );
-        out.push_str(&format!("{:#x}", self.trace_id));
-        out.push_str("\"}}\n");
-        out
+        let doc = json_obj! {
+            "traceEvents" => Json::Arr(events),
+            "displayTimeUnit" => "ms",
+            "otherData" => json_obj! {
+                "tool" => "protogen",
+                "trace_id" => format!("{:#x}", self.trace_id),
+            },
+        };
+        format!("{doc:#}\n")
     }
 
     /// Render a per-session causal timeline, sessions in order, events
@@ -258,20 +260,6 @@ impl TraceLog {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// One event as parsed back from Chrome `trace_event` JSON — enough for
 /// `protogen trace --inspect/--validate`, not a general JSON reader.
 #[derive(Clone, Debug)]
@@ -287,46 +275,39 @@ pub struct ChromeEvent {
     pub session: i64,
 }
 
-/// Parse a trace produced by [`TraceLog::to_chrome_json`] (one event per
-/// line). `Err` carries a description of the first malformed line.
+/// Parse a Chrome `trace_event` document such as
+/// [`TraceLog::to_chrome_json`] writes. `Err` names the first problem:
+/// malformed JSON, a missing `traceEvents` array, or an event without
+/// `name`, `ph`, `ts`, `pid` or `tid`.
 pub fn parse_chrome_json(text: &str) -> Result<Vec<ChromeEvent>, String> {
-    use semantics::jsonish;
-    if !text.contains("\"traceEvents\"") {
-        return Err("missing traceEvents array".to_string());
-    }
-    let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim().trim_end_matches(',');
-        if !line.starts_with("{\"name\"") {
-            continue;
-        }
-        let name = jsonish::get_str(line, "name")
-            .map(str::to_string)
-            .ok_or_else(|| format!("line {}: event without name", lineno + 1))?;
-        let ph = jsonish::get_str(line, "ph")
-            .map(str::to_string)
-            .ok_or_else(|| format!("line {}: event without ph", lineno + 1))?;
-        let ts_us = jsonish::get_f64(line, "ts")
-            .ok_or_else(|| format!("line {}: event without ts", lineno + 1))?;
-        let pid = jsonish::get_u64(line, "pid")
-            .ok_or_else(|| format!("line {}: event without pid", lineno + 1))?;
-        let tid = jsonish::get_u64(line, "tid")
-            .ok_or_else(|| format!("line {}: event without tid", lineno + 1))?;
-        out.push(ChromeEvent {
-            name,
-            cat: jsonish::get_str(line, "cat")
-                .unwrap_or_default()
-                .to_string(),
-            ph,
-            ts_us,
-            dur_us: jsonish::get_f64(line, "dur").unwrap_or(0.0),
-            pid,
-            tid,
-            lc: jsonish::get_u64(line, "lc").unwrap_or(0),
-            session: jsonish::get_f64(line, "session").unwrap_or(-1.0) as i64,
-        });
-    }
-    Ok(out)
+    let doc = Json::parse(text)?;
+    let events = doc["traceEvents"]
+        .as_array()
+        .ok_or("missing traceEvents array")?;
+    events
+        .iter()
+        .enumerate()
+        .map(|(i, e)| {
+            let field = |key: &str| format!("event {i}: missing or mistyped {key}");
+            let str_of = |key: &str| {
+                e[key]
+                    .as_str()
+                    .map(str::to_string)
+                    .ok_or_else(|| field(key))
+            };
+            Ok(ChromeEvent {
+                name: str_of("name")?,
+                cat: e["cat"].as_str().unwrap_or_default().to_string(),
+                ph: str_of("ph")?,
+                ts_us: e["ts"].as_f64().ok_or_else(|| field("ts"))?,
+                dur_us: e["dur"].as_f64().unwrap_or(0.0),
+                pid: e["pid"].as_u64().ok_or_else(|| field("pid"))?,
+                tid: e["tid"].as_u64().ok_or_else(|| field("tid"))?,
+                lc: e["args"]["lc"].as_u64().unwrap_or(0),
+                session: e["args"]["session"].as_f64().unwrap_or(-1.0) as i64,
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -3,6 +3,8 @@
 
 use lotos::place::PlaceId;
 use obs::Registry;
+use semantics::json::Json;
+use semantics::json_obj;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -291,22 +293,18 @@ impl RuntimeConfig {
         self.seed.wrapping_add(k as u64)
     }
 
-    /// Serialize to JSON (hand-rolled; no serde in the build environment).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"sessions\":{},\"threads\":{},\"seed\":{},\"capacity\":{},\
-             \"max_steps\":{},\"faults\":\"{}\",\"record\":{},\"backend\":\"{}\",\
-             \"stall_after_ms\":{}}}",
-            self.sessions,
-            self.threads,
-            self.seed,
-            self.capacity,
-            self.max_steps,
-            self.faults,
-            self.record,
-            self.backend,
-            self.stall_after.map_or(0, |d| d.as_millis())
-        )
+    pub fn to_json(&self) -> Json {
+        json_obj! {
+            "sessions" => self.sessions,
+            "threads" => self.threads,
+            "seed" => self.seed,
+            "capacity" => self.capacity,
+            "max_steps" => self.max_steps,
+            "faults" => self.faults.to_string(),
+            "record" => self.record,
+            "backend" => self.backend.to_string(),
+            "stall_after_ms" => self.stall_after.map_or(0, |d| d.as_millis() as u64),
+        }
     }
 }
 
@@ -359,10 +357,11 @@ mod tests {
         assert_eq!(cfg.backend, BackendChoice::Compiled);
         assert_eq!(cfg.stall_after, Some(Duration::from_millis(250)));
         assert_eq!(
-            cfg.to_json(),
-            "{\"sessions\":500,\"threads\":4,\"seed\":42,\"capacity\":8,\
-             \"max_steps\":9000,\"faults\":\"lossy:0.25\",\"record\":true,\
-             \"backend\":\"compiled\",\"stall_after_ms\":250}"
+            cfg.to_json().to_string(),
+            concat!(
+                r#"{"sessions":500,"threads":4,"seed":42,"capacity":8,"max_steps":9000,"#,
+                r#""faults":"lossy:0.25","record":true,"backend":"compiled","stall_after_ms":250}"#
+            )
         );
         // The defaults: no recording, auto backend, and no configured
         // stall deadline (written as `stall_after_ms: 0`).
@@ -370,7 +369,7 @@ mod tests {
         assert!(!dflt.record);
         assert_eq!(dflt.backend, BackendChoice::Auto);
         assert_eq!(dflt.stall_after, None);
-        assert!(dflt.to_json().contains("\"stall_after_ms\":0}"));
+        assert_eq!(dflt.to_json()["stall_after_ms"], Json::U64(0));
     }
 
     #[test]

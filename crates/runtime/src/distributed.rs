@@ -65,11 +65,9 @@ use crate::compiled::lower_for;
 use crate::config::{BackendChoice, RuntimeConfig};
 use crate::entity::pack_msg_event;
 use crate::exec::{backend_desc, configured_refusal, run_registry, Completed, Monitor, Tally};
-use crate::metrics::{
-    GaugeSnapshot, LinkReport, Metrics, RuntimeReport, StageBreakdown, StallRecord,
-};
+use crate::metrics::{LinkReport, Metrics, RuntimeReport, StageBreakdown};
 use crate::session::SessionEnd;
-use crate::stall::{StallTracker, MAX_STALLS};
+use crate::stall::StallTracker;
 use lotos::ast::Spec;
 use lotos::place::PlaceId;
 use medium::Msg;
@@ -567,7 +565,7 @@ pub fn run_hub_on(
                 Arc::new(move || {
                     (
                         "application/json".to_string(),
-                        mh.health_json(started.elapsed().as_secs_f64()),
+                        mh.health_json(started.elapsed().as_secs_f64()).to_string(),
                     )
                 }),
             ));
@@ -592,8 +590,7 @@ pub fn run_hub_on(
     let mut sessions: BTreeMap<u64, HubSession> = BTreeMap::new();
     let window = session_window(cfg.threads.max(1));
     metrics.window_size.store(window, Ordering::Relaxed);
-    let mut stall_flagged: BTreeSet<u64> = BTreeSet::new();
-    let mut stall_records: Vec<StallRecord> = Vec::new();
+    let stalls = StallTracker::new();
     let mut last_stall_check = Instant::now();
     let mut last_backlog_refresh = Instant::now();
     let mut next = 0usize;
@@ -822,40 +819,27 @@ pub fn run_hub_on(
             last_stall_check = now;
             if let Some(deadline) = StallTracker::deadline(cfg, &metrics) {
                 for s in sessions.values() {
-                    if stall_records.len() >= MAX_STALLS {
-                        break;
-                    }
                     let age = now.saturating_duration_since(s.started);
-                    if age < deadline || !stall_flagged.insert(s.id) {
+                    if age < deadline || !stalls.wants(s.id) {
                         continue;
                     }
                     let age_us = age.as_micros() as u64;
-                    stall_records.push(StallRecord {
-                        session: s.id,
+                    let stages = StageBreakdown::attribute(
                         age_us,
-                        deadline_us: deadline.as_micros() as u64,
-                        stages: StageBreakdown::attribute(
-                            age_us,
-                            s.queue_ns / 1000,
-                            s.step_ns / 1000,
-                            s.wire_ns / 1000,
-                            Some(s.notify_ns / 1000),
-                        ),
-                        // The hub cannot see backend states; each
-                        // entity's last reported step count is the
-                        // closest forensic analogue.
-                        entity_state: s
-                            .status
-                            .iter()
-                            .enumerate()
-                            .map(|(i, st)| (i as u32, st.map(|r| r.steps).unwrap_or(0)))
-                            .collect(),
-                        gauges: GaugeSnapshot::capture(&metrics),
-                        tail: registry
-                            .as_ref()
-                            .map(|r| r.snapshot().tail(s.id, 16))
-                            .unwrap_or_default(),
-                    });
+                        s.queue_ns / 1000,
+                        s.step_ns / 1000,
+                        s.wire_ns / 1000,
+                        Some(s.notify_ns / 1000),
+                    );
+                    // The hub cannot see backend states; each entity's
+                    // last reported step count is the closest forensic
+                    // analogue.
+                    let steps = s.status.iter().enumerate();
+                    let entity_state = steps
+                        .map(|(i, st)| (i as u32, st.map(|r| r.steps).unwrap_or(0)))
+                        .collect();
+                    let capture = (age_us, stages, entity_state);
+                    stalls.flag(s.id, deadline, capture, &metrics, registry.as_ref());
                 }
             }
         }
@@ -1007,7 +991,7 @@ pub fn run_hub_on(
         "distributed",
         backend_desc(&lowered),
         started,
-        stall_records,
+        stalls.take_records(),
         events,
         registry.as_ref(),
     );

@@ -12,7 +12,8 @@ use crate::session::SessionEnd;
 use lotos::ast::{Expr, Spec};
 use lotos::event::{Event, SyncKind};
 use lotos::place::PlaceId;
-use semantics::jsonish::quote;
+use semantics::json::Json;
+use semantics::json_obj;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -129,12 +130,15 @@ pub struct HistSummary {
 }
 
 impl HistSummary {
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"mean_us\":{:.1},\"p50_us\":{:.1},\"p90_us\":{:.1},\
-             \"p99_us\":{:.1},\"max_us\":{}}}",
-            self.count, self.mean, self.p50, self.p90, self.p99, self.max
-        )
+    pub fn to_json(&self) -> Json {
+        json_obj! {
+            "count" => self.count,
+            "mean_us" => self.mean,
+            "p50_us" => self.p50,
+            "p90_us" => self.p90,
+            "p99_us" => self.p99,
+            "max_us" => self.max,
+        }
     }
 }
 
@@ -192,11 +196,13 @@ impl StageBreakdown {
         self.queue_wait_us + self.step_us + self.notify_wait_us + self.wire_us
     }
 
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"queue_wait_us\":{},\"step_us\":{},\"notify_wait_us\":{},\"wire_us\":{}}}",
-            self.queue_wait_us, self.step_us, self.notify_wait_us, self.wire_us
-        )
+    pub fn to_json(&self) -> Json {
+        json_obj! {
+            "queue_wait_us" => self.queue_wait_us,
+            "step_us" => self.step_us,
+            "notify_wait_us" => self.notify_wait_us,
+            "wire_us" => self.wire_us,
+        }
     }
 }
 
@@ -247,14 +253,13 @@ pub struct StageSummaries {
 }
 
 impl StageSummaries {
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"queue_wait\":{},\"step\":{},\"notify_wait\":{},\"wire\":{}}}",
-            self.queue_wait.to_json(),
-            self.step.to_json(),
-            self.notify_wait.to_json(),
-            self.wire.to_json()
-        )
+    pub fn to_json(&self) -> Json {
+        json_obj! {
+            "queue_wait" => self.queue_wait.to_json(),
+            "step" => self.step.to_json(),
+            "notify_wait" => self.notify_wait.to_json(),
+            "wire" => self.wire.to_json(),
+        }
     }
 }
 
@@ -294,22 +299,19 @@ impl GaugeSnapshot {
         }
     }
 
-    pub fn to_json(&self) -> String {
-        let per_link: Vec<String> = self
-            .per_link_backlog
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":{v}"))
-            .collect();
-        format!(
-            "{{\"window_occupancy\":{},\"window_size\":{},\"link_backlog_frames\":{},\
-             \"pool_bufs_free\":{},\"pool_bufs_total\":{},\"per_link_backlog\":{{{}}}}}",
-            self.window_occupancy,
-            self.window_size,
-            self.link_backlog_frames,
-            self.pool_bufs_free,
-            self.pool_bufs_total,
-            per_link.join(",")
-        )
+    pub fn to_json(&self) -> Json {
+        json_obj! {
+            "window_occupancy" => self.window_occupancy,
+            "window_size" => self.window_size,
+            "link_backlog_frames" => self.link_backlog_frames,
+            "pool_bufs_free" => self.pool_bufs_free,
+            "pool_bufs_total" => self.pool_bufs_total,
+            "per_link_backlog" => self
+                .per_link_backlog
+                .iter()
+                .map(|(k, v)| (k.as_str(), Json::from(*v)))
+                .collect::<Json>(),
+        }
     }
 }
 
@@ -336,24 +338,20 @@ pub struct StallRecord {
 }
 
 impl StallRecord {
-    pub fn to_json(&self) -> String {
-        let entity_state: Vec<String> = self
-            .entity_state
-            .iter()
-            .map(|(e, s)| format!("[{e},{s}]"))
-            .collect();
-        let tail: Vec<String> = self.tail.iter().map(|l| quote(l)).collect();
-        format!(
-            "{{\"session\":{},\"age_us\":{},\"deadline_us\":{},\"stages\":{},\
-             \"entity_state\":[{}],\"gauges\":{},\"tail\":[{}]}}",
-            self.session,
-            self.age_us,
-            self.deadline_us,
-            self.stages.to_json(),
-            entity_state.join(","),
-            self.gauges.to_json(),
-            tail.join(",")
-        )
+    pub fn to_json(&self) -> Json {
+        json_obj! {
+            "session" => self.session,
+            "age_us" => self.age_us,
+            "deadline_us" => self.deadline_us,
+            "stages" => self.stages.to_json(),
+            "entity_state" => self
+                .entity_state
+                .iter()
+                .map(|&(e, s)| Json::Arr(vec![e.into(), s.into()]))
+                .collect::<Json>(),
+            "gauges" => self.gauges.to_json(),
+            "tail" => self.tail.iter().collect::<Json>(),
+        }
     }
 }
 
@@ -592,29 +590,27 @@ impl Metrics {
     /// `protogen top` and external probes: throughput, per-stage
     /// latency summaries (rendered as the report's `stages`), and
     /// queue/backlog gauges.
-    pub fn health_json(&self, uptime_s: f64) -> String {
+    pub fn health_json(&self, uptime_s: f64) -> Json {
         let sessions = self.sessions_completed.load(Ordering::Relaxed);
         let rate = if uptime_s > 0.0 {
             sessions as f64 / uptime_s
         } else {
             0.0
         };
-        format!(
-            "{{\"status\":\"ok\",\"uptime_s\":{uptime_s:.3},\
-             \"sessions_completed\":{sessions},\"sessions_per_sec\":{rate:.1},\
-             \"primitives\":{},\"messages_sent\":{},\
-             \"session_p50_us\":{:.1},\"session_p99_us\":{:.1},\
-             \"stages\":{},\"gauges\":{},\
-             \"batches_sent\":{},\"bytes_sent\":{}}}",
-            self.primitives.load(Ordering::Relaxed),
-            self.messages_sent.load(Ordering::Relaxed),
-            self.session_latency.quantile(0.50),
-            self.session_latency.quantile(0.99),
-            self.stages.summaries().to_json(),
-            GaugeSnapshot::capture(self).to_json(),
-            self.batches_sent.load(Ordering::Relaxed),
-            self.bytes_sent.load(Ordering::Relaxed),
-        )
+        json_obj! {
+            "status" => "ok",
+            "uptime_s" => uptime_s,
+            "sessions_completed" => sessions,
+            "sessions_per_sec" => rate,
+            "primitives" => self.primitives.load(Ordering::Relaxed),
+            "messages_sent" => self.messages_sent.load(Ordering::Relaxed),
+            "session_p50_us" => self.session_latency.quantile(0.50),
+            "session_p99_us" => self.session_latency.quantile(0.99),
+            "stages" => self.stages.summaries().to_json(),
+            "gauges" => GaugeSnapshot::capture(self).to_json(),
+            "batches_sent" => self.batches_sent.load(Ordering::Relaxed),
+            "bytes_sent" => self.bytes_sent.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -729,11 +725,13 @@ pub struct TraceMeta {
 }
 
 impl TraceMeta {
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"trace_id\":{},\"rings\":{},\"events\":{},\"dropped\":{}}}",
-            self.trace_id, self.rings, self.events, self.dropped
-        )
+    pub fn to_json(&self) -> Json {
+        json_obj! {
+            "trace_id" => self.trace_id,
+            "rings" => self.rings,
+            "events" => self.events,
+            "dropped" => self.dropped,
+        }
     }
 }
 
@@ -766,23 +764,19 @@ pub struct LinkReport {
 }
 
 impl LinkReport {
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"lost\":{},\"retransmissions\":{},\"reconnects\":{},\
-             \"dup_dropped\":{},\"faults\":{},\"batches\":{},\"bytes_sent\":{},\
-             \"piggybacked_acks\":{},\"frames_per_batch_p50\":{},\
-             \"frames_per_batch_p99\":{}}}",
-            self.lost,
-            self.retransmissions,
-            self.reconnects,
-            self.dup_dropped,
-            self.faults,
-            self.batches,
-            self.bytes_sent,
-            self.piggybacked_acks,
-            self.frames_per_batch_p50,
-            self.frames_per_batch_p99
-        )
+    pub fn to_json(&self) -> Json {
+        json_obj! {
+            "lost" => self.lost,
+            "retransmissions" => self.retransmissions,
+            "reconnects" => self.reconnects,
+            "dup_dropped" => self.dup_dropped,
+            "faults" => self.faults,
+            "batches" => self.batches,
+            "bytes_sent" => self.bytes_sent,
+            "piggybacked_acks" => self.piggybacked_acks,
+            "frames_per_batch_p50" => self.frames_per_batch_p50,
+            "frames_per_batch_p99" => self.frames_per_batch_p99,
+        }
     }
 }
 
@@ -899,114 +893,73 @@ impl RuntimeReport {
         }
     }
 
-    /// Hand-rolled JSON export (no serde in the build environment).
-    /// Per-session reports are summarized by the aggregate fields;
-    /// violations are included in full.
-    pub fn to_json(&self) -> String {
-        let per_kind: Vec<String> = self
-            .messages_per_kind
-            .iter()
-            .map(|(k, n)| format!("{}:{n}", quote(&k.to_string())))
-            .collect();
-        let per_prim: Vec<String> = self
-            .per_prim
-            .iter()
-            .map(|(name, h)| format!("{}:{}", quote(name), h.to_json()))
-            .collect();
-        let per_link: Vec<String> = self
-            .per_link
-            .iter()
-            .map(|(k, l)| format!("{}:{}", quote(k), l.to_json()))
-            .collect();
-        let transport_events: Vec<String> =
-            self.transport_events.iter().map(|e| quote(e)).collect();
-        let violations: Vec<String> = self
-            .violations
-            .iter()
-            .map(|v| {
-                let trace: Vec<String> = v
-                    .trace
-                    .iter()
-                    .map(|(n, p)| quote(&format!("{n}@{p}")))
-                    .collect();
-                let tail: Vec<String> = v.tail.iter().map(|l| quote(l)).collect();
-                format!(
-                    "{{\"session\":{},\"seed\":{},\"primitive\":{},\"place\":{},\
-                     \"at\":{},\"trace\":[{}],\"tail\":[{}]}}",
-                    v.session,
-                    v.seed,
-                    quote(&v.primitive),
-                    v.place,
-                    v.at,
-                    trace.join(","),
-                    tail.join(",")
-                )
-            })
-            .collect();
-        let phases: Vec<String> = self
-            .phases
-            .iter()
-            .map(|(name, ms)| format!("{}:{ms:.3}", quote(name)))
-            .collect();
-        let trace_meta = match &self.trace_meta {
-            Some(t) => t.to_json(),
-            None => "null".to_string(),
-        };
-        let recorder_tails: Vec<String> = self
-            .abort_tails
-            .iter()
-            .map(|(session, lines)| {
-                let lines: Vec<String> = lines.iter().map(|l| quote(l)).collect();
-                format!("\"{session}\":[{}]", lines.join(","))
-            })
-            .collect();
-        let stalls: Vec<String> = self.stalls.iter().map(|s| s.to_json()).collect();
-        format!(
-            "{{\"schema_version\":{},\"engine\":{},\"backend\":{},\
-             \"config\":{},\"sessions\":{},\
-             \"conforming\":{},\
-             \"terminated\":{},\"deadlocked\":{},\"step_limited\":{},\"aborted\":{},\
-             \"primitives\":{},\"messages\":{},\"delivered\":{},\
-             \"overhead_ratio\":{:.3},\"messages_per_kind\":{{{}}},\
-             \"max_queue_depth\":{},\"frames_lost\":{},\"retransmissions\":{},\
-             \"per_link\":{{{}}},\"transport_events\":[{}],\
-             \"wall_s\":{:.4},\"sessions_per_sec\":{:.1},\
-             \"session_latency\":{},\"stages\":{},\"per_prim\":{{{}}},\
-             \"phases\":{{{}}},\"trace\":{},\"recorder_tails\":{{{}}},\
-             \"stalls\":[{}],\"gauges\":{},\
-             \"violations\":[{}]}}",
-            REPORT_SCHEMA_VERSION,
-            quote(self.engine),
-            quote(self.backend),
-            self.config.to_json(),
-            self.sessions,
-            self.conforming,
-            self.terminated,
-            self.deadlocked,
-            self.step_limited,
-            self.aborted,
-            self.primitives,
-            self.messages,
-            self.delivered,
-            self.overhead_ratio(),
-            per_kind.join(","),
-            self.max_queue_depth,
-            self.frames_lost,
-            self.retransmissions,
-            per_link.join(","),
-            transport_events.join(","),
-            self.wall_s,
-            self.sessions_per_sec,
-            self.session_latency.to_json(),
-            self.stages.to_json(),
-            per_prim.join(","),
-            phases.join(","),
-            trace_meta,
-            recorder_tails.join(","),
-            stalls.join(","),
-            self.gauges.to_json(),
-            violations.join(",")
-        )
+    /// The report document. Per-session reports are summarized by the
+    /// aggregate fields; violations are included in full.
+    pub fn to_json(&self) -> Json {
+        let violations = self.violations.iter().map(|v| {
+            json_obj! {
+                "session" => v.session,
+                "seed" => v.seed,
+                "primitive" => &v.primitive,
+                "place" => v.place,
+                "at" => v.at,
+                "trace" => v.trace.iter().map(|(n, p)| format!("{n}@{p}")).collect::<Json>(),
+                "tail" => v.tail.iter().collect::<Json>(),
+            }
+        });
+        json_obj! {
+            "schema_version" => REPORT_SCHEMA_VERSION,
+            "engine" => self.engine,
+            "backend" => self.backend,
+            "config" => self.config.to_json(),
+            "sessions" => self.sessions,
+            "conforming" => self.conforming,
+            "terminated" => self.terminated,
+            "deadlocked" => self.deadlocked,
+            "step_limited" => self.step_limited,
+            "aborted" => self.aborted,
+            "primitives" => self.primitives,
+            "messages" => self.messages,
+            "delivered" => self.delivered,
+            "overhead_ratio" => self.overhead_ratio(),
+            "messages_per_kind" => self
+                .messages_per_kind
+                .iter()
+                .map(|(k, n)| (k.to_string(), Json::from(*n)))
+                .collect::<Json>(),
+            "max_queue_depth" => self.max_queue_depth,
+            "frames_lost" => self.frames_lost,
+            "retransmissions" => self.retransmissions,
+            "per_link" => self
+                .per_link
+                .iter()
+                .map(|(k, l)| (k.as_str(), l.to_json()))
+                .collect::<Json>(),
+            "transport_events" => self.transport_events.iter().collect::<Json>(),
+            "wall_s" => self.wall_s,
+            "sessions_per_sec" => self.sessions_per_sec,
+            "session_latency" => self.session_latency.to_json(),
+            "stages" => self.stages.to_json(),
+            "per_prim" => self
+                .per_prim
+                .iter()
+                .map(|(name, h)| (name.as_str(), h.to_json()))
+                .collect::<Json>(),
+            "phases" => self
+                .phases
+                .iter()
+                .map(|(name, ms)| (name.as_str(), Json::from(*ms)))
+                .collect::<Json>(),
+            "trace" => self.trace_meta.map(|t| t.to_json()),
+            "recorder_tails" => self
+                .abort_tails
+                .iter()
+                .map(|(session, lines)| (session.to_string(), lines.iter().collect::<Json>()))
+                .collect::<Json>(),
+            "stalls" => self.stalls.iter().map(StallRecord::to_json).collect::<Json>(),
+            "gauges" => self.gauges.to_json(),
+            "violations" => violations.collect::<Json>(),
+        }
     }
 }
 
@@ -1221,80 +1174,67 @@ mod tests {
         }
     }
 
-    /// Is `json` lexically sound: every string closed, no raw control
-    /// character inside one, only known escapes, brackets balanced?
-    fn well_formed(json: &str) -> bool {
-        let (mut depth, mut in_str, mut chars) = (0i32, false, json.chars());
-        while let Some(c) = chars.next() {
-            match (in_str, c) {
-                (true, '"') => in_str = false,
-                (true, '\\') => match chars.next() {
-                    Some('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' | 'u') => {}
-                    _ => return false,
-                },
-                (true, c) if (c as u32) < 0x20 => return false,
-                (false, '"') => in_str = true,
-                (false, '{' | '[') => depth += 1,
-                (false, '}' | ']') => depth -= 1,
-                _ => {}
-            }
-            if depth < 0 {
-                return false;
-            }
-        }
-        !in_str && depth == 0
-    }
-
     #[test]
     fn report_json_round_trips_schema_and_link_counters() {
         let report = sample_report();
-        let json = report.to_json();
-        assert!(well_formed(&json), "{json}");
-        use semantics::jsonish::{get_str, get_u64};
+        let json = Json::parse(&report.to_json().to_string()).unwrap();
         assert_eq!(
-            get_u64(&json, "schema_version"),
+            json["schema_version"].as_u64(),
             Some(REPORT_SCHEMA_VERSION as u64)
         );
-        assert_eq!(get_u64(&json, "aborted"), Some(1));
-        // The per-link map survives with its counters intact. Scope the
-        // lookups past `per_link` — `config` also carries a "faults" key
-        // (a profile string), and get_u64 matches the first occurrence.
-        assert!(json.contains("\"1->2\""), "{json}");
-        let link_json = &json[json.find("\"per_link\"").unwrap()..];
-        assert_eq!(get_u64(link_json, "reconnects"), Some(1));
-        assert_eq!(get_u64(link_json, "dup_dropped"), Some(2));
-        assert_eq!(get_u64(link_json, "faults"), Some(4));
-        // Batching counters ride in the same per-link object.
-        assert_eq!(get_u64(link_json, "batches"), Some(6));
-        assert_eq!(get_u64(link_json, "bytes_sent"), Some(4096));
-        assert_eq!(get_u64(link_json, "piggybacked_acks"), Some(9));
-        assert_eq!(get_u64(link_json, "frames_per_batch_p50"), Some(7));
-        assert_eq!(get_u64(link_json, "frames_per_batch_p99"), Some(31));
-        assert!(json.contains("link place:2 declared dead"), "{json}");
+        assert_eq!(json["aborted"].as_u64(), Some(1));
+        // The per-link map survives with its counters intact, batching
+        // counters included.
+        let link = &json["per_link"]["1->2"];
+        for (key, want) in [
+            ("reconnects", 1),
+            ("dup_dropped", 2),
+            ("faults", 4),
+            ("batches", 6),
+            ("bytes_sent", 4096),
+            ("piggybacked_acks", 9),
+            ("frames_per_batch_p50", 7),
+            ("frames_per_batch_p99", 31),
+        ] {
+            assert_eq!(link[key].as_u64(), Some(want), "{key}");
+        }
+        assert_eq!(
+            json["transport_events"][0].as_str(),
+            Some("link place:2 declared dead")
+        );
         // An aborted session fails the run even with zero violations.
         assert!(!report.passed());
         // Backend, phases and recorder metadata are machine-readable.
-        assert_eq!(get_str(&json, "backend"), Some("compiled"));
-        assert!(json.contains("\"phases\":{\"parse\":1.250,\"derive\":3.500}"));
-        let trace_json = &json[json.find("\"trace\":{").unwrap()..];
-        assert_eq!(get_u64(trace_json, "trace_id"), Some(77));
-        assert_eq!(get_u64(trace_json, "events"), Some(420));
-        assert!(json.contains("\"recorder_tails\":{\"4\":[\"lc=9 place=1 prim a@1\"]}"));
+        assert_eq!(json["backend"].as_str(), Some("compiled"));
+        assert_eq!(
+            json["phases"],
+            Json::Obj(vec![
+                ("parse".to_string(), Json::F64(1.25)),
+                ("derive".to_string(), Json::F64(3.5)),
+            ])
+        );
+        assert_eq!(json["trace"]["trace_id"].as_u64(), Some(77));
+        assert_eq!(json["trace"]["events"].as_u64(), Some(420));
+        assert_eq!(
+            json["recorder_tails"]["4"][0].as_str(),
+            Some("lc=9 place=1 prim a@1")
+        );
         // Stage summaries, stall records, gauges.
-        assert!(json.contains("\"stages\":{\"queue_wait\":{"), "{json}");
-        let stall_json = &json[json.find("\"stalls\"").unwrap()..];
-        assert_eq!(get_u64(stall_json, "age_us"), Some(5000));
-        assert_eq!(get_u64(stall_json, "deadline_us"), Some(2000));
-        assert!(stall_json.contains("\"entity_state\":[[0,7],[1,9]]"));
-        let gauge_json = &json[json.rfind("\"gauges\"").unwrap()..];
-        assert_eq!(get_u64(gauge_json, "window_occupancy"), Some(5));
-        assert_eq!(get_u64(gauge_json, "pool_bufs_total"), Some(8));
-        assert!(gauge_json.contains("\"per_link_backlog\":{\"place:2\":11}"));
+        assert_eq!(json["stages"]["queue_wait"]["count"].as_u64(), Some(0));
+        let stall = &json["stalls"][0];
+        assert_eq!(stall["age_us"].as_u64(), Some(5000));
+        assert_eq!(stall["deadline_us"].as_u64(), Some(2000));
+        assert_eq!(stall["entity_state"].to_string(), "[[0,7],[1,9]]");
+        let gauges = &json["gauges"];
+        assert_eq!(gauges["window_occupancy"].as_u64(), Some(5));
+        assert_eq!(gauges["pool_bufs_total"].as_u64(), Some(8));
+        assert_eq!(gauges["per_link_backlog"]["place:2"].as_u64(), Some(11));
     }
 
     /// A primitive name arrives from a socket peer, so quotes, newlines
     /// and backslashes in it (or in event text) must be escaped, never
-    /// written raw into the report.
+    /// written raw into the report: the document parses, and every
+    /// string reads back exactly.
     #[test]
     fn report_json_escapes_peer_supplied_strings() {
         let mut report = sample_report();
@@ -1310,13 +1250,17 @@ mod tests {
         report
             .transport_events
             .push("peer said \"bye\\\"".to_string());
-        let json = report.to_json();
-        assert!(well_formed(&json), "{json}");
-        assert!(json.contains(r#""primitive":"a\"b\n","#), "{json}");
-        assert!(json.contains(r#""trace":["a\"b\n@1"]"#), "{json}");
-        assert!(json.contains(r#""tail":["recv C:\\tmp"]"#), "{json}");
-        assert!(json.contains(r#""peer said \"bye\\\"""#), "{json}");
-        assert!(!well_formed("{\"a\":\"x\ny\"}"));
+        let text = report.to_json().to_string();
+        assert!(!text.contains('\n'), "{text}");
+        let json = Json::parse(&text).unwrap();
+        let v = &json["violations"][0];
+        assert_eq!(v["primitive"].as_str(), Some("a\"b\n"));
+        assert_eq!(v["trace"][0].as_str(), Some("a\"b\n@1"));
+        assert_eq!(v["tail"][0].as_str(), Some("recv C:\\tmp"));
+        assert_eq!(
+            json["transport_events"][1].as_str(),
+            Some("peer said \"bye\\\"")
+        );
     }
 
     /// `attribute` clamps components in order so the stage sum never
@@ -1427,21 +1371,20 @@ mod tests {
             .lock()
             .unwrap()
             .insert("place:2".to_string(), 3);
-        let body = m.health_json(2.0);
-        use semantics::jsonish::{get_str, get_u64};
-        assert_eq!(get_str(&body, "status"), Some("ok"));
-        assert_eq!(get_u64(&body, "sessions_completed"), Some(20));
-        assert!(body.contains("\"sessions_per_sec\":10.0"), "{body}");
+        let body = Json::parse(&m.health_json(2.0).to_string()).unwrap();
+        assert_eq!(body["status"].as_str(), Some("ok"));
+        assert_eq!(body["sessions_completed"].as_u64(), Some(20));
+        assert_eq!(body["sessions_per_sec"], Json::F64(10.0));
         // Stages render exactly as the report's `stages` object.
-        assert!(
-            body.contains(&format!("\"stages\":{}", m.stages.summaries().to_json())),
-            "{body}"
+        assert_eq!(body["stages"], m.stages.summaries().to_json());
+        let queue = &body["stages"]["queue_wait"];
+        assert_eq!(queue["count"].as_u64(), Some(1));
+        assert!(queue["p50_us"].as_f64().is_some() && queue["p99_us"].as_f64().is_some());
+        assert_eq!(body["gauges"]["window_occupancy"].as_u64(), Some(4));
+        assert_eq!(
+            body["gauges"]["per_link_backlog"]["place:2"].as_u64(),
+            Some(3)
         );
-        let queue = &body[body.find("\"queue_wait\":{").unwrap()..];
-        assert_eq!(get_u64(queue, "count"), Some(1));
-        assert!(queue.contains("\"p50_us\":") && queue.contains("\"p99_us\":"));
-        assert!(body.contains("\"window_occupancy\":4"));
-        assert!(body.contains("\"per_link_backlog\":{\"place:2\":3}"));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 /// Most stall records kept per run — the report stays bounded even when
 /// every session stalls.
-pub(crate) const MAX_STALLS: usize = 32;
+const MAX_STALLS: usize = 32;
 
 /// Sampler poll period.
 const POLL: Duration = Duration::from_millis(5);
@@ -39,8 +39,14 @@ const MIN_SAMPLES: u64 = 50;
 /// Flight-recorder tail lines attached to a stall record.
 const STALL_TAIL: usize = 16;
 
+/// What a stall record captures from its session: age (µs), partial
+/// stage attribution, and per-entity progress.
+pub(crate) type StallCapture = (u64, StageBreakdown, Vec<(u32, u64)>);
+
 /// Shared between the multiplexer (which registers sessions at open and
-/// unregisters them at completion) and the sampler thread.
+/// unregisters them at completion) and the sampler thread. The
+/// distributed hub uses only its flag-once, capped record policy
+/// ([`Self::wants`], [`Self::flag`]).
 pub(crate) struct StallTracker {
     open: Mutex<BTreeMap<u64, Arc<SessionSlot>>>,
     flagged: Mutex<(BTreeSet<u64>, Vec<StallRecord>)>,
@@ -72,6 +78,41 @@ impl StallTracker {
 
     pub(crate) fn stop_sampler(&self) {
         self.stop.store(true, Ordering::Relaxed);
+    }
+
+    /// Would a stall of `id` be recorded (not flagged yet, cap not
+    /// reached)?
+    pub(crate) fn wants(&self, id: u64) -> bool {
+        let fl = self.flagged.lock().expect("stall tracker poisoned");
+        !fl.0.contains(&id) && fl.1.len() < MAX_STALLS
+    }
+
+    /// Flag session `id` once, recording its capture together with the
+    /// gauges and its flight-recorder tail as of now.
+    pub(crate) fn flag(
+        &self,
+        id: u64,
+        deadline: Duration,
+        (age_us, stages, entity_state): StallCapture,
+        metrics: &Metrics,
+        registry: Option<&Arc<Registry>>,
+    ) {
+        let tail = registry
+            .map(|r| r.snapshot().tail(id, STALL_TAIL))
+            .unwrap_or_default();
+        let record = StallRecord {
+            session: id,
+            age_us,
+            deadline_us: deadline.as_micros() as u64,
+            stages,
+            entity_state,
+            gauges: GaugeSnapshot::capture(metrics),
+            tail,
+        };
+        let mut fl = self.flagged.lock().expect("stall tracker poisoned");
+        if fl.0.insert(id) && fl.1.len() < MAX_STALLS {
+            fl.1.push(record);
+        }
     }
 
     pub(crate) fn take_records(&self) -> Vec<StallRecord> {
@@ -123,11 +164,8 @@ impl StallTracker {
             .map(|(id, slot)| (*id, Arc::clone(slot)))
             .collect();
         for (id, slot) in open {
-            {
-                let fl = self.flagged.lock().expect("stall tracker poisoned");
-                if fl.0.contains(&id) || fl.1.len() >= MAX_STALLS {
-                    continue;
-                }
+            if !self.wants(id) {
+                continue;
             }
             let capture = {
                 let core = slot.core.lock().expect("session poisoned");
@@ -153,23 +191,7 @@ impl StallTracker {
                     .collect();
                 (age_us, stages, entity_state)
             };
-            let (age_us, stages, entity_state) = capture;
-            let tail = registry
-                .map(|r| r.snapshot().tail(id, STALL_TAIL))
-                .unwrap_or_default();
-            let record = StallRecord {
-                session: id,
-                age_us,
-                deadline_us: deadline.as_micros() as u64,
-                stages,
-                entity_state,
-                gauges: GaugeSnapshot::capture(metrics),
-                tail,
-            };
-            let mut fl = self.flagged.lock().expect("stall tracker poisoned");
-            if fl.0.insert(id) && fl.1.len() < MAX_STALLS {
-                fl.1.push(record);
-            }
+            self.flag(id, deadline, capture, metrics, registry);
         }
     }
 }

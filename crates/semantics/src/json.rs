@@ -1,43 +1,31 @@
-//! The workspace's one JSON value type.
+//! The workspace's one JSON value type. Every JSON artifact (reports,
+//! `/health`, `RuntimeConfig`, codegen tables, Chrome traces, BENCH
+//! snapshots) is built as a [`Json`] and written by its `Display`, the
+//! only JSON writer and string escaper; every reader goes through
+//! [`Json::parse`], which takes bytes from network peers too, so it
+//! never panics and caps nesting at [`MAX_DEPTH`]. No serde: the build
+//! environment has no crates.io mirror.
 //!
-//! The build environment has no crates.io mirror, so nothing here can
-//! derive serde traits. Every JSON artifact — run reports, `/health`,
-//! `RuntimeConfig`, codegen tables, Chrome traces, BENCH snapshots — is
-//! built as a [`Json`] value and written by its `Display`, the only
-//! JSON writer and string escaper in the workspace. Every reader —
-//! `perf-gate`, `protogen top`, trace import, tests — goes through
-//! [`Json::parse`], which accepts any RFC 8259 document (bytes from a
-//! network peer included) and never panics.
-//!
-//! * Object members keep insertion order; duplicate keys are kept as
-//!   written and [`Json::get`] returns the first.
-//! * Integers round-trip exactly: the reader yields [`Json::U64`] for
-//!   every non-negative integer literal and [`Json::I64`] for negative
-//!   ones (seeds and trace ids are full 64-bit). A literal with a
-//!   fraction or exponent, or an integer outside both ranges, is
-//!   [`Json::F64`].
-//! * Floats are written in Rust's shortest round-trip form with a `.`
-//!   or exponent always present, so they read back as `F64`; a
-//!   non-finite float is written as `null`.
-//! * `{:#}` is the same compact writer, except that each element of an
-//!   array held by the top-level object goes on its own line — BENCH
-//!   entries, Chrome trace events and codegen entities stay one per
-//!   line.
+//! Object members keep insertion order. Integer literals read back
+//! exactly: [`Json::U64`] when non-negative, [`Json::I64`] when negative
+//! (seeds and trace ids are full 64-bit). Floats are written in Rust's
+//! shortest round-trip form, always with a `.` or exponent so they read
+//! back as [`Json::F64`]; a non-finite float is written as `null`. The
+//! alternate form `{:#}` puts each element of the arrays held by the
+//! top-level object on its own line (BENCH entries, trace events).
 
 use std::fmt::{self, Write as _};
 
-/// A JSON value. See the module docs for the number and order rules.
+/// A JSON value; see the module docs for the number rules.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     Null,
     Bool(bool),
     U64(u64),
-    /// A negative integer; non-negative integers are [`Json::U64`].
     I64(i64),
     F64(f64),
     Str(String),
     Arr(Vec<Json>),
-    /// Members in insertion order.
     Obj(Vec<(String, Json)>),
 }
 
@@ -46,29 +34,26 @@ pub enum Json {
 #[macro_export]
 macro_rules! json_obj {
     ($($key:expr => $value:expr),* $(,)?) => {
-        $crate::json::Json::Obj(vec![
-            $(($key.to_string(), $crate::json::Json::from($value))),*
-        ])
+        $crate::json::Json::Obj(vec![$(($key.to_string(), $crate::json::Json::from($value))),*])
     };
 }
 
-/// Deepest array/object nesting [`Json::parse`] accepts; deeper input is
-/// an error, not a stack overflow.
+/// Deepest array/object nesting [`Json::parse`] accepts.
 pub const MAX_DEPTH: usize = 128;
 
 static NULL: Json = Json::Null;
 
 impl Json {
-    /// Parse one JSON document (surrounding whitespace allowed). `Err`
-    /// names the first problem and its byte offset.
+    /// Parse one JSON document; `Err` names the first problem and its
+    /// byte offset.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser { text, pos: 0 };
         let v = p.value(0)?;
         p.ws();
-        if p.pos < text.len() {
-            return Err(p.err("trailing characters"));
+        match p.pos < text.len() {
+            true => Err(p.err("trailing characters")),
+            false => Ok(v),
         }
-        Ok(v)
     }
 
     /// The first member named `key`; `None` if absent or not an object.
@@ -110,8 +95,8 @@ impl Json {
         }
     }
 
-    /// Compact writer; `lines` puts the elements of this array — or of
-    /// the arrays held by this object — one per line.
+    /// The compact writer; `lines` puts the elements of this array, or of
+    /// the arrays this object holds, one per line.
     fn write(&self, f: &mut fmt::Formatter<'_>, lines: bool) -> fmt::Result {
         match self {
             Json::Null => f.write_str("null"),
@@ -122,27 +107,21 @@ impl Json {
             Json::F64(_) => f.write_str("null"),
             Json::Str(s) => write_str(f, s),
             Json::Arr(items) => {
-                f.write_char('[')?;
+                let (open, sep, close) = match lines && !items.is_empty() {
+                    true => ("[\n", ",\n", "\n]"),
+                    false => ("[", ",", "]"),
+                };
+                f.write_str(open)?;
                 for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_char(',')?;
-                    }
-                    if lines {
-                        f.write_char('\n')?;
-                    }
+                    f.write_str(if i > 0 { sep } else { "" })?;
                     v.write(f, false)?;
                 }
-                if lines && !items.is_empty() {
-                    f.write_char('\n')?;
-                }
-                f.write_char(']')
+                f.write_str(close)
             }
             Json::Obj(members) => {
                 f.write_char('{')?;
                 for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        f.write_char(',')?;
-                    }
+                    f.write_str(if i > 0 { "," } else { "" })?;
                     write_str(f, k)?;
                     f.write_char(':')?;
                     v.write(f, lines && matches!(v, Json::Arr(_)))?;
@@ -154,29 +133,20 @@ impl Json {
 }
 
 /// Write `s` as a JSON string literal: quotes, backslashes and control
-/// characters escaped, everything else (non-ASCII included) verbatim.
+/// characters escaped, everything else verbatim.
 fn write_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_char('"')?;
-    let mut start = 0;
-    for (i, c) in s.char_indices() {
-        let esc = match c {
-            '"' => "\\\"",
-            '\\' => "\\\\",
-            '\n' => "\\n",
-            '\r' => "\\r",
-            '\t' => "\\t",
-            c if (c as u32) < 0x20 => "",
-            _ => continue,
-        };
-        f.write_str(&s[start..i])?;
-        if esc.is_empty() {
-            write!(f, "\\u{:04x}", c as u32)?;
-        } else {
-            f.write_str(esc)?;
-        }
-        start = i + c.len_utf8();
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\""),
+            '\\' => f.write_str("\\\\"),
+            '\n' => f.write_str("\\n"),
+            '\r' => f.write_str("\\r"),
+            '\t' => f.write_str("\\t"),
+            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32),
+            c => f.write_char(c),
+        }?;
     }
-    f.write_str(&s[start..])?;
     f.write_char('"')
 }
 
@@ -202,54 +172,27 @@ impl std::ops::Index<usize> for Json {
     }
 }
 
-macro_rules! from_unsigned {
-    ($($t:ty),*) => {$(
+macro_rules! from {
+    ($($t:ty => |$x:ident| $v:expr),* $(,)?) => {$(
         impl From<$t> for Json {
-            fn from(n: $t) -> Json {
-                Json::U64(n as u64)
+            fn from($x: $t) -> Json {
+                $v
             }
         }
     )*};
 }
-from_unsigned!(u8, u32, u64, usize);
 
-impl From<i64> for Json {
-    fn from(n: i64) -> Json {
-        match u64::try_from(n) {
-            Ok(u) => Json::U64(u),
-            Err(_) => Json::I64(n),
-        }
-    }
-}
-
-impl From<f64> for Json {
-    fn from(x: f64) -> Json {
-        Json::F64(x)
-    }
-}
-
-impl From<bool> for Json {
-    fn from(b: bool) -> Json {
-        Json::Bool(b)
-    }
-}
-
-impl From<&str> for Json {
-    fn from(s: &str) -> Json {
-        Json::Str(s.to_string())
-    }
-}
-
-impl From<String> for Json {
-    fn from(s: String) -> Json {
-        Json::Str(s)
-    }
-}
-
-impl From<&String> for Json {
-    fn from(s: &String) -> Json {
-        Json::Str(s.clone())
-    }
+from! {
+    bool => |b| Json::Bool(b),
+    u8 => |n| Json::U64(n.into()),
+    u32 => |n| Json::U64(n.into()),
+    u64 => |n| Json::U64(n),
+    usize => |n| Json::U64(n as u64),
+    i64 => |n| u64::try_from(n).map_or(Json::I64(n), Json::U64),
+    f64 => |x| Json::F64(x),
+    &str => |s| Json::Str(s.to_string()),
+    String => |s| Json::Str(s),
+    &String => |s| Json::Str(s.clone()),
 }
 
 /// `None` is `null`.
@@ -292,6 +235,13 @@ impl Parser<'_> {
         hit
     }
 
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        match self.eat(b) {
+            true => Ok(()),
+            false => Err(self.err(&format!("expected '{}'", b as char))),
+        }
+    }
+
     fn ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
@@ -300,69 +250,60 @@ impl Parser<'_> {
 
     fn value(&mut self, depth: usize) -> Result<Json, String> {
         self.ws();
-        match self.peek() {
-            None => Err(self.err("unexpected end of input")),
-            Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(self.err("nesting too deep")),
-            Some(b'{') => {
-                self.pos += 1;
-                let mut members = Vec::new();
-                self.ws();
-                if self.eat(b'}') {
-                    return Ok(Json::Obj(members));
+        let word = |w: &str, v| (self.text[self.pos..].starts_with(w), w.len(), v);
+        let (hit, len, v) = match self.peek() {
+            Some(open @ (b'{' | b'[')) => {
+                if depth >= MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
                 }
-                loop {
+                self.pos += 1;
+                return self.container(open == b'{', depth + 1);
+            }
+            Some(b'"') => return self.string().map(Json::Str),
+            Some(b'-' | b'0'..=b'9') => return self.number(),
+            Some(b't') => word("true", Json::Bool(true)),
+            Some(b'f') => word("false", Json::Bool(false)),
+            Some(b'n') => word("null", Json::Null),
+            _ => (false, 0, Json::Null),
+        };
+        if !hit {
+            return Err(self.err("expected a value"));
+        }
+        self.pos += len;
+        Ok(v)
+    }
+
+    /// An object or array body, just past its opening bracket.
+    fn container(&mut self, object: bool, depth: usize) -> Result<Json, String> {
+        let close = if object { b'}' } else { b']' };
+        let (mut members, mut items) = (Vec::new(), Vec::new());
+        self.ws();
+        if !self.eat(close) {
+            loop {
+                if object {
                     self.ws();
                     let key = self.string()?;
                     self.ws();
-                    if !self.eat(b':') {
-                        return Err(self.err("expected ':'"));
-                    }
-                    members.push((key, self.value(depth + 1)?));
-                    self.ws();
-                    if !self.eat(b',') {
-                        return match self.eat(b'}') {
-                            true => Ok(Json::Obj(members)),
-                            false => Err(self.err("expected ',' or '}'")),
-                        };
-                    }
+                    self.expect(b':')?;
+                    members.push((key, self.value(depth)?));
+                } else {
+                    items.push(self.value(depth)?);
                 }
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
                 self.ws();
-                if self.eat(b']') {
-                    return Ok(Json::Arr(items));
+                if self.eat(close) {
+                    break;
                 }
-                loop {
-                    items.push(self.value(depth + 1)?);
-                    self.ws();
-                    if !self.eat(b',') {
-                        return match self.eat(b']') {
-                            true => Ok(Json::Arr(items)),
-                            false => Err(self.err("expected ',' or ']'")),
-                        };
-                    }
-                }
+                self.expect(b',')?;
             }
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.err("unexpected character")),
         }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.text[self.pos..].starts_with(word) {
-            self.pos += word.len();
-            Ok(v)
+        Ok(if object {
+            Json::Obj(members)
         } else {
-            Err(self.err("bad literal"))
-        }
+            Json::Arr(items)
+        })
     }
 
+    /// Count the ASCII digits at the cursor, consuming them.
     fn digits(&mut self) -> usize {
         let start = self.pos;
         while matches!(self.peek(), Some(b'0'..=b'9')) {
@@ -377,50 +318,33 @@ impl Parser<'_> {
         if !self.eat(b'0') && self.digits() == 0 {
             return Err(self.err("expected digits"));
         }
-        let mut integral = true;
-        if self.eat(b'.') {
-            integral = false;
-            if self.digits() == 0 {
-                return Err(self.err("expected digits after '.'"));
-            }
+        let fraction = self.eat(b'.');
+        if fraction && self.digits() == 0 {
+            return Err(self.err("expected digits after '.'"));
         }
-        if self.eat(b'e') || self.eat(b'E') {
-            integral = false;
-            let _ = self.eat(b'+') || self.eat(b'-');
+        let exponent = self.eat(b'e') || self.eat(b'E');
+        if exponent {
+            let _sign = self.eat(b'+') || self.eat(b'-');
             if self.digits() == 0 {
                 return Err(self.err("expected exponent digits"));
             }
         }
         let lit = &self.text[start..self.pos];
-        if integral {
+        if !fraction && !exponent {
             if let Ok(n) = lit.parse::<u64>() {
                 return Ok(Json::U64(n));
             }
-            if let Ok(n) = lit.parse::<i64>() {
-                if n < 0 {
-                    return Ok(Json::I64(n));
-                }
+            if let Ok(n @ i64::MIN..=-1) = lit.parse::<i64>() {
+                return Ok(Json::I64(n));
             }
         }
-        lit.parse::<f64>()
+        lit.parse()
             .map(Json::F64)
             .map_err(|_| self.err("bad number"))
     }
 
-    fn hex4(&mut self) -> Result<u32, String> {
-        let hex = self
-            .text
-            .get(self.pos..self.pos + 4)
-            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
-            .ok_or_else(|| self.err("expected four hex digits"))?;
-        self.pos += 4;
-        Ok(u32::from_str_radix(hex, 16).expect("four hex digits"))
-    }
-
     fn string(&mut self) -> Result<String, String> {
-        if !self.eat(b'"') {
-            return Err(self.err("expected string"));
-        }
+        self.expect(b'"')?;
         let mut out = String::new();
         loop {
             let start = self.pos;
@@ -429,57 +353,53 @@ impl Parser<'_> {
             }
             // Stops only at ASCII bytes, so the slice ends on a char boundary.
             out.push_str(&self.text[start..self.pos]);
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
+            let c = match (self.peek(), self.text.as_bytes().get(self.pos + 1)) {
+                (Some(b'"'), _) => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let c = match self.peek() {
-                        Some(b'"') => '"',
-                        Some(b'\\') => '\\',
-                        Some(b'/') => '/',
-                        Some(b'b') => '\u{8}',
-                        Some(b'f') => '\u{c}',
-                        Some(b'n') => '\n',
-                        Some(b'r') => '\r',
-                        Some(b't') => '\t',
-                        Some(b'u') => {
-                            self.pos += 1;
-                            out.push(self.unicode_escape()?);
-                            continue;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    };
-                    self.pos += 1;
-                    out.push(c);
+                (Some(b'\\'), Some(b'u')) => {
+                    self.pos += 2;
+                    out.push(self.unicode_escape()?);
+                    continue;
                 }
-                Some(_) => return Err(self.err("control character in string")),
-            }
+                (Some(b'\\'), Some(&e)) => match e {
+                    b'"' | b'\\' | b'/' => e as char,
+                    b'b' => '\u{8}',
+                    b'f' => '\u{c}',
+                    b'n' => '\n',
+                    b'r' => '\r',
+                    b't' => '\t',
+                    _ => return Err(self.err("bad escape")),
+                },
+                (None, _) | (Some(b'\\'), None) => return Err(self.err("unterminated string")),
+                _ => return Err(self.err("control character in string")),
+            };
+            self.pos += 2;
+            out.push(c);
         }
     }
 
-    /// The code point of a `\uXXXX` escape (just past the `u`), joining a
-    /// surrogate pair; a lone surrogate is an error.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let hex = self.text.get(self.pos..self.pos + 4).unwrap_or("");
+        if hex.len() != 4 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err(self.err("expected four hex digits"));
+        }
+        self.pos += 4;
+        Ok(u32::from_str_radix(hex, 16).expect("four hex digits"))
+    }
+
+    /// The character of a `\uXXXX` escape (cursor past the `u`), joining
+    /// a surrogate pair; a lone surrogate is an error.
     fn unicode_escape(&mut self) -> Result<char, String> {
-        let hi = self.hex4()?;
-        let code = match hi {
-            0xD800..=0xDBFF => {
-                if !(self.eat(b'\\') && self.eat(b'u')) {
-                    return Err(self.err("unpaired surrogate"));
-                }
-                let lo = self.hex4()?;
-                if !(0xDC00..=0xDFFF).contains(&lo) {
-                    return Err(self.err("unpaired surrogate"));
-                }
-                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+        let mut code = self.hex4()?;
+        if (0xD800..0xDC00).contains(&code) && self.eat(b'\\') && self.eat(b'u') {
+            let lo = self.hex4()?;
+            if (0xDC00..0xE000).contains(&lo) {
+                code = 0x10000 + ((code - 0xD800) << 10) + (lo - 0xDC00);
             }
-            0xDC00..=0xDFFF => return Err(self.err("unpaired surrogate")),
-            c => c,
-        };
-        char::from_u32(code).ok_or_else(|| self.err("bad code point"))
+        }
+        char::from_u32(code).ok_or_else(|| self.err("unpaired surrogate"))
     }
 }
 
@@ -489,7 +409,7 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn reads_each_type_and_nesting() {
+    fn extracts_each_type() {
         let v = Json::parse(
             r#" {"states": 600, "rate": 0.25, "deep": false, "mode": "broadcast",
                  "none": null, "neg": -3, "big": 18446744073709551615,
@@ -506,12 +426,20 @@ mod tests {
         assert_eq!(v["big"].as_u64(), Some(u64::MAX));
         assert_eq!(v["list"][1][1]["x"].as_str(), Some("y"));
         assert_eq!(v["exp"], Json::F64(1000.0));
-        // Missing keys, wrong types and out-of-range indices read as absent.
+    }
+
+    /// Missing keys, wrong types and out-of-range indices read as absent.
+    #[test]
+    fn missing_and_malformed_fields_are_none() {
+        let v = Json::parse(r#"{"states": 600, "mode": "broadcast", "list": [1]}"#).unwrap();
         assert_eq!(v["absent"], Json::Null);
+        assert_eq!(v.get("absent"), None);
         assert_eq!(v["mode"].as_u64(), None);
+        assert_eq!(v["mode"].as_f64(), None);
         assert_eq!(v["states"].as_str(), None);
         assert_eq!(v["list"][9], Json::Null);
         assert_eq!(v["states"]["x"], Json::Null);
+        assert_eq!(v["states"][0], Json::Null);
     }
 
     #[test]

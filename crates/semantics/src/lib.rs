@@ -53,7 +53,6 @@ pub mod fxhash;
 /// seeds from a session seed).
 pub use fxhash as hash;
 pub mod json;
-pub mod jsonish;
 pub mod lower;
 pub mod lts;
 #[doc(hidden)]

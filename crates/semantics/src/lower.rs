@@ -41,6 +41,8 @@
 
 use crate::engine::{Engine, TermId, TermNode};
 use crate::fxhash::FxHashMap;
+use crate::json::Json;
+use crate::json_obj;
 use crate::term::{Label, OccTable};
 use lotos::ast::Spec;
 use lotos::event::{MsgId, SyncKind, SyncSet};
@@ -165,6 +167,18 @@ impl OccSrc {
             _ => None,
         }
     }
+
+    fn to_json(&self) -> Json {
+        let base = match self.base {
+            OccBase::Root => Json::from("root"),
+            OccBase::Reg(j) => Json::from(j),
+        };
+        let mut members = vec![("base".to_string(), base)];
+        if !self.sites.is_empty() {
+            members.push(("sites".to_string(), self.sites.iter().copied().collect()));
+        }
+        Json::Obj(members)
+    }
 }
 
 /// A transition label with the occurrence erased — the interned "event
@@ -237,6 +251,32 @@ impl LabelTpl {
             },
         }
     }
+
+    fn to_json(&self) -> Json {
+        let msg = |m: &MsgId| match m {
+            MsgId::Named(s) => Json::from(s),
+            MsgId::Node(n) => Json::from(*n),
+        };
+        match self {
+            LabelTpl::I => json_obj! { "kind" => "i" },
+            LabelTpl::Delta => json_obj! { "kind" => "delta" },
+            LabelTpl::Prim { name, place } => {
+                json_obj! { "kind" => "prim", "name" => name, "place" => *place }
+            }
+            LabelTpl::Send { to, msg: m, kind } => json_obj! {
+                "kind" => "send",
+                "to" => *to,
+                "msg" => msg(m),
+                "sync" => kind.to_string(),
+            },
+            LabelTpl::Recv { from, msg: m, kind } => json_obj! {
+                "kind" => "recv",
+                "from" => *from,
+                "msg" => msg(m),
+                "sync" => kind.to_string(),
+            },
+        }
+    }
 }
 
 /// One compiled transition: label template + occurrence source + next
@@ -285,123 +325,31 @@ impl CompiledEntity {
         self.nregs.len()
     }
 
-    /// Serialize to JSON (hand-rolled; no serde in the build
-    /// environment). The format is documented in `docs/COMPILED.md`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str(&format!(
-            "{{\n  \"place\": {},\n  \"states\": {},\n  \"initial_regs\": [",
-            self.place,
-            self.n_states()
-        ));
-        push_srcs(&mut out, &self.initial_regs);
-        out.push_str("],\n  \"labels\": [");
-        for (i, l) in self.labels.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&label_tpl_json(l));
+    /// The entity's tables as JSON; the format is documented in
+    /// `docs/COMPILED.md`.
+    pub fn to_json(&self) -> Json {
+        json_obj! {
+            "place" => self.place,
+            "states" => self.n_states(),
+            "initial_regs" => self.initial_regs.iter().map(OccSrc::to_json).collect::<Json>(),
+            "labels" => self.labels.iter().map(LabelTpl::to_json).collect::<Json>(),
+            "nregs" => self.nregs.iter().copied().collect::<Json>(),
+            "offers_delta" => self.offers_delta.iter().copied().collect::<Json>(),
+            "is_stop" => self.is_stop.iter().copied().collect::<Json>(),
+            "row_off" => self.row_off.iter().copied().collect::<Json>(),
+            "trans" => self
+                .trans
+                .iter()
+                .map(|t| {
+                    json_obj! {
+                        "label" => t.label,
+                        "occ" => t.occ.to_json(),
+                        "next" => t.next,
+                        "regs" => t.regs.iter().map(OccSrc::to_json).collect::<Json>(),
+                    }
+                })
+                .collect::<Json>(),
         }
-        out.push_str("],\n  \"nregs\": ");
-        push_u32s(&mut out, &self.nregs);
-        out.push_str(",\n  \"offers_delta\": ");
-        push_bools(&mut out, &self.offers_delta);
-        out.push_str(",\n  \"is_stop\": ");
-        push_bools(&mut out, &self.is_stop);
-        out.push_str(",\n  \"row_off\": ");
-        push_u32s(&mut out, &self.row_off);
-        out.push_str(",\n  \"trans\": [\n");
-        for (i, t) in self.trans.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str(&format!(
-                "    {{\"label\": {}, \"occ\": {}, \"next\": {}, \"regs\": [",
-                t.label,
-                occ_src_json(&t.occ),
-                t.next
-            ));
-            push_srcs(&mut out, &t.regs);
-            out.push_str("]}");
-        }
-        out.push_str("\n  ]\n}");
-        out
-    }
-}
-
-fn push_u32s(out: &mut String, xs: &[u32]) {
-    out.push('[');
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&x.to_string());
-    }
-    out.push(']');
-}
-
-fn push_bools(out: &mut String, xs: &[bool]) {
-    out.push('[');
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(if *x { "true" } else { "false" });
-    }
-    out.push(']');
-}
-
-fn push_srcs(out: &mut String, srcs: &[OccSrc]) {
-    for (i, s) in srcs.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&occ_src_json(s));
-    }
-}
-
-fn occ_src_json(s: &OccSrc) -> String {
-    let base = match s.base {
-        OccBase::Root => "\"root\"".to_string(),
-        OccBase::Reg(j) => j.to_string(),
-    };
-    if s.sites.is_empty() {
-        format!("{{\"base\": {base}}}")
-    } else {
-        let sites: Vec<String> = s.sites.iter().map(|x| x.to_string()).collect();
-        format!("{{\"base\": {base}, \"sites\": [{}]}}", sites.join(","))
-    }
-}
-
-fn label_tpl_json(l: &LabelTpl) -> String {
-    match l {
-        LabelTpl::I => "{\"kind\": \"i\"}".to_string(),
-        LabelTpl::Delta => "{\"kind\": \"delta\"}".to_string(),
-        LabelTpl::Prim { name, place } => {
-            format!(
-                "{{\"kind\": \"prim\", \"name\": {}, \"place\": {place}}}",
-                crate::jsonish::quote(name)
-            )
-        }
-        LabelTpl::Send { to, msg, kind } => {
-            format!(
-                "{{\"kind\": \"send\", \"to\": {to}, \"msg\": {}, \"sync\": \"{kind}\"}}",
-                msg_json(msg)
-            )
-        }
-        LabelTpl::Recv { from, msg, kind } => {
-            format!(
-                "{{\"kind\": \"recv\", \"from\": {from}, \"msg\": {}, \"sync\": \"{kind}\"}}",
-                msg_json(msg)
-            )
-        }
-    }
-}
-
-fn msg_json(m: &MsgId) -> String {
-    match m {
-        MsgId::Named(s) => crate::jsonish::quote(s),
-        MsgId::Node(n) => n.to_string(),
     }
 }
 
@@ -982,11 +930,15 @@ mod tests {
     fn json_emission_is_wellformed_enough() {
         let specs = entity_specs("SPEC a1; exit ENDSPEC");
         let e = lower_entity(&specs[0].1, 1, &LowerConfig::default()).unwrap();
-        let j = e.to_json();
-        assert!(j.contains("\"place\": 1"));
-        assert!(j.contains("\"labels\""));
-        assert!(j.contains("\"prim\""));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        let j = Json::parse(&e.to_json().to_string()).unwrap();
+        assert_eq!(j["place"].as_u64(), Some(1));
+        assert_eq!(j["states"].as_u64(), Some(e.n_states() as u64));
+        assert_eq!(j["labels"][0]["kind"].as_str(), Some("prim"));
+        assert_eq!(j["labels"][0]["name"].as_str(), Some("a"));
+        assert_eq!(
+            j["trans"].as_array().map(<[Json]>::len),
+            Some(e.trans.len())
+        );
     }
 
     #[test]
