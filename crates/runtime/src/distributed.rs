@@ -834,8 +834,10 @@ pub fn run_hub_on(
                     // The hub cannot see backend states; each entity's
                     // last reported step count is the closest forensic
                     // analogue.
-                    let steps = s.status.iter().enumerate();
-                    let entity_state = steps
+                    let entity_state = s
+                        .status
+                        .iter()
+                        .enumerate()
                         .map(|(i, st)| (i as u32, st.map(|r| r.steps).unwrap_or(0)))
                         .collect();
                     let capture = (age_us, stages, entity_state);

@@ -41,7 +41,7 @@ const STALL_TAIL: usize = 16;
 
 /// What a stall record captures from its session: age (µs), partial
 /// stage attribution, and per-entity progress.
-pub(crate) type StallCapture = (u64, StageBreakdown, Vec<(u32, u64)>);
+type StallCapture = (u64, StageBreakdown, Vec<(u32, u64)>);
 
 /// Shared between the multiplexer (which registers sessions at open and
 /// unregisters them at completion) and the sampler thread. The
