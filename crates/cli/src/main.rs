@@ -314,14 +314,20 @@ fn runtime_config(args: &[String]) -> Result<RuntimeConfig, ProtogenError> {
     Ok(cfg)
 }
 
-/// Honor `--report <path>` (and the older `--out <path>` alias): write
-/// the JSON report there, or dump it to stdout when `dump_default`.
+/// Where `run`/`load` write the JSON report: `--report <path>`, or the
+/// older `--out <path>` alias.
+fn report_path(args: &[String]) -> Option<&str> {
+    flag_value(args, "--report").or_else(|| flag_value(args, "--out"))
+}
+
+/// Write the JSON report to `path`, or dump it to stdout when there is
+/// no path and `dump_default` is set.
 fn write_report(
-    args: &[String],
+    path: Option<&str>,
     report: &RuntimeReport,
     dump_default: bool,
 ) -> Result<(), ProtogenError> {
-    match flag_value(args, "--report").or_else(|| flag_value(args, "--out")) {
+    match path {
         Some(path) => {
             std::fs::write(path, report.to_json().to_string()).map_err(|e| ProtogenError::Io {
                 path: path.to_string(),
@@ -751,7 +757,7 @@ fn run(args: &[String]) -> Result<(), ProtogenError> {
             for event in &report.transport_events {
                 eprintln!("transport: {event}");
             }
-            write_report(rest, &report, false)?;
+            write_report(report_path(rest), &report, false)?;
             if report.aborted > 0 {
                 Err(ProtogenError::Transport(format!(
                     "{} session(s) aborted on a dead link",
@@ -796,7 +802,7 @@ fn run(args: &[String]) -> Result<(), ProtogenError> {
             for event in &report.transport_events {
                 eprintln!("transport: {event}");
             }
-            write_report(rest, &report, true)?;
+            write_report(report_path(rest), &report, true)?;
             if report.aborted > 0 {
                 Err(ProtogenError::Transport(format!(
                     "{} of {} sessions aborted on a dead link",
@@ -870,15 +876,7 @@ fn run(args: &[String]) -> Result<(), ProtogenError> {
             }
             // `--out` names the trace file here; only `--report` writes
             // the JSON report.
-            if let Some(path) = flag_value(rest, "--report") {
-                std::fs::write(path, report.to_json().to_string()).map_err(|e| {
-                    ProtogenError::Io {
-                        path: path.to_string(),
-                        message: e.to_string(),
-                    }
-                })?;
-                println!("report: {path}");
-            }
+            write_report(flag_value(rest, "--report"), &report, false)?;
             if !causal.is_empty() {
                 Err(ProtogenError::Verification(format!(
                     "{} causal inconsistencies in the merged trace",

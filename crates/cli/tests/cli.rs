@@ -339,6 +339,18 @@ fn distributed_spawn_run_conforms_over_tcp() {
         matches!(json["per_link"], Json::Obj(ref links) if !links.is_empty()),
         "{json}"
     );
+    // The hub counts what it forwards: a1 → b2 → c1 needs two
+    // sequencing messages, and one channel at a time holds one.
+    assert!(
+        matches!(json["messages_per_kind"], Json::Obj(ref kinds) if !kinds.is_empty()),
+        "{json}"
+    );
+    assert_eq!(
+        json["messages_per_kind"]["seq"].as_u64(),
+        json["messages"].as_u64(),
+        "{json}"
+    );
+    assert!(json["max_queue_depth"].as_u64() > Some(0), "{json}");
 }
 
 #[test]

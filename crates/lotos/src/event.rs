@@ -63,6 +63,19 @@ pub enum SyncKind {
     User,
 }
 
+impl SyncKind {
+    /// Every kind, in declaration order: `SyncKind::ALL[k as usize] == k`,
+    /// so per-kind counters can be plain arrays.
+    pub const ALL: [SyncKind; 6] = [
+        SyncKind::Seq,
+        SyncKind::Alt,
+        SyncKind::Rel,
+        SyncKind::Interr,
+        SyncKind::Proc,
+        SyncKind::User,
+    ];
+}
+
 impl fmt::Display for SyncKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

@@ -19,8 +19,7 @@
 //!   order (it does depend on it — see EXPERIMENTS.md).
 //!
 //! [`Network`] is a pure value (`Clone + Eq + Hash`), so composition
-//! explorers can use it directly inside hashed global states; delivery
-//! statistics are kept separately in [`MediumStats`].
+//! explorers can use it directly inside hashed global states.
 
 pub mod codec;
 
@@ -210,37 +209,6 @@ impl Network {
     }
 }
 
-/// Cumulative delivery statistics, kept outside [`Network`] so exploration
-/// states stay pure.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MediumStats {
-    /// Messages sent, total.
-    pub sent: usize,
-    /// Messages delivered, total.
-    pub delivered: usize,
-    /// Messages sent per synchronization kind.
-    pub sent_per_kind: BTreeMap<SyncKind, usize>,
-    /// Maximum observed queue depth per channel.
-    pub max_depth: BTreeMap<(PlaceId, PlaceId), usize>,
-}
-
-impl MediumStats {
-    /// Record a successful send on the given network state (after the
-    /// send).
-    pub fn on_send(&mut self, net: &Network, msg: &Msg) {
-        self.sent += 1;
-        *self.sent_per_kind.entry(msg.kind).or_default() += 1;
-        let d = net.depth(msg.from, msg.to);
-        let e = self.max_depth.entry((msg.from, msg.to)).or_default();
-        *e = (*e).max(d);
-    }
-
-    /// Record a delivery.
-    pub fn on_receive(&mut self, _msg: &Msg) {
-        self.delivered += 1;
-    }
-}
-
 /// All (ordered) channels of an `n`-place network — `n(n−1)` of them, one
 /// per ordered pair (paper Fig. 5).
 pub fn channels(all: PlaceSet) -> Vec<(PlaceId, PlaceId)> {
@@ -353,24 +321,6 @@ mod tests {
         assert_ne!(a, b);
         // empty channels are normalized away (receive removes the queue)
         assert_eq!(b, Network::new());
-    }
-
-    #[test]
-    fn stats_accounting() {
-        let cfg = MediumConfig::default();
-        let mut net = Network::new();
-        let mut stats = MediumStats::default();
-        for k in 0..3 {
-            let m = msg(1, 2, 10 + k, 0);
-            net.send(&cfg, m.clone());
-            stats.on_send(&net, &m);
-        }
-        assert_eq!(stats.sent, 3);
-        assert_eq!(stats.max_depth[&(1, 2)], 3);
-        let m = net.receive(&cfg, 1, 2, &MsgId::Node(10), 0).unwrap();
-        stats.on_receive(&m);
-        assert_eq!(stats.delivered, 1);
-        assert_eq!(stats.sent_per_kind[&SyncKind::Seq], 3);
     }
 
     #[test]

@@ -66,7 +66,7 @@ use crate::config::{BackendChoice, RuntimeConfig};
 use crate::entity::pack_msg_event;
 use crate::exec::{backend_desc, configured_refusal, run_registry, Completed, Monitor, Tally};
 use crate::metrics::{LinkReport, Metrics, RuntimeReport, StageBreakdown};
-use crate::session::SessionEnd;
+use crate::session::{SessionCounts, SessionEnd};
 use crate::stall::StallTracker;
 use lotos::ast::Spec;
 use lotos::place::PlaceId;
@@ -75,7 +75,7 @@ use obs::{EventKind, Recorder, Registry};
 use protogen::derive::Derivation;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use semantics::backend::{make_backend, BState, Backend, EntityBackend, OfferView};
+use semantics::backend::{make_backend, BState, Backend, EntityBackend, OfferView, PrimTable};
 use semantics::engine::TermArena;
 use semantics::hash::fx_hash;
 use semantics::term::{Label, OccTable};
@@ -198,7 +198,12 @@ enum Mark {
 struct HubSession {
     id: u64,
     seed: u64,
-    trace: Vec<(String, PlaceId)>,
+    /// Primitives as ids of the tally's table, with the gap before each.
+    trace: Vec<(u32, PlaceId)>,
+    gaps: Vec<u64>,
+    /// Messages forwarded, per kind and deepest backlog (forwarded but
+    /// not yet acked) towards one destination; folded in at close.
+    counts: SessionCounts,
     /// Data frames forwarded to each entity (by dense index).
     forwarded: Vec<u64>,
     /// Data frames each entity has *reported seeing* (its latest
@@ -206,7 +211,6 @@ struct HubSession {
     /// frames still on the wire.
     acked: Vec<u64>,
     status: Vec<Option<StatusRec>>,
-    messages: usize,
     started: Instant,
     last_prim: Option<Instant>,
     /// Stage attribution: the hub cannot see inside the entity
@@ -231,10 +235,11 @@ impl HubSession {
             id,
             seed,
             trace: Vec::new(),
+            gaps: Vec::new(),
+            counts: SessionCounts::default(),
             forwarded: vec![0; n],
             acked: vec![0; n],
             status: vec![None; n],
-            messages: 0,
             started: now,
             last_prim: None,
             last_mark: now,
@@ -273,15 +278,18 @@ impl HubSession {
         }
     }
 
-    /// What the hub measured for a session it closes with `end`.
-    fn completed(mut self, end: SessionEnd, cfg: &RuntimeConfig) -> Completed {
+    /// What the hub measured for a session it closes with `end`. A
+    /// message counts as delivered once its receiver acked it.
+    fn completed(&mut self, end: SessionEnd, cfg: &RuntimeConfig) -> Completed<'_> {
         self.mark(Instant::now(), Mark::Notify);
         let latency_us = self.started.elapsed().as_micros() as u64;
+        self.counts.delivered = self.acked.iter().sum::<u64>() as usize;
         Completed {
             id: self.id,
             seed: self.seed,
             end,
-            trace: self.trace,
+            trace: &self.trace,
+            gaps: &self.gaps,
             latency_us,
             stages: StageBreakdown::attribute(
                 latency_us,
@@ -290,7 +298,7 @@ impl HubSession {
                 self.wire_ns / 1000,
                 Some(self.notify_ns / 1000),
             ),
-            messages: self.messages,
+            counts: self.counts,
             steps: 0,
             lc: self.lc,
             refused: configured_refusal(cfg, end),
@@ -678,7 +686,7 @@ pub fn run_hub_on(
                                 idx,
                                 &mut links,
                                 &mut sessions,
-                                metrics.as_ref(),
+                                &mut tally.prims,
                                 &mut events,
                                 &mut closed,
                                 cfg,
@@ -739,7 +747,7 @@ pub fn run_hub_on(
                         idx,
                         &mut links,
                         &mut sessions,
-                        metrics.as_ref(),
+                        &mut tally.prims,
                         &mut events,
                         &mut closed,
                         cfg,
@@ -1147,7 +1155,7 @@ fn hub_handle(
     idx: usize,
     links: &mut [EntityLink],
     sessions: &mut BTreeMap<u64, HubSession>,
-    metrics: &Metrics,
+    prims: &mut PrimTable,
     events: &mut Vec<String>,
     closed: &mut Vec<(u64, SessionEnd)>,
     cfg: &RuntimeConfig,
@@ -1164,14 +1172,14 @@ fn hub_handle(
             if let Some(s) = sessions.get_mut(&session) {
                 let now = Instant::now();
                 let since = s.last_prim.unwrap_or(s.started);
-                metrics.record_prim(&name, now.duration_since(since).as_micros() as u64);
+                s.gaps.push(now.duration_since(since).as_micros() as u64);
                 s.mark(now, Mark::Step);
                 s.last_prim = Some(now);
                 s.lc = s.lc.max(lc) + 1;
                 if let Some(rec) = rec {
                     rec.record_named(EventKind::Prim, session, s.lc, &name, place as u64);
                 }
-                s.trace.push((name, place));
+                s.trace.push((prims.intern(&name), place));
             }
         }
         WireMsg::Data {
@@ -1192,8 +1200,8 @@ fn hub_handle(
             // classified by what was in flight *during* it.
             s.mark(Instant::now(), Mark::Step);
             s.forwarded[dest] += 1;
-            s.messages += 1;
-            metrics.messages_sent.fetch_add(1, Ordering::Relaxed);
+            let backlog = s.forwarded[dest].saturating_sub(s.acked[dest]);
+            s.counts.on_send(msg.kind, backlog as usize);
             s.lc = s.lc.max(lc) + 1;
             if let Some(rec) = rec {
                 let (a, b) = pack_msg_event(rec, &msg.id, msg.occ, msg.from, msg.to);
@@ -1224,10 +1232,6 @@ fn hub_handle(
         } => {
             if let Some(s) = sessions.get_mut(&session) {
                 s.mark(Instant::now(), Mark::Notify);
-                let newly_acked = seen.saturating_sub(s.acked[idx]);
-                metrics
-                    .messages_delivered
-                    .fetch_add(newly_acked as usize, Ordering::Relaxed);
                 s.acked[idx] = s.acked[idx].max(seen);
                 s.status[idx] = Some(StatusRec {
                     seen,
@@ -1265,7 +1269,7 @@ fn finish_closed(
     rec: Option<&Recorder>,
 ) {
     for (id, end) in closed {
-        let Some(s) = sessions.remove(&id) else {
+        let Some(mut s) = sessions.remove(&id) else {
             continue;
         };
         for link in links.iter_mut() {
@@ -1814,7 +1818,7 @@ fn step_session(
         for i in 0..n_offers {
             match backend.offer(i) {
                 OfferView::I => enabled.push(i),
-                OfferView::Prim { name, place } => {
+                OfferView::Prim { name, place, .. } => {
                     if !cfg
                         .refuse
                         .iter()

@@ -28,7 +28,6 @@
 //!   on one session's backpressure; it works other sessions.
 
 use crate::config::RuntimeConfig;
-use crate::metrics::Metrics;
 use crate::session::{SessionEnd, SessionSlot};
 use lotos::event::MsgId;
 use lotos::place::PlaceId;
@@ -38,9 +37,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use semantics::backend::{BState, Backend, EntityBackend, OfferView};
 use semantics::hash::{fx_hash, FxHashMap};
-use semantics::term::Label;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::Ordering;
+use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 
 /// A control message to an entity thread.
@@ -53,8 +50,10 @@ pub enum Control {
 
 #[derive(Default)]
 struct NotifyState {
-    controls: VecDeque<Control>,
-    wakes: BTreeSet<u64>,
+    controls: Vec<Control>,
+    /// Sessions poked since the last drain; may repeat (the consumer
+    /// deduplicates against its run queue).
+    wakes: Vec<u64>,
 }
 
 impl NotifyState {
@@ -93,30 +92,29 @@ impl Notifier {
     }
 
     pub fn open(&self, slot: Arc<SessionSlot>) {
-        self.publish(|st| st.controls.push_back(Control::Open(slot)));
+        self.publish(|st| st.controls.push(Control::Open(slot)));
     }
 
     pub fn shutdown(&self) {
-        self.publish(|st| st.controls.push_back(Control::Shutdown));
+        self.publish(|st| st.controls.push(Control::Shutdown));
     }
 
     pub fn wake(&self, session: u64) {
-        self.publish(|st| {
-            st.wakes.insert(session);
-        });
+        self.publish(|st| st.wakes.push(session));
     }
 
-    /// Take everything pending; block until something arrives when
-    /// `block` is set and nothing is pending.
-    pub fn drain(&self, block: bool) -> (Vec<Control>, Vec<u64>) {
+    /// Take everything pending into `controls` and `wakes` (both must be
+    /// empty; their buffers are swapped in, so a steady-state drain
+    /// allocates nothing). Blocks until something arrives when `block`
+    /// is set and nothing is pending.
+    pub fn drain(&self, block: bool, controls: &mut Vec<Control>, wakes: &mut Vec<u64>) {
+        debug_assert!(controls.is_empty() && wakes.is_empty());
         let mut st = self.state.lock().expect("notifier poisoned");
         while block && st.is_empty() {
             st = self.cv.wait(st).expect("notifier poisoned");
         }
-        let controls = st.controls.drain(..).collect();
-        let wakes = st.wakes.iter().copied().collect();
-        st.wakes.clear();
-        (controls, wakes)
+        std::mem::swap(&mut st.controls, controls);
+        std::mem::swap(&mut st.wakes, wakes);
     }
 }
 
@@ -159,6 +157,8 @@ struct LocalSession {
     slot: Arc<SessionSlot>,
     state: BState,
     rng: StdRng,
+    /// In the thread's run queue already (wakes are deduplicated here).
+    queued: bool,
 }
 
 /// Work still possible after a scheduling slice.
@@ -204,10 +204,13 @@ pub struct EntityWorker {
     pub cfg: RuntimeConfig,
     /// Notifiers of *all* entities, indexed like the entity list.
     pub notifiers: Vec<Arc<Notifier>>,
-    /// Place → dense entity index.
-    pub place_index: BTreeMap<PlaceId, usize>,
+    /// Place → dense entity index, indexed by place.
+    pub place_index: Vec<usize>,
+    /// The backend's primitive ids → ids of the run's primitive table.
+    pub prim_ids: Vec<u32>,
+    /// `cfg.refuse`, as the backend's primitive ids.
+    pub refuse: Vec<(u32, PlaceId)>,
     pub completions: Arc<CompletionQueue>,
-    pub metrics: Arc<Metrics>,
     /// Flight recorder for this thread (`None` = recording disabled, one
     /// branch per event).
     pub rec: Option<Recorder>,
@@ -217,266 +220,254 @@ impl EntityWorker {
     /// The thread body: interpret every open session until shutdown.
     pub fn run(mut self) {
         let mut sessions: FxHashMap<u64, LocalSession> = FxHashMap::default();
-        let mut pending: BTreeSet<u64> = BTreeSet::new();
+        // Sessions to step, each at most once (`LocalSession::queued`).
+        let mut pending: VecDeque<u64> = VecDeque::new();
+        let mut controls: Vec<Control> = Vec::new();
+        let mut wakes: Vec<u64> = Vec::new();
+        // Offers enabled in the current classification pass.
+        let mut enabled: Vec<usize> = Vec::new();
         let mut shutdown = false;
         loop {
             if shutdown && sessions.is_empty() {
                 return;
             }
-            let (controls, wakes) = self.notifiers[self.idx].drain(pending.is_empty());
-            for c in controls {
+            self.notifiers[self.idx].drain(pending.is_empty(), &mut controls, &mut wakes);
+            for c in controls.drain(..) {
                 match c {
                     Control::Open(slot) => {
                         let id = slot.core.lock().expect("session poisoned").id;
                         let rng = StdRng::seed_from_u64(fx_hash(&(self.cfg.seed, id, self.place)));
                         let state = self.backend.init();
-                        sessions.insert(id, LocalSession { slot, state, rng });
-                        pending.insert(id);
+                        let local = LocalSession {
+                            slot,
+                            state,
+                            rng,
+                            queued: true,
+                        };
+                        sessions.insert(id, local);
+                        pending.push_back(id);
                     }
                     Control::Shutdown => shutdown = true,
                 }
             }
-            for w in wakes {
-                if sessions.contains_key(&w) {
-                    pending.insert(w);
+            for w in wakes.drain(..) {
+                if let Some(local) = sessions.get_mut(&w) {
+                    if !local.queued {
+                        local.queued = true;
+                        pending.push_back(w);
+                    }
                 }
             }
-            let mut again: Vec<u64> = Vec::new();
-            while let Some(id) = pending.pop_first() {
+            // One pass over what is queued now; sessions that yield go
+            // to the back and wait for the next pass.
+            for _ in 0..pending.len() {
+                let Some(id) = pending.pop_front() else { break };
                 let Some(local) = sessions.get_mut(&id) else {
                     continue;
                 };
-                match self.step_session(local) {
+                match self.step_session(local, &mut enabled) {
                     StepOutcome::Completed => {
                         sessions.remove(&id);
                     }
-                    StepOutcome::Blocked => {}
-                    StepOutcome::Yield => again.push(id),
+                    StepOutcome::Blocked => local.queued = false,
+                    StepOutcome::Yield => pending.push_back(id),
                 }
             }
-            pending.extend(again);
         }
     }
 
-    /// Run up to [`SLICE`] moves of one session. Returns how the slice
-    /// ended.
-    fn step_session(&mut self, local: &mut LocalSession) -> StepOutcome {
+    /// Run up to [`SLICE`] moves of one session, classifying offers into
+    /// the caller's `enabled` buffer. Returns how the slice ended.
+    fn step_session(&mut self, local: &mut LocalSession, enabled: &mut Vec<usize>) -> StepOutcome {
         for _ in 0..SLICE {
             let n_offers = self.backend.offers(&local.state);
-            let id;
-            let enabled: Vec<usize>;
             let mut vote_available = false;
-            {
-                let mut core = local.slot.core.lock().expect("session poisoned");
-                // Stage attribution: lock-held time of this move counts
-                // toward the session's `step` stage when a move (or a
-                // terminal verdict) actually executes; classification
-                // passes fall into the `notify_wait` residual.
-                let t0 = std::time::Instant::now();
-                id = core.id;
-                if core.completed.is_some() {
-                    return StepOutcome::Completed;
-                }
+            let mut core = local.slot.core.lock().expect("session poisoned");
+            // Stage attribution: lock-held time of this move counts
+            // toward the session's `step` stage when a move (or a
+            // terminal verdict) actually executes; classification
+            // passes fall into the `notify_wait` residual.
+            let t0 = std::time::Instant::now();
+            let id = core.id;
+            if core.completed.is_some() {
+                return StepOutcome::Completed;
+            }
 
-                // Classify which of the backend's offered transitions are
-                // enabled in the current medium state.
-                let mut has_delta = false;
-                let mut refused: Option<(String, PlaceId)> = None;
-                let mut en = Vec::with_capacity(n_offers);
-                for i in 0..n_offers {
-                    match self.backend.offer(i) {
-                        OfferView::I => en.push(i),
-                        OfferView::Prim { name, place } => {
-                            if !self
-                                .cfg
-                                .refuse
-                                .iter()
-                                .any(|(n, p)| n == name && *p == place)
-                            {
-                                en.push(i);
-                            } else if refused.is_none() {
-                                refused = Some((name.to_string(), place));
-                            }
+            // Classify which of the backend's offered transitions are
+            // enabled in the current medium state.
+            let mut has_delta = false;
+            let mut refused: Option<(u32, PlaceId)> = None;
+            enabled.clear();
+            for i in 0..n_offers {
+                match self.backend.offer(i) {
+                    OfferView::I => enabled.push(i),
+                    OfferView::Prim { id: p, place, .. } => {
+                        if !self.refuse.contains(&(p, place)) {
+                            enabled.push(i);
+                        } else if refused.is_none() {
+                            refused = Some((p, place));
                         }
-                        OfferView::Send { to, .. } => {
-                            if core.can_send(self.place, to) {
-                                en.push(i);
-                            }
+                    }
+                    OfferView::Send { to, .. } => {
+                        if core.can_send(self.place, to) {
+                            enabled.push(i);
                         }
-                        OfferView::Recv { from, msg, occ, .. } => {
-                            if core.can_receive(from, self.place, msg, occ) {
-                                en.push(i);
-                            }
+                    }
+                    OfferView::Recv { from, msg, occ, .. } => {
+                        if core.can_receive(from, self.place, msg, occ) {
+                            enabled.push(i);
                         }
-                        OfferView::Delta => {
-                            has_delta = true;
-                            if !core.has_vote(self.idx) {
-                                vote_available = true;
-                            }
+                    }
+                    OfferView::Delta => {
+                        has_delta = true;
+                        if !core.has_vote(self.idx) {
+                            vote_available = true;
                         }
                     }
                 }
-                if !has_delta && core.has_vote(self.idx) {
-                    core.clear_vote(self.idx);
-                }
-                enabled = en;
+            }
+            if !has_delta && core.has_vote(self.idx) {
+                core.clear_vote(self.idx);
+            }
 
-                if enabled.is_empty() && !vote_available {
-                    // Blocked against a refused offer: remember it so a
-                    // later deadlock verdict can name the primitive the
-                    // conformance monitor never got to see.
-                    if let Some((name, place)) = refused {
-                        if core.refused_offer.is_none() {
-                            if let Some(rec) = &self.rec {
-                                rec.record_named(
-                                    EventKind::PrimOffer,
-                                    id,
-                                    core.steps as u64,
-                                    &name,
-                                    place as u64,
-                                );
-                            }
-                            core.refused_offer = Some((name, place));
+            if enabled.is_empty() && !vote_available {
+                // Blocked against a refused offer: remember it so a
+                // later deadlock verdict can name the primitive the
+                // conformance monitor never got to see.
+                if let Some((p, place)) = refused {
+                    if core.refused_offer.is_none() {
+                        if let Some(rec) = &self.rec {
+                            rec.record_named(
+                                EventKind::PrimOffer,
+                                id,
+                                core.steps as u64,
+                                self.backend.prims().name(p),
+                                place as u64,
+                            );
                         }
+                        core.refused_offer = Some((self.prim_ids[p as usize], place));
                     }
-                    core.set_blocked(self.idx);
-                    if !core.all_blocked(self.n) {
-                        return StepOutcome::Blocked;
-                    }
-                    // Global quiescence — this thread resolves it.
-                    if has_delta && core.all_voted(self.n) && core.quiet() {
-                        core.complete(SessionEnd::Terminated);
-                        core.credit_step(t0);
-                        drop(core);
-                        self.finish(local, id);
-                        return StepOutcome::Completed;
-                    }
-                    if let Some(t) = core.next_link_deadline() {
-                        // Links still have pending retransmissions or
-                        // in-flight frames: advance the logical clock past
-                        // the deadline, pump, and retry everywhere.
-                        core.clock = core.clock.max(t) + 1e-9;
-                        core.pump_all();
-                        core.clear_all_blocked();
-                        drop(core);
-                        for nt in &self.notifiers {
-                            nt.wake(id);
-                        }
-                        continue;
-                    }
-                    core.complete(SessionEnd::Deadlock);
+                }
+                core.set_blocked(self.idx);
+                if !core.all_blocked(self.n) {
+                    return StepOutcome::Blocked;
+                }
+                // Global quiescence — this thread resolves it.
+                if has_delta && core.all_voted(self.n) && core.quiet() {
+                    core.complete(SessionEnd::Terminated);
                     core.credit_step(t0);
                     drop(core);
                     self.finish(local, id);
                     return StepOutcome::Completed;
                 }
-                core.clear_blocked(self.idx);
-
-                // Pick uniformly among enabled moves (+ the δ vote).
-                let total = enabled.len() + usize::from(vote_available);
-                let k = if total == 1 {
-                    0
-                } else {
-                    local.rng.gen_range(0..total)
-                };
-                if k == enabled.len() {
-                    // The δ vote. Not a step: it retracts nothing and the
-                    // next classification won't re-offer it.
-                    core.vote(self.idx);
-                    if core.all_voted(self.n) && core.quiet() {
-                        core.complete(SessionEnd::Terminated);
-                        core.credit_step(t0);
-                        drop(core);
-                        self.finish(local, id);
-                        return StepOutcome::Completed;
+                if let Some(t) = core.next_link_deadline() {
+                    // Links still have pending retransmissions or
+                    // in-flight frames: advance the logical clock past
+                    // the deadline, pump, and retry everywhere.
+                    core.clock = core.clock.max(t) + 1e-9;
+                    core.pump_all();
+                    core.clear_all_blocked();
+                    drop(core);
+                    for nt in &self.notifiers {
+                        nt.wake(id);
                     }
                     continue;
                 }
-
-                let label = self.backend.label(enabled[k]);
-                core.tick();
-                core.clear_vote(self.idx);
-                let step_limited = core.steps >= self.cfg.max_steps;
-                let mut wake_peer: Option<usize> = None;
-                match label {
-                    Label::I => {
-                        self.metrics
-                            .internal_actions
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    Label::Delta => unreachable!("δ handled by the vote path"),
-                    Label::Prim { ref name, place } => {
-                        let now = std::time::Instant::now();
-                        let since = core.last_prim.unwrap_or(core.started);
-                        let gap_us = now.duration_since(since).as_micros() as u64;
-                        core.last_prim = Some(now);
-                        core.trace.push((name.clone(), place));
-                        self.metrics.record_prim(name, gap_us);
-                        if let Some(rec) = &self.rec {
-                            rec.record_named(
-                                EventKind::Prim,
-                                id,
-                                core.steps as u64,
-                                name,
-                                place as u64,
-                            );
-                        }
-                    }
-                    Label::Send { to, msg, occ, kind } => {
-                        if let Some(rec) = &self.rec {
-                            let (a, b) = pack_msg_event(rec, &msg, occ, self.place, to);
-                            rec.record(EventKind::MediumSend, id, core.steps as u64, a, b);
-                        }
-                        core.send(Msg {
-                            from: self.place,
-                            to,
-                            id: msg,
-                            occ,
-                            kind,
-                        });
-                        let depth = core.stats.max_depth.values().copied().max().unwrap_or(0);
-                        self.metrics
-                            .max_queue_depth
-                            .fetch_max(depth, Ordering::Relaxed);
-                        self.metrics.messages_sent.fetch_add(1, Ordering::Relaxed);
-                        // The destination may now have an enabled receive:
-                        // its blocked bit is stale. Clearing it under the
-                        // lock keeps the all-blocked quiescence test sound.
-                        let peer = self.place_index[&to];
-                        core.clear_blocked(peer);
-                        wake_peer = Some(peer);
-                    }
-                    Label::Recv { from, msg, occ, .. } => {
-                        core.receive(from, self.place, &msg, occ)
-                            .expect("classified receivable, then gone: session lock was held");
-                        if let Some(rec) = &self.rec {
-                            let (a, b) = pack_msg_event(rec, &msg, occ, from, self.place);
-                            rec.record(EventKind::MediumRecv, id, core.steps as u64, a, b);
-                        }
-                        self.metrics
-                            .messages_delivered
-                            .fetch_add(1, Ordering::Relaxed);
-                        // The channel drained by one slot: the sender may
-                        // have a backpressured send waiting.
-                        let peer = self.place_index[&from];
-                        core.clear_blocked(peer);
-                        wake_peer = Some(peer);
-                    }
-                }
-                self.backend.step(&mut local.state, enabled[k]);
-                core.note_state(self.idx, local.state.id as u64);
+                core.complete(SessionEnd::Deadlock);
                 core.credit_step(t0);
-                if step_limited {
-                    core.complete(SessionEnd::StepLimit);
+                drop(core);
+                self.finish(local, id);
+                return StepOutcome::Completed;
+            }
+            core.clear_blocked(self.idx);
+
+            // Pick uniformly among enabled moves (+ the δ vote).
+            let total = enabled.len() + usize::from(vote_available);
+            let k = if total == 1 {
+                0
+            } else {
+                local.rng.gen_range(0..total)
+            };
+            if k == enabled.len() {
+                // The δ vote. Not a step: it retracts nothing and the
+                // next classification won't re-offer it.
+                core.vote(self.idx);
+                if core.all_voted(self.n) && core.quiet() {
+                    core.complete(SessionEnd::Terminated);
+                    core.credit_step(t0);
                     drop(core);
                     self.finish(local, id);
                     return StepOutcome::Completed;
                 }
-                drop(core);
-                if let Some(p) = wake_peer {
-                    if p != self.idx {
-                        self.notifiers[p].wake(id);
+                continue;
+            }
+
+            let i = enabled[k];
+            core.tick();
+            core.clear_vote(self.idx);
+            let step_limited = core.steps >= self.cfg.max_steps;
+            let mut wake_peer: Option<usize> = None;
+            match self.backend.offer(i) {
+                OfferView::I => core.counts.internal += 1,
+                OfferView::Delta => unreachable!("δ handled by the vote path"),
+                OfferView::Prim { id: p, name, place } => {
+                    core.push_prim(self.prim_ids[p as usize], place);
+                    if let Some(rec) = &self.rec {
+                        rec.record_named(
+                            EventKind::Prim,
+                            id,
+                            core.steps as u64,
+                            name,
+                            place as u64,
+                        );
                     }
+                }
+                OfferView::Send { to, msg, occ, kind } => {
+                    if let Some(rec) = &self.rec {
+                        let (a, b) = pack_msg_event(rec, msg, occ, self.place, to);
+                        rec.record(EventKind::MediumSend, id, core.steps as u64, a, b);
+                    }
+                    core.send(Msg {
+                        from: self.place,
+                        to,
+                        id: msg.clone(),
+                        occ,
+                        kind,
+                    });
+                    // The destination may now have an enabled receive:
+                    // its blocked bit is stale. Clearing it under the
+                    // lock keeps the all-blocked quiescence test sound.
+                    let peer = self.place_index[to as usize];
+                    core.clear_blocked(peer);
+                    wake_peer = Some(peer);
+                }
+                OfferView::Recv { from, msg, occ, .. } => {
+                    core.receive(from, self.place, msg, occ)
+                        .expect("classified receivable, then gone: session lock was held");
+                    if let Some(rec) = &self.rec {
+                        let (a, b) = pack_msg_event(rec, msg, occ, from, self.place);
+                        rec.record(EventKind::MediumRecv, id, core.steps as u64, a, b);
+                    }
+                    // The channel drained by one slot: the sender may
+                    // have a backpressured send waiting.
+                    let peer = self.place_index[from as usize];
+                    core.clear_blocked(peer);
+                    wake_peer = Some(peer);
+                }
+            }
+            self.backend.step(&mut local.state, i);
+            core.note_state(self.idx, local.state.id as u64);
+            core.credit_step(t0);
+            if step_limited {
+                core.complete(SessionEnd::StepLimit);
+                drop(core);
+                self.finish(local, id);
+                return StepOutcome::Completed;
+            }
+            drop(core);
+            if let Some(p) = wake_peer {
+                if p != self.idx {
+                    self.notifiers[p].wake(id);
                 }
             }
         }

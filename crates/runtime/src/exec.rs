@@ -26,13 +26,14 @@ use crate::metrics::{
     GaugeSnapshot, LinkReport, Metrics, RuntimeReport, SessionReport, StageBreakdown, StallRecord,
     TraceMeta, ViolationRecord,
 };
-use crate::session::{SessionCore, SessionEnd, SessionSlot};
+use crate::session::{SessionCore, SessionCounts, SessionEnd, SessionSlot};
 use crate::stall::StallTracker;
 use lotos::ast::Spec;
 use lotos::event::SyncKind;
-use lotos::place::PlaceId;
+use lotos::place::{PlaceId, MAX_PLACES};
 use obs::{EventKind, Recorder, Registry};
 use protogen::derive::Derivation;
+use semantics::backend::{EntityBackend, PrimTable};
 use semantics::engine::TermArena;
 use semantics::hash::FxHashMap;
 use semantics::lower::CompiledEntity;
@@ -135,27 +136,32 @@ fn attach_recorder_artifacts(report: &mut RuntimeReport, registry: &Arc<Registry
 }
 
 /// The service monitor's verdict on a primitive trace: the first
-/// violation (primitive, place, index) and whether the service could
+/// violation (primitive id, place, index) and whether the service could
 /// terminate where the trace ends.
-pub(crate) type MonitorVerdict = (Option<(String, PlaceId, usize)>, bool);
+pub(crate) type MonitorVerdict = (Option<(u32, PlaceId, usize)>, bool);
 
-/// Replay a completed session's primitive trace against the service.
-fn replay_conformance(service: &Spec, trace: &[(String, PlaceId)]) -> MonitorVerdict {
+/// Replay a completed session's primitive trace (ids of `prims`)
+/// against the service.
+fn replay_conformance(
+    service: &Spec,
+    prims: &PrimTable,
+    trace: &[(u32, PlaceId)],
+) -> MonitorVerdict {
     let mut mon = ServiceMonitor::new(service.clone());
-    for (i, (name, place)) in trace.iter().enumerate() {
-        if !mon.step(name, *place) {
-            return (Some((name.clone(), *place, i)), false);
+    for (i, &(prim, place)) in trace.iter().enumerate() {
+        if !mon.step(prims.name(prim), place) {
+            return (Some((prim, place, i)), false);
         }
     }
     (None, mon.may_terminate())
 }
 
-/// Memoized conformance replays, keyed by the full primitive trace.
+/// Memoized conformance replays, keyed by the full primitive-id trace.
 /// Load runs drive many sessions down identical traces; replaying the
 /// service monitor once per *distinct* trace instead of once per session
 /// takes conformance checking off the multiplexer's and the hub's
 /// critical path.
-type ReplayCache = FxHashMap<Vec<(String, PlaceId)>, MonitorVerdict>;
+type ReplayCache = FxHashMap<Vec<(u32, PlaceId)>, MonitorVerdict>;
 
 /// Where a completed session's monitor verdict comes from.
 pub(crate) enum Monitor {
@@ -168,15 +174,19 @@ pub(crate) enum Monitor {
 
 /// What an engine measured for one completed session: the input of
 /// [`Tally::close`].
-pub(crate) struct Completed {
+pub(crate) struct Completed<'t> {
     pub(crate) id: u64,
     pub(crate) seed: u64,
     pub(crate) end: SessionEnd,
-    /// The global service-primitive trace, in execution order.
-    pub(crate) trace: Vec<(String, PlaceId)>,
+    /// The global service-primitive trace, in execution order, as ids of
+    /// [`Tally::prims`].
+    pub(crate) trace: &'t [(u32, PlaceId)],
+    /// Wall µs before each primitive of `trace`, or empty when the
+    /// engine does not measure inter-arrival gaps.
+    pub(crate) gaps: &'t [u64],
     pub(crate) latency_us: u64,
     pub(crate) stages: StageBreakdown,
-    pub(crate) messages: usize,
+    pub(crate) counts: SessionCounts,
     pub(crate) steps: usize,
     /// Logical clock the close events are recorded at.
     pub(crate) lc: u64,
@@ -208,6 +218,9 @@ pub(crate) struct Tally<'a> {
     service: &'a Spec,
     cfg: &'a RuntimeConfig,
     metrics: &'a Metrics,
+    /// The run's primitive table: the service's names first, so an id
+    /// indexes `metrics.per_prim`, then any other name an engine saw.
+    pub(crate) prims: PrimTable,
     replays: ReplayCache,
     conforming: usize,
     terminated: usize,
@@ -215,7 +228,8 @@ pub(crate) struct Tally<'a> {
     step_limited: usize,
     aborted: usize,
     violations: Vec<ViolationRecord>,
-    pub(crate) per_kind: BTreeMap<SyncKind, usize>,
+    /// Messages sent per kind, indexed like [`SyncKind::ALL`].
+    per_kind: [usize; SyncKind::ALL.len()],
     pub(crate) per_link: BTreeMap<String, LinkReport>,
     reports: Vec<SessionReport>,
 }
@@ -226,6 +240,7 @@ impl<'a> Tally<'a> {
             service,
             cfg,
             metrics,
+            prims: metrics.prims.clone(),
             replays: ReplayCache::default(),
             conforming: 0,
             terminated: 0,
@@ -233,7 +248,7 @@ impl<'a> Tally<'a> {
             step_limited: 0,
             aborted: 0,
             violations: Vec::new(),
-            per_kind: BTreeMap::new(),
+            per_kind: [0; SyncKind::ALL.len()],
             per_link: BTreeMap::new(),
             reports: Vec::new(),
         }
@@ -242,26 +257,34 @@ impl<'a> Tally<'a> {
     /// Turn a completed session into its verdict: the conformance rule
     /// (no violation, terminated, and the service may terminate there),
     /// refused-offer violations, the recorder's close events, and the
-    /// session's report. The trace is kept for violating and aborted
-    /// sessions and single-session runs (load runs would hoard memory).
+    /// session's report; fold its counters into the run's metrics. The
+    /// trace is kept (with names) for violating and aborted sessions and
+    /// single-session runs (load runs would hoard memory).
     pub(crate) fn close(&mut self, s: Completed, rec: Option<&Recorder>) {
         self.metrics.session_latency.record(s.latency_us);
         self.metrics.stages.record(&s.stages);
+        self.metrics.fold_session(&s.counts, s.trace, s.gaps);
         self.metrics
             .sessions_completed
             .fetch_add(1, Ordering::Relaxed);
-        let (mut violation, may_terminate) = match s.monitor {
+        for (total, c) in self.per_kind.iter_mut().zip(s.counts.per_kind) {
+            *total += c;
+        }
+        let (violation, may_terminate) = match s.monitor {
             Monitor::Known(verdict) => verdict,
-            Monitor::Replay => match self.replays.get(s.trace.as_slice()) {
-                Some(hit) => hit.clone(),
+            Monitor::Replay => match self.replays.get(s.trace) {
+                Some(&hit) => hit,
                 None => {
-                    let verdict = replay_conformance(self.service, &s.trace);
-                    self.replays.insert(s.trace.clone(), verdict.clone());
+                    let verdict = replay_conformance(self.service, &self.prims, s.trace);
+                    self.replays.insert(s.trace.to_vec(), verdict);
                     verdict
                 }
             },
         };
         let conforms = violation.is_none() && s.end == SessionEnd::Terminated && may_terminate;
+        let prims = &self.prims;
+        let mut violation =
+            violation.map(|(prim, place, at)| (prims.name(prim).to_string(), place, at));
         // A deadlock against a refused offer is a conformance failure the
         // monitor cannot see (the primitive never executed): report the
         // offer as the violation, at the index it would have taken.
@@ -292,6 +315,12 @@ impl<'a> Tally<'a> {
         if conforms {
             self.conforming += 1;
         }
+        let named = || {
+            s.trace
+                .iter()
+                .map(|&(prim, place)| (prims.name(prim).to_string(), place))
+                .collect::<Vec<_>>()
+        };
         if let Some((name, place, at)) = &violation {
             self.violations.push(ViolationRecord {
                 session: s.id,
@@ -299,7 +328,7 @@ impl<'a> Tally<'a> {
                 primitive: name.clone(),
                 place: *place,
                 at: *at,
-                trace: s.trace.clone(),
+                trace: named(),
                 tail: Vec::new(),
             });
         }
@@ -312,11 +341,11 @@ impl<'a> Tally<'a> {
             conforms,
             violation: violation.map(|(name, place, _)| (name, place)),
             primitives: s.trace.len(),
-            messages: s.messages,
+            messages: s.counts.sent,
             steps: s.steps,
             latency_us: s.latency_us,
             stages: s.stages,
-            trace: if keep_trace { s.trace } else { Vec::new() },
+            trace: if keep_trace { named() } else { Vec::new() },
         });
     }
 
@@ -348,7 +377,11 @@ impl<'a> Tally<'a> {
             primitives: m.primitives.load(Ordering::Relaxed),
             messages: m.messages_sent.load(Ordering::Relaxed),
             delivered: m.messages_delivered.load(Ordering::Relaxed),
-            messages_per_kind: self.per_kind,
+            messages_per_kind: SyncKind::ALL
+                .into_iter()
+                .zip(self.per_kind)
+                .filter(|&(_, c)| c > 0)
+                .collect(),
             max_queue_depth: m.max_queue_depth.load(Ordering::Relaxed),
             frames_lost: m.frames_lost.load(Ordering::Relaxed),
             retransmissions: m.retransmissions.load(Ordering::Relaxed),
@@ -365,9 +398,9 @@ impl<'a> Tally<'a> {
             stalls,
             gauges: GaugeSnapshot::capture(m),
             per_prim: m
-                .per_prim
-                .iter()
-                .map(|(k, h)| (k.clone(), h.summary()))
+                .per_prim_by_name()
+                .into_iter()
+                .map(|(name, h)| (name.to_string(), h.summary()))
                 .collect(),
             phases: Vec::new(),
             trace_meta: None,
@@ -403,8 +436,10 @@ fn run_concurrent(
     let started = Instant::now();
     let places: Vec<PlaceId> = d.entities.iter().map(|(p, _)| *p).collect();
     let n = places.len();
-    let place_index: BTreeMap<PlaceId, usize> =
-        places.iter().enumerate().map(|(i, p)| (*p, i)).collect();
+    let mut place_index = vec![usize::MAX; MAX_PLACES as usize + 1];
+    for (i, p) in places.iter().enumerate() {
+        place_index[*p as usize] = i;
+    }
     let channels = medium::channels(d.all);
 
     let notifiers: Vec<Arc<Notifier>> = (0..n).map(|_| Arc::new(Notifier::new())).collect();
@@ -413,11 +448,20 @@ fn run_concurrent(
     let stalls = Arc::new(StallTracker::new());
 
     let mut tally = Tally::new(&d.service, cfg, &metrics);
-    std::thread::scope(|scope| {
-        for (idx, ((place, _), backend)) in
-            d.entities.iter().zip(run_backends(d, lowered)).enumerate()
-        {
-            let worker = EntityWorker {
+    let workers: Vec<EntityWorker> = d
+        .entities
+        .iter()
+        .zip(run_backends(d, lowered))
+        .enumerate()
+        .map(|(idx, ((place, _), backend))| {
+            let prims = backend.prims();
+            let prim_ids = prims.names().map(|name| tally.prims.intern(name)).collect();
+            let refuse = cfg
+                .refuse
+                .iter()
+                .filter_map(|(name, p)| Some((prims.id(name)?, *p)))
+                .collect();
+            EntityWorker {
                 idx,
                 place: *place,
                 n,
@@ -425,12 +469,17 @@ fn run_concurrent(
                 cfg: cfg.clone(),
                 notifiers: notifiers.clone(),
                 place_index: place_index.clone(),
+                prim_ids,
+                refuse,
                 completions: Arc::clone(&completions),
-                metrics: Arc::clone(&metrics),
                 rec: registry.map(|r| r.recorder(*place)),
-            };
+            }
+        })
+        .collect();
+    std::thread::scope(|scope| {
+        for worker in workers {
             std::thread::Builder::new()
-                .name(format!("entity-{place}"))
+                .name(format!("entity-{}", worker.place))
                 .stack_size(ENTITY_STACK)
                 .spawn_scoped(scope, move || worker.run())
                 .expect("spawn entity thread");
@@ -459,6 +508,9 @@ fn run_concurrent(
                 .spawn_scoped(scope, move || stalls.run(&cfg, &metrics, registry.as_ref()))
                 .expect("spawn stall sampler");
         }
+        // Closed slots, reopened for later sessions once no entity thread
+        // (or the stall sampler) still holds them.
+        let mut retired: Vec<Arc<SessionSlot>> = Vec::new();
         let mut next = 0usize;
         let mut in_flight = 0usize;
         while next < cfg.sessions || in_flight > 0 {
@@ -468,19 +520,22 @@ fn run_concurrent(
             // wake-up each instead of once per completed session.
             if in_flight <= window / 2 {
                 while next < cfg.sessions && in_flight < window {
+                    let (id, seed) = (next as u64, cfg.session_seed(next));
                     if let Some(rec) = &mux_rec {
-                        rec.record(
-                            EventKind::SessionOpen,
-                            next as u64,
-                            0,
-                            cfg.session_seed(next),
-                            0,
-                        );
+                        rec.record(EventKind::SessionOpen, id, 0, seed, 0);
                     }
-                    let core =
-                        SessionCore::new(next as u64, cfg.session_seed(next), cfg, &channels);
-                    let slot = Arc::new(SessionSlot::new(core));
-                    stalls.insert(next as u64, Arc::clone(&slot));
+                    let slot = match retired.iter_mut().position(|s| Arc::get_mut(s).is_some()) {
+                        Some(k) => {
+                            let mut slot = retired.swap_remove(k);
+                            let core = Arc::get_mut(&mut slot).expect("unshared").core.get_mut();
+                            core.expect("session poisoned").reopen(id, seed, cfg);
+                            slot
+                        }
+                        None => {
+                            Arc::new(SessionSlot::new(SessionCore::new(id, seed, cfg, &channels)))
+                        }
+                    };
+                    stalls.insert(id, Arc::clone(&slot));
                     for nt in &notifiers {
                         nt.open(Arc::clone(&slot));
                     }
@@ -494,6 +549,7 @@ fn run_concurrent(
             metrics.window_occupancy.store(in_flight, Ordering::Relaxed);
             let id = close_concurrent(&slot, &metrics, &mut tally, mux_rec.as_ref());
             stalls.remove(id);
+            retired.push(slot);
         }
         stalls.stop_sampler();
         for nt in &notifiers {
@@ -512,14 +568,14 @@ fn run_concurrent(
 }
 
 /// Hand a session the entity threads completed to the tally: attribute
-/// its latency to stages and merge its medium statistics. Returns its id.
+/// its latency to stages and merge its counters. Returns its id.
 fn close_concurrent(
     slot: &SessionSlot,
     metrics: &Metrics,
     tally: &mut Tally,
     rec: Option<&Recorder>,
 ) -> u64 {
-    let mut core = slot.core.lock().expect("session poisoned");
+    let core = slot.core.lock().expect("session poisoned");
     let end = core.completed.expect("finalized session not completed");
     let latency_us = core
         .ended
@@ -542,22 +598,23 @@ fn close_concurrent(
         e.lost += l;
         e.retransmissions += r;
     }
-    for (k, c) in &core.stats.sent_per_kind {
-        *tally.per_kind.entry(*k).or_default() += c;
-    }
     let id = core.id;
+    let refused = core
+        .refused_offer
+        .map(|(prim, place)| (tally.prims.name(prim).to_string(), place));
     tally.close(
         Completed {
             id,
             seed: core.seed,
             end,
-            trace: std::mem::take(&mut core.trace),
+            trace: &core.trace,
+            gaps: &core.gaps,
             latency_us,
             stages: StageBreakdown::attribute(latency_us, queue_us, core.step_ns / 1000, 0, None),
-            messages: core.stats.sent,
+            counts: core.counts,
             steps: core.steps,
             lc: core.steps as u64,
-            refused: core.refused_offer.take(),
+            refused,
             monitor: Monitor::Replay,
         },
         rec,
@@ -618,27 +675,25 @@ fn run_deterministic(
         let latency_us = t0.elapsed().as_micros() as u64;
         let m = &outcome.metrics;
         metrics
-            .primitives
-            .fetch_add(m.primitives, Ordering::Relaxed);
-        metrics
-            .messages_sent
-            .fetch_add(m.messages, Ordering::Relaxed);
-        let delivered = m.per_place.values().map(|l| l.received).sum::<usize>();
-        metrics
-            .messages_delivered
-            .fetch_add(delivered, Ordering::Relaxed);
-        metrics
-            .max_queue_depth
-            .fetch_max(m.max_queue_depth, Ordering::Relaxed);
-        metrics
             .frames_lost
             .fetch_add(m.frames_lost, Ordering::Relaxed);
         metrics
             .retransmissions
             .fetch_add(m.retransmissions, Ordering::Relaxed);
+        let mut counts = SessionCounts {
+            sent: m.messages,
+            delivered: m.per_place.values().map(|l| l.received).sum(),
+            max_depth: m.max_queue_depth,
+            ..SessionCounts::default()
+        };
         for (kind, c) in &m.messages_per_kind {
-            *tally.per_kind.entry(*kind).or_default() += c;
+            counts.per_kind[*kind as usize] += c;
         }
+        let trace: Vec<(u32, PlaceId)> = outcome
+            .trace
+            .iter()
+            .map(|(name, place)| (tally.prims.intern(name), *place))
+            .collect();
 
         let end = match outcome.result {
             SimResult::Terminated => SessionEnd::Terminated,
@@ -659,24 +714,25 @@ fn run_deterministic(
         }
         // The DES monitor stops at the first violation: it is the last
         // primitive of the trace.
-        let at = outcome.trace.len().saturating_sub(1);
+        let at = trace.len().saturating_sub(1);
+        let violation = outcome
+            .violation
+            .map(|(name, place)| (tally.prims.intern(&name), place, at));
         tally.close(
             Completed {
                 id: k as u64,
                 seed: cfg.session_seed(k),
                 end,
+                trace: &trace,
+                gaps: &[],
                 latency_us,
                 // The DES runs a whole session inline: all of it is "step".
                 stages: StageBreakdown::attribute(latency_us, 0, latency_us, 0, None),
-                messages: m.messages,
+                counts,
                 steps: m.steps,
-                lc: outcome.trace.len() as u64,
+                lc: trace.len() as u64,
                 refused: configured_refusal(cfg, end),
-                monitor: Monitor::Known((
-                    outcome.violation.map(|(name, place)| (name, place, at)),
-                    outcome.service_could_terminate,
-                )),
-                trace: outcome.trace,
+                monitor: Monitor::Known((violation, outcome.service_could_terminate)),
             },
             rec.as_ref(),
         );

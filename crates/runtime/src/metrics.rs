@@ -1,17 +1,20 @@
 //! Observability: lock-free counters, log-scale latency histograms, and
 //! the JSON [`RuntimeReport`].
 //!
-//! Entity threads record into atomics only — no locks on the hot path.
-//! The per-primitive histogram map is *prebuilt* from the service
-//! specification before any thread starts (the key set of a service's
-//! primitives is static), so recording a primitive latency is an atomic
-//! add into a pre-existing histogram, never a map mutation.
+//! Engines count per session (see [`crate::session::SessionCounts`]) and
+//! fold each session into the shared atomics once, when it closes — no
+//! shared counter is written per move. The per-primitive histograms are
+//! *prebuilt* from the service specification before any thread starts,
+//! one per name of the run's [`PrimTable`], so recording a primitive
+//! latency is an atomic add into the histogram at the primitive's id,
+//! never a map lookup.
 
 use crate::config::RuntimeConfig;
-use crate::session::SessionEnd;
-use lotos::ast::{Expr, Spec};
-use lotos::event::{Event, SyncKind};
+use crate::session::{SessionCounts, SessionEnd};
+use lotos::ast::Spec;
+use lotos::event::SyncKind;
 use lotos::place::PlaceId;
+use semantics::backend::PrimTable;
 use semantics::json::Json;
 use semantics::json_obj;
 use std::collections::BTreeMap;
@@ -391,19 +394,19 @@ pub struct Metrics {
     /// Per-link outbound backlog for labeled exposition, refreshed by
     /// the hub on a throttle — the hot path never touches this lock.
     pub link_backlogs: Mutex<BTreeMap<String, u64>>,
+    /// The service's primitive names; `per_prim[k]` belongs to id `k`.
+    pub prims: PrimTable,
     /// Per-primitive inter-arrival latency (wall µs between consecutive
-    /// primitives of a session, keyed by primitive name). Prebuilt — see
+    /// primitives of a session), indexed by primitive id. Prebuilt — see
     /// the module docs.
-    pub per_prim: BTreeMap<String, Histogram>,
+    pub per_prim: Vec<Histogram>,
 }
 
 impl Metrics {
-    /// Build with one histogram per primitive of `service`.
+    /// Build with one histogram per primitive name of `service`.
     pub fn for_service(service: &Spec) -> Metrics {
-        let mut per_prim = BTreeMap::new();
-        for (name, _) in service_primitives(service) {
-            per_prim.entry(name).or_insert_with(Histogram::new);
-        }
+        let prims = PrimTable::of_spec(service);
+        let per_prim = prims.names().map(|_| Histogram::new()).collect();
         Metrics {
             sessions_completed: AtomicUsize::new(0),
             primitives: AtomicUsize::new(0),
@@ -424,15 +427,36 @@ impl Metrics {
             pool_bufs_free: AtomicUsize::new(0),
             pool_bufs_total: AtomicUsize::new(0),
             link_backlogs: Mutex::new(BTreeMap::new()),
+            prims,
             per_prim,
         }
     }
 
-    pub fn record_prim(&self, name: &str, latency_us: u64) {
-        self.primitives.fetch_add(1, Ordering::Relaxed);
-        if let Some(h) = self.per_prim.get(name) {
-            h.record(latency_us);
+    /// Fold one closed session in: its counters, its primitives, and the
+    /// inter-arrival gap before each (`gaps` is parallel to `trace`, or
+    /// empty when the engine does not measure gaps). Primitive ids past
+    /// the service's table have no histogram.
+    pub fn fold_session(&self, counts: &SessionCounts, trace: &[(u32, PlaceId)], gaps: &[u64]) {
+        self.primitives.fetch_add(trace.len(), Ordering::Relaxed);
+        self.messages_sent.fetch_add(counts.sent, Ordering::Relaxed);
+        self.messages_delivered
+            .fetch_add(counts.delivered, Ordering::Relaxed);
+        self.internal_actions
+            .fetch_add(counts.internal, Ordering::Relaxed);
+        self.max_queue_depth
+            .fetch_max(counts.max_depth, Ordering::Relaxed);
+        for (&(prim, _), &gap) in trace.iter().zip(gaps) {
+            if let Some(h) = self.per_prim.get(prim as usize) {
+                h.record(gap);
+            }
         }
+    }
+
+    /// The per-primitive histograms with their names, sorted by name.
+    pub fn per_prim_by_name(&self) -> Vec<(&str, &Histogram)> {
+        let mut out: Vec<(&str, &Histogram)> = self.prims.names().zip(&self.per_prim).collect();
+        out.sort_by_key(|&(name, _)| name);
+        out
     }
 
     /// Render the live counters in Prometheus text exposition format
@@ -542,7 +566,7 @@ impl Metrics {
             None,
             &self.session_latency,
         );
-        for (prim, h) in &self.per_prim {
+        for (prim, h) in self.per_prim_by_name() {
             push_summary(
                 &mut out,
                 "protogen_primitive_latency_us",
@@ -682,24 +706,6 @@ fn push_histogram(
     out.push_str(&format!("{name}_bucket{} {total}\n", tag("+Inf")));
     out.push_str(&format!("{name}_sum{suffix} {}\n", h.sum()));
     out.push_str(&format!("{name}_count{suffix} {total}\n"));
-}
-
-/// Every distinct `(name, place)` primitive of a specification, in
-/// first-appearance order.
-pub fn service_primitives(spec: &Spec) -> Vec<(String, PlaceId)> {
-    let mut out: Vec<(String, PlaceId)> = Vec::new();
-    for i in 0..spec.node_count() {
-        if let Expr::Prefix {
-            event: Event::Prim { name, place },
-            ..
-        } = spec.node(i as u32)
-        {
-            if !out.iter().any(|(n, p)| n == name && p == place) {
-                out.push((name.clone(), *place));
-            }
-        }
-    }
-    out
 }
 
 /// Version of the [`RuntimeReport`] JSON layout, written as its
@@ -1079,7 +1085,9 @@ mod tests {
         let spec = lotos::parser::parse_spec("SPEC conreq1; conind2; exit ENDSPEC").unwrap();
         let m = Metrics::for_service(&spec);
         m.sessions_completed.store(12, Ordering::Relaxed);
-        m.record_prim("conreq", 40);
+        // One session whose only primitive, conreq, came 40 µs in.
+        let conreq = m.prims.id("conreq").unwrap();
+        m.fold_session(&SessionCounts::default(), &[(conreq, 1)], &[40]);
         m.session_latency.record(900);
         let text = m.to_prometheus();
         assert!(text.contains("# TYPE protogen_sessions_completed_total counter"));
@@ -1393,10 +1401,10 @@ mod tests {
             "SPEC conreq1; conind2; (dtreq1; dtind2; exit [] disreq1; exit) ENDSPEC",
         )
         .unwrap();
-        let prims = service_primitives(&spec);
-        let names: Vec<&str> = prims.iter().map(|(n, _)| n.as_str()).collect();
-        assert!(names.contains(&"conreq"));
-        assert!(names.contains(&"dtind"));
-        assert_eq!(prims.len(), 5);
+        let metrics = Metrics::for_service(&spec);
+        let mut names: Vec<&str> = metrics.prims.names().collect();
+        names.sort();
+        assert_eq!(names, ["conind", "conreq", "disreq", "dtind", "dtreq"]);
+        assert_eq!(metrics.per_prim.len(), 5);
     }
 }

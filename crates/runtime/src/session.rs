@@ -11,11 +11,11 @@
 
 use crate::config::RuntimeConfig;
 use crate::faults::FaultLink;
-use lotos::event::MsgId;
+use lotos::event::{MsgId, SyncKind};
 use lotos::place::PlaceId;
-use medium::{Capacity, MediumConfig, MediumStats, Msg, Network, Order};
+use medium::Msg;
 use semantics::hash::fx_hash;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -60,31 +60,68 @@ impl SessionEnd {
     }
 }
 
-/// The session's channels: the paper's reliable medium, or one ARQ fault
-/// link per directed channel.
-#[derive(Debug)]
-pub enum SessionMedium {
-    Reliable(Network),
-    Faulty(BTreeMap<(PlaceId, PlaceId), FaultLink>),
+/// What one session counted while it ran. Engines keep these in the
+/// session and fold them into the run's [`crate::Metrics`] once, when
+/// the session closes, so no shared counter is written per move.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SessionCounts {
+    /// Messages sent into the medium.
+    pub sent: usize,
+    /// Messages consumed by their receivers.
+    pub delivered: usize,
+    /// Internal (`i`) actions executed.
+    pub internal: usize,
+    /// Messages sent per kind, indexed like [`SyncKind::ALL`].
+    pub per_kind: [usize; SyncKind::ALL.len()],
+    /// Deepest any one channel got.
+    pub max_depth: usize,
 }
 
-/// Mutable state of one session, shared by all entity threads.
+impl SessionCounts {
+    /// Count one sent message of `kind`, its channel `depth` deep after
+    /// the send.
+    pub fn on_send(&mut self, kind: SyncKind, depth: usize) {
+        self.sent += 1;
+        self.per_kind[kind as usize] += 1;
+        self.max_depth = self.max_depth.max(depth);
+    }
+}
+
+/// The session's channels, one per entry of the run's channel list: the
+/// paper's reliable FIFO queues, or one ARQ fault link per directed
+/// channel.
+#[derive(Debug)]
+pub enum SessionMedium {
+    Reliable(Vec<VecDeque<Msg>>),
+    Faulty(Vec<FaultLink>),
+}
+
+/// Mutable state of one session, shared by all entity threads. A closed
+/// core is reused for a later session through [`Self::reopen`], which
+/// keeps every buffer's capacity.
 #[derive(Debug)]
 pub struct SessionCore {
     pub id: u64,
     /// This session's derived seed (see `RuntimeConfig::session_seed`).
     pub seed: u64,
-    medium_cfg: MediumConfig,
+    /// Per-channel capacity; `None` is unbounded.
+    capacity: Option<usize>,
+    /// The run's directed channels; `medium` holds one queue or link per
+    /// entry, in this order.
+    chans: Vec<(PlaceId, PlaceId)>,
     pub medium: SessionMedium,
-    /// Counters in the shape of the DES medium statistics.
-    pub stats: MediumStats,
+    pub counts: SessionCounts,
     /// Logical clock: one unit per executed action. Drives fault-link
     /// delays and retransmission timers.
     pub clock: f64,
     /// Executed actions (all kinds).
     pub steps: usize,
-    /// The global service-primitive trace, in execution order.
-    pub trace: Vec<(String, PlaceId)>,
+    /// The global service-primitive trace, in execution order, as ids of
+    /// the run's primitive table.
+    pub trace: Vec<(u32, PlaceId)>,
+    /// Wall µs before each primitive of `trace` since the previous one
+    /// (since the open, for the first).
+    pub gaps: Vec<u64>,
     /// Termination votes: bit `k` set when entity `k` currently offers δ.
     votes: u64,
     /// Bit `k` set when entity `k` found no enabled move for this session.
@@ -104,44 +141,27 @@ pub struct SessionCore {
     /// Wall-clock moment of the most recent primitive (per-primitive
     /// inter-arrival latency).
     pub last_prim: Option<Instant>,
-    /// Last primitive an entity *would* have executed but for the
-    /// `--refuse` table, noted when the entity had no other move. A
-    /// deadlock with this set is a refusal-induced conformance failure
-    /// and is reported as a violation naming this primitive.
-    pub refused_offer: Option<(String, PlaceId)>,
+    /// Last primitive (an id of the run's table) an entity *would* have
+    /// executed but for the `--refuse` table, noted when the entity had
+    /// no other move. A deadlock with this set is a refusal-induced
+    /// conformance failure and is reported as a violation naming this
+    /// primitive.
+    pub refused_offer: Option<(u32, PlaceId)>,
 }
 
 impl SessionCore {
     pub fn new(id: u64, seed: u64, cfg: &RuntimeConfig, channels: &[(PlaceId, PlaceId)]) -> Self {
-        let medium = if cfg.faults.is_none() {
-            SessionMedium::Reliable(Network::new())
-        } else {
-            SessionMedium::Faulty(
-                channels
-                    .iter()
-                    .map(|&(from, to)| {
-                        let link_seed = fx_hash(&(seed, from, to));
-                        ((from, to), FaultLink::new(cfg.faults, link_seed))
-                    })
-                    .collect(),
-            )
-        };
-        SessionCore {
+        let mut core = SessionCore {
             id,
             seed,
-            medium_cfg: MediumConfig {
-                capacity: if cfg.capacity == 0 {
-                    Capacity::Unbounded
-                } else {
-                    Capacity::Bounded(cfg.capacity)
-                },
-                order: Order::Fifo,
-            },
-            medium,
-            stats: MediumStats::default(),
+            capacity: None,
+            chans: channels.to_vec(),
+            medium: SessionMedium::Reliable(Vec::new()),
+            counts: SessionCounts::default(),
             clock: 0.0,
             steps: 0,
             trace: Vec::new(),
+            gaps: Vec::new(),
             votes: 0,
             blocked: 0,
             completed: None,
@@ -152,7 +172,57 @@ impl SessionCore {
             entity_states: Vec::new(),
             last_prim: None,
             refused_offer: None,
+        };
+        core.reopen(id, seed, cfg);
+        core
+    }
+
+    /// Reset this core for a new session `id` of the same run: empty
+    /// channels, zero counters, a fresh clock. Buffers keep their
+    /// capacity, so a recycled core allocates nothing on the reliable
+    /// medium.
+    pub fn reopen(&mut self, id: u64, seed: u64, cfg: &RuntimeConfig) {
+        self.id = id;
+        self.seed = seed;
+        self.capacity = (cfg.capacity != 0).then_some(cfg.capacity);
+        let chans = &self.chans;
+        match &mut self.medium {
+            SessionMedium::Reliable(queues) if cfg.faults.is_none() => {
+                queues.resize_with(chans.len(), VecDeque::new);
+                queues.iter_mut().for_each(VecDeque::clear);
+            }
+            medium if cfg.faults.is_none() => {
+                *medium = SessionMedium::Reliable(chans.iter().map(|_| VecDeque::new()).collect());
+            }
+            medium => {
+                *medium = SessionMedium::Faulty(
+                    chans
+                        .iter()
+                        .map(|&(from, to)| FaultLink::new(cfg.faults, fx_hash(&(seed, from, to))))
+                        .collect(),
+                );
+            }
         }
+        self.counts = SessionCounts::default();
+        self.clock = 0.0;
+        self.steps = 0;
+        self.trace.clear();
+        self.gaps.clear();
+        self.votes = 0;
+        self.blocked = 0;
+        self.completed = None;
+        self.started = Instant::now();
+        self.ended = None;
+        self.first_step = None;
+        self.step_ns = 0;
+        self.entity_states.clear();
+        self.last_prim = None;
+        self.refused_offer = None;
+    }
+
+    /// Index of channel `from → to` in the run's channel list.
+    fn chan(&self, from: PlaceId, to: PlaceId) -> Option<usize> {
+        self.chans.iter().position(|&c| c == (from, to))
     }
 
     /// Note entity `idx`'s current backend state (stall forensics).
@@ -172,73 +242,80 @@ impl SessionCore {
         self.step_ns += t0.elapsed().as_nanos() as u64;
     }
 
+    /// Append primitive `prim` (an id of the run's table) at `place` to
+    /// the trace, with its inter-arrival gap.
+    pub fn push_prim(&mut self, prim: u32, place: PlaceId) {
+        let now = Instant::now();
+        let since = self.last_prim.unwrap_or(self.started);
+        self.gaps.push(now.duration_since(since).as_micros() as u64);
+        self.last_prim = Some(now);
+        self.trace.push((prim, place));
+    }
+
     /// Is a send on `from → to` enabled (capacity backpressure)? A send
     /// on a full channel is *not enabled* — the entity simply offers its
     /// other moves, exactly the `Capacity::Bounded` semantics.
     pub fn can_send(&self, from: PlaceId, to: PlaceId) -> bool {
-        let cap = match self.medium_cfg.capacity {
-            Capacity::Unbounded => return true,
-            Capacity::Bounded(n) => n,
+        let Some(cap) = self.capacity else {
+            return true;
         };
-        match &self.medium {
-            SessionMedium::Reliable(net) => net.depth(from, to) < cap,
-            SessionMedium::Faulty(links) => links.get(&(from, to)).is_none_or(|l| l.queued() < cap),
+        match (&self.medium, self.chan(from, to)) {
+            (_, None) => true,
+            (SessionMedium::Reliable(queues), Some(c)) => queues[c].len() < cap,
+            (SessionMedium::Faulty(links), Some(c)) => links[c].queued() < cap,
         }
     }
 
     /// Enqueue a message (the caller checked [`Self::can_send`]).
     pub fn send(&mut self, msg: Msg) {
-        let now = self.clock;
-        match &mut self.medium {
-            SessionMedium::Reliable(net) => {
-                let ok = net.send(&self.medium_cfg, msg.clone());
-                debug_assert!(ok, "send on full channel: caller skipped can_send");
-                self.stats.on_send(net, &msg);
+        let c = self
+            .chan(msg.from, msg.to)
+            .expect("send on unknown channel");
+        let kind = msg.kind;
+        let depth = match &mut self.medium {
+            SessionMedium::Reliable(queues) => {
+                debug_assert!(
+                    self.capacity.is_none_or(|cap| queues[c].len() < cap),
+                    "send on full channel: caller skipped can_send"
+                );
+                queues[c].push_back(msg);
+                queues[c].len()
             }
             SessionMedium::Faulty(links) => {
-                let link = links
-                    .get_mut(&(msg.from, msg.to))
-                    .expect("send on unknown channel");
-                link.submit(msg.clone(), now);
-                self.stats.sent += 1;
-                *self.stats.sent_per_kind.entry(msg.kind).or_default() += 1;
-                let d = link.queued();
-                let e = self.stats.max_depth.entry((msg.from, msg.to)).or_default();
-                *e = (*e).max(d);
+                links[c].submit(msg, self.clock);
+                links[c].queued()
             }
-        }
+        };
+        self.counts.on_send(kind, depth);
     }
 
     /// Can `(id, occ)` be consumed from `from → to` right now? Pumps the
     /// fault link first so frames that became due surface.
     pub fn can_receive(&mut self, from: PlaceId, to: PlaceId, id: &MsgId, occ: u32) -> bool {
-        match &mut self.medium {
-            SessionMedium::Reliable(net) => net.can_receive(&self.medium_cfg, from, to, id, occ),
-            SessionMedium::Faulty(links) => match links.get_mut(&(from, to)) {
-                None => false,
-                Some(l) => {
-                    l.pump(self.clock);
-                    l.peek().is_some_and(|m| m.id == *id && m.occ == occ)
-                }
-            },
-        }
+        let Some(c) = self.chan(from, to) else {
+            return false;
+        };
+        let head = match &mut self.medium {
+            SessionMedium::Reliable(queues) => queues[c].front(),
+            SessionMedium::Faulty(links) => {
+                links[c].pump(self.clock);
+                links[c].peek()
+            }
+        };
+        head.is_some_and(|m| m.id == *id && m.occ == occ)
     }
 
     /// Consume `(id, occ)` from `from → to` (head-of-line under FIFO).
     pub fn receive(&mut self, from: PlaceId, to: PlaceId, id: &MsgId, occ: u32) -> Option<Msg> {
+        if !self.can_receive(from, to, id, occ) {
+            return None;
+        }
+        let c = self.chan(from, to)?;
         let msg = match &mut self.medium {
-            SessionMedium::Reliable(net) => net.receive(&self.medium_cfg, from, to, id, occ)?,
-            SessionMedium::Faulty(links) => {
-                let l = links.get_mut(&(from, to))?;
-                l.pump(self.clock);
-                let head = l.peek()?;
-                if head.id != *id || head.occ != occ {
-                    return None;
-                }
-                l.take()?
-            }
+            SessionMedium::Reliable(queues) => queues[c].pop_front()?,
+            SessionMedium::Faulty(links) => links[c].take()?,
         };
-        self.stats.on_receive(&msg);
+        self.counts.delivered += 1;
         Some(msg)
     }
 
@@ -287,8 +364,8 @@ impl SessionCore {
     /// All channels drained and no link activity in flight?
     pub fn quiet(&self) -> bool {
         match &self.medium {
-            SessionMedium::Reliable(net) => net.is_empty(),
-            SessionMedium::Faulty(links) => links.values().all(|l| l.is_idle()),
+            SessionMedium::Reliable(queues) => queues.iter().all(VecDeque::is_empty),
+            SessionMedium::Faulty(links) => links.iter().all(|l| l.is_idle()),
         }
     }
 
@@ -298,7 +375,7 @@ impl SessionCore {
         match &self.medium {
             SessionMedium::Reliable(_) => None,
             SessionMedium::Faulty(links) => links
-                .values()
+                .iter()
                 .filter_map(|l| l.next_deadline())
                 .min_by(f64::total_cmp),
         }
@@ -307,7 +384,7 @@ impl SessionCore {
     /// Pump every fault link at the current clock.
     pub fn pump_all(&mut self) {
         if let SessionMedium::Faulty(links) = &mut self.medium {
-            for l in links.values_mut() {
+            for l in links {
                 l.pump(self.clock);
             }
         }
@@ -317,7 +394,7 @@ impl SessionCore {
     pub fn link_totals(&self) -> (usize, usize) {
         match &self.medium {
             SessionMedium::Reliable(_) => (0, 0),
-            SessionMedium::Faulty(links) => links.values().fold((0, 0), |(fl, rt), l| {
+            SessionMedium::Faulty(links) => links.iter().fold((0, 0), |(fl, rt), l| {
                 (fl + l.frames_lost, rt + l.retransmissions())
             }),
         }
@@ -328,8 +405,10 @@ impl SessionCore {
     pub fn link_breakdown(&self) -> Vec<((PlaceId, PlaceId), (usize, usize))> {
         match &self.medium {
             SessionMedium::Reliable(_) => Vec::new(),
-            SessionMedium::Faulty(links) => links
+            SessionMedium::Faulty(links) => self
+                .chans
                 .iter()
+                .zip(links)
                 .map(|(&k, l)| (k, (l.frames_lost, l.retransmissions())))
                 .collect(),
         }
@@ -400,8 +479,10 @@ mod tests {
         assert!(!core.can_receive(1, 2, &MsgId::Node(11), 0), "FIFO broken");
         core.receive(1, 2, &MsgId::Node(10), 0).unwrap();
         assert!(core.can_send(1, 2));
-        assert_eq!(core.stats.sent, 2);
-        assert_eq!(core.stats.delivered, 1);
+        assert_eq!(core.counts.sent, 2);
+        assert_eq!(core.counts.delivered, 1);
+        assert_eq!(core.counts.max_depth, 2);
+        assert_eq!(core.counts.per_kind[SyncKind::Seq as usize], 2);
     }
 
     #[test]
@@ -448,7 +529,8 @@ mod tests {
 
     fn head_id(core: &mut SessionCore) -> MsgId {
         if let SessionMedium::Faulty(links) = &mut core.medium {
-            let l = links.get_mut(&(1, 2)).unwrap();
+            // Channel (1, 2) is the first of the list.
+            let l = &mut links[0];
             l.pump(0.0);
             if let Some(m) = l.peek() {
                 return m.id.clone();
@@ -486,6 +568,32 @@ mod tests {
             assert_eq!(SessionEnd::from_code(end.code()), end);
         }
         assert_eq!(SessionEnd::from_code(200), SessionEnd::Aborted);
+    }
+
+    #[test]
+    fn reopen_clears_a_used_core() {
+        let chans = [(1, 2), (2, 1)];
+        let mut core = SessionCore::new(0, 1, &cfg(), &chans);
+        core.send(msg(1, 2, 10));
+        core.push_prim(0, 1);
+        core.tick();
+        core.vote(0);
+        core.set_blocked(1);
+        core.note_state(1, 7);
+        core.refused_offer = Some((0, 1));
+        core.complete(SessionEnd::Deadlock);
+        core.reopen(5, 9, &cfg());
+        assert_eq!((core.id, core.seed, core.steps, core.clock), (5, 9, 0, 0.0));
+        assert!(core.quiet(), "a queue kept its message");
+        assert_eq!(core.counts, SessionCounts::default());
+        assert!(core.trace.is_empty() && core.gaps.is_empty());
+        assert!(!core.has_vote(0) && !core.all_blocked(2));
+        assert!(core.entity_states.is_empty());
+        assert_eq!(
+            (core.completed, core.ended, core.refused_offer),
+            (None, None, None)
+        );
+        assert!(!core.can_receive(1, 2, &MsgId::Node(10), 0));
     }
 
     #[test]

@@ -724,3 +724,81 @@ fn single_session_is_not_timer_bound() {
         fastest * 1e3
     );
 }
+
+/// Every report's totals are the sums of what its sessions counted, on
+/// every engine: primitives and messages over the session reports, the
+/// per-kind message split over the message total, and the per-primitive
+/// latency counts over the primitive total. The deterministic engine
+/// measures no inter-arrival latency, so its `per_prim` stays empty.
+#[test]
+fn counters_agree_across_engines() {
+    let watchdog = Watchdog::arm("counters_agree_across_engines", Duration::from_secs(120));
+    for (name, src) in corpus() {
+        let derived = Pipeline::load(&src)
+            .unwrap()
+            .check()
+            .unwrap()
+            .derive()
+            .unwrap();
+        let d = derived.derivation();
+        let mut cfg = RuntimeConfig::new()
+            .sessions(6)
+            .threads(2)
+            .seed(17)
+            .max_steps(20_000);
+        for (prim, place) in refusals(&name) {
+            cfg = cfg.refuse(prim, place);
+        }
+        let check = |engine: &str, r: &RuntimeReport| {
+            let case = format!("{name} on the {engine} engine");
+            assert_eq!(r.sessions, 6, "{case}: sessions");
+            let prims: usize = r.reports.iter().map(|s| s.primitives).sum();
+            assert_eq!(r.primitives, prims, "{case}: primitives vs sessions");
+            let msgs: usize = r.reports.iter().map(|s| s.messages).sum();
+            assert_eq!(r.messages, msgs, "{case}: messages vs sessions");
+            let per_kind: usize = r.messages_per_kind.values().sum();
+            assert_eq!(
+                per_kind, r.messages,
+                "{case}: messages_per_kind vs messages"
+            );
+            let per_prim: u64 = r.per_prim.values().map(|h| h.count).sum();
+            if engine == "deterministic" {
+                assert_eq!(per_prim, 0, "{case}: per_prim");
+            } else {
+                assert_eq!(
+                    per_prim as usize, r.primitives,
+                    "{case}: per_prim vs primitives"
+                );
+            }
+        };
+
+        watchdog.enter(format!("{name}: deterministic"));
+        check("deterministic", &runtime::run(d, &cfg.clone().threads(1)));
+        watchdog.enter(format!("{name}: concurrent"));
+        check("concurrent", &runtime::run(d, &cfg));
+
+        watchdog.enter(format!("{name}: distributed"));
+        let dcfg = DistributedConfig {
+            heartbeat: Duration::from_millis(20),
+            ..DistributedConfig::new(Addr::Tcp("127.0.0.1:0".to_string()))
+        };
+        let listener = dcfg.listen.listen().unwrap();
+        let hub_addr = listener.local_addr().unwrap();
+        let handles: Vec<_> = d
+            .entities
+            .iter()
+            .map(|(p, spec)| {
+                let mut scfg = ServeConfig::new(hub_addr.clone(), *p);
+                scfg.heartbeat = Duration::from_millis(20);
+                scfg.refuse = cfg.refuse.clone();
+                let spec = spec.clone();
+                std::thread::spawn(move || serve_entity(&spec, &scfg))
+            })
+            .collect();
+        let distributed = run_hub_on(d, &cfg, &dcfg, listener).expect("hub run");
+        for h in handles {
+            h.join().expect("entity thread").expect("entity outcome");
+        }
+        check("distributed", &distributed);
+    }
+}

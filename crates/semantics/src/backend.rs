@@ -23,13 +23,21 @@
 //! and [`EntityBackend::step`] advances along one of its entries. The
 //! row stays valid until the next `offers`/`step` call (one backend
 //! instance serves many sessions by re-loading between them).
+//!
+//! ## Primitive ids
+//!
+//! Each backend interns its entity's service-primitive names in a
+//! [`PrimTable`] at construction, and [`OfferView::Prim`] carries the
+//! dense id next to the borrowed name. Engines that keep traces or
+//! per-primitive counters map these local ids onto their run's own
+//! table once, before stepping, and never compare names on the hot path.
 
 use crate::engine::{Engine, TermArena, TermId, TermNode};
 use crate::hash::FxHashMap;
 use crate::lower::{CompiledEntity, LabelTpl, OccBase, OccSrc};
 use crate::term::{Label, OccTable};
-use lotos::ast::Spec;
-use lotos::event::{MsgId, SyncKind};
+use lotos::ast::{Expr, Spec};
+use lotos::event::{Event, MsgId, SyncKind};
 use lotos::place::PlaceId;
 use std::sync::{Arc, Mutex};
 
@@ -42,12 +50,70 @@ pub struct BState {
     pub regs: Vec<u32>,
 }
 
+/// Service-primitive names interned to dense `u32` ids, in the order
+/// they were first interned.
+#[derive(Clone, Debug, Default)]
+pub struct PrimTable {
+    names: Vec<String>,
+    index: FxHashMap<String, u32>,
+}
+
+impl PrimTable {
+    pub fn new() -> PrimTable {
+        PrimTable::default()
+    }
+
+    /// Every primitive name of `spec`, in first-appearance order.
+    pub fn of_spec(spec: &Spec) -> PrimTable {
+        let mut t = PrimTable::new();
+        for i in 0..spec.node_count() {
+            if let Expr::Prefix {
+                event: Event::Prim { name, .. },
+                ..
+            } = spec.node(i as u32)
+            {
+                t.intern(name);
+            }
+        }
+        t
+    }
+
+    /// The id of `name`, if it is interned.
+    pub fn id(&self, name: &str) -> Option<u32> {
+        self.index.get(name).copied()
+    }
+
+    /// The id of `name`, interning it first when it is new.
+    pub fn intern(&mut self, name: &str) -> u32 {
+        if let Some(id) = self.id(name) {
+            return id;
+        }
+        let id = self.names.len() as u32;
+        self.names.push(name.to_string());
+        self.index.insert(name.to_string(), id);
+        id
+    }
+
+    /// The name interned as `id`.
+    pub fn name(&self, id: u32) -> &str {
+        &self.names[id as usize]
+    }
+
+    /// Every name, in id order.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.names.iter().map(String::as_str)
+    }
+}
+
 /// A borrowed view of one offered transition — everything an engine
-/// needs to classify the move against the medium, nothing owned.
+/// needs to classify the move against the medium and apply it, nothing
+/// owned.
 pub enum OfferView<'a> {
     I,
     Delta,
     Prim {
+        /// Id of `name` in the backend's [`EntityBackend::prims`].
+        id: u32,
         name: &'a str,
         place: PlaceId,
     },
@@ -80,13 +146,18 @@ pub trait EntityBackend {
     fn step(&mut self, s: &mut BState, i: usize);
     /// Is `s` literally `stop` (inaction after δ, not a deadlock)?
     fn is_stop(&self, s: &BState) -> bool;
+    /// The entity's primitive names, as [`OfferView::Prim`] ids them.
+    fn prims(&self) -> &PrimTable;
 }
 
-fn view_of(label: &Label) -> OfferView<'_> {
+fn view_of<'a>(label: &'a Label, prims: &PrimTable) -> OfferView<'a> {
     match label {
         Label::I => OfferView::I,
         Label::Delta => OfferView::Delta,
         Label::Prim { name, place } => OfferView::Prim {
+            id: prims
+                .id(name)
+                .expect("every primitive label comes from a prefix of the spec"),
             name,
             place: *place,
         },
@@ -114,11 +185,13 @@ fn view_of(label: &Label) -> OfferView<'_> {
 pub struct InterpretedBackend {
     engine: Engine,
     row: Arc<[(Label, TermId)]>,
+    prims: PrimTable,
 }
 
 impl InterpretedBackend {
     pub fn new(engine: Engine) -> InterpretedBackend {
         InterpretedBackend {
+            prims: PrimTable::of_spec(&engine.spec),
             engine,
             row: Arc::from(Vec::new().into_boxed_slice()),
         }
@@ -139,7 +212,7 @@ impl EntityBackend for InterpretedBackend {
     }
 
     fn offer(&self, i: usize) -> OfferView<'_> {
-        view_of(&self.row[i].0)
+        view_of(&self.row[i].0, &self.prims)
     }
 
     fn label(&self, i: usize) -> Label {
@@ -152,6 +225,10 @@ impl EntityBackend for InterpretedBackend {
 
     fn is_stop(&self, s: &BState) -> bool {
         matches!(self.engine.node(TermId::from_raw(s.id)), TermNode::Stop)
+    }
+
+    fn prims(&self) -> &PrimTable {
+        &self.prims
     }
 }
 
@@ -169,11 +246,25 @@ pub struct CompiledBackend {
     /// Start of the loaded row in `ent.trans`.
     row_start: usize,
     regs_scratch: Vec<u32>,
+    prims: PrimTable,
+    /// Primitive id of each label template (0 for non-primitives).
+    prim_of: Vec<u32>,
 }
 
 impl CompiledBackend {
     pub fn new(ent: Arc<CompiledEntity>, occ: Arc<Mutex<OccTable>>) -> CompiledBackend {
+        let mut prims = PrimTable::new();
+        let prim_of = ent
+            .labels
+            .iter()
+            .map(|l| match l {
+                LabelTpl::Prim { name, .. } => prims.intern(name),
+                _ => 0,
+            })
+            .collect();
         CompiledBackend {
+            prims,
+            prim_of,
             ent,
             occ,
             child_cache: FxHashMap::default(),
@@ -247,6 +338,7 @@ impl EntityBackend for CompiledBackend {
             LabelTpl::I => OfferView::I,
             LabelTpl::Delta => OfferView::Delta,
             LabelTpl::Prim { name, place } => OfferView::Prim {
+                id: self.prim_of[t.label as usize],
                 name,
                 place: *place,
             },
@@ -288,6 +380,10 @@ impl EntityBackend for CompiledBackend {
 
     fn is_stop(&self, s: &BState) -> bool {
         self.ent.is_stop[s.id as usize]
+    }
+
+    fn prims(&self) -> &PrimTable {
+        &self.prims
     }
 }
 
@@ -344,6 +440,13 @@ impl EntityBackend for Backend {
         match self {
             Backend::Interpreted(b) => b.is_stop(s),
             Backend::Compiled(b) => b.is_stop(s),
+        }
+    }
+
+    fn prims(&self) -> &PrimTable {
+        match self {
+            Backend::Interpreted(b) => b.prims(),
+            Backend::Compiled(b) => b.prims(),
         }
     }
 }
@@ -409,6 +512,27 @@ mod tests {
             }
             a.step(&mut sa, 0);
             b.step(&mut sb, 0);
+        }
+    }
+
+    /// Both backends id a primitive by its name: the id names it back,
+    /// and a repeated name keeps its id.
+    #[test]
+    fn prim_ids_name_their_primitives() {
+        let (mut a, mut b) = backends("SPEC a1; b1; a1; exit ENDSPEC");
+        for backend in [&mut a, &mut b] {
+            let mut s = backend.init();
+            let mut seen = Vec::new();
+            while backend.offers(&s) > 0 {
+                if let OfferView::Prim { id, name, .. } = backend.offer(0) {
+                    assert_eq!(backend.prims().name(id), name);
+                    seen.push(id);
+                }
+                backend.step(&mut s, 0);
+            }
+            assert_eq!(seen.len(), 3);
+            assert_eq!(seen[0], seen[2], "a1 changed id");
+            assert_ne!(seen[0], seen[1]);
         }
     }
 

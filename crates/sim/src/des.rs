@@ -597,7 +597,7 @@ impl<'a> Simulator<'a> {
             let mut delta = false;
             for i in 0..self.backends[k].offers(&self.states[k]) {
                 match self.backends[k].offer(i) {
-                    OfferView::Prim { name, place } => {
+                    OfferView::Prim { name, place, .. } => {
                         let refused = self
                             .cfg
                             .refuse
