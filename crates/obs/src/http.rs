@@ -4,11 +4,11 @@
 //! in a real server.
 
 use std::io::{Read, Write};
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A route handler: returns `(content_type, body)`.
 pub type Handler = Arc<dyn Fn() -> (String, String) + Send + Sync>;
@@ -38,12 +38,10 @@ impl MetricsServer {
                 while !stop2.load(Ordering::Relaxed) {
                     match listener.accept() {
                         Ok((mut conn, _)) => {
-                            let _ = conn.set_read_timeout(Some(Duration::from_millis(500)));
                             let _ = conn.set_nonblocking(false);
-                            let mut req = [0u8; 1024];
-                            let n = conn.read(&mut req).unwrap_or(0);
+                            let req = read_request(&mut conn);
                             let (status, ctype, body) =
-                                respond(&String::from_utf8_lossy(&req[..n]), &routes);
+                                respond(&String::from_utf8_lossy(&req), &routes);
                             let _ = write!(
                                 conn,
                                 "HTTP/1.1 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -72,6 +70,32 @@ impl MetricsServer {
             let _ = h.join();
         }
     }
+}
+
+/// Most request bytes read, and longest wait for the rest of a request.
+const MAX_REQUEST: usize = 1024;
+const REQUEST_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Read a request head up to its blank line (`\r\n\r\n`), however many
+/// segments it arrives in, stopping at [`MAX_REQUEST`] bytes, at EOF, or
+/// once [`REQUEST_TIMEOUT`] has passed since the first read. Leaving part
+/// of a request unread would make the close send a reset instead of the
+/// response.
+fn read_request(conn: &mut TcpStream) -> Vec<u8> {
+    let deadline = Instant::now() + REQUEST_TIMEOUT;
+    let mut req = Vec::with_capacity(MAX_REQUEST);
+    let mut buf = [0u8; MAX_REQUEST];
+    while req.len() < MAX_REQUEST && !req.windows(4).any(|w| w == b"\r\n\r\n") {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || conn.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match conn.read(&mut buf[..MAX_REQUEST - req.len()]) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => req.extend_from_slice(&buf[..n]),
+        }
+    }
+    req
 }
 
 fn respond(req: &str, routes: &[(String, Handler)]) -> (&'static str, String, String) {
@@ -114,12 +138,23 @@ mod tests {
     use std::io::{Read, Write};
     use std::net::TcpStream;
 
-    fn get(addr: std::net::SocketAddr, path: &str) -> String {
+    /// Send `parts` as separate writes, then read the whole response.
+    fn request(addr: std::net::SocketAddr, parts: &[&str]) -> String {
         let mut conn = TcpStream::connect(addr).unwrap();
-        write!(conn, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        conn.set_nodelay(true).unwrap();
+        for (i, part) in parts.iter().enumerate() {
+            if i > 0 {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            conn.write_all(part.as_bytes()).unwrap();
+        }
         let mut out = String::new();
         conn.read_to_string(&mut out).unwrap();
         out
+    }
+
+    fn get(addr: std::net::SocketAddr, path: &str) -> String {
+        request(addr, &[&format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n")])
     }
 
     #[test]
@@ -134,6 +169,22 @@ mod tests {
         assert!(ok.ends_with("x 1\n"));
         let missing = get(server.addr, "/nope");
         assert!(missing.starts_with("HTTP/1.1 404"));
+        server.stop();
+    }
+
+    #[test]
+    fn request_split_across_segments_gets_a_response() {
+        let routes: Vec<(String, Handler)> = vec![(
+            "/metrics".to_string(),
+            Arc::new(|| ("text/plain".to_string(), "x 1\n".to_string())),
+        )];
+        let server = MetricsServer::spawn("127.0.0.1:0", routes).unwrap();
+        let ok = request(
+            server.addr,
+            &["GET /met", "rics HTTP/1.1\r\nHo", "st: x\r\n\r\n"],
+        );
+        assert!(ok.starts_with("HTTP/1.1 200 OK"), "{ok}");
+        assert!(ok.ends_with("x 1\n"), "{ok}");
         server.stop();
     }
 

@@ -16,8 +16,7 @@ use crate::metrics::{GaugeSnapshot, Metrics, StageBreakdown, StallRecord};
 use crate::session::SessionSlot;
 use obs::Registry;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Most stall records kept per run — the report stays bounded even when
@@ -50,7 +49,10 @@ type StallCapture = (u64, StageBreakdown, Vec<(u32, u64)>);
 pub(crate) struct StallTracker {
     open: Mutex<BTreeMap<u64, Arc<SessionSlot>>>,
     flagged: Mutex<(BTreeSet<u64>, Vec<StallRecord>)>,
-    stop: AtomicBool,
+    /// Set once by [`Self::stop_sampler`]; `wake` interrupts the
+    /// sampler's wait between sweeps when it is.
+    stop: Mutex<bool>,
+    wake: Condvar,
 }
 
 impl StallTracker {
@@ -58,7 +60,8 @@ impl StallTracker {
         StallTracker {
             open: Mutex::new(BTreeMap::new()),
             flagged: Mutex::new((BTreeSet::new(), Vec::new())),
-            stop: AtomicBool::new(false),
+            stop: Mutex::new(false),
+            wake: Condvar::new(),
         }
     }
 
@@ -76,8 +79,10 @@ impl StallTracker {
             .remove(&id);
     }
 
+    /// Stop the sampler: it wakes at once, not at its next poll.
     pub(crate) fn stop_sampler(&self) {
-        self.stop.store(true, Ordering::Relaxed);
+        *self.stop.lock().expect("stall tracker poisoned") = true;
+        self.wake.notify_all();
     }
 
     /// Would a stall of `id` be recorded (not flagged yet, cap not
@@ -140,8 +145,16 @@ impl StallTracker {
         metrics: &Metrics,
         registry: Option<&Arc<Registry>>,
     ) {
-        while !self.stop.load(Ordering::Relaxed) {
-            std::thread::sleep(POLL);
+        loop {
+            let stop = self.stop.lock().expect("stall tracker poisoned");
+            let (stop, _) = self
+                .wake
+                .wait_timeout_while(stop, POLL, |stop| !*stop)
+                .expect("stall tracker poisoned");
+            if *stop {
+                return;
+            }
+            drop(stop);
             if let Some(deadline) = Self::deadline(cfg, metrics) {
                 self.sweep(deadline, metrics, registry);
             }
@@ -238,6 +251,35 @@ mod tests {
         tracker.insert(9, slot);
         tracker.sweep(Duration::from_millis(1), &metrics, None);
         assert!(tracker.take_records().is_empty());
+    }
+
+    #[test]
+    fn stop_sampler_wakes_the_sampler_at_once() {
+        let spec = lotos::parser::parse_spec("SPEC a1; b2; exit ENDSPEC").unwrap();
+        let metrics = Metrics::for_service(&spec);
+        let cfg = RuntimeConfig::new();
+        let mut joins: Vec<Duration> = (0..20)
+            .map(|_| {
+                let tracker = StallTracker::new();
+                std::thread::scope(|s| {
+                    let sampler = s.spawn(|| tracker.run(&cfg, &metrics, None));
+                    // Stop a fifth of the way into the sampler's wait: a
+                    // sampler that sleeps out its poll would take the
+                    // remaining four fifths to notice.
+                    std::thread::sleep(POLL / 5);
+                    let stopped = Instant::now();
+                    tracker.stop_sampler();
+                    sampler.join().unwrap();
+                    stopped.elapsed()
+                })
+            })
+            .collect();
+        joins.sort();
+        assert!(
+            joins[joins.len() / 2] < POLL / 2,
+            "median stop-to-join {:?}, poll {POLL:?}",
+            joins[joins.len() / 2]
+        );
     }
 
     #[test]

@@ -63,14 +63,7 @@ pub fn weak_equiv(a: &Lts, b: &Lts) -> Option<bool> {
 /// Saturation is never materialized: both sides are condensed to their
 /// τ-SCC DAGs and refinement runs on the condensed weak moves.
 pub fn weak_equiv_threads(a: &Lts, b: &Lts, threads: usize) -> Option<bool> {
-    if !a.complete || !b.complete {
-        return None;
-    }
-    let va = SaturatedView::build(a);
-    let vb = SaturatedView::build(b);
-    let (off, flat, offset) = condensed_union(&va, &vb);
-    let block = refine(&off, &flat, threads);
-    Some(block[va.initial_scc as usize] == block[offset + vb.initial_scc as usize])
+    weak_and_congruent_threads(a, b, threads).map(|(weak, _)| weak)
 }
 
 /// Decide **observation congruence** `≈` (the relation of the paper's
@@ -87,6 +80,16 @@ pub fn observation_congruent(a: &Lts, b: &Lts) -> Option<bool> {
 
 /// [`observation_congruent`] with parallel signature hashing.
 pub fn observation_congruent_threads(a: &Lts, b: &Lts, threads: usize) -> Option<bool> {
+    weak_and_congruent_threads(a, b, threads).map(|(_, congruent)| congruent)
+}
+
+/// Weak bisimilarity and observation congruence of the initial states of
+/// two complete LTSs, `(≈ weak, ≈ rooted)`, from **one** refinement: the
+/// root condition is read off the same weak-bisimulation partition that
+/// gives the weak verdict. Congruence implies weak bisimilarity, so a
+/// weak `false` returns `(false, false)` without the root check. `None`
+/// if either LTS is incomplete.
+pub fn weak_and_congruent_threads(a: &Lts, b: &Lts, threads: usize) -> Option<(bool, bool)> {
     if !a.complete || !b.complete {
         return None;
     }
@@ -94,46 +97,36 @@ pub fn observation_congruent_threads(a: &Lts, b: &Lts, threads: usize) -> Option
     let vb = SaturatedView::build(b);
     let (off, flat, offset) = condensed_union(&va, &vb);
     let block = refine(&off, &flat, threads);
-    // block of a *state* is the block of its τ-SCC
-    let block_of = |side: usize, s: usize| {
-        if side == 0 {
-            block[va.scc_of[s] as usize]
-        } else {
-            block[offset + vb.scc_of[s] as usize]
-        }
-    };
-    if block_of(0, a.initial) != block_of(1, b.initial) {
-        return Some(false);
+    // block of SCC `c` of side 0 (a) or side 1 (b)
+    let block_of_scc = |side: usize, c: usize| block[side * offset + c];
+    if block_of_scc(0, va.initial_scc as usize) != block_of_scc(1, vb.initial_scc as usize) {
+        return Some((false, false));
     }
     // Root condition, both directions, on the strong systems:
     // x --i--> x' must be matched by y ==i·ε==> y' (≥ 1 internal step)
     // with x' and y' weakly bisimilar. The ε-successors of a state are
     // exactly the members of the SCCs its τ-SCC reaches, so the check
     // walks `reach` instead of saturated I-edges.
-    let root_ok = |x: &Lts, y: &Lts, vy: &SaturatedView, xside: usize, yside: usize| -> bool {
-        for (l, xt) in &x.trans[x.initial] {
-            if !l.is_internal() {
-                continue;
-            }
-            let want = block_of(xside, *xt);
-            let matched = y.trans[y.initial].iter().any(|(yl, ym)| {
-                yl.is_internal()
-                    && vy.reach(vy.scc_of[*ym] as usize).iter().any(|&f| {
-                        let fb = if yside == 0 {
-                            block[f as usize]
-                        } else {
-                            block[offset + f as usize]
-                        };
-                        fb == want
-                    })
-            });
-            if !matched {
-                return false;
-            }
-        }
-        true
+    let sides = [(a, &va), (b, &vb)];
+    let root_ok = |xside: usize| {
+        let yside = 1 - xside;
+        let ((x, vx), (y, vy)) = (sides[xside], sides[yside]);
+        x.trans[x.initial]
+            .iter()
+            .filter(|(l, _)| l.is_internal())
+            .all(|(_, xt)| {
+                let want = block_of_scc(xside, vx.scc_of[*xt] as usize);
+                y.trans[y.initial].iter().any(|(yl, ym)| {
+                    yl.is_internal()
+                        && vy
+                            .reach(vy.scc_of[*ym] as usize)
+                            .iter()
+                            .any(|&f| block_of_scc(yside, f as usize) == want)
+                })
+            })
     };
-    Some(root_ok(a, b, &vb, 0, 1) && root_ok(b, a, &va, 1, 0))
+    let congruent = root_ok(0) && root_ok(1);
+    Some((true, congruent))
 }
 
 // ---------------------------------------------------------------------

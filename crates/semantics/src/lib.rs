@@ -63,7 +63,7 @@ pub mod traces;
 
 pub use bisim::{
     observation_congruent, observation_congruent_threads, strong_equiv, strong_equiv_threads,
-    weak_equiv, weak_equiv_threads,
+    weak_and_congruent_threads, weak_equiv, weak_equiv_threads,
 };
 pub use condense::SaturatedView;
 pub use detdfa::DetDfa;

@@ -6,8 +6,8 @@
 //! * τ-SCC condensed saturation vs the per-state-BFS saturation
 //!   (edge-for-edge `Lts` equality);
 //! * worklist partition refinement vs the global-fixpoint `partition`
-//!   (strong / weak / observation-congruence verdicts), at 1 and 4
-//!   signature-hashing threads;
+//!   (strong / weak / observation-congruence verdicts, and the fused
+//!   weak-and-congruence check), at 1 and 4 signature-hashing threads;
 //! * worklist quotient vs the naive `minimize` (bit-for-bit `Lts`
 //!   equality);
 //! * determinized product-walk trace comparison vs materialized
@@ -107,6 +107,10 @@ proptest! {
                 semantics::bisim::observation_congruent_threads(&a, &b, threads),
                 congr, "congruence @{} threads", threads
             );
+            prop_assert_eq!(
+                semantics::bisim::weak_and_congruent_threads(&a, &b, threads),
+                weak.zip(congr), "fused weak and congruence @{} threads", threads
+            );
         }
     }
 
@@ -158,5 +162,47 @@ proptest! {
         let m = l.minimize();
         prop_assert_eq!(semantics::bisim::strong_equiv(&l, &m), Some(true));
         prop_assert_eq!(semantics::bisim::weak_equiv(&l, &m), Some(true));
+    }
+}
+
+/// Each outcome of the fused check — `None`, the `(false, false)` early
+/// exit, weak without congruence, and both — on a pair built for it,
+/// against the naive kernels at 1 and 4 threads.
+#[test]
+fn fused_verdicts_cover_every_outcome() {
+    let (i, a, b) = (0u8, 2u8, 3u8);
+    let mut truncated = lts_from(1, &[]);
+    truncated.complete = false;
+    let cases = [
+        // a ≉ b
+        (
+            lts_from(2, &[(0, a, 1)]),
+            lts_from(2, &[(0, b, 1)]),
+            Some((false, false)),
+        ),
+        // i;a is weakly bisimilar to a but fails the root condition
+        (
+            lts_from(3, &[(0, i, 1), (1, a, 2)]),
+            lts_from(2, &[(0, a, 1)]),
+            Some((true, false)),
+        ),
+        // a;i;b ≈ a;b
+        (
+            lts_from(4, &[(0, a, 1), (1, i, 2), (2, b, 3)]),
+            lts_from(3, &[(0, a, 1), (1, b, 2)]),
+            Some((true, true)),
+        ),
+        (truncated, lts_from(1, &[]), None),
+    ];
+    for (x, y, want) in &cases {
+        let naive = naive::weak_equiv(x, y).zip(naive::observation_congruent(x, y));
+        assert_eq!(naive, *want, "naive oracle");
+        for threads in [1usize, 4] {
+            assert_eq!(
+                semantics::bisim::weak_and_congruent_threads(x, y, threads),
+                *want,
+                "@{threads} threads"
+            );
+        }
     }
 }

@@ -22,11 +22,12 @@
 //! composition implements the paper's modified disable semantics, so
 //! trace equality may legitimately fail (experiment E6 quantifies this).
 
+pub use crate::bigstack::with_big_stack;
 use crate::parsys::{EngineComposition, EngineService};
 use lotos::Spec;
 use medium::MediumConfig;
 use protogen::derive::{derive, Derivation, DeriveError};
-use semantics::bisim::{observation_congruent_threads, weak_equiv_threads};
+use semantics::bisim::weak_and_congruent_threads;
 use semantics::detdfa::DetDfa;
 use semantics::explore::{explore_par, DepthMode, ExploreConfig, ParSystem};
 use semantics::failures::{failures, failures_equal};
@@ -112,22 +113,6 @@ impl VerifyConfig {
         self.try_bisim = b;
         self
     }
-}
-
-/// Run `f` on a thread with a large stack. Deeply recursive service
-/// specifications build deeply nested terms; term hashing, transition
-/// derivation and `Rc` drops all recurse over that structure, so
-/// explorations are run with room to spare rather than imposing an
-/// arbitrary nesting limit on specifications.
-pub fn with_big_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
-    std::thread::scope(|s| {
-        std::thread::Builder::new()
-            .stack_size(256 << 20)
-            .spawn_scoped(s, f)
-            .expect("spawn verification thread")
-            .join()
-            .expect("verification thread panicked")
-    })
 }
 
 /// Outcome of verifying one service specification.
@@ -296,8 +281,15 @@ fn verify_derivation_inner(d: &Derivation, opts: &VerifyConfig) -> VerificationR
     qualified =
         qualified && (!service_lts.unexpanded.is_empty() || !comp_lts.unexpanded.is_empty());
 
-    let missing_in_protocol = DetDfa::first_difference(&service_dfa, &protocol_dfa);
-    let extra_in_protocol = DetDfa::first_difference(&protocol_dfa, &service_dfa);
+    // Equal trace sets have no first difference in either direction.
+    let (missing_in_protocol, extra_in_protocol) = if traces_equal {
+        (None, None)
+    } else {
+        (
+            DetDfa::first_difference(&service_dfa, &protocol_dfa),
+            DetDfa::first_difference(&protocol_dfa, &service_dfa),
+        )
+    };
     let service_traces = service_dfa.trace_set();
     let protocol_traces = protocol_dfa.trace_set();
 
@@ -305,9 +297,10 @@ fn verify_derivation_inner(d: &Derivation, opts: &VerifyConfig) -> VerificationR
         if opts.try_bisim && service_lts.complete && comp_lts.complete {
             let fa = failures(&service_lts, opts.trace_len);
             let fb = failures(&comp_lts, opts.trace_len);
+            let verdicts = weak_and_congruent_threads(&service_lts, &comp_lts, threads);
             (
-                weak_equiv_threads(&service_lts, &comp_lts, threads),
-                observation_congruent_threads(&service_lts, &comp_lts, threads),
+                verdicts.map(|(weak, _)| weak),
+                verdicts.map(|(_, congruent)| congruent),
                 Some(failures_equal(&fa, &fb)),
             )
         } else {
@@ -411,6 +404,29 @@ mod tests {
         assert!(r.traces_equal, "{r}");
         assert_eq!(r.deadlocks, 0, "{r}");
         assert_eq!(r.weak_bisimilar, None); // infinite state
+    }
+
+    /// Terms nested 10 000 deep: a chain of 200 processes, each calling
+    /// the next under 50 nested `>>`, so the first transition derivation
+    /// recurses through every level. Verified inline on a 2 MiB stack
+    /// (the default for test threads) with single-threaded explorations,
+    /// the chain overflows from about 100 processes on (opt-level 1).
+    #[test]
+    fn deeply_nested_terms_verify_from_a_default_stack_thread() {
+        let (procs, nest) = (200, 50);
+        let mut src = String::from("SPEC P0 WHERE\n");
+        for i in 0..procs {
+            src += &format!(
+                "PROC P{i} = {}P{}{} END\n",
+                "(".repeat(nest),
+                i + 1,
+                " >> b1; exit)".repeat(nest)
+            );
+        }
+        src += &format!("PROC P{procs} = a1; exit END\nENDSPEC\n");
+        let opts = VerifyConfig::new().threads(1).trace_len(3).finite_probe(10);
+        let r = verify_src(&src, opts);
+        assert!(r.passed(), "{r}");
     }
 
     #[test]

@@ -37,6 +37,7 @@
 //! # Ok::<(), protogen::ProtogenError>(())
 //! ```
 
+mod bigstack;
 pub mod composition;
 pub mod explorer;
 pub mod harness;

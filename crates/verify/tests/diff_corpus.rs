@@ -79,7 +79,45 @@ fn bisim_verdicts_match_naive_on_corpus() {
                 congr,
                 "{name}: ≈ verdict @{threads} threads"
             );
+            assert_eq!(
+                semantics::bisim::weak_and_congruent_threads(&service, &comp, threads),
+                weak.zip(congr),
+                "{name}: fused verdicts @{threads} threads"
+            );
         }
+    }
+}
+
+/// The fused check's `(false, false)` early exit on a real composition:
+/// one entity of a derived protocol is replaced by one that fires its
+/// primitive without waiting for the synchronization message.
+#[test]
+fn fused_verdicts_match_naive_on_a_broken_protocol() {
+    let spec = lotos::parser::parse_spec("SPEC a1;exit >> b2;exit ENDSPEC").unwrap();
+    let mut d = derive(&spec).unwrap();
+    d.entities[1].1 = lotos::parser::parse_spec("SPEC b2; exit ENDSPEC").unwrap();
+    let cfg = ExploreConfig::new().max_states(4_000);
+    let service = explore_par(
+        &EngineService::new(d.service.clone()),
+        &cfg,
+        DepthMode::Observable,
+    )
+    .lts;
+    let comp = explore_par(
+        &EngineComposition::new(&d, MediumConfig::default()),
+        &cfg,
+        DepthMode::Observable,
+    )
+    .lts;
+    let naive =
+        naive::weak_equiv(&service, &comp).zip(naive::observation_congruent(&service, &comp));
+    assert_eq!(naive, Some((false, false)));
+    for threads in [1usize, 4] {
+        assert_eq!(
+            semantics::bisim::weak_and_congruent_threads(&service, &comp, threads),
+            naive,
+            "@{threads} threads"
+        );
     }
 }
 
