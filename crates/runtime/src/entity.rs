@@ -28,14 +28,14 @@
 //!   on one session's backpressure; it works other sessions.
 
 use crate::config::RuntimeConfig;
-use crate::session::{SessionEnd, SessionSlot};
+use crate::session::{SessionCore, SessionEnd, SessionSlot};
 use lotos::event::MsgId;
 use lotos::place::PlaceId;
 use medium::Msg;
 use obs::{EventKind, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use semantics::backend::{BState, Backend, EntityBackend, OfferView};
+use semantics::backend::{enabled_offers, BState, Backend, EntityBackend, MoveGuard, OfferView};
 use semantics::hash::{fx_hash, FxHashMap};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -191,6 +191,23 @@ pub(crate) fn pack_msg_event(
     obs::pack_msg(named, id, occ, from, to)
 }
 
+/// A session's shared medium, as the move kernel asks it about the
+/// entity at `place` (read under the session lock).
+struct SessionGuard<'s> {
+    core: &'s mut SessionCore,
+    place: PlaceId,
+}
+
+impl MoveGuard for SessionGuard<'_> {
+    fn can_send(&self, to: PlaceId) -> bool {
+        self.core.can_send(self.place, to)
+    }
+
+    fn can_recv(&mut self, from: PlaceId, msg: &MsgId, occ: u32) -> bool {
+        self.core.can_receive(from, self.place, msg, occ)
+    }
+}
+
 /// One protocol-entity actor.
 pub struct EntityWorker {
     /// Dense index of this entity (bit position in vote/blocked masks).
@@ -281,7 +298,6 @@ impl EntityWorker {
     fn step_session(&mut self, local: &mut LocalSession, enabled: &mut Vec<usize>) -> StepOutcome {
         for _ in 0..SLICE {
             let n_offers = self.backend.offers(&local.state);
-            let mut vote_available = false;
             let mut core = local.slot.core.lock().expect("session poisoned");
             // Stage attribution: lock-held time of this move counts
             // toward the session's `step` stage when a move (or a
@@ -295,38 +311,13 @@ impl EntityWorker {
 
             // Classify which of the backend's offered transitions are
             // enabled in the current medium state.
-            let mut has_delta = false;
-            let mut refused: Option<(u32, PlaceId)> = None;
-            enabled.clear();
-            for i in 0..n_offers {
-                match self.backend.offer(i) {
-                    OfferView::I => enabled.push(i),
-                    OfferView::Prim { id: p, place, .. } => {
-                        if !self.refuse.contains(&(p, place)) {
-                            enabled.push(i);
-                        } else if refused.is_none() {
-                            refused = Some((p, place));
-                        }
-                    }
-                    OfferView::Send { to, .. } => {
-                        if core.can_send(self.place, to) {
-                            enabled.push(i);
-                        }
-                    }
-                    OfferView::Recv { from, msg, occ, .. } => {
-                        if core.can_receive(from, self.place, msg, occ) {
-                            enabled.push(i);
-                        }
-                    }
-                    OfferView::Delta => {
-                        has_delta = true;
-                        if !core.has_vote(self.idx) {
-                            vote_available = true;
-                        }
-                    }
-                }
-            }
-            if !has_delta && core.has_vote(self.idx) {
+            let mut guard = SessionGuard {
+                core: &mut core,
+                place: self.place,
+            };
+            let facts = enabled_offers(&self.backend, n_offers, &self.refuse, &mut guard, enabled);
+            let vote_available = facts.delta && !core.has_vote(self.idx);
+            if !facts.delta && core.has_vote(self.idx) {
                 core.clear_vote(self.idx);
             }
 
@@ -334,7 +325,7 @@ impl EntityWorker {
                 // Blocked against a refused offer: remember it so a
                 // later deadlock verdict can name the primitive the
                 // conformance monitor never got to see.
-                if let Some((p, place)) = refused {
+                if let Some((p, place)) = facts.refused {
                     if core.refused_offer.is_none() {
                         if let Some(rec) = &self.rec {
                             rec.record_named(
@@ -353,7 +344,7 @@ impl EntityWorker {
                     return StepOutcome::Blocked;
                 }
                 // Global quiescence — this thread resolves it.
-                if has_delta && core.all_voted(self.n) && core.quiet() {
+                if facts.delta && core.all_voted(self.n) && core.quiet() {
                     core.complete(SessionEnd::Terminated);
                     core.credit_step(t0);
                     drop(core);

@@ -456,11 +456,7 @@ fn run_concurrent(
         .map(|(idx, ((place, _), backend))| {
             let prims = backend.prims();
             let prim_ids = prims.names().map(|name| tally.prims.intern(name)).collect();
-            let refuse = cfg
-                .refuse
-                .iter()
-                .filter_map(|(name, p)| Some((prims.id(name)?, *p)))
-                .collect();
+            let refuse = prims.resolve(&cfg.refuse);
             EntityWorker {
                 idx,
                 place: *place,

@@ -17,7 +17,7 @@ use runtime::{
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use transport::{Addr, FaultProxy, LinkFaults};
+use transport::{Addr, FaultProxy, LinkFaults, WireMsg};
 
 const SEEDS: [u64; 2] = [0xC0FFEE, 991];
 const SESSIONS: usize = 2;
@@ -801,4 +801,152 @@ fn counters_agree_across_engines() {
         }
         check("distributed", &distributed);
     }
+}
+
+/// A transport2 run with both real entities and one hostile peer. Once
+/// the hub has recorded the first entity's connection, `fake` runs
+/// against the hub address and returns whatever it must keep open until
+/// the hub is done. Every session must still conform.
+fn run_beside_fake_peer<K>(case: &str, fake: impl FnOnce(Addr, u8) -> K) -> RuntimeReport {
+    use obs::EventKind;
+
+    let watchdog = Watchdog::arm("hostile handshake", Duration::from_secs(120));
+    watchdog.enter(case.to_string());
+    let derived = Pipeline::load(&transport2())
+        .unwrap()
+        .check()
+        .unwrap()
+        .derive()
+        .unwrap();
+    let d = derived.derivation();
+    let dcfg = DistributedConfig {
+        heartbeat: Duration::from_millis(20),
+        dead_after: Duration::from_millis(500),
+        stall_timeout: Duration::from_secs(20),
+        ..DistributedConfig::new(Addr::Tcp("127.0.0.1:0".to_string()))
+    };
+    let listener = dcfg.listen.listen().unwrap();
+    let hub_addr = listener.local_addr().unwrap();
+    const SESSIONS: usize = 2000;
+    let registry = obs::Registry::new(runtime::trace_id_for(7), obs::DEFAULT_CAPACITY);
+    let cfg = RuntimeConfig::new()
+        .sessions(SESSIONS)
+        .threads(2)
+        .seed(7)
+        .registry(Arc::clone(&registry));
+    let handles: Vec<_> = d
+        .entities
+        .iter()
+        .map(|(p, spec)| {
+            let mut scfg = ServeConfig::new(hub_addr.clone(), *p);
+            scfg.heartbeat = Duration::from_millis(20);
+            let spec = spec.clone();
+            std::thread::spawn(move || serve_entity(&spec, &scfg))
+        })
+        .collect();
+    let place = d.entities[0].0;
+
+    let report = std::thread::scope(|s| {
+        let hub = s.spawn(|| run_hub_on(d, &cfg, &dcfg, listener).expect("hub run"));
+        let connected = || {
+            registry
+                .snapshot()
+                .events
+                .iter()
+                .any(|e| e.ev.kind == EventKind::LinkConnect && e.ev.a == u64::from(place))
+        };
+        while !connected() && !hub.is_finished() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let kept = fake(hub_addr.clone(), place);
+        let report = hub.join().unwrap();
+        drop(kept);
+        report
+    });
+    for h in handles {
+        h.join().expect("entity thread").expect("entity outcome");
+    }
+    assert_eq!(report.sessions, SESSIONS, "{case}");
+    assert_eq!(
+        report.conforming, SESSIONS,
+        "{case}: events {:?}",
+        report.transport_events
+    );
+    report
+}
+
+fn has_event(report: &RuntimeReport, event: &str) -> bool {
+    report.transport_events.iter().any(|e| e == event)
+}
+
+/// A `Hello` for a place the run does not have is turned away with a
+/// typed entry; the run goes on.
+#[test]
+fn hello_for_unknown_place_is_rejected() {
+    let report = run_beside_fake_peer("Hello for place 9", |addr, _| {
+        let mut fake = addr.connect(Duration::from_secs(2)).unwrap();
+        let hello = WireMsg::Hello {
+            place: 9,
+            last_seen: 0,
+        };
+        fake.write_all(&hello.encode(0)).unwrap();
+        fake
+    });
+    assert!(
+        has_event(&report, "rejected connection for unknown place 9"),
+        "{:?}",
+        report.transport_events
+    );
+}
+
+/// A peer that sends half a `Hello` frame and closes fails its
+/// handshake with a typed entry; the run goes on.
+#[test]
+fn half_a_hello_then_close_fails_the_handshake() {
+    let report = run_beside_fake_peer("half a Hello, then close", |addr, place| {
+        let mut fake = addr.connect(Duration::from_secs(2)).unwrap();
+        let hello = WireMsg::Hello {
+            place,
+            last_seen: 0,
+        }
+        .encode(0);
+        fake.write_all(&hello[..hello.len() / 2]).unwrap();
+        fake.shutdown();
+    });
+    assert!(
+        has_event(&report, "handshake failed: peer closed"),
+        "{:?}",
+        report.transport_events
+    );
+}
+
+/// A second `Hello` for a place whose entity is connected and running
+/// is turned away: the real entity keeps its link, and the run goes on.
+#[test]
+fn second_hello_for_a_connected_place_is_rejected() {
+    let mut place = 0;
+    let report = run_beside_fake_peer("second Hello for a connected place", |addr, p| {
+        place = p;
+        let mut fake = addr.connect(Duration::from_secs(2)).unwrap();
+        let hello = WireMsg::Hello {
+            place: p,
+            last_seen: 0,
+        };
+        fake.write_all(&hello.encode(0)).unwrap();
+        fake
+    });
+    assert!(
+        has_event(
+            &report,
+            &format!("rejected connection for place {place}: already connected")
+        ),
+        "{:?}",
+        report.transport_events
+    );
+    assert_eq!(
+        report.per_link[&format!("place:{place}")].reconnects,
+        0,
+        "the real entity lost its link: {:?}",
+        report.transport_events
+    );
 }

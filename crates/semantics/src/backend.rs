@@ -22,7 +22,9 @@
 //! length; [`EntityBackend::offer`] then gives borrowing views into it
 //! and [`EntityBackend::step`] advances along one of its entries. The
 //! row stays valid until the next `offers`/`step` call (one backend
-//! instance serves many sessions by re-loading between them).
+//! instance serves many sessions by re-loading between them). Which
+//! offers of the loaded row may fire is [`enabled_offers`]'s to decide;
+//! an engine only answers its [`MoveGuard`].
 //!
 //! ## Primitive ids
 //!
@@ -103,11 +105,21 @@ impl PrimTable {
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.names.iter().map(String::as_str)
     }
+
+    /// `(name, place)` pairs as ids of this table. Names it does not
+    /// hold are dropped: no offer of its backend carries them.
+    pub fn resolve(&self, pairs: &[(String, PlaceId)]) -> Vec<(u32, PlaceId)> {
+        pairs
+            .iter()
+            .filter_map(|(name, place)| Some((self.id(name)?, *place)))
+            .collect()
+    }
 }
 
 /// A borrowed view of one offered transition — everything an engine
 /// needs to classify the move against the medium and apply it, nothing
 /// owned.
+#[derive(Debug, PartialEq)]
 pub enum OfferView<'a> {
     I,
     Delta,
@@ -140,14 +152,73 @@ pub trait EntityBackend {
     fn offers(&mut self, s: &BState) -> usize;
     /// View offer `i` of the loaded row.
     fn offer(&self, i: usize) -> OfferView<'_>;
-    /// Owned label of offer `i` of the loaded row (for effects/tracing).
-    fn label(&self, i: usize) -> Label;
     /// Advance `s` along offer `i` of the loaded row.
     fn step(&mut self, s: &mut BState, i: usize);
     /// Is `s` literally `stop` (inaction after δ, not a deadlock)?
     fn is_stop(&self, s: &BState) -> bool;
     /// The entity's primitive names, as [`OfferView::Prim`] ids them.
     fn prims(&self) -> &PrimTable;
+}
+
+/// What an engine's medium allows one entity to do right now. The DES
+/// answers from its channels, links and clock, the concurrent engine
+/// from the session's shared medium, and `serve_entity` from the heads
+/// of its inboxes.
+pub trait MoveGuard {
+    /// May the entity hand a message for `to` to the medium now?
+    fn can_send(&self, to: PlaceId) -> bool;
+    /// Is `msg` with occurrence `occ` from `from` deliverable now? May
+    /// advance the medium to find out (a fault link surfaces due frames).
+    fn can_recv(&mut self, from: PlaceId, msg: &MsgId, occ: u32) -> bool;
+}
+
+/// What [`enabled_offers`] saw in a row besides the enabled offers.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RowFacts {
+    /// The row offers δ. δ is never an enabled offer: each engine
+    /// decides termination over all its entities.
+    pub delta: bool,
+    /// The first refused primitive, in row order.
+    pub refused: Option<(u32, PlaceId)>,
+}
+
+/// The one rule for which offers of `backend`'s loaded row (`n` offers
+/// long) may fire: `i` always, a primitive unless its `(id, place)` is in
+/// `refuse` (ids of the backend's [`PrimTable`], see
+/// [`PrimTable::resolve`]), a send or receive when `guard` allows it.
+/// Fills `enabled` with their indices in row order, so the same RNG draw
+/// picks the same move on every engine.
+pub fn enabled_offers<B: EntityBackend + ?Sized, G: MoveGuard + ?Sized>(
+    backend: &B,
+    n: usize,
+    refuse: &[(u32, PlaceId)],
+    guard: &mut G,
+    enabled: &mut Vec<usize>,
+) -> RowFacts {
+    enabled.clear();
+    let mut facts = RowFacts::default();
+    for i in 0..n {
+        let fires = match backend.offer(i) {
+            OfferView::I => true,
+            OfferView::Delta => {
+                facts.delta = true;
+                false
+            }
+            OfferView::Prim { id, place, .. } => {
+                let refused = refuse.contains(&(id, place));
+                if refused && facts.refused.is_none() {
+                    facts.refused = Some((id, place));
+                }
+                !refused
+            }
+            OfferView::Send { to, .. } => guard.can_send(to),
+            OfferView::Recv { from, msg, occ, .. } => guard.can_recv(from, msg, occ),
+        };
+        if fires {
+            enabled.push(i);
+        }
+    }
+    facts
 }
 
 fn view_of<'a>(label: &'a Label, prims: &PrimTable) -> OfferView<'a> {
@@ -213,10 +284,6 @@ impl EntityBackend for InterpretedBackend {
 
     fn offer(&self, i: usize) -> OfferView<'_> {
         view_of(&self.row[i].0, &self.prims)
-    }
-
-    fn label(&self, i: usize) -> Label {
-        self.row[i].0.clone()
     }
 
     fn step(&mut self, s: &mut BState, i: usize) {
@@ -358,12 +425,6 @@ impl EntityBackend for CompiledBackend {
     }
 
     #[inline]
-    fn label(&self, i: usize) -> Label {
-        let t = &self.ent.trans[self.row_start + i];
-        self.ent.labels[t.label as usize].materialize(self.occs[i])
-    }
-
-    #[inline]
     fn step(&mut self, s: &mut BState, i: usize) {
         let t = &self.ent.trans[self.row_start + i];
         self.regs_scratch.clear();
@@ -416,14 +477,6 @@ impl EntityBackend for Backend {
         match self {
             Backend::Interpreted(b) => b.offer(i),
             Backend::Compiled(b) => b.offer(i),
-        }
-    }
-
-    #[inline]
-    fn label(&self, i: usize) -> Label {
-        match self {
-            Backend::Interpreted(b) => b.label(i),
-            Backend::Compiled(b) => b.label(i),
         }
     }
 
@@ -490,8 +543,17 @@ mod tests {
         (interp, comp)
     }
 
+    /// `v` with its backend-local primitive id cleared, so views of two
+    /// backends compare by name.
+    fn by_name(v: OfferView<'_>) -> OfferView<'_> {
+        match v {
+            OfferView::Prim { name, place, .. } => OfferView::Prim { id: 0, name, place },
+            v => v,
+        }
+    }
+
     /// Walk both backends lock-step, always taking the first offer, and
-    /// require identical label sequences.
+    /// require identical rows all the way.
     #[test]
     fn first_offer_walk_agrees() {
         let (mut a, mut b) = backends(
@@ -505,9 +567,10 @@ mod tests {
             if na == 0 {
                 break;
             }
-            let (la, lb) = (a.label(0), b.label(0));
-            assert_eq!(format!("{la}"), format!("{lb}"));
-            if matches!(la, Label::Delta) {
+            for i in 0..na {
+                assert_eq!(by_name(a.offer(i)), by_name(b.offer(i)), "offer {i}");
+            }
+            if matches!(a.offer(0), OfferView::Delta) {
                 break;
             }
             a.step(&mut sa, 0);
@@ -552,5 +615,51 @@ mod tests {
         // a1, then δ: both land on `stop`
         assert!(a.is_stop(&sa));
         assert!(b.is_stop(&sb));
+    }
+
+    /// Every send may go, and the channel from place 3 holds message 8
+    /// at its head.
+    struct FakeGuard;
+
+    impl MoveGuard for FakeGuard {
+        fn can_send(&self, _to: PlaceId) -> bool {
+            true
+        }
+
+        fn can_recv(&mut self, from: PlaceId, msg: &MsgId, occ: u32) -> bool {
+            from == 3 && *msg == MsgId::Node(8) && occ == 0
+        }
+    }
+
+    /// One row with every kind of offer: the refused `a1`, a send, a
+    /// receive of a message that is not at the head of its channel, `b1`
+    /// and δ. Only the send and `b1` fire, in row order.
+    #[test]
+    fn kernel_classifies_a_row_in_order() {
+        let spec =
+            parse_spec("SPEC a1; exit [] s2(5); exit [] r3(7); exit [] b1; exit [] exit ENDSPEC")
+                .unwrap();
+        let arena = Arc::new(TermArena::new());
+        let occ = Arc::new(Mutex::new(OccTable::new()));
+        let mut backend = make_backend(&spec, None, &arena, &occ);
+        let s = backend.init();
+        let n = backend.offers(&s);
+        assert_eq!(n, 5);
+        let a = backend.prims().id("a").unwrap();
+        let mut enabled = vec![99];
+        let facts = enabled_offers(&backend, n, &[(a, 1)], &mut FakeGuard, &mut enabled);
+        assert_eq!(enabled, [1, 3]);
+        assert!(matches!(backend.offer(1), OfferView::Send { to: 2, .. }));
+        assert!(matches!(
+            backend.offer(3),
+            OfferView::Prim { name: "b", .. }
+        ));
+        assert_eq!(
+            facts,
+            RowFacts {
+                delta: true,
+                refused: Some((a, 1)),
+            }
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! A big stack for verification, without a thread spawn per call.
+//! A big stack for deep recursion, without a thread spawn per call.
 //!
 //! Deeply recursive service specifications build deeply nested terms;
 //! term hashing, transition derivation and `Rc` drops all recurse over
@@ -32,7 +32,7 @@ impl Worker {
         let (jobs, inbox) = channel::<Job>();
         let (outcome, done) = channel();
         std::thread::Builder::new()
-            .name("verify-big-stack".to_string())
+            .name("big-stack".to_string())
             .stack_size(BIG_STACK)
             .spawn(move || {
                 ON_WORKER.set(true);
@@ -42,7 +42,7 @@ impl Worker {
                     }
                 }
             })
-            .expect("spawn verification thread");
+            .expect("spawn big-stack thread");
         // A new thread inherits its creator's CPUs.
         Worker {
             jobs,
@@ -60,7 +60,7 @@ thread_local! {
 }
 
 /// Run `f` on a thread with a 256 MiB stack and return its result.
-/// Explorations get room to spare this way, rather than an arbitrary
+/// Explorations and simulations get room to spare this way, rather than an arbitrary
 /// nesting limit on specifications.
 ///
 /// The calling thread blocks until `f` has finished on its worker. The
@@ -96,9 +96,9 @@ pub fn with_big_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
         //   that is after its loop has ended and its `inbox`, with any
         //   job still queued in it, has been dropped.
         let job: Job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
-        w.jobs.send(job).expect("verification thread exited");
-        match w.done.recv().expect("verification thread exited") {
-            Ok(()) => out.expect("verification job ran to completion"),
+        w.jobs.send(job).expect("big-stack thread exited");
+        match w.done.recv().expect("big-stack thread exited") {
+            Ok(()) => out.expect("big-stack job ran to completion"),
             Err(payload) => resume_unwind(payload),
         }
     })

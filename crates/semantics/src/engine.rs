@@ -524,11 +524,6 @@ impl Engine {
         }
     }
 
-    /// Number of memoized transition sets (diagnostics).
-    pub fn memo_len(&self) -> usize {
-        self.trans_cache.len()
-    }
-
     /// Render an interned term (mirrors `RTerm`'s `Display`).
     pub fn render(&self, t: TermId) -> String {
         match self.node(t) {

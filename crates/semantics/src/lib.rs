@@ -16,7 +16,10 @@
 //! * [`traces`] — bounded observable trace sets for the infinite-state
 //!   cases (unrestricted recursion makes full checking undecidable);
 //! * [`backend`] — the one entity stepper every engine drives: the
-//!   interned [`engine`] or a table from [`lower`], behind one API.
+//!   interned [`engine`] or a table from [`lower`], behind one API, and
+//!   the one rule for which of its offers may fire;
+//! * [`bigstack`] — deep recursion on one reused 256 MiB-stack worker
+//!   per calling thread.
 //!
 //! ## Example — law I1 (`a;i;B = a;B`)
 //!
@@ -37,6 +40,7 @@
 //! ```
 
 pub mod backend;
+pub mod bigstack;
 pub mod bisim;
 pub mod condense;
 pub mod detdfa;

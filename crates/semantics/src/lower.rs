@@ -228,30 +228,6 @@ impl LabelTpl {
         }
     }
 
-    /// Rebuild a concrete [`Label`] with occurrence `occ`.
-    pub fn materialize(&self, occ: u32) -> Label {
-        match self {
-            LabelTpl::I => Label::I,
-            LabelTpl::Delta => Label::Delta,
-            LabelTpl::Prim { name, place } => Label::Prim {
-                name: name.clone(),
-                place: *place,
-            },
-            LabelTpl::Send { to, msg, kind } => Label::Send {
-                to: *to,
-                msg: msg.clone(),
-                occ,
-                kind: *kind,
-            },
-            LabelTpl::Recv { from, msg, kind } => Label::Recv {
-                from: *from,
-                msg: msg.clone(),
-                occ,
-                kind: *kind,
-            },
-        }
-    }
-
     fn to_json(&self) -> Json {
         let msg = |m: &MsgId| match m {
             MsgId::Named(s) => Json::from(s),

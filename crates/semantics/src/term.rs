@@ -51,12 +51,6 @@ pub enum Label {
 }
 
 impl Label {
-    /// Is the label observable at the service interface (a primitive or
-    /// δ)? `i` and message interactions are not.
-    pub fn is_service_observable(&self) -> bool {
-        matches!(self, Label::Prim { .. } | Label::Delta)
-    }
-
     /// Is this the internal action?
     pub fn is_internal(&self) -> bool {
         matches!(self, Label::I)

@@ -17,15 +17,18 @@
 
 use crate::lossy::{ArqChannel, Frame, LossyLink};
 use crate::monitor::ServiceMonitor;
-use lotos::event::SyncKind;
+use lotos::event::{MsgId, SyncKind};
 use lotos::place::PlaceId;
 use medium::{Msg, Order};
 use protogen::derive::Derivation;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use semantics::backend::{make_backend, BState, Backend, EntityBackend, OfferView};
+use semantics::backend::{
+    enabled_offers, make_backend, BState, Backend, EntityBackend, MoveGuard, OfferView,
+};
+use semantics::bigstack::with_big_stack;
 use semantics::engine::TermArena;
-use semantics::term::{Label, OccTable};
+use semantics::term::OccTable;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
@@ -262,6 +265,8 @@ pub struct Simulator<'a> {
     backends: &'a mut [Backend],
     states: Vec<BState>,
     places: Vec<PlaceId>,
+    /// `cfg.refuse` per entity, as ids of its backend's primitives.
+    refuse: Vec<Vec<(u32, PlaceId)>>,
     channels: BTreeMap<(PlaceId, PlaceId), VecDeque<InFlight>>,
     /// Lossy-link state per directed channel (only with `cfg.link`).
     links: BTreeMap<(PlaceId, PlaceId), Link>,
@@ -269,6 +274,10 @@ pub struct Simulator<'a> {
     rng: StdRng,
     cfg: SimConfig,
     monitor: ServiceMonitor,
+    /// One entity's enabled offers, as the kernel last classified them.
+    enabled: Vec<usize>,
+    /// Every move enabled now, in entity then row order.
+    moves: Vec<Move>,
 }
 
 /// One directed lossy channel: the ARQ machine plus the frames and acks
@@ -293,14 +302,48 @@ impl Link {
     }
 }
 
-/// A move is offer `i` of entity `k` in its backend's loaded row.
+/// A move: offer `i` of entity `k` in its backend's loaded row, or
+/// global δ (every entity offers it and the medium is empty).
+#[derive(Clone, Copy)]
 enum Move {
-    /// A primitive, internal action or send: `(k, i)`.
-    Local(usize, usize),
-    /// A receive whose message is deliverable now: `(k, i)`.
-    Receive(usize, usize),
-    /// Global δ: every entity offers it and the medium is empty.
+    Offer(usize, usize),
     Terminate,
+}
+
+/// The DES medium, as the move kernel asks it about the entity at
+/// `here`.
+struct DesGuard<'s> {
+    here: PlaceId,
+    channels: &'s BTreeMap<(PlaceId, PlaceId), VecDeque<InFlight>>,
+    /// The link layer, when the run has one.
+    links: Option<&'s BTreeMap<(PlaceId, PlaceId), Link>>,
+    order: Order,
+    clock: f64,
+}
+
+impl MoveGuard for DesGuard<'_> {
+    /// DES channels are unbounded.
+    fn can_send(&self, _to: PlaceId) -> bool {
+        true
+    }
+
+    fn can_recv(&mut self, from: PlaceId, id: &MsgId, occ: u32) -> bool {
+        if let Some(links) = self.links {
+            // link layer: the head of the in-order delivered queue
+            return links
+                .get(&(from, self.here))
+                .and_then(|l| l.arq.peek_delivered())
+                .is_some_and(|m| m.id == *id && m.occ == occ);
+        }
+        let Some(q) = self.channels.get(&(from, self.here)) else {
+            return false;
+        };
+        let due = |x: &InFlight| x.arrive <= self.clock && x.msg.id == *id && x.msg.occ == occ;
+        match self.order {
+            Order::Fifo => due(&q[0]),
+            Order::Arbitrary => q.iter().any(due),
+        }
+    }
 }
 
 impl<'a> Simulator<'a> {
@@ -309,16 +352,23 @@ impl<'a> Simulator<'a> {
     pub fn new(d: &Derivation, cfg: SimConfig, backends: &'a mut [Backend]) -> Simulator<'a> {
         assert_eq!(backends.len(), d.entities.len(), "one backend per entity");
         let states = backends.iter_mut().map(|b| b.init()).collect();
+        let refuse = backends
+            .iter()
+            .map(|b| b.prims().resolve(&cfg.refuse))
+            .collect();
         Simulator {
             backends,
             states,
             places: d.entities.iter().map(|(p, _)| *p).collect(),
+            refuse,
             channels: BTreeMap::new(),
             links: BTreeMap::new(),
             clock: 0.0,
             rng: StdRng::seed_from_u64(cfg.seed),
             cfg,
             monitor: ServiceMonitor::new(d.service.clone()),
+            enabled: Vec::new(),
+            moves: Vec::new(),
         }
     }
 
@@ -337,8 +387,8 @@ impl<'a> Simulator<'a> {
             if self.cfg.link.is_some() {
                 self.pump_links(&mut metrics);
             }
-            let moves = self.enabled_moves();
-            if moves.is_empty() {
+            self.enabled_moves();
+            if self.moves.is_empty() {
                 // Advance the clock to the next *future* arrival, if any.
                 // Messages that already arrived but cannot be consumed yet
                 // (e.g. a Rel barrier waiting behind program order) must
@@ -361,10 +411,10 @@ impl<'a> Simulator<'a> {
                 }
                 break;
             }
-            let choice = self.rng.gen_range(0..moves.len());
+            let choice = self.rng.gen_range(0..self.moves.len());
             metrics.steps += 1;
             let step = metrics.steps;
-            match moves.into_iter().nth(choice).unwrap() {
+            let (k, i) = match self.moves[choice] {
                 Move::Terminate => {
                     events.push(SimEvent {
                         time: self.clock,
@@ -374,122 +424,98 @@ impl<'a> Simulator<'a> {
                     result = SimResult::Terminated;
                     break;
                 }
-                Move::Local(k, i) => {
-                    let label = self.backends[k].label(i);
-                    self.backends[k].step(&mut self.states[k], i);
-                    match label {
-                        Label::Prim { name, place } => {
-                            self.monitor.step(&name, place);
-                            trace.push((name.clone(), place));
-                            metrics.primitives += 1;
-                            metrics.per_place.entry(place).or_default().primitives += 1;
-                            events.push(SimEvent {
-                                time: self.clock,
-                                step,
-                                kind: SimEventKind::Prim { name, place },
-                            });
-                        }
-                        Label::I => {
-                            events.push(SimEvent {
-                                time: self.clock,
-                                step,
-                                kind: SimEventKind::Internal {
-                                    place: self.places[k],
-                                },
-                            });
-                        }
-                        Label::Send { to, msg, occ, kind } => {
-                            let from = self.places[k];
-                            let m = Msg {
-                                from,
-                                to,
-                                id: msg,
-                                occ,
-                                kind,
-                            };
-                            metrics.messages += 1;
-                            *metrics.messages_per_kind.entry(m.kind).or_default() += 1;
-                            metrics.per_place.entry(from).or_default().sent += 1;
-                            if let Some(link_cfg) = self.cfg.link {
-                                // hand the message to the link layer
-                                let link = self.links.entry((from, to)).or_insert_with(|| {
-                                    // without ARQ the link sends each frame
-                                    // exactly once: an infinite timeout
-                                    // disables retransmission
-                                    Link::new(if link_cfg.arq {
-                                        link_cfg.arq_timeout
-                                    } else {
-                                        f64::INFINITY
-                                    })
-                                });
-                                link.arq.submit(m.clone());
-                            } else {
-                                let delay =
-                                    self.rng.gen_range(self.cfg.delay_min..=self.cfg.delay_max);
-                                let q = self.channels.entry((from, to)).or_default();
-                                let arrive = match self.cfg.order {
-                                    // FIFO: delivery cannot overtake the queue
-                                    Order::Fifo => {
-                                        let floor =
-                                            q.back().map(|x| x.arrive).unwrap_or(self.clock);
-                                        floor.max(self.clock) + delay
-                                    }
-                                    Order::Arbitrary => self.clock + delay,
-                                };
-                                q.push_back(InFlight {
-                                    msg: m.clone(),
-                                    arrive,
-                                });
-                                metrics.max_queue_depth = metrics.max_queue_depth.max(q.len());
-                            }
-                            events.push(SimEvent {
-                                time: self.clock,
-                                step,
-                                kind: SimEventKind::Sent(m),
-                            });
-                        }
-                        other => unreachable!("local move with label {other}"),
+                Move::Offer(k, i) => (k, i),
+            };
+            let here = self.places[k];
+            let kind = match self.backends[k].offer(i) {
+                OfferView::Prim { name, place, .. } => {
+                    self.monitor.step(name, place);
+                    trace.push((name.to_string(), place));
+                    metrics.primitives += 1;
+                    metrics.per_place.entry(place).or_default().primitives += 1;
+                    SimEventKind::Prim {
+                        name: name.to_string(),
+                        place,
                     }
                 }
-                Move::Receive(k, i) => {
-                    let Label::Recv { from, msg, occ, .. } = self.backends[k].label(i) else {
-                        unreachable!()
+                OfferView::I => SimEventKind::Internal { place: here },
+                OfferView::Send { to, msg, occ, kind } => {
+                    let m = Msg {
+                        from: here,
+                        to,
+                        id: msg.clone(),
+                        occ,
+                        kind,
                     };
-                    self.backends[k].step(&mut self.states[k], i);
-                    let here = self.places[k];
+                    metrics.messages += 1;
+                    *metrics.messages_per_kind.entry(m.kind).or_default() += 1;
+                    metrics.per_place.entry(here).or_default().sent += 1;
+                    if let Some(link_cfg) = self.cfg.link {
+                        // hand the message to the link layer
+                        let link = self.links.entry((here, to)).or_insert_with(|| {
+                            // without ARQ the link sends each frame
+                            // exactly once: an infinite timeout
+                            // disables retransmission
+                            Link::new(if link_cfg.arq {
+                                link_cfg.arq_timeout
+                            } else {
+                                f64::INFINITY
+                            })
+                        });
+                        link.arq.submit(m.clone());
+                    } else {
+                        let delay = self.rng.gen_range(self.cfg.delay_min..=self.cfg.delay_max);
+                        let q = self.channels.entry((here, to)).or_default();
+                        let arrive = match self.cfg.order {
+                            // FIFO: delivery cannot overtake the queue
+                            Order::Fifo => {
+                                let floor = q.back().map(|x| x.arrive).unwrap_or(self.clock);
+                                floor.max(self.clock) + delay
+                            }
+                            Order::Arbitrary => self.clock + delay,
+                        };
+                        q.push_back(InFlight {
+                            msg: m.clone(),
+                            arrive,
+                        });
+                        metrics.max_queue_depth = metrics.max_queue_depth.max(q.len());
+                    }
+                    SimEventKind::Sent(m)
+                }
+                OfferView::Recv { from, msg, occ, .. } => {
                     metrics.per_place.entry(here).or_default().received += 1;
-                    if self.cfg.link.is_some() {
+                    let delivered = if self.cfg.link.is_some() {
                         let link = self.links.get_mut(&(from, here)).unwrap();
                         let delivered = link.arq.take_delivered().unwrap();
-                        debug_assert!(delivered.id == msg && delivered.occ == occ);
-                        events.push(SimEvent {
-                            time: self.clock,
-                            step,
-                            kind: SimEventKind::Delivered(delivered),
-                        });
-                        continue;
-                    }
-                    let q = self.channels.get_mut(&(from, here)).unwrap();
-                    let idx = match self.cfg.order {
-                        Order::Fifo => 0,
-                        Order::Arbitrary => q
-                            .iter()
-                            .position(|x| {
-                                x.arrive <= self.clock && x.msg.id == msg && x.msg.occ == occ
-                            })
-                            .unwrap(),
+                        debug_assert!(delivered.id == *msg && delivered.occ == occ);
+                        delivered
+                    } else {
+                        let q = self.channels.get_mut(&(from, here)).unwrap();
+                        let idx = match self.cfg.order {
+                            Order::Fifo => 0,
+                            Order::Arbitrary => q
+                                .iter()
+                                .position(|x| {
+                                    x.arrive <= self.clock && x.msg.id == *msg && x.msg.occ == occ
+                                })
+                                .unwrap(),
+                        };
+                        let inflight = q.remove(idx).unwrap();
+                        if q.is_empty() {
+                            self.channels.remove(&(from, here));
+                        }
+                        inflight.msg
                     };
-                    let inflight = q.remove(idx).unwrap();
-                    if q.is_empty() {
-                        self.channels.remove(&(from, here));
-                    }
-                    events.push(SimEvent {
-                        time: self.clock,
-                        step,
-                        kind: SimEventKind::Delivered(inflight.msg),
-                    });
+                    SimEventKind::Delivered(delivered)
                 }
-            }
+                OfferView::Delta => unreachable!("δ is a global move, never an enabled offer"),
+            };
+            self.backends[k].step(&mut self.states[k], i);
+            events.push(SimEvent {
+                time: self.clock,
+                step,
+                kind,
+            });
         }
 
         metrics.end_time = self.clock;
@@ -589,65 +615,34 @@ impl<'a> Simulator<'a> {
         metrics.retransmissions = self.links.values().map(|l| l.arq.retransmissions).sum();
     }
 
-    fn enabled_moves(&mut self) -> Vec<Move> {
-        let mut out = Vec::new();
+    /// Fill `self.moves`: each entity's offers the kernel enables, then
+    /// global δ when every entity offers it and nothing is in flight.
+    fn enabled_moves(&mut self) {
+        self.moves.clear();
         let mut all_delta = true;
         for k in 0..self.backends.len() {
-            let here = self.places[k];
-            let mut delta = false;
-            for i in 0..self.backends[k].offers(&self.states[k]) {
-                match self.backends[k].offer(i) {
-                    OfferView::Prim { name, place, .. } => {
-                        let refused = self
-                            .cfg
-                            .refuse
-                            .iter()
-                            .any(|(n, p)| n == name && *p == place);
-                        if !refused {
-                            out.push(Move::Local(k, i));
-                        }
-                    }
-                    OfferView::I | OfferView::Send { .. } => out.push(Move::Local(k, i)),
-                    OfferView::Recv { from, msg, occ, .. } => {
-                        if self.receivable(from, here, msg, occ) {
-                            out.push(Move::Receive(k, i));
-                        }
-                    }
-                    OfferView::Delta => delta = true,
-                }
-            }
-            all_delta &= delta;
+            let n = self.backends[k].offers(&self.states[k]);
+            let mut guard = DesGuard {
+                here: self.places[k],
+                channels: &self.channels,
+                links: self.cfg.link.map(|_| &self.links),
+                order: self.cfg.order,
+                clock: self.clock,
+            };
+            all_delta &= enabled_offers(
+                &self.backends[k],
+                n,
+                &self.refuse[k],
+                &mut guard,
+                &mut self.enabled,
+            )
+            .delta;
+            self.moves
+                .extend(self.enabled.iter().map(|&i| Move::Offer(k, i)));
         }
         let in_flight: usize = self.channels.values().map(|q| q.len()).sum();
         if in_flight == 0 && all_delta {
-            out.push(Move::Terminate);
-        }
-        out
-    }
-
-    fn receivable(&self, from: PlaceId, to: PlaceId, id: &lotos::event::MsgId, occ: u32) -> bool {
-        if self.cfg.link.is_some() {
-            // link layer: the head of the in-order delivered queue
-            return match self
-                .links
-                .get(&(from, to))
-                .and_then(|l| l.arq.peek_delivered())
-            {
-                Some(m) => m.id == *id && m.occ == occ,
-                None => false,
-            };
-        }
-        let Some(q) = self.channels.get(&(from, to)) else {
-            return false;
-        };
-        match self.cfg.order {
-            Order::Fifo => {
-                let head = &q[0];
-                head.arrive <= self.clock && head.msg.id == *id && head.msg.occ == occ
-            }
-            Order::Arbitrary => q
-                .iter()
-                .any(|x| x.arrive <= self.clock && x.msg.id == *id && x.msg.occ == occ),
+            self.moves.push(Move::Terminate);
         }
     }
 }
@@ -669,20 +664,11 @@ pub fn simulate(d: &Derivation, cfg: SimConfig) -> SimOutcome {
 /// `d` in `d.entities` order. Each starts from its initial state; what a
 /// backend memoizes (interned terms, transition rows, occurrences) carries
 /// over to the next run, so a multi-session run builds them once.
+///
+/// Deeply recursive entities build deep terms, so the run goes to the
+/// calling thread's big-stack worker ([`with_big_stack`]).
 pub fn simulate_on(d: &Derivation, cfg: SimConfig, backends: &mut [Backend]) -> SimOutcome {
-    verify_stack(move || Simulator::new(d, cfg, backends).run())
-}
-
-/// Deeply recursive entities build deep terms; give the interpreter room.
-fn verify_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
-    std::thread::scope(|s| {
-        std::thread::Builder::new()
-            .stack_size(256 << 20)
-            .spawn_scoped(s, f)
-            .expect("spawn simulation thread")
-            .join()
-            .expect("simulation thread panicked")
-    })
+    with_big_stack(move || Simulator::new(d, cfg, backends).run())
 }
 
 #[cfg(test)]

@@ -22,11 +22,11 @@
 //! composition implements the paper's modified disable semantics, so
 //! trace equality may legitimately fail (experiment E6 quantifies this).
 
-pub use crate::bigstack::with_big_stack;
 use crate::parsys::{EngineComposition, EngineService};
 use lotos::Spec;
 use medium::MediumConfig;
 use protogen::derive::{derive, Derivation, DeriveError};
+pub use semantics::bigstack::with_big_stack;
 use semantics::bisim::weak_and_congruent_threads;
 use semantics::detdfa::DetDfa;
 use semantics::explore::{explore_par, DepthMode, ExploreConfig, ParSystem};

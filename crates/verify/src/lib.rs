@@ -37,7 +37,6 @@
 //! # Ok::<(), protogen::ProtogenError>(())
 //! ```
 
-mod bigstack;
 pub mod composition;
 pub mod explorer;
 pub mod harness;
