@@ -174,6 +174,65 @@ fn health() -> String {
     m.health_json(3.25).to_string()
 }
 
+/// The `/metrics` text of a fixed `Metrics`: two primitives, all four
+/// stages, two per-link backlog entries and one session latency past the
+/// last finite `le` boundary (2^26 µs). Compared byte for byte with
+/// `tests/golden/metrics.txt`.
+fn prometheus() -> String {
+    let spec = lotos::parser::parse_spec("SPEC a1; b2; exit ENDSPEC").unwrap();
+    let m = Metrics::for_service(&spec);
+    m.sessions_completed.store(4, Ordering::Relaxed);
+    m.primitives.store(8, Ordering::Relaxed);
+    m.messages_sent.store(7, Ordering::Relaxed);
+    m.messages_delivered.store(6, Ordering::Relaxed);
+    m.internal_actions.store(2, Ordering::Relaxed);
+    m.max_queue_depth.store(3, Ordering::Relaxed);
+    m.frames_lost.store(1, Ordering::Relaxed);
+    m.retransmissions.store(5, Ordering::Relaxed);
+    m.batches_sent.store(12, Ordering::Relaxed);
+    m.bytes_sent.store(9000, Ordering::Relaxed);
+    m.piggybacked_acks.store(9, Ordering::Relaxed);
+    m.window_occupancy.store(4, Ordering::Relaxed);
+    m.window_size.store(64, Ordering::Relaxed);
+    m.link_backlog_frames.store(3, Ordering::Relaxed);
+    m.pool_bufs_free.store(6, Ordering::Relaxed);
+    m.pool_bufs_total.store(8, Ordering::Relaxed);
+    for v in [800, 1000, 3000, 100_000_000] {
+        m.session_latency.record(v);
+    }
+    for (queue_wait_us, wire_us) in [(100, 50), (301, 7), (2, 70_000_000)] {
+        m.stages.record(&StageBreakdown {
+            queue_wait_us,
+            step_us: 300,
+            notify_wait_us: 350,
+            wire_us,
+        });
+    }
+    let a = m.prims.id("a").unwrap() as usize;
+    let b = m.prims.id("b").unwrap() as usize;
+    for v in [40, 41, 900] {
+        m.per_prim[a].record(v);
+    }
+    m.per_prim[b].record(90);
+    {
+        let mut backlogs = m.link_backlogs.lock().unwrap();
+        backlogs.insert("place:1".to_string(), 0);
+        backlogs.insert("place:2".to_string(), 3);
+    }
+    m.to_prometheus()
+}
+
+/// The Prometheus exposition is compared byte for byte: scrapers parse
+/// it line by line, so any change of order, spacing or number format is
+/// a change of the interface.
+#[test]
+fn prometheus_text_matches_its_golden_bytes() {
+    let path = format!("{}/tests/golden/metrics.txt", env!("CARGO_MANIFEST_DIR"));
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let text = prometheus();
+    assert!(text == golden, "/metrics text differs from {path}:\n{text}");
+}
+
 fn config() -> String {
     RuntimeConfig::new()
         .sessions(500)
