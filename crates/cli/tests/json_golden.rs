@@ -14,14 +14,13 @@ use lotos::event::SyncKind;
 use obs::{Event, EventKind, TraceEvent, TraceLog, NO_SESSION};
 use proptest::prelude::*;
 use runtime::metrics::{
-    GaugeSnapshot, HistSummary, LinkReport, Metrics, RuntimeReport, StageBreakdown, StageSummaries,
+    GaugeSnapshot, HistSummary, LinkReport, Metrics, RuntimeReport, StageBreakdown, Stages,
     StallRecord, TraceMeta, ViolationRecord,
 };
 use runtime::{FaultProfile, RuntimeConfig};
 use semantics::json::Json;
 use std::collections::BTreeMap;
 use std::process::Command;
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 const GOLDEN: [&str; 8] = [
@@ -105,7 +104,7 @@ fn report() -> RuntimeReport {
         wall_s: 0.123_456_7,
         sessions_per_sec: 14.285_714,
         session_latency: hist(7, 812.345, 767.75, 2048),
-        stages: StageSummaries {
+        stages: Stages {
             queue_wait: hist(7, 10.25, 8.25, 40),
             step: hist(7, 3.333, 1.25, 9),
             notify_wait: hist(7, 700.05, 640.5, 1900),
@@ -148,12 +147,12 @@ fn report() -> RuntimeReport {
 
 fn health() -> String {
     let spec = lotos::parser::parse_spec("SPEC a1; b2; exit ENDSPEC").unwrap();
-    let m = Metrics::for_service(&spec);
-    m.sessions_completed.store(20, Ordering::Relaxed);
-    m.primitives.store(40, Ordering::Relaxed);
-    m.messages_sent.store(35, Ordering::Relaxed);
-    m.batches_sent.store(12, Ordering::Relaxed);
-    m.bytes_sent.store(9000, Ordering::Relaxed);
+    let mut m = Metrics::for_service(&spec);
+    m.sessions_completed = 20;
+    m.primitives = 40;
+    m.messages_sent = 35;
+    m.batches_sent = 12;
+    m.bytes_sent = 9000;
     for v in [800, 1000, 3000] {
         m.session_latency.record(v);
     }
@@ -165,12 +164,9 @@ fn health() -> String {
             wire_us: 50,
         });
     }
-    m.window_occupancy.store(4, Ordering::Relaxed);
-    m.window_size.store(64, Ordering::Relaxed);
-    m.link_backlogs
-        .lock()
-        .unwrap()
-        .insert("place:2".to_string(), 3);
+    m.gauges.window_occupancy = 4;
+    m.gauges.window_size = 64;
+    m.gauges.per_link_backlog.insert("place:2".to_string(), 3);
     m.health_json(3.25).to_string()
 }
 
@@ -180,23 +176,23 @@ fn health() -> String {
 /// `tests/golden/metrics.txt`.
 fn prometheus() -> String {
     let spec = lotos::parser::parse_spec("SPEC a1; b2; exit ENDSPEC").unwrap();
-    let m = Metrics::for_service(&spec);
-    m.sessions_completed.store(4, Ordering::Relaxed);
-    m.primitives.store(8, Ordering::Relaxed);
-    m.messages_sent.store(7, Ordering::Relaxed);
-    m.messages_delivered.store(6, Ordering::Relaxed);
-    m.internal_actions.store(2, Ordering::Relaxed);
-    m.max_queue_depth.store(3, Ordering::Relaxed);
-    m.frames_lost.store(1, Ordering::Relaxed);
-    m.retransmissions.store(5, Ordering::Relaxed);
-    m.batches_sent.store(12, Ordering::Relaxed);
-    m.bytes_sent.store(9000, Ordering::Relaxed);
-    m.piggybacked_acks.store(9, Ordering::Relaxed);
-    m.window_occupancy.store(4, Ordering::Relaxed);
-    m.window_size.store(64, Ordering::Relaxed);
-    m.link_backlog_frames.store(3, Ordering::Relaxed);
-    m.pool_bufs_free.store(6, Ordering::Relaxed);
-    m.pool_bufs_total.store(8, Ordering::Relaxed);
+    let mut m = Metrics::for_service(&spec);
+    m.sessions_completed = 4;
+    m.primitives = 8;
+    m.messages_sent = 7;
+    m.messages_delivered = 6;
+    m.internal_actions = 2;
+    m.max_queue_depth = 3;
+    m.frames_lost = 1;
+    m.retransmissions = 5;
+    m.batches_sent = 12;
+    m.bytes_sent = 9000;
+    m.piggybacked_acks = 9;
+    m.gauges.window_occupancy = 4;
+    m.gauges.window_size = 64;
+    m.gauges.link_backlog_frames = 3;
+    m.gauges.pool_bufs_free = 6;
+    m.gauges.pool_bufs_total = 8;
     for v in [800, 1000, 3000, 100_000_000] {
         m.session_latency.record(v);
     }
@@ -214,11 +210,8 @@ fn prometheus() -> String {
         m.per_prim[a].record(v);
     }
     m.per_prim[b].record(90);
-    {
-        let mut backlogs = m.link_backlogs.lock().unwrap();
-        backlogs.insert("place:1".to_string(), 0);
-        backlogs.insert("place:2".to_string(), 3);
-    }
+    m.gauges.per_link_backlog.insert("place:1".to_string(), 0);
+    m.gauges.per_link_backlog.insert("place:2".to_string(), 3);
     m.to_prometheus()
 }
 

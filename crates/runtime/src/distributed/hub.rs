@@ -24,39 +24,38 @@ use protogen::derive::Derivation;
 use std::collections::BTreeMap;
 use std::io;
 use std::os::fd::RawFd;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use transport::{poll_messages, poll_messages_into, wait_readable, Listener, WireMsg};
 
 /// How often the hub looks for sessions past their stall deadline.
 const STALL_CHECK: Duration = Duration::from_millis(5);
 
-/// How often the labeled per-link backlog map is refreshed.
-const BACKLOG_REFRESH: Duration = Duration::from_millis(50);
-
-/// The live observability routes: Prometheus text at `/metrics`, the
-/// JSON snapshot at `/health` and, when the run is recorded, the merged
-/// trace at `/trace`.
+/// The live observability routes: Prometheus text at `/metrics` and
+/// the JSON snapshot at `/health`, both rendered from the run's
+/// published metrics, and, when the run is recorded, the merged trace at
+/// `/trace`.
 fn metrics_routes(
-    metrics: &Arc<Metrics>,
+    published: &Arc<Mutex<Metrics>>,
     registry: Option<&Arc<Registry>>,
     started: Instant,
 ) -> Vec<(String, obs::Handler)> {
-    let m = Arc::clone(metrics);
-    let mh = Arc::clone(metrics);
+    let m = Arc::clone(published);
+    let mh = Arc::clone(published);
     let mut routes: Vec<(String, obs::Handler)> = vec![
         (
             "/metrics".to_string(),
-            Arc::new(move || ("text/plain; version=0.0.4".to_string(), m.to_prometheus())),
+            Arc::new(move || {
+                let body = m.lock().expect("metrics poisoned").to_prometheus();
+                ("text/plain; version=0.0.4".to_string(), body)
+            }),
         ),
         (
             "/health".to_string(),
             Arc::new(move || {
-                (
-                    "application/json".to_string(),
-                    mh.health_json(started.elapsed().as_secs_f64()).to_string(),
-                )
+                let uptime_s = started.elapsed().as_secs_f64();
+                let body = mh.lock().expect("metrics poisoned").health_json(uptime_s);
+                ("application/json".to_string(), body.to_string())
             }),
         ),
     ];
@@ -109,16 +108,14 @@ pub fn run_hub_on(
     let lowered = lower_for(&d.entities, cfg.backend)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     listener.set_nonblocking(true)?;
-    let metrics = Arc::new(Metrics::for_service(&d.service));
+    let mut hub = Hub::new(d, cfg, dcfg, listener, registry);
     let server = match &dcfg.metrics {
         Some(addr) => Some(obs::MetricsServer::spawn(
             addr,
-            metrics_routes(&metrics, registry.as_ref(), started),
+            metrics_routes(&hub.tally.share(), hub.registry.as_ref(), started),
         )?),
         None => None,
     };
-
-    let mut hub = Hub::new(d, cfg, dcfg, listener, &metrics, registry);
     hub.run()?;
     hub.abort_live();
     hub.drain()?;
@@ -139,9 +136,10 @@ struct Hub<'r> {
     sessions: BTreeMap<u64, HubSession>,
     /// Sessions decided and not yet closed (see [`Hub::close_decided`]).
     closed: Vec<(u64, SessionEnd)>,
+    /// The run's verdicts and metrics; the hub thread is their only
+    /// writer.
     tally: Tally<'r>,
     events: Vec<String>,
-    metrics: &'r Metrics,
     registry: Option<Arc<Registry>>,
     /// The hub's recorder observes at place 0; entity processes record
     /// at their own places and ship chunks back at shutdown.
@@ -159,7 +157,6 @@ struct Hub<'r> {
     next: usize,
     last_progress: Instant,
     last_stall_check: Instant,
-    last_backlog_refresh: Instant,
     dead_entity: Option<PlaceId>,
 }
 
@@ -169,14 +166,12 @@ impl<'r> Hub<'r> {
         cfg: &'r RuntimeConfig,
         dcfg: &'r DistributedConfig,
         listener: Listener,
-        metrics: &'r Metrics,
         registry: Option<Arc<Registry>>,
     ) -> Hub<'r> {
         let now = Instant::now();
         let bcfg = batch_config(dcfg.batch_frames);
         let window = (cfg.threads.max(1) * 8).max(32);
-        metrics.window_size.store(window, Ordering::Relaxed);
-        Hub {
+        let mut hub = Hub {
             cfg,
             dcfg,
             listener,
@@ -187,9 +182,8 @@ impl<'r> Hub<'r> {
                 .collect(),
             sessions: BTreeMap::new(),
             closed: Vec::new(),
-            tally: Tally::new(&d.service, cfg, metrics),
+            tally: Tally::new(&d.service, cfg, Metrics::for_service(&d.service)),
             events: Vec::new(),
-            metrics,
             rec: registry.as_ref().map(|r| r.recorder(0)),
             registry,
             stalls: StallTracker::new(),
@@ -200,9 +194,14 @@ impl<'r> Hub<'r> {
             next: 0,
             last_progress: now,
             last_stall_check: now,
-            last_backlog_refresh: now,
             dead_entity: None,
-        }
+        };
+        hub.tally.metrics.gauges.window_size = window;
+        hub.refresh_metrics();
+        // Publish before the first session opens: the routes and the
+        // stall records read this copy.
+        hub.tally.share();
+        hub
     }
 
     /// Sweep until every session has closed, an entity is declared dead
@@ -273,7 +272,10 @@ impl<'r> Hub<'r> {
         for link in self.links.iter_mut() {
             progress |= link.flush(&mut self.events);
         }
-        self.publish(now);
+        if self.tally.publish_due(now) {
+            self.refresh_metrics();
+            self.tally.publish(now);
+        }
         self.check_stalls(now);
 
         // Global stall guard: nothing moved for too long — abort rather
@@ -602,70 +604,46 @@ impl<'r> Hub<'r> {
         true
     }
 
-    /// Mirror the links' cumulative batching stats into the live metrics
-    /// atomics the `/metrics` endpoint serves. Stats only grow, so a
-    /// plain store of the sums is race-free against the scraping thread.
-    fn publish_counters(&self) {
-        let (mut batches, mut bytes, mut piggy, mut resent) = (0, 0, 0, 0);
+    /// Bring the link-derived part of the tally's metrics up to date:
+    /// the links' batching and resend totals, the outbound backlog
+    /// (queued plus unacked frames) per link and overall, encode-pool
+    /// use and the session-window occupancy.
+    fn refresh_metrics(&mut self) {
+        let m = &mut self.tally.metrics;
+        let g = &mut m.gauges;
+        (m.batches_sent, m.bytes_sent, m.piggybacked_acks) = (0, 0, 0);
+        m.retransmissions = 0;
+        (g.link_backlog_frames, g.pool_bufs_free, g.pool_bufs_total) = (0, 0, 0);
+        g.per_link_backlog.clear();
         for l in &self.links {
             let s = &l.link.stats;
-            batches += s.batches_sent as usize;
-            bytes += s.bytes_sent as usize;
-            piggy += s.piggybacked_acks as usize;
-            resent += s.frames_resent as usize;
+            m.batches_sent += s.batches_sent as usize;
+            m.bytes_sent += s.bytes_sent as usize;
+            m.piggybacked_acks += s.piggybacked_acks as usize;
+            m.retransmissions += s.frames_resent as usize;
+            let backlog = l.backlog();
+            let (free, total) = l.link.pool_available();
+            g.link_backlog_frames += backlog;
+            g.pool_bufs_free += free;
+            g.pool_bufs_total += total;
+            g.per_link_backlog
+                .insert(format!("place:{}", l.place), backlog as u64);
         }
-        let m = self.metrics;
-        m.retransmissions.store(resent, Ordering::Relaxed);
-        m.batches_sent.store(batches, Ordering::Relaxed);
-        m.bytes_sent.store(bytes, Ordering::Relaxed);
-        m.piggybacked_acks.store(piggy, Ordering::Relaxed);
-    }
-
-    /// Publish the link counters and the gauges for `/metrics`: the
-    /// outbound backlog (queued plus unacked frames) across links,
-    /// encode-pool use and the session-window occupancy.
-    fn publish(&mut self, now: Instant) {
-        self.publish_counters();
-        let (mut backlog, mut free, mut total) = (0, 0, 0);
-        for l in &self.links {
-            backlog += l.backlog();
-            let (f, t) = l.link.pool_available();
-            free += f;
-            total += t;
-        }
-        let m = self.metrics;
-        m.link_backlog_frames.store(backlog, Ordering::Relaxed);
-        m.pool_bufs_free.store(free, Ordering::Relaxed);
-        m.pool_bufs_total.store(total, Ordering::Relaxed);
-        m.window_occupancy
-            .store(self.sessions.len(), Ordering::Relaxed);
-        // The labeled per-link map takes a lock the scraper shares;
-        // refresh it on a throttle, not every sweep.
-        if now.duration_since(self.last_backlog_refresh) >= BACKLOG_REFRESH {
-            self.last_backlog_refresh = now;
-            let mut map = self
-                .metrics
-                .link_backlogs
-                .lock()
-                .expect("gauge map poisoned");
-            map.clear();
-            for l in &self.links {
-                map.insert(format!("place:{}", l.place), l.backlog() as u64);
-            }
-        }
+        g.window_occupancy = self.sessions.len();
     }
 
     /// Stall forensics (hub side): flag sessions past the configured or
-    /// p99-derived deadline, once each, with the stage split and backlog
-    /// gauges captured at flag time.
+    /// p99-derived deadline (from the hub's own live metrics), once
+    /// each, with the stage split and the published backlog gauges.
     fn check_stalls(&mut self, now: Instant) {
         if now.duration_since(self.last_stall_check) < STALL_CHECK {
             return;
         }
         self.last_stall_check = now;
-        let Some(deadline) = StallTracker::deadline(self.cfg, self.metrics) else {
+        let Some(deadline) = StallTracker::deadline(self.cfg, &self.tally.metrics) else {
             return;
         };
+        let published = self.tally.share();
         for s in self.sessions.values() {
             let age = now.saturating_duration_since(s.started);
             if age < deadline || !self.stalls.wants(s.id) {
@@ -681,13 +659,8 @@ impl<'r> Hub<'r> {
                 .map(|(i, p)| (i as u32, p.status.map_or(0, |r| r.steps)))
                 .collect();
             let capture = (age_us, s.stages(age_us), entity_state);
-            self.stalls.flag(
-                s.id,
-                deadline,
-                capture,
-                self.metrics,
-                self.registry.as_ref(),
-            );
+            self.stalls
+                .flag(s.id, deadline, capture, &published, self.registry.as_ref());
         }
     }
 
@@ -821,9 +794,8 @@ impl<'r> Hub<'r> {
 
     /// The run's report, once the drain is over.
     fn finish(mut self, backend: &'static str, started: Instant) -> RuntimeReport {
-        // The drain may have resent frames: publish the final link
-        // counters.
-        self.publish_counters();
+        // The drain may have resent frames: count the final link state.
+        self.refresh_metrics();
         self.tally.per_link = self
             .links
             .iter()

@@ -39,6 +39,7 @@ use semantics::backend::{enabled_offers, BState, Backend, EntityBackend, MoveGua
 use semantics::hash::{fx_hash, FxHashMap};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 /// A control message to an entity thread.
 pub enum Control {
@@ -140,15 +141,14 @@ impl CompletionQueue {
         }
     }
 
-    /// Block until a session completes.
-    pub fn pop(&self) -> Arc<SessionSlot> {
-        let mut st = self.state.lock().expect("completion queue poisoned");
-        loop {
-            if let Some(slot) = st.pop_front() {
-                return slot;
-            }
-            st = self.cv.wait(st).expect("completion queue poisoned");
-        }
+    /// Block until a session completes or `timeout` passes.
+    pub fn pop_timeout(&self, timeout: Duration) -> Option<Arc<SessionSlot>> {
+        let st = self.state.lock().expect("completion queue poisoned");
+        let (mut st, _) = self
+            .cv
+            .wait_timeout_while(st, timeout, |st| st.is_empty())
+            .expect("completion queue poisoned");
+        st.pop_front()
     }
 }
 

@@ -23,8 +23,8 @@ use crate::compiled::{lower_for, make_backend, Backend};
 use crate::config::{FaultProfile, RuntimeConfig};
 use crate::entity::{CompletionQueue, EntityWorker, Notifier};
 use crate::metrics::{
-    GaugeSnapshot, LinkReport, Metrics, RuntimeReport, SessionReport, StageBreakdown, StallRecord,
-    TraceMeta, ViolationRecord,
+    LinkReport, Metrics, RuntimeReport, SessionReport, StageBreakdown, StallRecord, TraceMeta,
+    ViolationRecord, PUBLISH,
 };
 use crate::session::{SessionCore, SessionCounts, SessionEnd, SessionSlot};
 use crate::stall::StallTracker;
@@ -41,7 +41,6 @@ use semantics::term::OccTable;
 use sim::des::{LinkConfig, SimConfig, SimResult};
 use sim::monitor::ServiceMonitor;
 use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -211,13 +210,17 @@ pub(crate) fn configured_refusal(
     }
 }
 
-/// The verdicts of one run, shared by all three engines: every completed
-/// session goes through [`Tally::close`], and [`Tally::finish`] builds
-/// the run's report.
+/// The verdicts and metrics of one run, shared by all three engines:
+/// every completed session goes through [`Tally::close`], and
+/// [`Tally::finish`] builds the run's report.
 pub(crate) struct Tally<'a> {
     service: &'a Spec,
     cfg: &'a RuntimeConfig,
-    metrics: &'a Metrics,
+    /// The run's metrics, written only by the thread that owns the tally.
+    pub(crate) metrics: Metrics,
+    /// The copy the run's readers see (see [`Tally::share`]) and when it
+    /// was last refreshed; `None` while the run has no reader.
+    published: Option<(Arc<Mutex<Metrics>>, Instant)>,
     /// The run's primitive table: the service's names first, so an id
     /// indexes `metrics.per_prim`, then any other name an engine saw.
     pub(crate) prims: PrimTable,
@@ -235,12 +238,13 @@ pub(crate) struct Tally<'a> {
 }
 
 impl<'a> Tally<'a> {
-    pub(crate) fn new(service: &'a Spec, cfg: &'a RuntimeConfig, metrics: &'a Metrics) -> Self {
+    pub(crate) fn new(service: &'a Spec, cfg: &'a RuntimeConfig, metrics: Metrics) -> Self {
         Tally {
             service,
             cfg,
+            prims: (*metrics.prims).clone(),
             metrics,
-            prims: metrics.prims.clone(),
+            published: None,
             replays: ReplayCache::default(),
             conforming: 0,
             terminated: 0,
@@ -254,6 +258,34 @@ impl<'a> Tally<'a> {
         }
     }
 
+    /// The copy of the metrics the run's readers see, taken from the
+    /// current metrics on the first call. Every reader of one run shares
+    /// it, and [`Self::publish`] keeps it fresh.
+    pub(crate) fn share(&mut self) -> Arc<Mutex<Metrics>> {
+        let (shared, _) = self
+            .published
+            .get_or_insert_with(|| (Arc::new(Mutex::new(self.metrics.clone())), Instant::now()));
+        Arc::clone(shared)
+    }
+
+    /// Is the published copy [`PUBLISH`] old?
+    pub(crate) fn publish_due(&self, now: Instant) -> bool {
+        self.published
+            .as_ref()
+            .is_some_and(|(_, at)| now.duration_since(*at) >= PUBLISH)
+    }
+
+    /// Refresh the published copy from the metrics as they are now.
+    pub(crate) fn publish(&mut self, now: Instant) {
+        if let Some((shared, at)) = &mut self.published {
+            shared
+                .lock()
+                .expect("metrics poisoned")
+                .clone_from(&self.metrics);
+            *at = now;
+        }
+    }
+
     /// Turn a completed session into its verdict: the conformance rule
     /// (no violation, terminated, and the service may terminate there),
     /// refused-offer violations, the recorder's close events, and the
@@ -261,12 +293,11 @@ impl<'a> Tally<'a> {
     /// trace is kept (with names) for violating and aborted sessions and
     /// single-session runs (load runs would hoard memory).
     pub(crate) fn close(&mut self, s: Completed, rec: Option<&Recorder>) {
-        self.metrics.session_latency.record(s.latency_us);
-        self.metrics.stages.record(&s.stages);
-        self.metrics.fold_session(&s.counts, s.trace, s.gaps);
-        self.metrics
-            .sessions_completed
-            .fetch_add(1, Ordering::Relaxed);
+        let m = &mut self.metrics;
+        m.session_latency.record(s.latency_us);
+        m.stages.record(&s.stages);
+        m.fold_session(&s.counts, s.trace, s.gaps);
+        m.sessions_completed += 1;
         for (total, c) in self.per_kind.iter_mut().zip(s.counts.per_kind) {
             *total += c;
         }
@@ -350,8 +381,9 @@ impl<'a> Tally<'a> {
     }
 
     /// The run's report: the verdict counts plus the counters, latency
-    /// histograms and gauges the engine fed into [`Metrics`]. With a
-    /// recorder, violating and aborted sessions get their tails.
+    /// histograms and gauges of the tally's own [`Metrics`], exact at
+    /// the end of the run. With a recorder, violating and aborted
+    /// sessions get their tails.
     pub(crate) fn finish(
         self,
         engine: &'static str,
@@ -361,7 +393,7 @@ impl<'a> Tally<'a> {
         transport_events: Vec<String>,
         registry: Option<&Arc<Registry>>,
     ) -> RuntimeReport {
-        let m = self.metrics;
+        let m = &self.metrics;
         let wall_s = started.elapsed().as_secs_f64();
         let mut report = RuntimeReport {
             engine,
@@ -374,17 +406,17 @@ impl<'a> Tally<'a> {
             step_limited: self.step_limited,
             aborted: self.aborted,
             violations: self.violations,
-            primitives: m.primitives.load(Ordering::Relaxed),
-            messages: m.messages_sent.load(Ordering::Relaxed),
-            delivered: m.messages_delivered.load(Ordering::Relaxed),
+            primitives: m.primitives,
+            messages: m.messages_sent,
+            delivered: m.messages_delivered,
             messages_per_kind: SyncKind::ALL
                 .into_iter()
                 .zip(self.per_kind)
                 .filter(|&(_, c)| c > 0)
                 .collect(),
-            max_queue_depth: m.max_queue_depth.load(Ordering::Relaxed),
-            frames_lost: m.frames_lost.load(Ordering::Relaxed),
-            retransmissions: m.retransmissions.load(Ordering::Relaxed),
+            max_queue_depth: m.max_queue_depth,
+            frames_lost: m.frames_lost,
+            retransmissions: m.retransmissions,
             per_link: self.per_link,
             transport_events,
             wall_s,
@@ -396,7 +428,7 @@ impl<'a> Tally<'a> {
             session_latency: m.session_latency.summary(),
             stages: m.stages.summaries(),
             stalls,
-            gauges: GaugeSnapshot::capture(m),
+            gauges: m.gauges.clone(),
             per_prim: m
                 .per_prim_by_name()
                 .into_iter()
@@ -444,10 +476,9 @@ fn run_concurrent(
 
     let notifiers: Vec<Arc<Notifier>> = (0..n).map(|_| Arc::new(Notifier::new())).collect();
     let completions = Arc::new(CompletionQueue::new());
-    let metrics = Arc::new(Metrics::for_service(&d.service));
     let stalls = Arc::new(StallTracker::new());
 
-    let mut tally = Tally::new(&d.service, cfg, &metrics);
+    let mut tally = Tally::new(&d.service, cfg, Metrics::for_service(&d.service));
     let workers: Vec<EntityWorker> = d
         .entities
         .iter()
@@ -491,17 +522,20 @@ fn run_concurrent(
         // round trips of the message ping-pong between entity threads —
         // one OS timeslice advances a whole batch, not one session.
         let window = cfg.threads.max(1) * MUX_PIPELINE;
-        metrics.window_size.store(window, Ordering::Relaxed);
+        tally.metrics.gauges.window_size = window;
         // Stall forensics: a sampler thread polls the open-session set
-        // against the configured or p99-derived deadline.
+        // against the configured or p99-derived deadline, reading the
+        // metrics the multiplexer publishes.
         {
             let stalls = Arc::clone(&stalls);
-            let metrics = Arc::clone(&metrics);
+            let published = tally.share();
             let registry = registry.cloned();
             let cfg = cfg.clone();
             std::thread::Builder::new()
                 .name("stall-sampler".to_string())
-                .spawn_scoped(scope, move || stalls.run(&cfg, &metrics, registry.as_ref()))
+                .spawn_scoped(scope, move || {
+                    stalls.run(&cfg, &published, registry.as_ref())
+                })
                 .expect("spawn stall sampler");
         }
         // Closed slots, reopened for later sessions once no entity thread
@@ -538,14 +572,21 @@ fn run_concurrent(
                     next += 1;
                     in_flight += 1;
                 }
-                metrics.window_occupancy.store(in_flight, Ordering::Relaxed);
+                tally.metrics.gauges.window_occupancy = in_flight;
             }
-            let slot = completions.pop();
-            in_flight -= 1;
-            metrics.window_occupancy.store(in_flight, Ordering::Relaxed);
-            let id = close_concurrent(&slot, &metrics, &mut tally, mux_rec.as_ref());
-            stalls.remove(id);
-            retired.push(slot);
+            // Wake at least once per `PUBLISH` so the published copy
+            // catches up even while every open session is stuck.
+            if let Some(slot) = completions.pop_timeout(PUBLISH) {
+                in_flight -= 1;
+                tally.metrics.gauges.window_occupancy = in_flight;
+                let id = close_concurrent(&slot, &mut tally, mux_rec.as_ref());
+                stalls.remove(id);
+                retired.push(slot);
+            }
+            let now = Instant::now();
+            if tally.publish_due(now) {
+                tally.publish(now);
+            }
         }
         stalls.stop_sampler();
         for nt in &notifiers {
@@ -565,12 +606,7 @@ fn run_concurrent(
 
 /// Hand a session the entity threads completed to the tally: attribute
 /// its latency to stages and merge its counters. Returns its id.
-fn close_concurrent(
-    slot: &SessionSlot,
-    metrics: &Metrics,
-    tally: &mut Tally,
-    rec: Option<&Recorder>,
-) -> u64 {
+fn close_concurrent(slot: &SessionSlot, tally: &mut Tally, rec: Option<&Recorder>) -> u64 {
     let core = slot.core.lock().expect("session poisoned");
     let end = core.completed.expect("finalized session not completed");
     let latency_us = core
@@ -587,8 +623,8 @@ fn close_concurrent(
         .map(|t| t.saturating_duration_since(core.started).as_micros() as u64)
         .unwrap_or(latency_us);
     let (lost, retx) = core.link_totals();
-    metrics.frames_lost.fetch_add(lost, Ordering::Relaxed);
-    metrics.retransmissions.fetch_add(retx, Ordering::Relaxed);
+    tally.metrics.frames_lost += lost;
+    tally.metrics.retransmissions += retx;
     for ((from, to), (l, r)) in core.link_breakdown() {
         let e = tally.per_link.entry(format!("{from}->{to}")).or_default();
         e.lost += l;
@@ -663,19 +699,15 @@ fn run_deterministic(
     // each session's primitive trace into the ring (lc = trace index + 1,
     // matching the concurrent engine's per-session step clocks).
     let rec = registry.map(|r| r.recorder(0));
-    let mut tally = Tally::new(&d.service, cfg, &metrics);
+    let mut tally = Tally::new(&d.service, cfg, metrics);
 
     for k in 0..cfg.sessions {
         let t0 = Instant::now();
         let outcome = sim::des::simulate_on(d, des_config(cfg, k), &mut backends);
         let latency_us = t0.elapsed().as_micros() as u64;
         let m = &outcome.metrics;
-        metrics
-            .frames_lost
-            .fetch_add(m.frames_lost, Ordering::Relaxed);
-        metrics
-            .retransmissions
-            .fetch_add(m.retransmissions, Ordering::Relaxed);
+        tally.metrics.frames_lost += m.frames_lost;
+        tally.metrics.retransmissions += m.retransmissions;
         let mut counts = SessionCounts {
             sent: m.messages,
             delivered: m.per_place.values().map(|l| l.received).sum(),

@@ -62,8 +62,7 @@ pub use exec::{run, trace_id_for, try_run};
 pub use faults::FaultLink;
 pub use metrics::{
     GaugeSnapshot, HistSummary, Histogram, LinkReport, Metrics, RuntimeReport, SessionReport,
-    StageBreakdown, StageSet, StageSummaries, StallRecord, TraceMeta, ViolationRecord,
-    REPORT_SCHEMA_VERSION,
+    StageBreakdown, Stages, StallRecord, TraceMeta, ViolationRecord, REPORT_SCHEMA_VERSION,
 };
 pub use pipeline_ext::PipelineRun;
 pub use session::{SessionCore, SessionEnd, SessionSlot};

@@ -12,7 +12,7 @@
 //! bounded no matter how pathological the run.
 
 use crate::config::RuntimeConfig;
-use crate::metrics::{GaugeSnapshot, Metrics, StageBreakdown, StallRecord};
+use crate::metrics::{Metrics, StageBreakdown, StallRecord};
 use crate::session::SessionSlot;
 use obs::Registry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -93,13 +93,14 @@ impl StallTracker {
     }
 
     /// Flag session `id` once, recording its capture together with the
-    /// gauges and its flight-recorder tail as of now.
+    /// gauges of the run's published metrics and its flight-recorder
+    /// tail as of now.
     pub(crate) fn flag(
         &self,
         id: u64,
         deadline: Duration,
         (age_us, stages, entity_state): StallCapture,
-        metrics: &Metrics,
+        published: &Mutex<Metrics>,
         registry: Option<&Arc<Registry>>,
     ) {
         let tail = registry
@@ -111,7 +112,7 @@ impl StallTracker {
             deadline_us: deadline.as_micros() as u64,
             stages,
             entity_state,
-            gauges: GaugeSnapshot::capture(metrics),
+            gauges: published.lock().expect("metrics poisoned").gauges.clone(),
             tail,
         };
         let mut fl = self.flagged.lock().expect("stall tracker poisoned");
@@ -138,11 +139,12 @@ impl StallTracker {
         Some(DERIVED_FLOOR.max(Duration::from_micros((p99 * DERIVED_FACTOR) as u64)))
     }
 
-    /// Sampler thread body: poll until [`Self::stop_sampler`].
+    /// Sampler thread body: poll until [`Self::stop_sampler`], taking
+    /// the deadline and the gauges from the run's published metrics.
     pub(crate) fn run(
         &self,
         cfg: &RuntimeConfig,
-        metrics: &Metrics,
+        published: &Mutex<Metrics>,
         registry: Option<&Arc<Registry>>,
     ) {
         loop {
@@ -155,8 +157,9 @@ impl StallTracker {
                 return;
             }
             drop(stop);
-            if let Some(deadline) = Self::deadline(cfg, metrics) {
-                self.sweep(deadline, metrics, registry);
+            let deadline = Self::deadline(cfg, &published.lock().expect("metrics poisoned"));
+            if let Some(deadline) = deadline {
+                self.sweep(deadline, published, registry);
             }
         }
     }
@@ -165,7 +168,7 @@ impl StallTracker {
     pub(crate) fn sweep(
         &self,
         deadline: Duration,
-        metrics: &Metrics,
+        published: &Mutex<Metrics>,
         registry: Option<&Arc<Registry>>,
     ) {
         let now = Instant::now();
@@ -204,7 +207,7 @@ impl StallTracker {
                     .collect();
                 (age_us, stages, entity_state)
             };
-            self.flag(id, deadline, capture, metrics, registry);
+            self.flag(id, deadline, capture, published, registry);
         }
     }
 }
@@ -212,12 +215,23 @@ impl StallTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::GaugeSnapshot;
     use crate::session::SessionCore;
+
+    fn metrics() -> Metrics {
+        let spec = lotos::parser::parse_spec("SPEC a1; b2; exit ENDSPEC").unwrap();
+        Metrics::for_service(&spec)
+    }
 
     #[test]
     fn sweep_flags_old_sessions_once_with_partial_stages() {
-        let spec = lotos::parser::parse_spec("SPEC a1; b2; exit ENDSPEC").unwrap();
-        let metrics = Metrics::for_service(&spec);
+        // The published copy is what a flagged record's gauges show.
+        let mut copy = metrics();
+        copy.gauges.window_size = 64;
+        copy.gauges
+            .per_link_backlog
+            .insert("place:2".to_string(), 5);
+        let published = Mutex::new(copy);
         let tracker = StallTracker::new();
         let cfg = RuntimeConfig::new();
         let mut core = SessionCore::new(9, 1, &cfg, &[(1, 2), (2, 1)]);
@@ -229,7 +243,7 @@ mod tests {
         let slot = Arc::new(SessionSlot::new(core));
         tracker.insert(9, Arc::clone(&slot));
         std::thread::sleep(Duration::from_millis(10));
-        tracker.sweep(Duration::from_millis(1), &metrics, None);
+        tracker.sweep(Duration::from_millis(1), &published, None);
         let records = tracker.take_records();
         assert_eq!(records.len(), 1);
         let r = &records[0];
@@ -239,8 +253,16 @@ mod tests {
         assert!(r.stages.sum_us() <= r.age_us);
         assert_eq!(r.entity_state, vec![(0, 4), (1, 2)]);
         assert!(r.tail.is_empty());
+        assert_eq!(
+            r.gauges,
+            GaugeSnapshot {
+                window_size: 64,
+                per_link_backlog: [("place:2".to_string(), 5)].into(),
+                ..GaugeSnapshot::default()
+            }
+        );
         // Flagged once: a second sweep adds nothing.
-        tracker.sweep(Duration::from_millis(1), &metrics, None);
+        tracker.sweep(Duration::from_millis(1), &published, None);
         assert!(tracker.take_records().is_empty());
         // Completed sessions are never flagged.
         let tracker = StallTracker::new();
@@ -249,20 +271,19 @@ mod tests {
             .unwrap()
             .complete(crate::session::SessionEnd::Terminated);
         tracker.insert(9, slot);
-        tracker.sweep(Duration::from_millis(1), &metrics, None);
+        tracker.sweep(Duration::from_millis(1), &published, None);
         assert!(tracker.take_records().is_empty());
     }
 
     #[test]
     fn stop_sampler_wakes_the_sampler_at_once() {
-        let spec = lotos::parser::parse_spec("SPEC a1; b2; exit ENDSPEC").unwrap();
-        let metrics = Metrics::for_service(&spec);
+        let published = Mutex::new(metrics());
         let cfg = RuntimeConfig::new();
         let mut joins: Vec<Duration> = (0..20)
             .map(|_| {
                 let tracker = StallTracker::new();
                 std::thread::scope(|s| {
-                    let sampler = s.spawn(|| tracker.run(&cfg, &metrics, None));
+                    let sampler = s.spawn(|| tracker.run(&cfg, &published, None));
                     // Stop a fifth of the way into the sampler's wait: a
                     // sampler that sleeps out its poll would take the
                     // remaining four fifths to notice.
@@ -284,8 +305,7 @@ mod tests {
 
     #[test]
     fn deadline_prefers_config_then_derives_from_p99() {
-        let spec = lotos::parser::parse_spec("SPEC a1; b2; exit ENDSPEC").unwrap();
-        let metrics = Metrics::for_service(&spec);
+        let mut metrics = metrics();
         let cfg = RuntimeConfig::new().stall_after(Duration::from_millis(40));
         assert_eq!(
             StallTracker::deadline(&cfg, &metrics),

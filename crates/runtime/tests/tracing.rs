@@ -324,3 +324,124 @@ fn hub_metrics_endpoint_serves_prometheus_and_trace() {
         "metrics listener survived the run"
     );
 }
+
+/// The value of every sample line of a Prometheus body, keyed by series
+/// (name plus label set).
+fn prom_samples(body: &str) -> std::collections::BTreeMap<&str, f64> {
+    body.lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| {
+            let (series, value) = l.rsplit_once(' ')?;
+            Some((series, value.parse().ok()?))
+        })
+        .collect()
+}
+
+/// Check one `/metrics` or `/health` body: the completed-session count
+/// equals every latency count in it. Returns that count.
+fn consistent_counts(route: &str, body: &str) -> u64 {
+    const STAGES: [&str; 4] = ["queue_wait", "step", "notify_wait", "wire"];
+    if route == "/health" {
+        let h = semantics::json::Json::parse(body).expect("/health is JSON");
+        let completed = h["sessions_completed"]
+            .as_u64()
+            .expect("sessions_completed");
+        for stage in STAGES {
+            let count = h["stages"][stage]["count"].as_u64();
+            assert_eq!(count, Some(completed), "{stage} count in /health: {body}");
+        }
+        return completed;
+    }
+    let s = prom_samples(body);
+    let completed = s["protogen_sessions_completed_total"];
+    let mut counts = vec![
+        ("session summary", s["protogen_session_latency_us_count"]),
+        (
+            "session histogram",
+            s["protogen_session_latency_hist_us_count"],
+        ),
+    ];
+    for stage in STAGES {
+        let series = format!("protogen_stage_latency_us_count{{stage=\"{stage}\"}}");
+        counts.push((stage, s[series.as_str()]));
+    }
+    for (what, count) in counts {
+        assert_eq!(count, completed, "{what} count in /metrics:\n{body}");
+    }
+    completed as u64
+}
+
+/// `/metrics` and `/health` render from one published copy of the hub's
+/// metrics, so within any one body the completed-session count equals
+/// every latency count, even while 2000 sessions complete under a
+/// scraper per route.
+#[test]
+fn metrics_and_health_scrapes_agree_within_each_body() {
+    let derived = Pipeline::load(&transport2())
+        .unwrap()
+        .check()
+        .unwrap()
+        .derive()
+        .unwrap();
+    let entities = derived.derivation().entities.clone();
+    let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let maddr = probe.local_addr().unwrap().to_string();
+    drop(probe);
+    let mut dcfg = dcfg(uds_addr());
+    dcfg.metrics = Some(maddr.clone());
+    let listener = dcfg.listen.listen().expect("hub bind");
+    let hub_addr = listener.local_addr().expect("hub addr");
+    let cfg = RuntimeConfig::new().sessions(2000).threads(2).seed(5);
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let (report, seen) = std::thread::scope(|scope| {
+        // Two scrapers per route, so requests queue at the listener and
+        // are served back to back.
+        let scrapers: Vec<_> = ["/metrics", "/health", "/metrics", "/health"]
+            .into_iter()
+            .map(|route| {
+                let (maddr, done) = (&maddr, &done);
+                scope.spawn(move || {
+                    let mut seen = Vec::new();
+                    while !done.load(Ordering::Relaxed) {
+                        if let Some(body) = http_get(maddr, route) {
+                            seen.push(consistent_counts(route, &body));
+                        }
+                    }
+                    seen
+                })
+            })
+            .collect();
+        let hub = scope.spawn(|| run_hub_on(derived.derivation(), &cfg, &dcfg, listener));
+        let entities: Vec<_> = entities
+            .iter()
+            .map(|(p, spec)| {
+                let mut scfg = ServeConfig::new(hub_addr.clone(), *p);
+                scfg.heartbeat = Duration::from_millis(20);
+                scfg.dead_after = Duration::from_millis(700);
+                scope.spawn(move || serve_entity(spec, &scfg))
+            })
+            .collect();
+        let report = hub.join().unwrap().expect("hub run");
+        done.store(true, Ordering::Relaxed);
+        for e in entities {
+            e.join().unwrap().expect("entity");
+        }
+        let seen: Vec<Vec<u64>> = scrapers.into_iter().map(|s| s.join().unwrap()).collect();
+        (report, seen)
+    });
+    assert!(report.passed(), "{:?}", report.transport_events);
+    for (route, seen) in ["/metrics", "/health", "/metrics", "/health"]
+        .iter()
+        .zip(&seen)
+    {
+        assert!(
+            !seen.is_empty(),
+            "no {route} scrape succeeded during the run"
+        );
+        eprintln!("{route}: {} scrapes, completed counts {:?}", seen.len(), {
+            let mut distinct = seen.clone();
+            distinct.dedup();
+            distinct
+        });
+    }
+}
