@@ -187,6 +187,37 @@ const VALUE_FLAGS: &[&str] = &[
     "--interval",
 ];
 
+/// Flags that take no value.
+const BOOL_FLAGS: &[&str] = &[
+    "-m",
+    "--disable",
+    "--distributed",
+    "--dot",
+    "--no-arq",
+    "--once",
+    "--rec",
+    "--rust",
+    "--spawn",
+    "--timeline",
+];
+
+/// Fail on any `-`-prefixed argument that neither [`VALUE_FLAGS`] nor
+/// [`BOOL_FLAGS`] names (`-` alone, for stdin, is no flag), so a typo
+/// is a usage error instead of being ignored or read as the spec path.
+fn check_flags(args: &[String]) -> Result<(), ProtogenError> {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if VALUE_FLAGS.contains(&a.as_str()) {
+            it.next();
+        } else if a.starts_with('-') && a != "-" && !BOOL_FLAGS.contains(&a.as_str()) {
+            return Err(ProtogenError::Usage(format!(
+                "unknown flag `{a}` (see `protogen help`)"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Locate the spec argument (path or `-` for stdin), skipping over flag
 /// values so `verify spec.lotos -l 6 -j 4` does not read `4` as the path.
 fn spec_arg(args: &[String]) -> Option<&String> {
@@ -562,6 +593,7 @@ fn execute_runtime(
 fn run(args: &[String]) -> Result<(), ProtogenError> {
     let cmd = args.first().ok_or_else(usage)?.as_str();
     let rest = &args[1..];
+    check_flags(rest)?;
     match cmd {
         "check" => {
             let pipeline = load_pipeline(rest)?;

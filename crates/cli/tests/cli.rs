@@ -520,3 +520,26 @@ fn bad_place_and_runs_values_fail_with_usage() {
         assert!(out.stdout.is_empty(), "{args:?} printed output");
     }
 }
+
+/// A mistyped flag is a usage error (exit 1) that names it — not a run
+/// of the wrong engine, and not a value read as the spec path.
+#[test]
+fn unknown_flags_fail_with_usage() {
+    let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/transport2.lotos");
+    for (args, flag) in [
+        (vec!["load", spec, "--distribted"], "--distribted"),
+        (vec!["load", spec, "--sesions", "5"], "--sesions"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_protogen"))
+            .args(&args)
+            .output()
+            .expect("run protogen");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} printed output");
+    }
+}

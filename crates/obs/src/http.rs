@@ -4,7 +4,7 @@
 //! in a real server.
 
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -25,35 +25,29 @@ pub struct MetricsServer {
 impl MetricsServer {
     /// Bind `addr` (e.g. `127.0.0.1:9464`; port 0 picks a free one) and
     /// serve `routes` — `(path, handler)` pairs — until stopped. Unknown
-    /// paths get 404; non-GET requests get 405.
+    /// paths get 404; non-GET requests get 405. The listener blocks in
+    /// `accept`, so a scrape is answered as soon as it connects.
     pub fn spawn(addr: &str, routes: Vec<(String, Handler)>) -> std::io::Result<MetricsServer> {
         let listener = TcpListener::bind(addr)?;
         let bound = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
         let handle = std::thread::Builder::new()
             .name("obs-metrics".to_string())
             .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((mut conn, _)) => {
-                            let _ = conn.set_nonblocking(false);
-                            let req = read_request(&mut conn);
-                            let (status, ctype, body) =
-                                respond(&String::from_utf8_lossy(&req), &routes);
-                            let _ = write!(
-                                conn,
-                                "HTTP/1.1 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                                body.len(),
-                            );
-                            let _ = conn.flush();
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(20));
-                        }
-                        Err(_) => break,
+                for conn in listener.incoming() {
+                    let Ok(mut conn) = conn else { break };
+                    if stop2.load(Ordering::Acquire) {
+                        break;
                     }
+                    let req = read_request(&mut conn);
+                    let (status, ctype, body) = respond(&String::from_utf8_lossy(&req), &routes);
+                    let _ = write!(
+                        conn,
+                        "HTTP/1.1 {status}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                        body.len(),
+                    );
+                    let _ = conn.flush();
                 }
             })?;
         Ok(MetricsServer {
@@ -63,9 +57,18 @@ impl MetricsServer {
         })
     }
 
-    /// Stop the listener thread and join it.
+    /// Stop the listener thread and join it: set the flag, then wake the
+    /// blocked `accept` by connecting to the listener.
     pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::Release);
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        let _ = TcpStream::connect(wake);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -185,6 +188,38 @@ mod tests {
         );
         assert!(ok.starts_with("HTTP/1.1 200 OK"), "{ok}");
         assert!(ok.ends_with("x 1\n"), "{ok}");
+        server.stop();
+    }
+
+    /// An idle listener answers each scrape at once: it blocks in
+    /// `accept` instead of sleeping between polls.
+    #[test]
+    fn idle_listener_answers_each_scrape_at_once() {
+        let routes: Vec<(String, Handler)> = vec![(
+            "/metrics".to_string(),
+            Arc::new(|| ("text/plain".to_string(), "x 1\n".to_string())),
+        )];
+        let server = MetricsServer::spawn("127.0.0.1:0", routes).unwrap();
+        let mut took: Vec<Duration> = (0..20)
+            .map(|_| {
+                let t0 = Instant::now();
+                let ok = get(server.addr, "/metrics");
+                assert!(ok.starts_with("HTTP/1.1 200 OK"), "{ok}");
+                t0.elapsed()
+            })
+            .collect();
+        took.sort();
+        let median = took[took.len() / 2];
+        assert!(
+            median < Duration::from_millis(5),
+            "median scrape {median:?}"
+        );
+        server.stop();
+    }
+
+    #[test]
+    fn stop_wakes_a_listener_bound_to_every_interface() {
+        let server = MetricsServer::spawn("0.0.0.0:0", Vec::new()).unwrap();
         server.stop();
     }
 

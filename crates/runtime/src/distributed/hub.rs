@@ -15,7 +15,7 @@ use crate::compiled::lower_for;
 use crate::config::RuntimeConfig;
 use crate::entity::pack_msg_event;
 use crate::exec::{backend_desc, run_registry, Tally};
-use crate::metrics::{Metrics, RuntimeReport};
+use crate::metrics::{Metrics, RuntimeReport, PUBLISH};
 use crate::session::SessionEnd;
 use crate::stall::StallTracker;
 use lotos::place::PlaceId;
@@ -27,9 +27,6 @@ use std::os::fd::RawFd;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use transport::{poll_messages, poll_messages_into, wait_readable, Listener, WireMsg};
-
-/// How often the hub looks for sessions past their stall deadline.
-const STALL_CHECK: Duration = Duration::from_millis(5);
 
 /// The live observability routes: Prometheus text at `/metrics` and
 /// the JSON snapshot at `/health`, both rendered from the run's
@@ -112,7 +109,7 @@ pub fn run_hub_on(
     let server = match &dcfg.metrics {
         Some(addr) => Some(obs::MetricsServer::spawn(
             addr,
-            metrics_routes(&hub.tally.share(), hub.registry.as_ref(), started),
+            metrics_routes(&hub.share(), hub.registry.as_ref(), started),
         )?),
         None => None,
     };
@@ -139,6 +136,9 @@ struct Hub<'r> {
     /// The run's verdicts and metrics; the hub thread is their only
     /// writer.
     tally: Tally<'r>,
+    /// The copy of the metrics the HTTP routes read (see [`Hub::share`])
+    /// and when it was last refreshed; `None` without routes.
+    published: Option<(Arc<Mutex<Metrics>>, Instant)>,
     events: Vec<String>,
     registry: Option<Arc<Registry>>,
     /// The hub's recorder observes at place 0; entity processes record
@@ -156,7 +156,6 @@ struct Hub<'r> {
     /// The next session to open.
     next: usize,
     last_progress: Instant,
-    last_stall_check: Instant,
     dead_entity: Option<PlaceId>,
 }
 
@@ -183,25 +182,51 @@ impl<'r> Hub<'r> {
             sessions: BTreeMap::new(),
             closed: Vec::new(),
             tally: Tally::new(&d.service, cfg, Metrics::for_service(&d.service)),
+            published: None,
             events: Vec::new(),
             rec: registry.as_ref().map(|r| r.recorder(0)),
             registry,
-            stalls: StallTracker::new(),
+            stalls: StallTracker::new(now),
             hellos: Handshakes::default(),
             fds: Vec::new(),
             inbuf: Vec::new(),
             window,
             next: 0,
             last_progress: now,
-            last_stall_check: now,
             dead_entity: None,
         };
         hub.tally.metrics.gauges.window_size = window;
         hub.refresh_metrics();
-        // Publish before the first session opens: the routes and the
-        // stall records read this copy.
-        hub.tally.share();
         hub
+    }
+
+    /// The copy of the metrics the HTTP routes read, taken from the live
+    /// metrics on the first call; [`Self::publish`] keeps it fresh.
+    fn share(&mut self) -> Arc<Mutex<Metrics>> {
+        let (shared, _) = self.published.get_or_insert_with(|| {
+            (
+                Arc::new(Mutex::new(self.tally.metrics.clone())),
+                Instant::now(),
+            )
+        });
+        Arc::clone(shared)
+    }
+
+    /// Once the shared copy is [`PUBLISH`] old, refresh it from the
+    /// live metrics, link counters and gauges included.
+    fn publish(&mut self, now: Instant) {
+        let due = |(_, at): &(_, Instant)| now.duration_since(*at) >= PUBLISH;
+        if !self.published.as_ref().is_some_and(due) {
+            return;
+        }
+        self.refresh_metrics();
+        if let Some((shared, at)) = &mut self.published {
+            shared
+                .lock()
+                .expect("metrics poisoned")
+                .clone_from(&self.tally.metrics);
+            *at = now;
+        }
     }
 
     /// Sweep until every session has closed, an entity is declared dead
@@ -272,10 +297,7 @@ impl<'r> Hub<'r> {
         for link in self.links.iter_mut() {
             progress |= link.flush(&mut self.events);
         }
-        if self.tally.publish_due(now) {
-            self.refresh_metrics();
-            self.tally.publish(now);
-        }
+        self.publish(now);
         self.check_stalls(now);
 
         // Global stall guard: nothing moved for too long — abort rather
@@ -341,7 +363,7 @@ impl<'r> Hub<'r> {
             }
         }
         if live {
-            at(self.last_stall_check + STALL_CHECK);
+            at(self.stalls.next_check());
             at(self.last_progress + dcfg.stall_timeout);
         }
         wake
@@ -632,36 +654,16 @@ impl<'r> Hub<'r> {
         g.window_occupancy = self.sessions.len();
     }
 
-    /// Stall forensics (hub side): flag sessions past the configured or
-    /// p99-derived deadline (from the hub's own live metrics), once
-    /// each, with the stage split and the published backlog gauges.
+    /// Stall forensics: the run's one check, over the hub's sessions.
+    /// The link gauges the records carry are refreshed first.
     fn check_stalls(&mut self, now: Instant) {
-        if now.duration_since(self.last_stall_check) < STALL_CHECK {
-            return;
+        if now >= self.stalls.next_check() {
+            self.refresh_metrics();
         }
-        self.last_stall_check = now;
-        let Some(deadline) = StallTracker::deadline(self.cfg, &self.tally.metrics) else {
-            return;
-        };
-        let published = self.tally.share();
-        for s in self.sessions.values() {
-            let age = now.saturating_duration_since(s.started);
-            if age < deadline || !self.stalls.wants(s.id) {
-                continue;
-            }
-            let age_us = age.as_micros() as u64;
-            // The hub cannot see backend states; each entity's last
-            // reported step count is the closest forensic analogue.
-            let entity_state = s
-                .peers
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (i as u32, p.status.map_or(0, |r| r.steps)))
-                .collect();
-            let capture = (age_us, s.stages(age_us), entity_state);
-            self.stalls
-                .flag(s.id, deadline, capture, &published, self.registry.as_ref());
-        }
+        let open = self.sessions.values().map(|s| (s.id, s.started, s));
+        let registry = self.registry.as_ref();
+        self.stalls
+            .check(now, self.cfg, &self.tally.metrics, registry, open);
     }
 
     /// Abort whatever is still live (dead entity or stall) — including
@@ -805,7 +807,7 @@ impl<'r> Hub<'r> {
             "distributed",
             backend,
             started,
-            self.stalls.take_records(),
+            self.stalls.into_records(),
             self.events,
             self.registry.as_ref(),
         )

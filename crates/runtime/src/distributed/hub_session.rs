@@ -6,6 +6,7 @@ use crate::config::RuntimeConfig;
 use crate::exec::{configured_refusal, Completed, Monitor};
 use crate::metrics::StageBreakdown;
 use crate::session::{SessionCounts, SessionEnd};
+use crate::stall::{Capture, Forensics};
 use lotos::place::PlaceId;
 use std::time::Instant;
 
@@ -175,5 +176,20 @@ impl HubSession {
         } else {
             SessionEnd::Deadlock
         })
+    }
+}
+
+/// The hub's capture: its inferred stage split and, since the hub cannot
+/// see backend states, each entity's last reported step count as the
+/// closest forensic analogue.
+impl Forensics for HubSession {
+    fn capture(&self, age_us: u64) -> Option<Capture> {
+        let entity_state = self
+            .peers
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (i as u32, p.status.map_or(0, |r| r.steps)))
+            .collect();
+        Some((self.stages(age_us), entity_state))
     }
 }

@@ -4,10 +4,11 @@
 //!   ([`crate::entity::EntityWorker`]), a pipelined window of sessions in
 //!   flight at once (`threads` × [`MUX_PIPELINE`]), and the calling
 //!   thread as multiplexer — it opens
-//!   sessions, collects completions, and replays each completed session's
+//!   sessions, collects completions, replays each completed session's
 //!   primitive trace through [`sim::monitor::ServiceMonitor`] (the
 //!   monitor is single-threaded by construction, so conformance is
-//!   checked at the multiplexer, not inside entity threads).
+//!   checked at the multiplexer, not inside entity threads), and checks
+//!   its open sessions for stalls ([`crate::stall`]).
 //! * **Deterministic** (`threads <= 1`): each session is one seeded run
 //!   of the discrete-event simulator ([`sim::des`]) — bit-reproducible,
 //!   and byte-identical to `protogen simulate` for the same seed. This is
@@ -24,10 +25,10 @@ use crate::config::{FaultProfile, RuntimeConfig};
 use crate::entity::{CompletionQueue, EntityWorker, Notifier};
 use crate::metrics::{
     LinkReport, Metrics, RuntimeReport, SessionReport, StageBreakdown, StallRecord, TraceMeta,
-    ViolationRecord, PUBLISH,
+    ViolationRecord,
 };
 use crate::session::{SessionCore, SessionCounts, SessionEnd, SessionSlot};
-use crate::stall::StallTracker;
+use crate::stall::{Capture, Forensics, StallTracker, STALL_CHECK};
 use lotos::ast::Spec;
 use lotos::event::SyncKind;
 use lotos::place::{PlaceId, MAX_PLACES};
@@ -55,6 +56,11 @@ const ENTITY_STACK: usize = 64 << 20;
 /// the peer — on few-core hosts the flip, not the stepping, is the
 /// dominant cost of a session.
 const MUX_PIPELINE: usize = 32;
+
+/// A session slot of the multiplexer: open (running session `id` since
+/// `opened`) or closed. A closed slot is reopened for a later session
+/// once no entity thread still holds it.
+type MuxSlot = (Arc<SessionSlot>, Option<(u64, Instant)>);
 
 /// Run `cfg.sessions` independent sessions of the derived protocol and
 /// report. Engine selection is by `cfg.threads`, backend selection by
@@ -218,9 +224,6 @@ pub(crate) struct Tally<'a> {
     cfg: &'a RuntimeConfig,
     /// The run's metrics, written only by the thread that owns the tally.
     pub(crate) metrics: Metrics,
-    /// The copy the run's readers see (see [`Tally::share`]) and when it
-    /// was last refreshed; `None` while the run has no reader.
-    published: Option<(Arc<Mutex<Metrics>>, Instant)>,
     /// The run's primitive table: the service's names first, so an id
     /// indexes `metrics.per_prim`, then any other name an engine saw.
     pub(crate) prims: PrimTable,
@@ -244,7 +247,6 @@ impl<'a> Tally<'a> {
             cfg,
             prims: (*metrics.prims).clone(),
             metrics,
-            published: None,
             replays: ReplayCache::default(),
             conforming: 0,
             terminated: 0,
@@ -255,34 +257,6 @@ impl<'a> Tally<'a> {
             per_kind: [0; SyncKind::ALL.len()],
             per_link: BTreeMap::new(),
             reports: Vec::new(),
-        }
-    }
-
-    /// The copy of the metrics the run's readers see, taken from the
-    /// current metrics on the first call. Every reader of one run shares
-    /// it, and [`Self::publish`] keeps it fresh.
-    pub(crate) fn share(&mut self) -> Arc<Mutex<Metrics>> {
-        let (shared, _) = self
-            .published
-            .get_or_insert_with(|| (Arc::new(Mutex::new(self.metrics.clone())), Instant::now()));
-        Arc::clone(shared)
-    }
-
-    /// Is the published copy [`PUBLISH`] old?
-    pub(crate) fn publish_due(&self, now: Instant) -> bool {
-        self.published
-            .as_ref()
-            .is_some_and(|(_, at)| now.duration_since(*at) >= PUBLISH)
-    }
-
-    /// Refresh the published copy from the metrics as they are now.
-    pub(crate) fn publish(&mut self, now: Instant) {
-        if let Some((shared, at)) = &mut self.published {
-            shared
-                .lock()
-                .expect("metrics poisoned")
-                .clone_from(&self.metrics);
-            *at = now;
         }
     }
 
@@ -476,7 +450,7 @@ fn run_concurrent(
 
     let notifiers: Vec<Arc<Notifier>> = (0..n).map(|_| Arc::new(Notifier::new())).collect();
     let completions = Arc::new(CompletionQueue::new());
-    let stalls = Arc::new(StallTracker::new());
+    let mut stalls = StallTracker::new(started);
 
     let mut tally = Tally::new(&d.service, cfg, Metrics::for_service(&d.service));
     let workers: Vec<EntityWorker> = d
@@ -523,24 +497,7 @@ fn run_concurrent(
         // one OS timeslice advances a whole batch, not one session.
         let window = cfg.threads.max(1) * MUX_PIPELINE;
         tally.metrics.gauges.window_size = window;
-        // Stall forensics: a sampler thread polls the open-session set
-        // against the configured or p99-derived deadline, reading the
-        // metrics the multiplexer publishes.
-        {
-            let stalls = Arc::clone(&stalls);
-            let published = tally.share();
-            let registry = registry.cloned();
-            let cfg = cfg.clone();
-            std::thread::Builder::new()
-                .name("stall-sampler".to_string())
-                .spawn_scoped(scope, move || {
-                    stalls.run(&cfg, &published, registry.as_ref())
-                })
-                .expect("spawn stall sampler");
-        }
-        // Closed slots, reopened for later sessions once no entity thread
-        // (or the stall sampler) still holds them.
-        let mut retired: Vec<Arc<SessionSlot>> = Vec::new();
+        let mut slots: Vec<MuxSlot> = Vec::new();
         let mut next = 0usize;
         let mut in_flight = 0usize;
         while next < cfg.sessions || in_flight > 0 {
@@ -554,41 +511,47 @@ fn run_concurrent(
                     if let Some(rec) = &mux_rec {
                         rec.record(EventKind::SessionOpen, id, 0, seed, 0);
                     }
-                    let slot = match retired.iter_mut().position(|s| Arc::get_mut(s).is_some()) {
+                    let closed = slots
+                        .iter_mut()
+                        .position(|(s, open)| open.is_none() && Arc::get_mut(s).is_some());
+                    let k = match closed {
                         Some(k) => {
-                            let mut slot = retired.swap_remove(k);
-                            let core = Arc::get_mut(&mut slot).expect("unshared").core.get_mut();
-                            core.expect("session poisoned").reopen(id, seed, cfg);
-                            slot
+                            let slot = Arc::get_mut(&mut slots[k].0).expect("unshared");
+                            let core = slot.core.get_mut().expect("session poisoned");
+                            core.reopen(id, seed, cfg);
+                            slots[k].1 = Some((id, core.started));
+                            k
                         }
                         None => {
-                            Arc::new(SessionSlot::new(SessionCore::new(id, seed, cfg, &channels)))
+                            let core = SessionCore::new(id, seed, cfg, &channels);
+                            let open = Some((id, core.started));
+                            slots.push((Arc::new(SessionSlot::new(core)), open));
+                            slots.len() - 1
                         }
                     };
-                    stalls.insert(id, Arc::clone(&slot));
                     for nt in &notifiers {
-                        nt.open(Arc::clone(&slot));
+                        nt.open(Arc::clone(&slots[k].0));
                     }
                     next += 1;
                     in_flight += 1;
                 }
                 tally.metrics.gauges.window_occupancy = in_flight;
             }
-            // Wake at least once per `PUBLISH` so the published copy
-            // catches up even while every open session is stuck.
-            if let Some(slot) = completions.pop_timeout(PUBLISH) {
+            // Wake at least once per `STALL_CHECK` so stalls are caught
+            // even while every open session is stuck.
+            if let Some(slot) = completions.pop_timeout(STALL_CHECK) {
                 in_flight -= 1;
                 tally.metrics.gauges.window_occupancy = in_flight;
-                let id = close_concurrent(&slot, &mut tally, mux_rec.as_ref());
-                stalls.remove(id);
-                retired.push(slot);
+                close_concurrent(&slot, &mut tally, mux_rec.as_ref());
+                if let Some((_, open)) = slots.iter_mut().find(|(s, _)| Arc::ptr_eq(s, &slot)) {
+                    *open = None;
+                }
             }
-            let now = Instant::now();
-            if tally.publish_due(now) {
-                tally.publish(now);
-            }
+            let open = slots
+                .iter()
+                .filter_map(|(slot, open)| open.map(|(id, opened)| (id, opened, &**slot)));
+            stalls.check(Instant::now(), cfg, &tally.metrics, registry, open);
         }
-        stalls.stop_sampler();
         for nt in &notifiers {
             nt.shutdown();
         }
@@ -598,15 +561,34 @@ fn run_concurrent(
         "concurrent",
         backend_desc(lowered),
         started,
-        stalls.take_records(),
+        stalls.into_records(),
         Vec::new(),
         registry,
     )
 }
 
+/// The concurrent engine's capture: the locked core's stage split and
+/// each entity's latest backend state. A session that completed but is
+/// not collected yet is not stalled.
+impl Forensics for SessionSlot {
+    fn capture(&self, age_us: u64) -> Option<Capture> {
+        let core = self.core.lock().expect("session poisoned");
+        if core.completed.is_some() {
+            return None;
+        }
+        let entity_state = core
+            .entity_states
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (i as u32, *s))
+            .collect();
+        Some((core.stages(age_us), entity_state))
+    }
+}
+
 /// Hand a session the entity threads completed to the tally: attribute
-/// its latency to stages and merge its counters. Returns its id.
-fn close_concurrent(slot: &SessionSlot, tally: &mut Tally, rec: Option<&Recorder>) -> u64 {
+/// its latency to stages and merge its counters.
+fn close_concurrent(slot: &SessionSlot, tally: &mut Tally, rec: Option<&Recorder>) {
     let core = slot.core.lock().expect("session poisoned");
     let end = core.completed.expect("finalized session not completed");
     let latency_us = core
@@ -614,14 +596,6 @@ fn close_concurrent(slot: &SessionSlot, tally: &mut Tally, rec: Option<&Recorder
         .unwrap_or_else(Instant::now)
         .duration_since(core.started)
         .as_micros() as u64;
-    // Stage attribution: queue_wait runs from open to the first executed
-    // move; step is the lock-held stepping time the entity threads
-    // credited; wire is zero in-process; the residual is notify_wait
-    // (notifier queues, lock contention, scheduler round trips).
-    let queue_us = core
-        .first_step
-        .map(|t| t.saturating_duration_since(core.started).as_micros() as u64)
-        .unwrap_or(latency_us);
     let (lost, retx) = core.link_totals();
     tally.metrics.frames_lost += lost;
     tally.metrics.retransmissions += retx;
@@ -642,7 +616,7 @@ fn close_concurrent(slot: &SessionSlot, tally: &mut Tally, rec: Option<&Recorder
             trace: &core.trace,
             gaps: &core.gaps,
             latency_us,
-            stages: StageBreakdown::attribute(latency_us, queue_us, core.step_ns / 1000, 0, None),
+            stages: core.stages(latency_us),
             counts: core.counts,
             steps: core.steps,
             lc: core.steps as u64,
@@ -654,7 +628,6 @@ fn close_concurrent(slot: &SessionSlot, tally: &mut Tally, rec: Option<&Recorder
     if let Some(rec) = rec.filter(|_| lost + retx > 0) {
         rec.record(EventKind::FaultSummary, id, 0, lost as u64, retx as u64);
     }
-    id
 }
 
 /// Map the runtime fault profile onto the DES configuration. Wire-level

@@ -11,14 +11,15 @@
 //! recording a primitive latency indexes the histogram at the
 //! primitive's id, never a map.
 //!
-//! **One snapshot.** A run with readers (the hub's HTTP routes, the
-//! concurrent engine's stall sampler) shares one published copy. The
-//! writer refreshes it with `clone_from` before the first session opens,
-//! then at most every [`PUBLISH`]. `/metrics`, `/health` and stall
-//! records all render from that copy, so each is internally consistent
-//! (a completed session is in every count of a body, or in none) and at
-//! most about `PUBLISH` old while the run is live. The final report
-//! renders from the writer's own state and is exact.
+//! **One snapshot.** The hub's HTTP routes are the only readers of a
+//! run's metrics while it is live. They share one published copy that
+//! the hub refreshes with `clone_from` at most every [`PUBLISH`].
+//! `/metrics` and `/health` render from that copy, so each is
+//! internally consistent (a completed session is in every count of a
+//! body, or in none) and at most about `PUBLISH` old while the run is
+//! live. Everything else reads the writer's own state: stall records
+//! take their deadline and gauges from it on the writer's thread, and
+//! the final report renders from it exactly.
 
 mod expose;
 mod hist;
@@ -42,8 +43,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How often a run's writer refreshes the copy its readers see: the
-/// staleness bound of `/metrics`, `/health` and stall-record gauges.
+/// How often the hub refreshes the copy its HTTP routes read: the
+/// staleness bound of `/metrics` and `/health`.
 pub const PUBLISH: Duration = Duration::from_millis(50);
 
 /// Point-in-time queue/backlog gauges: multiplexer window

@@ -11,6 +11,7 @@
 
 use crate::config::RuntimeConfig;
 use crate::faults::FaultLink;
+use crate::metrics::StageBreakdown;
 use lotos::event::{MsgId, SyncKind};
 use lotos::place::PlaceId;
 use medium::Msg;
@@ -240,6 +241,19 @@ impl SessionCore {
             self.first_step = Some(t0);
         }
         self.step_ns += t0.elapsed().as_nanos() as u64;
+    }
+
+    /// The session's stage split `age_us` after it opened: queue_wait
+    /// runs from open to the first executed move; step is the lock-held
+    /// stepping time the entity threads credited; wire is zero
+    /// in-process; the residual is notify_wait (notifier queues, lock
+    /// contention, scheduler round trips).
+    pub fn stages(&self, age_us: u64) -> StageBreakdown {
+        let queue_us = self
+            .first_step
+            .map(|t| t.saturating_duration_since(self.started).as_micros() as u64)
+            .unwrap_or(age_us);
+        StageBreakdown::attribute(age_us, queue_us, self.step_ns / 1000, 0, None)
     }
 
     /// Append primitive `prim` (an id of the run's table) at `place` to

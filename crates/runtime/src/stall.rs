@@ -1,30 +1,34 @@
-//! Stall forensics: a sampler that flags sessions exceeding a deadline
-//! and captures enough context to turn "it's slow" into a causal
-//! explanation — partial stage attribution, each entity's backend
-//! state, the queue/backlog gauges, and the session's flight-recorder
-//! tail.
+//! Stall forensics: flag sessions exceeding a deadline and capture
+//! enough context to turn "it's slow" into a causal explanation —
+//! partial stage attribution, each entity's progress, the queue/backlog
+//! gauges, and the session's flight-recorder tail.
+//!
+//! There is one check ([`StallTracker::check`]), a plain-data step of
+//! the loop that owns the run's tally: the multiplexer on the
+//! concurrent engine, the hub loop on the distributed one. It applies
+//! the cadence, the deadline, flag-once and the record cap; each engine
+//! supplies only the capture of a session past its deadline
+//! ([`Forensics`]), as it supplies a guard to the move kernel.
 //!
 //! The deadline is either configured (`RuntimeConfig::stall_after`) or
-//! derived from the live p99 once enough sessions completed; a derived
-//! deadline never drops below a floor so scheduler jitter on short
-//! local sessions cannot flood the report. Each session is flagged at
-//! most once and the record count is capped, so forensics cost is
-//! bounded no matter how pathological the run.
+//! derived from the writer's live p99 once enough sessions completed; a
+//! derived deadline never drops below a floor so scheduler jitter on
+//! short local sessions cannot flood the report. Each session is
+//! flagged at most once and the record count is capped, so forensics
+//! cost is bounded no matter how pathological the run.
 
 use crate::config::RuntimeConfig;
 use crate::metrics::{Metrics, StageBreakdown, StallRecord};
-use crate::session::SessionSlot;
 use obs::Registry;
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Most stall records kept per run — the report stays bounded even when
 /// every session stalls.
 const MAX_STALLS: usize = 32;
 
-/// Sampler poll period.
-const POLL: Duration = Duration::from_millis(5);
+/// How often the owning loop looks for sessions past their deadline.
+pub(crate) const STALL_CHECK: Duration = Duration::from_millis(5);
 
 /// Floor for the p99-derived deadline.
 const DERIVED_FLOOR: Duration = Duration::from_secs(1);
@@ -38,97 +42,92 @@ const MIN_SAMPLES: u64 = 50;
 /// Flight-recorder tail lines attached to a stall record.
 const STALL_TAIL: usize = 16;
 
-/// What a stall record captures from its session: age (µs), partial
-/// stage attribution, and per-entity progress.
-type StallCapture = (u64, StageBreakdown, Vec<(u32, u64)>);
+/// What an engine captures from a session past its deadline: the
+/// partial stage split and each entity's progress.
+pub(crate) type Capture = (StageBreakdown, Vec<(u32, u64)>);
 
-/// Shared between the multiplexer (which registers sessions at open and
-/// unregisters them at completion) and the sampler thread. The
-/// distributed hub uses only its flag-once, capped record policy
-/// ([`Self::wants`], [`Self::flag`]).
+/// An engine's open session, as the stall check sees it.
+pub(crate) trait Forensics {
+    /// The session's capture `age_us` after it opened, or `None` when it
+    /// has already completed.
+    fn capture(&self, age_us: u64) -> Option<Capture>;
+}
+
+/// The run's stall records and when it last checked for stalls.
 pub(crate) struct StallTracker {
-    open: Mutex<BTreeMap<u64, Arc<SessionSlot>>>,
-    flagged: Mutex<(BTreeSet<u64>, Vec<StallRecord>)>,
-    /// Set once by [`Self::stop_sampler`]; `wake` interrupts the
-    /// sampler's wait between sweeps when it is.
-    stop: Mutex<bool>,
-    wake: Condvar,
+    /// At most [`MAX_STALLS`], at most one per session.
+    records: Vec<StallRecord>,
+    last_check: Instant,
 }
 
 impl StallTracker {
-    pub(crate) fn new() -> StallTracker {
+    /// A tracker whose first check is due [`STALL_CHECK`] after `now`.
+    pub(crate) fn new(now: Instant) -> StallTracker {
         StallTracker {
-            open: Mutex::new(BTreeMap::new()),
-            flagged: Mutex::new((BTreeSet::new(), Vec::new())),
-            stop: Mutex::new(false),
-            wake: Condvar::new(),
+            records: Vec::new(),
+            last_check: now,
         }
     }
 
-    pub(crate) fn insert(&self, id: u64, slot: Arc<SessionSlot>) {
-        self.open
-            .lock()
-            .expect("stall tracker poisoned")
-            .insert(id, slot);
+    /// When the next [`Self::check`] is due.
+    pub(crate) fn next_check(&self) -> Instant {
+        self.last_check + STALL_CHECK
     }
 
-    pub(crate) fn remove(&self, id: u64) {
-        self.open
-            .lock()
-            .expect("stall tracker poisoned")
-            .remove(&id);
-    }
-
-    /// Stop the sampler: it wakes at once, not at its next poll.
-    pub(crate) fn stop_sampler(&self) {
-        *self.stop.lock().expect("stall tracker poisoned") = true;
-        self.wake.notify_all();
-    }
-
-    /// Would a stall of `id` be recorded (not flagged yet, cap not
-    /// reached)?
-    pub(crate) fn wants(&self, id: u64) -> bool {
-        let fl = self.flagged.lock().expect("stall tracker poisoned");
-        !fl.0.contains(&id) && fl.1.len() < MAX_STALLS
-    }
-
-    /// Flag session `id` once, recording its capture together with the
-    /// gauges of the run's published metrics and its flight-recorder
-    /// tail as of now.
-    pub(crate) fn flag(
-        &self,
-        id: u64,
-        deadline: Duration,
-        (age_us, stages, entity_state): StallCapture,
-        published: &Mutex<Metrics>,
+    /// Once every [`STALL_CHECK`], flag each of the open `sessions`
+    /// (`(id, opened, session)`) that is past the deadline and not
+    /// flagged yet, while fewer than [`MAX_STALLS`] are: record its
+    /// capture with the gauges of the writer's `metrics` and its
+    /// flight-recorder tail as of `now`.
+    pub(crate) fn check<'s, S: Forensics + 's>(
+        &mut self,
+        now: Instant,
+        cfg: &RuntimeConfig,
+        metrics: &Metrics,
         registry: Option<&Arc<Registry>>,
+        sessions: impl IntoIterator<Item = (u64, Instant, &'s S)>,
     ) {
-        let tail = registry
-            .map(|r| r.snapshot().tail(id, STALL_TAIL))
-            .unwrap_or_default();
-        let record = StallRecord {
-            session: id,
-            age_us,
-            deadline_us: deadline.as_micros() as u64,
-            stages,
-            entity_state,
-            gauges: published.lock().expect("metrics poisoned").gauges.clone(),
-            tail,
+        if now < self.next_check() {
+            return;
+        }
+        self.last_check = now;
+        let Some(deadline) = Self::deadline(cfg, metrics) else {
+            return;
         };
-        let mut fl = self.flagged.lock().expect("stall tracker poisoned");
-        if fl.0.insert(id) && fl.1.len() < MAX_STALLS {
-            fl.1.push(record);
+        for (id, opened, session) in sessions {
+            if self.records.len() >= MAX_STALLS {
+                return;
+            }
+            let age = now.saturating_duration_since(opened);
+            if age < deadline || self.records.iter().any(|r| r.session == id) {
+                continue;
+            }
+            let age_us = age.as_micros() as u64;
+            let Some((stages, entity_state)) = session.capture(age_us) else {
+                continue;
+            };
+            self.records.push(StallRecord {
+                session: id,
+                age_us,
+                deadline_us: deadline.as_micros() as u64,
+                stages,
+                entity_state,
+                gauges: metrics.gauges.clone(),
+                tail: registry
+                    .map(|r| r.snapshot().tail(id, STALL_TAIL))
+                    .unwrap_or_default(),
+            });
         }
     }
 
-    pub(crate) fn take_records(&self) -> Vec<StallRecord> {
-        std::mem::take(&mut self.flagged.lock().expect("stall tracker poisoned").1)
+    pub(crate) fn into_records(self) -> Vec<StallRecord> {
+        self.records
     }
 
     /// The active deadline: configured, or `DERIVED_FACTOR × p99`
     /// (floored) once `MIN_SAMPLES` sessions completed. `None` while
     /// there is nothing trustworthy to compare against.
-    pub(crate) fn deadline(cfg: &RuntimeConfig, metrics: &Metrics) -> Option<Duration> {
+    fn deadline(cfg: &RuntimeConfig, metrics: &Metrics) -> Option<Duration> {
         if let Some(d) = cfg.stall_after {
             return Some(d);
         }
@@ -138,113 +137,55 @@ impl StallTracker {
         let p99 = metrics.session_latency.quantile(0.99);
         Some(DERIVED_FLOOR.max(Duration::from_micros((p99 * DERIVED_FACTOR) as u64)))
     }
-
-    /// Sampler thread body: poll until [`Self::stop_sampler`], taking
-    /// the deadline and the gauges from the run's published metrics.
-    pub(crate) fn run(
-        &self,
-        cfg: &RuntimeConfig,
-        published: &Mutex<Metrics>,
-        registry: Option<&Arc<Registry>>,
-    ) {
-        loop {
-            let stop = self.stop.lock().expect("stall tracker poisoned");
-            let (stop, _) = self
-                .wake
-                .wait_timeout_while(stop, POLL, |stop| !*stop)
-                .expect("stall tracker poisoned");
-            if *stop {
-                return;
-            }
-            drop(stop);
-            let deadline = Self::deadline(cfg, &published.lock().expect("metrics poisoned"));
-            if let Some(deadline) = deadline {
-                self.sweep(deadline, published, registry);
-            }
-        }
-    }
-
-    /// One pass over the open sessions, flagging those past `deadline`.
-    pub(crate) fn sweep(
-        &self,
-        deadline: Duration,
-        published: &Mutex<Metrics>,
-        registry: Option<&Arc<Registry>>,
-    ) {
-        let now = Instant::now();
-        let open: Vec<(u64, Arc<SessionSlot>)> = self
-            .open
-            .lock()
-            .expect("stall tracker poisoned")
-            .iter()
-            .map(|(id, slot)| (*id, Arc::clone(slot)))
-            .collect();
-        for (id, slot) in open {
-            if !self.wants(id) {
-                continue;
-            }
-            let capture = {
-                let core = slot.core.lock().expect("session poisoned");
-                if core.completed.is_some() {
-                    continue;
-                }
-                let age = now.saturating_duration_since(core.started);
-                if age < deadline {
-                    continue;
-                }
-                let age_us = age.as_micros() as u64;
-                let queue_us = core
-                    .first_step
-                    .map(|t| t.saturating_duration_since(core.started).as_micros() as u64)
-                    .unwrap_or(age_us);
-                let stages =
-                    StageBreakdown::attribute(age_us, queue_us, core.step_ns / 1000, 0, None);
-                let entity_state: Vec<(u32, u64)> = core
-                    .entity_states
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| (i as u32, *s))
-                    .collect();
-                (age_us, stages, entity_state)
-            };
-            self.flag(id, deadline, capture, published, registry);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::GaugeSnapshot;
-    use crate::session::SessionCore;
+    use crate::session::{SessionCore, SessionEnd, SessionSlot};
 
     fn metrics() -> Metrics {
         let spec = lotos::parser::parse_spec("SPEC a1; b2; exit ENDSPEC").unwrap();
         Metrics::for_service(&spec)
     }
 
-    #[test]
-    fn sweep_flags_old_sessions_once_with_partial_stages() {
-        // The published copy is what a flagged record's gauges show.
-        let mut copy = metrics();
-        copy.gauges.window_size = 64;
-        copy.gauges
-            .per_link_backlog
-            .insert("place:2".to_string(), 5);
-        let published = Mutex::new(copy);
-        let tracker = StallTracker::new();
-        let cfg = RuntimeConfig::new();
-        let mut core = SessionCore::new(9, 1, &cfg, &[(1, 2), (2, 1)]);
+    /// A session slot of the concurrent engine, opened 10 ms ago.
+    fn old_slot(id: u64, cfg: &RuntimeConfig) -> (Instant, SessionSlot) {
+        let mut core = SessionCore::new(id, 1, cfg, &[(1, 2), (2, 1)]);
         // Backdate activity: pretend the first move ran immediately and
         // the session has been live ever since.
         core.note_state(0, 4);
         core.note_state(1, 2);
         core.step_ns = 5_000; // 5 µs of stepping
-        let slot = Arc::new(SessionSlot::new(core));
-        tracker.insert(9, Arc::clone(&slot));
+        let opened = core.started;
         std::thread::sleep(Duration::from_millis(10));
-        tracker.sweep(Duration::from_millis(1), &published, None);
-        let records = tracker.take_records();
+        (opened, SessionSlot::new(core))
+    }
+
+    #[test]
+    fn check_flags_old_sessions_once_with_partial_stages() {
+        // The writer's metrics are what a flagged record's gauges show.
+        let mut metrics = metrics();
+        metrics.gauges.window_size = 64;
+        metrics
+            .gauges
+            .per_link_backlog
+            .insert("place:2".to_string(), 5);
+        let cfg = RuntimeConfig::new().stall_after(Duration::from_millis(1));
+        let (opened, slot) = old_slot(9, &cfg);
+        let mut tracker = StallTracker::new(opened);
+        let now = Instant::now();
+        tracker.check(now, &cfg, &metrics, None, [(9, opened, &slot)]);
+        // Flagged once: a second check adds nothing.
+        tracker.check(
+            now + STALL_CHECK,
+            &cfg,
+            &metrics,
+            None,
+            [(9, opened, &slot)],
+        );
+        let records = tracker.into_records();
         assert_eq!(records.len(), 1);
         let r = &records[0];
         assert_eq!(r.session, 9);
@@ -261,46 +202,29 @@ mod tests {
                 ..GaugeSnapshot::default()
             }
         );
-        // Flagged once: a second sweep adds nothing.
-        tracker.sweep(Duration::from_millis(1), &published, None);
-        assert!(tracker.take_records().is_empty());
         // Completed sessions are never flagged.
-        let tracker = StallTracker::new();
-        slot.core
-            .lock()
-            .unwrap()
-            .complete(crate::session::SessionEnd::Terminated);
-        tracker.insert(9, slot);
-        tracker.sweep(Duration::from_millis(1), &published, None);
-        assert!(tracker.take_records().is_empty());
+        let mut tracker = StallTracker::new(opened);
+        slot.core.lock().unwrap().complete(SessionEnd::Terminated);
+        tracker.check(now, &cfg, &metrics, None, [(9, opened, &slot)]);
+        assert!(tracker.into_records().is_empty());
     }
 
     #[test]
-    fn stop_sampler_wakes_the_sampler_at_once() {
-        let published = Mutex::new(metrics());
-        let cfg = RuntimeConfig::new();
-        let mut joins: Vec<Duration> = (0..20)
-            .map(|_| {
-                let tracker = StallTracker::new();
-                std::thread::scope(|s| {
-                    let sampler = s.spawn(|| tracker.run(&cfg, &published, None));
-                    // Stop a fifth of the way into the sampler's wait: a
-                    // sampler that sleeps out its poll would take the
-                    // remaining four fifths to notice.
-                    std::thread::sleep(POLL / 5);
-                    let stopped = Instant::now();
-                    tracker.stop_sampler();
-                    sampler.join().unwrap();
-                    stopped.elapsed()
-                })
-            })
-            .collect();
-        joins.sort();
-        assert!(
-            joins[joins.len() / 2] < POLL / 2,
-            "median stop-to-join {:?}, poll {POLL:?}",
-            joins[joins.len() / 2]
-        );
+    fn check_keeps_its_cadence_and_cap() {
+        let metrics = metrics();
+        let cfg = RuntimeConfig::new().stall_after(Duration::from_millis(1));
+        let (opened, slot) = old_slot(0, &cfg);
+        let now = Instant::now();
+        // Not yet due: a check within `STALL_CHECK` of the last looks at
+        // nothing.
+        let mut tracker = StallTracker::new(now);
+        tracker.check(now, &cfg, &metrics, None, [(0, opened, &slot)]);
+        assert!(tracker.records.is_empty());
+        assert_eq!(tracker.next_check(), now + STALL_CHECK);
+        // Due: every stalled session is flagged, up to the cap.
+        let many = (0..2 * MAX_STALLS as u64).map(|id| (id, opened, &slot));
+        tracker.check(now + STALL_CHECK, &cfg, &metrics, None, many);
+        assert_eq!(tracker.into_records().len(), MAX_STALLS);
     }
 
     #[test]

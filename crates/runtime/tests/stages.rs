@@ -6,9 +6,10 @@
 //! * the behavioural counters (primitives, messages, verdicts) are
 //!   identical across `--backend interpreted|compiled` — attribution
 //!   observes the run, it must not perturb it;
-//! * a configured stall deadline captures forensics: partial stage
-//!   split, backlog gauges, and (when recording) the flight-recorder
-//!   tail.
+//! * a configured stall deadline captures forensics on the concurrent
+//!   and the distributed engine: partial stage split, per-entity
+//!   progress, queue/backlog gauges, and (when recording) the
+//!   flight-recorder tail.
 
 use protogen::Pipeline;
 use runtime::{
@@ -216,5 +217,57 @@ fn late_entity_stall_is_captured_with_forensics() {
             "recorded run, but the stall carries no flight-recorder tail"
         );
         assert!(st.gauges.pool_bufs_total > 0);
+    }
+}
+
+/// A configured deadline on the concurrent engine: sessions of an
+/// endless service run until their step limit, well past the deadline,
+/// and the multiplexer must capture forensics — once per session, with
+/// every entity's state, the window gauges and the recorder tail.
+#[test]
+fn concurrent_stall_is_captured_with_forensics() {
+    let derived = Pipeline::load("SPEC P WHERE PROC P = dtreq1; dtind2; P END ENDSPEC")
+        .expect("parse")
+        .check()
+        .expect("check")
+        .derive()
+        .expect("derive");
+    let d = derived.derivation();
+    let cfg = RuntimeConfig::new()
+        .sessions(2)
+        .threads(2)
+        .seed(7)
+        .record(true)
+        .max_steps(400_000)
+        .stall_after(Duration::from_millis(20));
+    let report = run(d, &cfg);
+    assert_eq!(
+        report.step_limited, 2,
+        "the sessions must run to their limit"
+    );
+    assert_eq!(
+        report.stalls.len(),
+        2,
+        "a 20ms deadline and sessions lasting {:?} µs",
+        report
+            .reports
+            .iter()
+            .map(|s| s.latency_us)
+            .collect::<Vec<_>>()
+    );
+    let mut seen = std::collections::BTreeSet::new();
+    for st in &report.stalls {
+        assert!(seen.insert(st.session), "session flagged twice");
+        assert_eq!(st.deadline_us, 20_000);
+        assert!(st.age_us >= st.deadline_us);
+        assert!(st.stages.sum_us() <= st.age_us);
+        assert_eq!(st.stages.wire_us, 0);
+        assert_eq!(st.entity_state.len(), d.entities.len());
+        // The multiplexer's window for 2 threads: 2 × 32.
+        assert_eq!(st.gauges.window_size, 64);
+        assert!(
+            !st.tail.is_empty(),
+            "recorded run, but the stall carries no flight-recorder tail"
+        );
     }
 }

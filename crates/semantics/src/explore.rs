@@ -156,7 +156,8 @@ pub struct ParExploration<S> {
     /// Depth (per the [`DepthMode`] used) at which each state was first
     /// reached.
     pub depth: Vec<usize>,
-    /// Expanded states with no outgoing transitions.
+    /// Expanded states with no outgoing transitions, except those the
+    /// state cap cut off from every successor.
     pub stuck: Vec<usize>,
 }
 
@@ -674,8 +675,14 @@ pub fn explore_par<Y: ParSystem>(
         .iter()
         .map(|&tmp| raw.seen.state(tmp).clone())
         .collect();
+    // A state the cap cut off from every successor is a frontier, not a
+    // deadlock (the truncated set is looked up only for edgeless states).
     let stuck: Vec<usize> = (0..states.len())
-        .filter(|&s| replay.expanded[s] && replay.trans[s].is_empty())
+        .filter(|&s| {
+            replay.expanded[s]
+                && replay.trans[s].is_empty()
+                && !raw.truncated.contains(&replay.tmp_of[s])
+        })
         .collect();
     let mut lts = Lts {
         trans: replay.trans,
@@ -877,6 +884,44 @@ mod tests {
             assert_eq!(e.states.len(), 12, "@{threads}");
             assert_eq!(e.stuck.len(), 1, "@{threads}");
             assert_eq!(e.states[e.stuck[0]], (5, true), "@{threads}");
+        }
+    }
+
+    /// Two branches from the root: `a` leads on to a third state, `b`
+    /// to a dead end.
+    struct Fork;
+
+    impl ParSystem for Fork {
+        type State = u32;
+        fn initial(&self) -> u32 {
+            0
+        }
+        fn successors(&self, s: &u32) -> Vec<(Label, u32)> {
+            let prim = |name: &str| Label::Prim {
+                name: name.into(),
+                place: 1,
+            };
+            match s {
+                0 => vec![(prim("a"), 1), (prim("b"), 2)],
+                1 => vec![(prim("c"), 3)],
+                _ => Vec::new(),
+            }
+        }
+    }
+
+    #[test]
+    fn capped_exploration_lists_no_cut_off_state_as_stuck() {
+        for mode in [DepthMode::Steps, DepthMode::Observable] {
+            for threads in [1, 2] {
+                let cfg = ExploreConfig::new().max_states(3).threads(threads);
+                let e = explore_par(&Fork, &cfg, mode);
+                assert!(!e.lts.complete);
+                assert_eq!(e.states, vec![0, 1, 2], "@{threads}");
+                // State 1 lost its only successor to the cap; state 2 is
+                // a real dead end.
+                assert_eq!(e.lts.unexpanded, vec![1], "@{threads}");
+                assert_eq!(e.stuck, vec![2], "@{threads}");
+            }
         }
     }
 

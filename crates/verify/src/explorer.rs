@@ -34,7 +34,8 @@ pub struct Exploration<S> {
     pub states: Vec<S>,
     /// Observable depth at which each state was first reached.
     pub obs_depth: Vec<usize>,
-    /// States (within the explored region) with no outgoing transitions.
+    /// Expanded states with no outgoing transitions, except those the
+    /// state cap cut off from every successor.
     pub stuck: Vec<usize>,
 }
 
@@ -48,6 +49,7 @@ pub fn explore<Y: System>(sys: &Y, max_obs: usize, max_states: usize) -> Explora
     let mut expanded: Vec<bool> = Vec::new();
     let mut complete = true;
     let mut unexpanded_by_cap = Vec::new();
+    let mut stuck: Vec<usize> = Vec::new();
 
     let init = sys.initial();
     index.insert(init.clone(), 0);
@@ -128,13 +130,14 @@ pub fn explore<Y: System>(sys: &Y, max_obs: usize, max_states: usize) -> Explora
         }
         if truncated_here {
             unexpanded_by_cap.push(s);
+        } else if edges.is_empty() {
+            // Stuck; a state the cap cut off from every successor is a
+            // frontier, not a deadlock.
+            stuck.push(s);
         }
         trans[s] = edges;
     }
-
-    let stuck: Vec<usize> = (0..states.len())
-        .filter(|&s| expanded[s] && trans[s].is_empty())
-        .collect();
+    stuck.sort_unstable();
 
     Exploration {
         lts: Lts {
@@ -221,6 +224,39 @@ mod tests {
         assert!(!e.lts.complete);
         assert_eq!(e.states.len(), 10);
         assert!(!e.lts.unexpanded.is_empty());
+    }
+
+    /// Two branches from the root: `a` leads on to a third state, `b`
+    /// to a dead end.
+    struct Fork;
+
+    impl System for Fork {
+        type State = u32;
+        fn initial(&self) -> u32 {
+            0
+        }
+        fn successors(&self, s: &u32) -> Vec<(Label, u32)> {
+            let prim = |name: &str| Label::Prim {
+                name: name.into(),
+                place: 1,
+            };
+            match s {
+                0 => vec![(prim("a"), 1), (prim("b"), 2)],
+                1 => vec![(prim("c"), 3)],
+                _ => Vec::new(),
+            }
+        }
+    }
+
+    #[test]
+    fn capped_exploration_lists_no_cut_off_state_as_stuck() {
+        let e = explore_full(&Fork, 3);
+        assert!(!e.lts.complete);
+        assert_eq!(e.states, vec![0, 1, 2]);
+        // State 1 lost its only successor to the cap; state 2 is a real
+        // dead end.
+        assert_eq!(e.lts.unexpanded, vec![1]);
+        assert_eq!(e.stuck, vec![2]);
     }
 
     #[test]

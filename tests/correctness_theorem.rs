@@ -146,3 +146,17 @@ fn harness_detects_broken_protocols() {
     assert!(!r.passed());
     assert!(r.extra_in_protocol.is_some());
 }
+
+/// The paper's Example 7 at the default caps: the state cap cuts the
+/// composition off before observable depth 6, and no state it cut off
+/// counts as a deadlock. (The trace verdict is still qualified by the
+/// truncation; an inconclusive verdict for that case is separate work.)
+#[test]
+fn example7_has_no_deadlock_at_the_default_caps() {
+    let r = verify_src(
+        include_str!("../specs/example7_instances.lotos"),
+        VerifyConfig::default(),
+    );
+    assert!(r.qualified, "the default caps no longer truncate:\n{r}");
+    assert_eq!(r.deadlocks, 0, "{r}");
+}
