@@ -1,15 +1,15 @@
 //! Micro-benchmarks of the wire encode path: the per-frame allocating
 //! encode (one `Vec` per frame, as the pre-batching link sent) against
 //! the batched zero-allocation path (`encode_into` with a reused
-//! scratch buffer into one pooled output buffer per batch — what
-//! [`transport::Link`] flushes with a single vectored write).
+//! scratch buffer into one reused output buffer — what
+//! [`transport::Link`] flushes with a single `write_all`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lotos::event::{MsgId, SyncKind};
 use medium::codec::FrameDecoder;
 use medium::Msg;
 use std::hint::black_box;
-use transport::{BufPool, WireMsg};
+use transport::WireMsg;
 
 /// A representative hub↔entity frame mix: mostly session data, with the
 /// periodic status/primitive traffic that rides along.
@@ -69,24 +69,20 @@ fn bench_encode(c: &mut Criterion) {
     });
 
     g.bench_function(BenchmarkId::new("encode", "batched"), |b| {
-        let mut pool = BufPool::new(4, 64 * 1024);
-        let mut scratch = Vec::new();
+        let (mut out, mut scratch) = (Vec::new(), Vec::new());
         b.iter(|| {
-            let mut out = pool.get();
+            out.clear();
             for (seq, msg, ack) in &mix {
                 msg.encode_into(*seq, *ack, &mut scratch, &mut out);
             }
-            let total = black_box(&out).len();
-            pool.put(out);
-            total
+            black_box(&out).len()
         })
     });
 
     g.bench_function(BenchmarkId::new("encode_decode", "batched"), |b| {
-        let mut pool = BufPool::new(4, 64 * 1024);
-        let mut scratch = Vec::new();
+        let (mut out, mut scratch) = (Vec::new(), Vec::new());
         b.iter(|| {
-            let mut out = pool.get();
+            out.clear();
             for (seq, msg, ack) in &mix {
                 msg.encode_into(*seq, *ack, &mut scratch, &mut out);
             }
@@ -97,7 +93,6 @@ fn bench_encode(c: &mut Criterion) {
                 black_box(WireMsg::decode_full(&frame).expect("valid frame"));
                 n += 1;
             }
-            pool.put(out);
             n
         })
     });

@@ -4,10 +4,11 @@
 //! and exits nonzero when throughput fell past a noise threshold.
 //!
 //! Entries are paired by the benchmark key — `(spec, mode,
-//! profile/link_faults, backend, threads)` — positionally within
-//! duplicates, so the same workload is always compared against itself
-//! and `--quick` runs never gate against full baselines. A pairing
-//! holds two checks:
+//! profile/link_faults, backend, threads)`, where `backend` is the
+//! requested choice — so the same workload is always compared against
+//! itself and `--quick` runs never gate against full baselines. A key
+//! must be unique within a snapshot; a duplicate is a parse error. A
+//! pairing holds two checks:
 //!
 //! * **throughput**: fresh `sessions_per_sec` below
 //!   `baseline × (1 − threshold)` is a regression;
@@ -24,6 +25,7 @@
 //!             [--threshold 0.25] [--report-only]
 
 use semantics::json::Json;
+use std::collections::{BTreeSet, HashMap};
 use std::process::ExitCode;
 
 /// Default relative throughput drop tolerated as noise. Shared CI
@@ -49,14 +51,15 @@ struct Verdict {
     regression: bool,
 }
 
-/// The entries of a snapshot document's `entries` array.
+/// The entries of a snapshot document's `entries` array, each under a
+/// key no other entry has.
 fn parse_snapshot(text: &str) -> Result<Vec<Entry>, String> {
     let doc = Json::parse(text)?;
     let entries = doc["entries"].as_array().ok_or("no \"entries\" array")?;
     if entries.is_empty() {
         return Err("snapshot has no entries".to_string());
     }
-    entries
+    let entries = entries
         .iter()
         .map(|e| {
             let spec = e["spec"]
@@ -79,27 +82,28 @@ fn parse_snapshot(text: &str) -> Result<Vec<Entry>, String> {
                 latency_p99_us: e["latency_p99_us"].as_f64().map_or(0, |v| v as u64),
             })
         })
-        .collect()
+        .collect::<Result<Vec<Entry>, String>>()?;
+    let mut keys = BTreeSet::new();
+    for e in &entries {
+        if !keys.insert(e.key.as_str()) {
+            return Err(format!("duplicate entry key {}", e.key));
+        }
+    }
+    Ok(entries)
 }
 
-/// Pair baseline and fresh entries by key — positionally within
-/// duplicate keys — and judge each pairing.
+/// Pair baseline and fresh entries by key and judge each pairing.
 fn compare(baseline: &[Entry], fresh: &[Entry], threshold: f64) -> Vec<Verdict> {
     let mut out = Vec::new();
-    let mut fresh_used = vec![false; fresh.len()];
+    let mut unpaired: HashMap<&str, &Entry> = fresh.iter().map(|f| (f.key.as_str(), f)).collect();
     for b in baseline {
-        let candidate = fresh
-            .iter()
-            .enumerate()
-            .find(|(i, f)| !fresh_used[*i] && f.key == b.key);
-        let Some((i, f)) = candidate else {
+        let Some(f) = unpaired.remove(b.key.as_str()) else {
             out.push(Verdict {
                 line: format!("  MISSING  {}  (baseline only — corpus changed?)", b.key),
                 regression: false,
             });
             continue;
         };
-        fresh_used[i] = true;
         let floor = b.sessions_per_sec * (1.0 - threshold);
         let delta = (f.sessions_per_sec - b.sessions_per_sec) / b.sessions_per_sec * 100.0;
         let slow = f.sessions_per_sec < floor;
@@ -120,8 +124,8 @@ fn compare(baseline: &[Entry], fresh: &[Entry], threshold: f64) -> Vec<Verdict> 
             regression: slow || p99_blown,
         });
     }
-    for (i, f) in fresh.iter().enumerate() {
-        if !fresh_used[i] {
+    for f in fresh {
+        if unpaired.contains_key(f.key.as_str()) {
             out.push(Verdict {
                 line: format!("  NEW      {}  (no baseline yet)", f.key),
                 regression: false,
@@ -279,15 +283,17 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_keys_pair_positionally() {
-        let key = "a.lotos/full/reliable/compiled";
-        let base = parse_snapshot(&snapshot(&[(key, 1000.0, 512), (key, 500.0, 512)])).unwrap();
-        let fresh = parse_snapshot(&snapshot(&[(key, 950.0, 512), (key, 480.0, 512)])).unwrap();
-        // Positional pairing: 1000 vs 950 and 500 vs 480 — both fine.
-        // Cross pairing (1000 vs 480) would flag a phantom regression.
-        for v in compare(&base, &fresh, 0.25) {
-            assert!(!v.regression, "{}", v.line);
-        }
+    fn duplicate_keys_are_rejected() {
+        let key = "a.lotos/full/reliable/auto";
+        let err = parse_snapshot(&snapshot(&[(key, 1000.0, 512), (key, 500.0, 512)])).unwrap_err();
+        assert!(err.contains("duplicate entry key"), "{err}");
+        assert!(err.contains("a.lotos/full/reliable/auto/t4"), "{err}");
+        // The same key under another backend is a different workload.
+        let ok = snapshot(&[
+            (key, 1000.0, 512),
+            ("a.lotos/full/reliable/interpreted", 500.0, 512),
+        ]);
+        assert_eq!(parse_snapshot(&ok).unwrap().len(), 2);
     }
 
     #[test]

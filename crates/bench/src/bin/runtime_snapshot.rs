@@ -64,9 +64,8 @@ fn main() {
 
         // Backend axis: `Interpreted` forces the original path,
         // `Auto` compiles each entity to tables where it lowers. The
-        // entry's `backend` field records what actually ran
-        // (interpreted / compiled / mixed), so numbers from different
-        // backends are never compared as equals.
+        // entry keys on the requested `backend` and records what
+        // actually ran (interpreted / compiled / mixed) as `ran`.
         for backend in [BackendChoice::Interpreted, BackendChoice::Auto] {
             for profile in [FaultProfile::None, FaultProfile::Lossy { loss: 0.2 }] {
                 let mut cfg = RuntimeConfig::new()

@@ -9,13 +9,16 @@ use semantics::json_obj;
 /// Threads every load snapshot runs with.
 pub const THREADS: usize = 4;
 
-/// One `BENCH_runtime.json` entry.
+/// One `BENCH_runtime.json` entry. `backend` is the requested choice,
+/// part of the entry's key; `ran` is what the run resolved it to
+/// (`auto` falls back to `interpreted` where an entity does not lower).
 pub fn runtime_entry(spec: &str, mode: &str, profile: &str, report: &RuntimeReport) -> Json {
     json_obj! {
         "spec" => spec,
         "mode" => mode,
         "profile" => profile,
-        "backend" => report.backend,
+        "backend" => report.config.backend.to_string(),
+        "ran" => report.backend,
         "sessions" => report.sessions,
         "threads" => THREADS,
         "sessions_per_sec" => report.sessions_per_sec,
@@ -29,7 +32,7 @@ pub fn runtime_entry(spec: &str, mode: &str, profile: &str, report: &RuntimeRepo
 }
 
 /// One `BENCH_distributed.json` entry; `kills` counts the connections
-/// the fault proxies cut.
+/// the fault proxies cut, `backend`/`ran` as in [`runtime_entry`].
 pub fn distributed_entry(
     spec: &str,
     mode: &str,
@@ -41,7 +44,8 @@ pub fn distributed_entry(
         "spec" => spec,
         "mode" => mode,
         "link_faults" => link_faults,
-        "backend" => report.backend,
+        "backend" => report.config.backend.to_string(),
+        "ran" => report.backend,
         "sessions" => report.sessions,
         "threads" => THREADS,
         "sessions_per_sec" => report.sessions_per_sec,

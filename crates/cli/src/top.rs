@@ -130,11 +130,9 @@ fn render(
     }
     let gauge = |key: &str| health["gauges"][key].as_u64().unwrap_or(0);
     out.push_str(&format!(
-        "\nwindow    {}/{} in flight   pool {}/{} bufs free\n",
+        "\nwindow    {}/{} in flight\n",
         gauge("window_occupancy"),
         gauge("window_size"),
-        gauge("pool_bufs_free"),
-        gauge("pool_bufs_total"),
     ));
     let bytes = *prom.get("protogen_bytes_sent_total").unwrap_or(&0.0);
     let batches = *prom.get("protogen_batches_sent_total").unwrap_or(&0.0);

@@ -66,8 +66,6 @@ fn report() -> RuntimeReport {
         window_occupancy: 5,
         window_size: 128,
         link_backlog_frames: 11,
-        pool_bufs_free: 6,
-        pool_bufs_total: 8,
         per_link_backlog: BTreeMap::from([("place:2".to_string(), 11u64)]),
     };
     RuntimeReport {
@@ -191,8 +189,6 @@ fn prometheus() -> String {
     m.gauges.window_occupancy = 4;
     m.gauges.window_size = 64;
     m.gauges.link_backlog_frames = 3;
-    m.gauges.pool_bufs_free = 6;
-    m.gauges.pool_bufs_total = 8;
     for v in [800, 1000, 3000, 100_000_000] {
         m.session_latency.record(v);
     }

@@ -40,6 +40,10 @@ impl MetricsServer {
                     if stop2.load(Ordering::Acquire) {
                         break;
                     }
+                    // A client that stops reading must not hold the one
+                    // listener thread (and so every other scrape, and
+                    // `stop`) behind a large body.
+                    let _ = conn.set_write_timeout(Some(REQUEST_TIMEOUT));
                     let req = read_request(&mut conn);
                     let (status, ctype, body) = respond(&String::from_utf8_lossy(&req), &routes);
                     let _ = write!(
@@ -75,7 +79,8 @@ impl MetricsServer {
     }
 }
 
-/// Most request bytes read, and longest wait for the rest of a request.
+/// Most request bytes read, and longest wait for the rest of a request
+/// or for a blocked response write to make progress.
 const MAX_REQUEST: usize = 1024;
 const REQUEST_TIMEOUT: Duration = Duration::from_millis(500);
 
@@ -242,5 +247,51 @@ mod tests {
         let health = get(server.addr, "/health");
         assert!(health.contains("application/json"), "{health}");
         server.stop();
+    }
+
+    /// A client that asks for a large body and never reads it cannot
+    /// hold the listener: the next scrape is answered and `stop`
+    /// returns promptly. Both waits are bounded, so a regression fails
+    /// the test instead of hanging the suite.
+    #[test]
+    fn a_client_that_never_reads_cannot_hold_the_listener() {
+        let routes: Vec<(String, Handler)> = vec![
+            (
+                "/trace".to_string(),
+                Arc::new(|| ("application/json".to_string(), "x".repeat(64 << 20))),
+            ),
+            (
+                "/metrics".to_string(),
+                Arc::new(|| ("text/plain".to_string(), "x 1\n".to_string())),
+            ),
+        ];
+        let server = MetricsServer::spawn("127.0.0.1:0", routes).unwrap();
+        let mut stuck = TcpStream::connect(server.addr).unwrap();
+        stuck
+            .write_all(b"GET /trace HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+
+        let mut conn = TcpStream::connect(server.addr).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        conn.write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        let mut ok = String::new();
+        let _ = conn.read_to_string(&mut ok);
+        assert!(
+            ok.starts_with("HTTP/1.1 200 OK"),
+            "scrape behind a stuck client: {ok:?}"
+        );
+        assert!(ok.ends_with("x 1\n"), "{ok}");
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            server.stop();
+            let _ = tx.send(());
+        });
+        assert!(
+            rx.recv_timeout(Duration::from_secs(2)).is_ok(),
+            "stop() did not return within 2 s behind a client that never reads"
+        );
+        drop(stuck);
     }
 }

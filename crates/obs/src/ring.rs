@@ -147,7 +147,9 @@ impl Chunk {
         let mut at = 0;
         let (n_names, used) = medium::codec::get_varint(&buf[at..])?;
         at += used;
-        let mut names = Vec::with_capacity(n_names.min(1 << 16) as usize);
+        // Reserve no more than the bytes left could hold (a name takes at
+        // least one, an event at least seven), whatever the count claims.
+        let mut names = Vec::with_capacity(n_names.min((buf.len() - at) as u64) as usize);
         for _ in 0..n_names {
             let (s, used) = medium::codec::get_str(&buf[at..]).ok()?;
             at += used;
@@ -155,7 +157,7 @@ impl Chunk {
         }
         let (n_events, used) = medium::codec::get_varint(&buf[at..])?;
         at += used;
-        let mut events = Vec::with_capacity(n_events.min(1 << 16) as usize);
+        let mut events = Vec::with_capacity(n_events.min((buf.len() - at) as u64 / 7) as usize);
         for _ in 0..n_events {
             if buf.len() < at + 2 {
                 return None;

@@ -8,7 +8,7 @@
 //! leaves in one flush per sweep.
 
 use super::handshake::{try_connect, Leftovers};
-use super::{batch_config, disconnect, flush, report_of, send};
+use super::{disconnect, flush, report_of, send};
 use crate::compiled::lower_for;
 use crate::config::BackendChoice;
 use crate::entity::pack_msg_event;
@@ -384,7 +384,7 @@ fn park(id: u64, s: &EntSession, vote: bool, outbox: &mut Vec<WireMsg>) {
 /// transport failure code.
 pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, String> {
     let mut ent = Entity::new(entity, cfg)?;
-    let mut link = Link::with_batch(batch_config(cfg.batch_frames));
+    let mut link = Link::new(cfg.batch_frames);
     let mut chan: Option<Channel> = None;
     let mut backoff = Backoff::new(
         cfg.backoff_base,
@@ -490,9 +490,10 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
                 trace_flushed = true;
                 flush_deadline = Instant::now() + cfg.dead_after.max(Duration::from_secs(2));
                 if let Some(reg) = &ent.registry {
-                    // Chunks batch-encode into one (usually) vectored
-                    // flush; a flush that dies leaves them sequenced in
-                    // the resend buffer for the reconnect below.
+                    // Chunks batch-encode into the link's one buffer and
+                    // leave in one write; a flush that dies leaves them
+                    // sequenced in the resend buffer for the reconnect
+                    // below.
                     for chunk in reg.drain_chunks(512) {
                         send(&mut chan, &mut link, WireMsg::Trace { chunk });
                     }

@@ -10,7 +10,7 @@
 use super::handshake::{Handshake, Handshakes, Leftovers};
 use super::hub_session::{HubSession, Mark, StatusRec};
 use super::link::{fill_poll_set, EntityLink};
-use super::{batch_config, report_of, DistributedConfig};
+use super::{report_of, DistributedConfig};
 use crate::compiled::lower_for;
 use crate::config::RuntimeConfig;
 use crate::entity::pack_msg_event;
@@ -168,7 +168,6 @@ impl<'r> Hub<'r> {
         registry: Option<Arc<Registry>>,
     ) -> Hub<'r> {
         let now = Instant::now();
-        let bcfg = batch_config(dcfg.batch_frames);
         let window = (cfg.threads.max(1) * 8).max(32);
         let mut hub = Hub {
             cfg,
@@ -177,7 +176,7 @@ impl<'r> Hub<'r> {
             links: d
                 .entities
                 .iter()
-                .map(|(p, _)| EntityLink::new(*p, now, bcfg))
+                .map(|(p, _)| EntityLink::new(*p, now, dcfg.batch_frames))
                 .collect(),
             sessions: BTreeMap::new(),
             closed: Vec::new(),
@@ -271,7 +270,7 @@ impl<'r> Hub<'r> {
 
         // Read every readable link and process its traffic. Replies and
         // forwards queue on the destination links; they go out in the
-        // flush below, one vectored write per link per sweep.
+        // flush below, one write per link per sweep.
         progress |= self.read_links(&ready[1..=n]);
 
         // Finish the handshakes that became readable, then accept new
@@ -291,7 +290,7 @@ impl<'r> Hub<'r> {
         if !self.supervise(now) {
             return Ok(None);
         }
-        // One vectored write per link carries everything this sweep
+        // One write per link carries everything this sweep
         // queued (forwards, Opens, Closes, heartbeats) plus any due
         // pure ack.
         for link in self.links.iter_mut() {
@@ -628,14 +627,14 @@ impl<'r> Hub<'r> {
 
     /// Bring the link-derived part of the tally's metrics up to date:
     /// the links' batching and resend totals, the outbound backlog
-    /// (queued plus unacked frames) per link and overall, encode-pool
-    /// use and the session-window occupancy.
+    /// (queued plus unacked frames) per link and overall, and the
+    /// session-window occupancy.
     fn refresh_metrics(&mut self) {
         let m = &mut self.tally.metrics;
         let g = &mut m.gauges;
         (m.batches_sent, m.bytes_sent, m.piggybacked_acks) = (0, 0, 0);
         m.retransmissions = 0;
-        (g.link_backlog_frames, g.pool_bufs_free, g.pool_bufs_total) = (0, 0, 0);
+        g.link_backlog_frames = 0;
         g.per_link_backlog.clear();
         for l in &self.links {
             let s = &l.link.stats;
@@ -644,10 +643,7 @@ impl<'r> Hub<'r> {
             m.piggybacked_acks += s.piggybacked_acks as usize;
             m.retransmissions += s.frames_resent as usize;
             let backlog = l.backlog();
-            let (free, total) = l.link.pool_available();
             g.link_backlog_frames += backlog;
-            g.pool_bufs_free += free;
-            g.pool_bufs_total += total;
             g.per_link_backlog
                 .insert(format!("place:{}", l.place), backlog as u64);
         }

@@ -7,7 +7,7 @@ use super::DistributedConfig;
 use lotos::place::PlaceId;
 use std::os::fd::RawFd;
 use std::time::{Duration, Instant};
-use transport::{BatchConfig, Channel, Link, Listener, WireMsg};
+use transport::{Channel, Link, Listener, WireMsg};
 
 /// Hub-side state of one entity link.
 pub(super) struct EntityLink {
@@ -23,11 +23,11 @@ pub(super) struct EntityLink {
 }
 
 impl EntityLink {
-    pub(super) fn new(place: PlaceId, now: Instant, bcfg: BatchConfig) -> EntityLink {
+    pub(super) fn new(place: PlaceId, now: Instant, batch_frames: usize) -> EntityLink {
         EntityLink {
             place,
             chan: None,
-            link: Link::with_batch(bcfg),
+            link: Link::new(batch_frames),
             last_heard: now,
             disconnected_at: Some(now),
             ever_connected: false,

@@ -88,22 +88,13 @@ pub use hub::run_hub_on;
 
 use crate::metrics::LinkReport;
 use std::time::Duration;
-use transport::{Addr, BatchConfig, Channel, Link, WireMsg};
+use transport::{Addr, Channel, Link, WireMsg};
 
 /// Read timeout set once on every connection. The event loops read a
 /// socket only after [`transport::wait_readable`] reports it ready, so a
 /// read never waits in practice; this bounds the damage if one ever
 /// does.
 const READ_BACKSTOP: Duration = Duration::from_millis(10);
-
-/// Link batching: the transport defaults, with the configured frame
-/// budget (`--batch-frames`).
-fn batch_config(batch_frames: usize) -> BatchConfig {
-    BatchConfig {
-        batch_frames,
-        ..BatchConfig::default()
-    }
-}
 
 /// Queue `msg` on one end of a link for the sweep's flush, writing the
 /// batch early once it has grown past its frame budget. While
@@ -126,7 +117,7 @@ fn send(chan: &mut Option<Channel>, link: &mut Link, msg: WireMsg) -> bool {
 }
 
 /// Push a pure ack if one is due, then write the queued batch in one
-/// vectored call. Returns `false` when the write lost the connection
+/// `write_all`. Returns `false` when the write lost the connection
 /// (it is then closed).
 fn flush(chan: &mut Option<Channel>, link: &mut Link) -> bool {
     let Some(ch) = chan.as_mut() else {
@@ -176,9 +167,10 @@ pub struct DistributedConfig {
     /// of waiting for the per-sweep flush.
     pub batch_frames: usize,
     /// TCP address for the live observability listener (`--metrics`):
-    /// serves Prometheus text exposition at `/metrics` and, when the run
-    /// is recorded, a Chrome-trace snapshot of the merged log at
-    /// `/trace`. `None` = no listener.
+    /// serves Prometheus text exposition at `/metrics`, a JSON snapshot
+    /// at `/health`, a route index at `/` and, when the run is
+    /// recorded, a Chrome-trace snapshot of the merged log at `/trace`.
+    /// `None` = no listener.
     pub metrics: Option<String>,
 }
 

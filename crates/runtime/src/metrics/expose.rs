@@ -13,7 +13,7 @@ const HIST_MAX_EXP: usize = 26;
 
 /// The counter and gauge families in exposition order, one `name help`
 /// line each. A name ending in `_total` is a counter, any other a gauge
-/// (`protogen_pool_bufs_capacity` is a configured capacity, hence not
+/// (`protogen_window_size` is a configured capacity, hence not
 /// `_total`).
 const SCALARS: &str = "\
 protogen_sessions_completed_total Sessions driven to a verdict
@@ -30,8 +30,6 @@ protogen_max_queue_depth High-water mark of medium queue depth
 protogen_window_occupancy Sessions in flight in the multiplexer window
 protogen_window_size Multiplexer in-flight window capacity
 protogen_link_backlog_frames Frames queued or awaiting ack over all hub links
-protogen_pool_bufs_free Free batch buffers over all hub link pools
-protogen_pool_bufs_capacity Configured batch buffers over all hub link pools
 ";
 
 impl Metrics {
@@ -60,8 +58,6 @@ impl Metrics {
             g.window_occupancy,
             g.window_size,
             g.link_backlog_frames,
-            g.pool_bufs_free,
-            g.pool_bufs_total,
         ];
         for (line, value) in SCALARS.lines().zip(values) {
             let (name, help) = line.split_once(' ').expect("a name, then its help");

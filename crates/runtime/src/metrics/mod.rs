@@ -48,8 +48,7 @@ use std::time::Duration;
 pub const PUBLISH: Duration = Duration::from_millis(50);
 
 /// Point-in-time queue/backlog gauges: multiplexer window
-/// occupancy, hub link outbound backlog, and batch-buffer-pool
-/// utilization.
+/// occupancy and hub link outbound backlog.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GaugeSnapshot {
     /// Sessions currently in flight in the multiplexer window.
@@ -58,10 +57,6 @@ pub struct GaugeSnapshot {
     pub window_size: usize,
     /// Frames queued or awaiting ack summed over all hub links.
     pub link_backlog_frames: usize,
-    /// Free batch buffers summed over all hub link pools.
-    pub pool_bufs_free: usize,
-    /// Total batch buffers summed over all hub link pools.
-    pub pool_bufs_total: usize,
     /// Per-link outbound backlog (queued + unacked frames), keyed like
     /// `per_link` (`"place:2"`). Empty for in-process runs.
     pub per_link_backlog: BTreeMap<String, u64>,
@@ -73,8 +68,6 @@ impl GaugeSnapshot {
             "window_occupancy" => self.window_occupancy,
             "window_size" => self.window_size,
             "link_backlog_frames" => self.link_backlog_frames,
-            "pool_bufs_free" => self.pool_bufs_free,
-            "pool_bufs_total" => self.pool_bufs_total,
             "per_link_backlog" => self
                 .per_link_backlog
                 .iter()

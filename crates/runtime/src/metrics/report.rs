@@ -12,12 +12,13 @@ use std::collections::BTreeMap;
 
 /// Version of the [`RuntimeReport`] JSON layout, written as its
 /// `schema_version`. Bump on any field rename or semantic change.
-/// Version 6 carries the run counters, `config`, `backend`, `per_link`
+/// Version 7 carries the run counters, `config`, `backend`, `per_link`
 /// fault/batching counters, `transport_events`, `phases`, `trace`
 /// (flight-recorder metadata, `null` when recording is off),
 /// `recorder_tails`, per-violation `tail`s, `stages` (per-stage latency
-/// summaries), `stalls` (stall-forensics records) and `gauges`.
-pub const REPORT_SCHEMA_VERSION: u32 = 6;
+/// summaries), `stalls` (stall-forensics records) and `gauges` (window
+/// occupancy and link backlog).
+pub const REPORT_SCHEMA_VERSION: u32 = 7;
 
 /// Flight-recorder metadata embedded in the report when recording was
 /// enabled for the run.

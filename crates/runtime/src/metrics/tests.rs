@@ -192,8 +192,6 @@ fn sample_report() -> RuntimeReport {
             window_occupancy: 5,
             window_size: 128,
             link_backlog_frames: 11,
-            pool_bufs_free: 6,
-            pool_bufs_total: 8,
             per_link_backlog: BTreeMap::from([("place:2".to_string(), 11u64)]),
         },
         per_prim: BTreeMap::new(),
@@ -262,7 +260,7 @@ fn report_json_round_trips_schema_and_link_counters() {
     assert_eq!(stall["entity_state"].to_string(), "[[0,7],[1,9]]");
     let gauges = &json["gauges"];
     assert_eq!(gauges["window_occupancy"].as_u64(), Some(5));
-    assert_eq!(gauges["pool_bufs_total"].as_u64(), Some(8));
+    assert_eq!(gauges["link_backlog_frames"].as_u64(), Some(11));
     assert_eq!(gauges["per_link_backlog"]["place:2"].as_u64(), Some(11));
 }
 
@@ -385,7 +383,7 @@ fn prometheus_native_histograms_are_cumulative() {
     assert!(text.contains(&le_max), "{text}");
     // …and the gauges render with their declared types.
     assert!(text.contains("# TYPE protogen_window_occupancy gauge"));
-    assert!(text.contains("# TYPE protogen_pool_bufs_capacity gauge"));
+    assert!(text.contains("# TYPE protogen_window_size gauge"));
 }
 
 #[test]

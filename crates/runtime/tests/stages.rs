@@ -168,9 +168,9 @@ fn distributed_sessions_attribute_wire_time() {
         report.reports.len()
     );
     // The hub published its gauge snapshot into the report: the session
-    // window for 2 threads is max(2 × 8, 32).
+    // window for 2 threads is max(2 × 8, 32), and one backlog per link.
     assert_eq!(report.gauges.window_size, 32);
-    assert!(report.gauges.pool_bufs_total > 0);
+    assert_eq!(report.gauges.per_link_backlog.len(), d.entities.len());
 }
 
 /// A configured deadline plus an entity that joins late: the opened
@@ -216,7 +216,7 @@ fn late_entity_stall_is_captured_with_forensics() {
             !st.tail.is_empty(),
             "recorded run, but the stall carries no flight-recorder tail"
         );
-        assert!(st.gauges.pool_bufs_total > 0);
+        assert_eq!(st.gauges.per_link_backlog.len(), d.entities.len());
     }
 }
 

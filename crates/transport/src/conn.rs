@@ -73,59 +73,6 @@ impl Conn {
             Conn::Uds(s) => s.write_all(buf),
         }
     }
-
-    fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write_vectored(bufs),
-            Conn::Uds(s) => s.write_vectored(bufs),
-        }
-    }
-
-    /// Write every segment, in order, completely — the batch-flush
-    /// primitive. Multiple segments go out through `write_vectored`
-    /// (one syscall in the common case, resumed across partial writes);
-    /// a single segment falls back to plain [`Conn::write_all`].
-    pub fn write_vectored_all(&mut self, segs: &[&[u8]]) -> io::Result<()> {
-        match segs {
-            [] => return Ok(()),
-            [only] => return self.write_all(only),
-            _ => {}
-        }
-        let mut first = 0usize; // first segment not fully written
-        let mut off = 0usize; // bytes of `segs[first]` already written
-        let mut slices: Vec<io::IoSlice<'_>> = Vec::with_capacity(segs.len());
-        while first < segs.len() {
-            slices.clear();
-            slices.push(io::IoSlice::new(&segs[first][off..]));
-            for s in &segs[first + 1..] {
-                slices.push(io::IoSlice::new(s));
-            }
-            match self.write_vectored(&slices) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::WriteZero,
-                        "vectored write made no progress",
-                    ))
-                }
-                Ok(mut n) => {
-                    while n > 0 && first < segs.len() {
-                        let rem = segs[first].len() - off;
-                        if n >= rem {
-                            n -= rem;
-                            first += 1;
-                            off = 0;
-                        } else {
-                            off += n;
-                            n = 0;
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Is this error just "the read timed out with no data"?
@@ -259,36 +206,6 @@ mod tests {
         // Nothing but ignored slots: a plain timed wait.
         let ready = wait_readable(&[-1], Some(Duration::from_millis(5))).unwrap();
         assert_eq!(ready, vec![false]);
-    }
-
-    #[test]
-    fn vectored_write_delivers_all_segments_in_order() {
-        let l = Addr::parse("tcp:127.0.0.1:0").unwrap().listen().unwrap();
-        let addr = l.local_addr().unwrap();
-        let mut client = addr.connect(Duration::from_secs(1)).unwrap();
-        let mut server = l.accept().unwrap().unwrap();
-        // Segments larger than typical socket buffers force partial
-        // writes, so the resume-across-partial-writes loop is exercised.
-        let a = vec![0xAAu8; 300_000];
-        let b = vec![0xBBu8; 77];
-        let c = vec![0xCCu8; 150_001];
-        let total = a.len() + b.len() + c.len();
-        let writer = std::thread::spawn(move || {
-            client.write_vectored_all(&[&a, &b, &c]).unwrap();
-            client
-        });
-        let mut got = Vec::with_capacity(total);
-        let mut buf = [0u8; 65536];
-        while got.len() < total {
-            let n = server.read(&mut buf).unwrap();
-            assert!(n > 0, "EOF before all segments arrived");
-            got.extend_from_slice(&buf[..n]);
-        }
-        writer.join().unwrap();
-        assert_eq!(got.len(), total);
-        assert!(got[..300_000].iter().all(|&x| x == 0xAA));
-        assert!(got[300_000..300_077].iter().all(|&x| x == 0xBB));
-        assert!(got[300_077..].iter().all(|&x| x == 0xCC));
     }
 
     #[test]

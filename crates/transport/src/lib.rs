@@ -12,10 +12,9 @@
 //! * [`link`] — sequence-numbered send/receive with cumulative acks,
 //!   exactly-once resumption across reconnects, and the seeded
 //!   exponential [`Backoff`] policy with a retry budget. Sends coalesce
-//!   into a batch ([`BatchConfig`]) flushed with one vectored write,
-//!   acks piggyback on outgoing frames, and buffers recycle
-//!   through a [`BufPool`] so the steady state allocates nothing;
-//! * [`pool`] — the bounded buffer free-list behind the batch path;
+//!   into one reusable buffer per link that goes out with one
+//!   `write_all` per batch (`batch_frames` bounds its length), so the
+//!   steady state allocates nothing; acks piggyback on outgoing frames;
 //! * [`proxy`] — a seeded connection-level fault injector
 //!   ([`FaultProxy`]) for conformance runs: flaky links that kill
 //!   connections, partitions that blackhole and heal.
@@ -29,13 +28,11 @@
 pub mod addr;
 pub mod conn;
 pub mod link;
-pub mod pool;
 pub mod proxy;
 pub mod wire;
 
 pub use addr::{Addr, Listener};
 pub use conn::{is_poll_timeout, wait_readable, Conn};
-pub use link::{Backoff, BatchConfig, Channel, Link, LinkStats};
-pub use pool::BufPool;
+pub use link::{Backoff, Channel, Link, LinkStats};
 pub use proxy::{FaultProxy, LinkFaults};
 pub use wire::{poll_messages, poll_messages_into, WireMsg};

@@ -25,45 +25,21 @@ use medium::codec::FrameDecoder;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::conn::Conn;
-use crate::pool::BufPool;
 use crate::wire::WireMsg;
 
 /// How often (in sequenced frames received) a cumulative ack is pushed
 /// without waiting for other traffic. This is a backstop:
 /// acks normally piggyback on outgoing frames, and an idle receiver
-/// acks on [`BatchConfig::flush_interval`] instead.
+/// acks after [`ACK_DELAY`] instead.
 const ACK_EVERY: u64 = 64;
+
+/// Idle timer for pure acks: traffic received while nothing flows the
+/// other way is acknowledged this long after it arrived.
+const ACK_DELAY: Duration = Duration::from_micros(500);
 
 /// Bins of the frames-per-batch histogram: exact counts 0..=63, with
 /// the last bin aggregating every larger batch.
 const BATCH_HIST: usize = 65;
-
-/// Tunables of the send-side coalescing batch.
-#[derive(Clone, Copy, Debug)]
-pub struct BatchConfig {
-    /// Seal the output buffer once it holds this many bytes; a flush
-    /// writes all sealed segments with one vectored write.
-    pub batch_bytes: usize,
-    /// Frames queued before [`Link::wants_flush`] asks the driving loop
-    /// to flush early (bounds batching latency under sustained load).
-    pub batch_frames: usize,
-    /// Idle timer for pure acks: traffic received while nothing flows
-    /// the other way is acknowledged this long after it arrived.
-    pub flush_interval: Duration,
-    /// Buffers [`BufPool`] retains for reuse.
-    pub pool_bufs: usize,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            batch_bytes: 16 * 1024,
-            batch_frames: 128,
-            flush_interval: Duration::from_micros(500),
-            pool_bufs: 8,
-        }
-    }
-}
 
 /// Counters a link accumulates over its lifetime, across reconnects.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -90,84 +66,6 @@ pub struct LinkStats {
     pub faults_seen: u64,
 }
 
-/// The send-side coalescing buffer: frames are encoded back to back
-/// into one pooled output buffer, sealed into further segments past
-/// [`BatchConfig::batch_bytes`], and flushed with a single vectored
-/// write. Buffers cycle through the pool, so steady-state encoding
-/// allocates nothing.
-#[derive(Debug)]
-struct BatchBuf {
-    pool: BufPool,
-    /// Full segments awaiting flush, oldest first.
-    sealed: Vec<Vec<u8>>,
-    /// The segment currently being filled.
-    cur: Vec<u8>,
-    /// Payload scratch shared by every encode.
-    scratch: Vec<u8>,
-    frames: u32,
-    batch_bytes: usize,
-}
-
-impl BatchBuf {
-    fn new(cfg: &BatchConfig) -> BatchBuf {
-        let mut pool = BufPool::new(cfg.pool_bufs, cfg.batch_bytes);
-        let cur = pool.get();
-        BatchBuf {
-            pool,
-            sealed: Vec::new(),
-            cur,
-            scratch: Vec::with_capacity(64),
-            frames: 0,
-            batch_bytes: cfg.batch_bytes.max(1),
-        }
-    }
-
-    fn encode(&mut self, msg: &WireMsg, seq: u64, ack: u64) {
-        msg.encode_into(seq, ack, &mut self.scratch, &mut self.cur);
-        self.frames += 1;
-        if self.cur.len() >= self.batch_bytes {
-            let full = std::mem::replace(&mut self.cur, self.pool.get());
-            self.sealed.push(full);
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.frames == 0
-    }
-
-    /// Write the whole batch: one `write_vectored` over the segments
-    /// (plain `write_all` when there is only one). Success or failure,
-    /// the batch is consumed and its buffers return to the pool —
-    /// sequenced frames survive any failure in the unacked ring.
-    fn flush(&mut self, conn: &mut Conn) -> io::Result<(u32, u64)> {
-        if self.frames == 0 {
-            return Ok((0, 0));
-        }
-        let bytes = (self.sealed.iter().map(|s| s.len()).sum::<usize>() + self.cur.len()) as u64;
-        let res = if self.sealed.is_empty() {
-            conn.write_all(&self.cur)
-        } else {
-            let mut segs: Vec<&[u8]> = Vec::with_capacity(self.sealed.len() + 1);
-            segs.extend(self.sealed.iter().map(|s| s.as_slice()));
-            if !self.cur.is_empty() {
-                segs.push(&self.cur);
-            }
-            conn.write_vectored_all(&segs)
-        };
-        let frames = self.frames;
-        self.discard();
-        res.map(|_| (frames, bytes))
-    }
-
-    fn discard(&mut self) {
-        self.frames = 0;
-        for b in self.sealed.drain(..) {
-            self.pool.put(b);
-        }
-        self.cur.clear();
-    }
-}
-
 /// One endpoint of a sequenced, resumable link.
 #[derive(Debug)]
 pub struct Link {
@@ -184,38 +82,39 @@ pub struct Link {
     /// piggybacked) went out.
     since_ack: u64,
     /// When a pure ack for the traffic behind `since_ack` is owed
-    /// ([`BatchConfig::flush_interval`] after it started accruing);
-    /// `None` when nothing is owed.
+    /// ([`ACK_DELAY`] after it started accruing); `None` when nothing
+    /// is owed.
     ack_due: Option<Instant>,
-    out: BatchBuf,
-    cfg: BatchConfig,
+    /// The outgoing batch: frames encoded back to back, written with one
+    /// `write_all` and cleared. It keeps its capacity, so steady-state
+    /// encoding allocates nothing.
+    out: Vec<u8>,
+    /// Payload scratch shared by every encode.
+    scratch: Vec<u8>,
+    /// Frames in `out`.
+    queued: u32,
+    /// Frames queued before [`Link::wants_flush`] asks the driving loop
+    /// to flush early (bounds batching latency under sustained load).
+    batch_frames: usize,
     /// Frames-per-flushed-batch histogram (last bin = 64+).
     batch_hist: [u64; BATCH_HIST],
     pub stats: LinkStats,
 }
 
-impl Default for Link {
-    fn default() -> Self {
-        Link::new()
-    }
-}
-
 impl Link {
-    pub fn new() -> Link {
-        Link::with_batch(BatchConfig::default())
-    }
-
-    /// A link with explicit batching tunables (the distributed runtime
-    /// passes its config through here).
-    pub fn with_batch(cfg: BatchConfig) -> Link {
+    /// A link whose driving loop flushes early once `batch_frames`
+    /// frames are queued (`--batch-frames`).
+    pub fn new(batch_frames: usize) -> Link {
         Link {
             next_seq: 1,
             unacked: VecDeque::new(),
             last_delivered: 0,
             since_ack: 0,
             ack_due: None,
-            out: BatchBuf::new(&cfg),
-            cfg,
+            out: Vec::new(),
+            scratch: Vec::new(),
+            queued: 0,
+            batch_frames,
             batch_hist: [0; BATCH_HIST],
             stats: LinkStats::default(),
         }
@@ -230,13 +129,6 @@ impl Link {
     /// Sequenced messages buffered awaiting acknowledgement.
     pub fn unacked_len(&self) -> usize {
         self.unacked.len()
-    }
-
-    /// Encode-pool utilization as `(free, configured)` — buffers out on
-    /// loan are in sealed segments awaiting flush, so a persistently
-    /// small `free` means the writer is not keeping up.
-    pub fn pool_available(&self) -> (usize, usize) {
-        (self.out.pool.available(), self.cfg.pool_bufs)
     }
 
     /// Queue a message into the outgoing batch without flushing it.
@@ -258,21 +150,26 @@ impl Link {
             self.unacked.push_back((s, msg, true));
             // Encode straight out of the ring — no clone of the message.
             let (seq, m, _) = self.unacked.back().expect("just pushed");
-            self.out.encode(m, *seq, ack);
+            m.encode_into(*seq, ack, &mut self.scratch, &mut self.out);
         } else {
-            self.out.encode(&msg, 0, ack);
+            msg.encode_into(0, ack, &mut self.scratch, &mut self.out);
         }
+        self.queued += 1;
     }
 
-    /// Flush the queued batch with one vectored write. On error the
-    /// batch is dropped (sequenced frames survive in the unacked ring
-    /// for the next [`Link::resume`]) and the fault is counted.
+    /// Flush the queued batch with one `write_all`. Success or failure,
+    /// the batch is consumed: on error sequenced frames survive in the
+    /// unacked ring for the next [`Link::resume`], and the fault is
+    /// counted.
     pub fn flush(&mut self, conn: &mut Conn) -> io::Result<()> {
-        if self.out.is_empty() {
+        if self.queued == 0 {
             return Ok(());
         }
-        match self.out.flush(conn) {
-            Ok((frames, bytes)) => {
+        let res = conn.write_all(&self.out);
+        let (frames, bytes) = (self.queued, self.out.len() as u64);
+        self.discard_batch();
+        match res {
+            Ok(()) => {
                 self.stats.batches_sent += 1;
                 self.stats.bytes_sent += bytes;
                 self.batch_hist[(frames as usize).min(BATCH_HIST - 1)] += 1;
@@ -287,22 +184,22 @@ impl Link {
 
     /// Frames queued but not yet flushed.
     pub fn queued_frames(&self) -> u32 {
-        self.out.frames
+        self.queued
     }
 
     /// Has the batch grown enough that the driving loop should flush
     /// now rather than keep coalescing?
     pub fn wants_flush(&self) -> bool {
-        self.out.frames as usize >= self.cfg.batch_frames
+        self.queued as usize >= self.batch_frames
     }
 
-    /// Drop any queued-but-unflushed frames, returning their buffers to
-    /// the pool. Must be called when the connection is torn down:
-    /// sequenced frames are retransmitted from the unacked ring on
-    /// resume, so flushing a stale batch afterwards would duplicate
-    /// them.
+    /// Drop any queued-but-unflushed frames. Must be called when the
+    /// connection is torn down: sequenced frames are retransmitted from
+    /// the unacked ring on resume, so flushing a stale batch afterwards
+    /// would duplicate them.
     pub fn discard_batch(&mut self) {
-        self.out.discard();
+        self.out.clear();
+        self.queued = 0;
     }
 
     /// `(p50, p99)` of frames per flushed batch over the link's
@@ -384,7 +281,7 @@ impl Link {
         self.last_delivered = seq;
         self.since_ack += 1;
         if self.ack_due.is_none() {
-            self.ack_due = Some(Instant::now() + self.cfg.flush_interval);
+            self.ack_due = Some(Instant::now() + ACK_DELAY);
         }
         Some(msg)
     }
@@ -398,8 +295,8 @@ impl Link {
 
     /// Push a pure cumulative ack if one is owed: unconditionally with
     /// `force`, after [`ACK_EVERY`] sequenced frames as a backstop, or
-    /// once the idle timer ([`BatchConfig::flush_interval`]) expires
-    /// with no outgoing frame having piggybacked the ack meanwhile.
+    /// once the idle timer ([`ACK_DELAY`]) expires with no outgoing
+    /// frame having piggybacked the ack meanwhile.
     pub fn maybe_ack(&mut self, conn: &mut Conn, force: bool) -> io::Result<()> {
         if self.since_ack == 0 {
             return Ok(());
@@ -426,18 +323,17 @@ impl Link {
         self.stats.reconnects += 1;
         // Anything still queued was encoded for the dead connection; the
         // sequenced frames it held live on in the unacked ring.
-        self.out.discard();
+        self.discard_batch();
         let ack = self.last_delivered;
-        let mut encoded = 0u64;
         for (seq, msg, sent_before) in self.unacked.iter_mut() {
             if *sent_before {
                 self.stats.frames_resent += 1;
             }
             *sent_before = true;
-            self.out.encode(msg, *seq, ack);
-            encoded += 1;
+            msg.encode_into(*seq, ack, &mut self.scratch, &mut self.out);
+            self.queued += 1;
         }
-        if encoded > 0 && self.since_ack > 0 {
+        if self.queued > 0 && self.since_ack > 0 {
             self.stats.piggybacked_acks += 1;
             self.since_ack = 0;
             self.ack_due = None;
@@ -537,6 +433,9 @@ mod tests {
     use crate::addr::Addr;
     use crate::wire::poll_messages;
 
+    /// The runtime's default `--batch-frames`.
+    const BATCH_FRAMES: usize = 128;
+
     fn pair() -> (Conn, Conn) {
         let l = Addr::parse("tcp:127.0.0.1:0").unwrap().listen().unwrap();
         let addr = l.local_addr().unwrap();
@@ -561,7 +460,7 @@ mod tests {
     #[test]
     fn sequenced_messages_number_from_one() {
         let (mut a, mut b) = pair();
-        let mut link = Link::new();
+        let mut link = Link::new(BATCH_FRAMES);
         link.send(
             &mut a,
             WireMsg::Open {
@@ -592,7 +491,7 @@ mod tests {
 
     #[test]
     fn accept_dedups_retransmissions() {
-        let mut link = Link::new();
+        let mut link = Link::new(BATCH_FRAMES);
         let m = WireMsg::Shutdown;
         assert!(link.accept(1, m.clone()).is_some());
         assert!(link.accept(1, m.clone()).is_none(), "duplicate delivered");
@@ -606,7 +505,7 @@ mod tests {
     #[test]
     fn resume_retransmits_only_the_unacked_gap() {
         let (mut a, b) = pair();
-        let mut link = Link::new();
+        let mut link = Link::new(BATCH_FRAMES);
         for s in 0..4u64 {
             link.send(
                 &mut a,
@@ -647,8 +546,8 @@ mod tests {
     #[test]
     fn batched_frames_arrive_in_order_with_piggybacked_ack() {
         let (mut a, mut b) = pair();
-        let mut la = Link::new();
-        let mut lb = Link::new();
+        let mut la = Link::new(BATCH_FRAMES);
+        let mut lb = Link::new(BATCH_FRAMES);
         // b sends first so a owes an ack.
         lb.send(&mut b, WireMsg::Shutdown).unwrap();
         let mut dec_a = FrameDecoder::new();
@@ -689,13 +588,16 @@ mod tests {
     }
 
     #[test]
-    fn big_batches_seal_segments_and_survive_one_flush() {
+    fn big_batch_leaves_in_one_flush_and_the_buffer_is_reused() {
         let (mut a, mut b) = pair();
-        // Tiny segments force multiple seals → the vectored path.
-        let mut la = Link::with_batch(BatchConfig {
-            batch_bytes: 64,
-            ..BatchConfig::default()
-        });
+        let mut la = Link::new(BATCH_FRAMES);
+        // A batch past 16 KiB (the size a `Trace` flush can reach).
+        let big = WireMsg::Trace {
+            chunk: obs::Chunk {
+                names: (0..1000).map(|i| format!("name-{i:04}-padding")).collect(),
+                events: Vec::new(),
+            },
+        };
         let n = 40u64;
         for s in 0..n {
             la.queue(WireMsg::Open {
@@ -705,33 +607,47 @@ mod tests {
                 trace: 0,
             });
         }
+        la.queue(big.clone());
         la.flush(&mut a).unwrap();
         assert_eq!(la.stats.batches_sent, 1);
+        assert!(la.stats.bytes_sent > 16 * 1024, "{}", la.stats.bytes_sent);
+        // A small batch on the same (grown, cleared) buffer.
+        la.queue(WireMsg::Close { session: 9, end: 1 });
+        la.flush(&mut a).unwrap();
+        assert_eq!(la.stats.batches_sent, 2);
         let mut dec = FrameDecoder::new();
         let mut got = Vec::new();
-        while got.len() < n as usize {
+        while got.len() < n as usize + 2 {
             got.extend(drain(&mut b, &mut dec));
         }
-        for (i, (seq, msg)) in got.iter().enumerate() {
+        assert_eq!(got.len(), n as usize + 2);
+        for (i, (seq, msg)) in got[..n as usize].iter().enumerate() {
             assert_eq!(*seq, i as u64 + 1);
             assert!(matches!(msg, WireMsg::Open { session, .. } if *session == i as u64));
         }
+        assert_eq!(got[n as usize], (n + 1, big));
+        assert_eq!(
+            got[n as usize + 1],
+            (n + 2, WireMsg::Close { session: 9, end: 1 })
+        );
     }
 
     #[test]
     fn idle_timer_triggers_pure_ack() {
         let (mut a, _b) = pair();
-        let mut link = Link::with_batch(BatchConfig {
-            flush_interval: Duration::from_millis(5),
-            ..BatchConfig::default()
-        });
+        let mut link = Link::new(BATCH_FRAMES);
+        assert!(link.ack_due().is_none());
         assert!(link.accept(1, WireMsg::Shutdown).is_some());
+        let due = link.ack_due().expect("ack owed after a sequenced frame");
         // Not yet due: no backstop count, timer still running.
-        link.maybe_ack(&mut a, false).unwrap();
-        assert_eq!(link.stats.acks_sent, 0);
-        std::thread::sleep(Duration::from_millis(10));
+        if Instant::now() < due {
+            link.maybe_ack(&mut a, false).unwrap();
+            assert_eq!(link.stats.acks_sent, 0);
+        }
+        std::thread::sleep(due.saturating_duration_since(Instant::now()));
         link.maybe_ack(&mut a, false).unwrap();
         assert_eq!(link.stats.acks_sent, 1);
+        assert!(link.ack_due().is_none());
         // Nothing further owed.
         link.maybe_ack(&mut a, true).unwrap();
         assert_eq!(link.stats.acks_sent, 1);
@@ -740,7 +656,7 @@ mod tests {
     #[test]
     fn discard_batch_drops_queued_frames_but_keeps_them_resumable() {
         let (a, b) = pair();
-        let mut link = Link::new();
+        let mut link = Link::new(BATCH_FRAMES);
         link.queue(WireMsg::Close { session: 7, end: 1 });
         link.discard_batch();
         assert_eq!(link.queued_frames(), 0);
