@@ -16,12 +16,12 @@ fn protogen(args: &[&str], stdin: Option<&str>) -> (String, String, bool) {
         .stderr(Stdio::piped());
     let mut child = cmd.spawn().expect("spawn protogen");
     if let Some(input) = stdin {
-        child
-            .stdin
-            .as_mut()
-            .unwrap()
-            .write_all(input.as_bytes())
-            .unwrap();
+        // A usage error can end the child before it reads its input; the
+        // pipe then breaks, and the exit status and stderr still tell.
+        let written = child.stdin.as_mut().unwrap().write_all(input.as_bytes());
+        if let Err(e) = written {
+            assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "{e}");
+        }
     }
     drop(child.stdin.take());
     let out = child.wait_with_output().expect("wait protogen");

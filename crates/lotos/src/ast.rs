@@ -20,7 +20,7 @@ pub type NodeId = u32;
 pub type ProcIdx = u32;
 
 /// A behaviour expression node.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// `exit` — successful termination (offers δ).
     Exit,
@@ -63,7 +63,7 @@ pub enum Expr {
 
 /// A `Def_block`: a behaviour expression together with the process
 /// definitions of its `WHERE` clause (rules 2–3).
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
 pub struct DefBlock {
     /// The block's behaviour expression.
     pub expr: NodeId,
@@ -72,7 +72,7 @@ pub struct DefBlock {
 }
 
 /// A process definition `PROC Id = Def_block END` (rule 6).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ProcDef {
     /// Process identifier (capitalized, per Section 2 convention).
     pub name: String,
@@ -84,7 +84,7 @@ pub struct ProcDef {
 }
 
 /// A complete specification `SPEC Def_block ENDSPEC` (rule 1).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Hash)]
 pub struct Spec {
     nodes: Vec<Expr>,
     /// All process definitions, flattened; scoping is recorded in

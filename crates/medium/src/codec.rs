@@ -30,8 +30,9 @@ use crate::Msg;
 use lotos::event::{MsgId, SyncKind};
 
 /// The one wire-format version this build writes and reads. Bump on
-/// any layout change. (v2 added trace context, v3 the piggybacked ack.)
-pub const WIRE_VERSION: u8 = 3;
+/// any layout change. (v2 added trace context, v3 the piggybacked ack,
+/// v4 the derivation fingerprint in `Hello` and the `Refused` reply.)
+pub const WIRE_VERSION: u8 = 4;
 
 /// Frame magic: `b"PG"`.
 pub const MAGIC: [u8; 2] = *b"PG";
@@ -105,8 +106,12 @@ pub fn get_varint(buf: &[u8]) -> Option<(u64, usize)> {
 
 // ---- crc32 (IEEE 802.3) -------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `T[0]` is the classic byte-at-a-time table of
+/// the reflected IEEE polynomial, and `T[k][b]` is `T[0][b]` carried on
+/// through `k` more zero bytes, so eight table lookups advance the CRC
+/// over eight input bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -119,19 +124,43 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC-32 (IEEE) of `data`.
+/// CRC-32 (IEEE) of `data`, eight bytes per step (slicing-by-8); the
+/// tail of fewer than eight bytes goes byte by byte.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -417,6 +446,36 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The CRC one bit at a time, straight from the polynomial.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        !c
+    }
+
+    proptest::proptest! {
+        /// Slicing-by-8 equals the bitwise CRC on random strings of 0 to
+        /// 64 bytes and on every prefix of each, so every tail length
+        /// from 0 to 7 is covered behind every word count.
+        #[test]
+        fn crc32_matches_the_bitwise_reference(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..65),
+        ) {
+            for n in 0..=bytes.len() {
+                proptest::prop_assert_eq!(crc32(&bytes[..n]), crc32_bitwise(&bytes[..n]));
+            }
+        }
+    }
+
     #[test]
     fn msg_round_trip() {
         let mut buf = Vec::new();
@@ -472,7 +531,7 @@ mod tests {
         // A peer speaking any other layout must fail loudly, never be
         // misread: each frame below has valid magic and a valid crc, and
         // differs from a good frame only in its version byte.
-        for version in [0u8, 1, 2, WIRE_VERSION + 1, 255] {
+        for version in [0u8, 1, 2, 3, WIRE_VERSION + 1, 255] {
             let mut bytes = msg_frame(2, &sample());
             bytes[2] = version;
             let crc_at = bytes.len() - 4;

@@ -103,7 +103,7 @@ impl fmt::Display for FaultProfile {
 
 /// Which entity-stepping backend the executors use (see
 /// `docs/COMPILED.md` and [`crate::compiled`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum BackendChoice {
     /// Interpret hash-consed behaviour terms (the original path).
     Interpreted,

@@ -6,8 +6,13 @@
 //! its sender's inbox holds first. What a move emits (`Prim`, `Data`)
 //! and the `Status` of a parked session queue in one outbox, which
 //! leaves in one flush per sweep.
+//!
+//! Sessions live in a [`Slab`]: a closed session's record, inboxes and
+//! all, serves the next session the hub opens. The runnable queue holds
+//! slots, and a session's `queued` flag keeps it there at most once.
 
-use super::handshake::{try_connect, Leftovers};
+use super::handshake::{derivation_fingerprint, try_connect, ConnectError, Leftovers};
+use super::slab::{Reopen, Slab};
 use super::{disconnect, flush, report_of, send};
 use crate::compiled::lower_for;
 use crate::config::BackendChoice;
@@ -26,7 +31,7 @@ use semantics::backend::{
 use semantics::engine::TermArena;
 use semantics::hash::fx_hash;
 use semantics::term::OccTable;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use transport::{poll_messages_into, wait_readable, Addr, Backoff, Channel, Link, WireMsg};
@@ -84,9 +89,12 @@ pub struct ServeOutcome {
 
 /// One session as stepped by an entity process.
 struct EntSession {
+    id: u64,
     state: BState,
     rng: StdRng,
-    inbox: BTreeMap<PlaceId, VecDeque<Msg>>,
+    /// One inbox per sending place, in order of first arrival; a reused
+    /// record keeps its inboxes, emptied.
+    inbox: Vec<(PlaceId, VecDeque<Msg>)>,
     seen: u64,
     consumed: u64,
     steps: u64,
@@ -95,11 +103,59 @@ struct EntSession {
     /// arriving `Data` frame, +1 per executed move, and stamped on every
     /// outgoing `Prim`/`Data` frame and recorded event.
     lc: u64,
+    /// Whether the slot is in the runnable queue.
+    queued: bool,
+}
+
+/// What opening a session takes: its id, initial state, seeded RNG and
+/// step budget.
+type OpenArgs = (u64, BState, StdRng, u64);
+
+impl Reopen for EntSession {
+    type Args = OpenArgs;
+
+    fn new((id, state, rng, max_steps): OpenArgs) -> EntSession {
+        EntSession {
+            id,
+            state,
+            rng,
+            inbox: Vec::new(),
+            seen: 0,
+            consumed: 0,
+            steps: 0,
+            max_steps,
+            lc: 0,
+            queued: false,
+        }
+    }
+
+    /// Keeps the inboxes, emptied.
+    fn reopen(&mut self, args: OpenArgs) {
+        let inbox = std::mem::take(&mut self.inbox);
+        *self = EntSession {
+            inbox,
+            ..EntSession::new(args)
+        };
+        self.inbox.iter_mut().for_each(|(_, q)| q.clear());
+    }
+}
+
+impl EntSession {
+    fn inbox_mut(&mut self, from: PlaceId) -> &mut VecDeque<Msg> {
+        let i = match self.inbox.iter().position(|(p, _)| *p == from) {
+            Some(i) => i,
+            None => {
+                self.inbox.push((from, VecDeque::new()));
+                self.inbox.len() - 1
+            }
+        };
+        &mut self.inbox[i].1
+    }
 }
 
 /// A session's inboxes, as the move kernel asks about them.
 struct InboxGuard<'s> {
-    inbox: &'s BTreeMap<PlaceId, VecDeque<Msg>>,
+    inbox: &'s [(PlaceId, VecDeque<Msg>)],
 }
 
 impl MoveGuard for InboxGuard<'_> {
@@ -110,8 +166,9 @@ impl MoveGuard for InboxGuard<'_> {
 
     fn can_recv(&mut self, from: PlaceId, msg: &MsgId, occ: u32) -> bool {
         self.inbox
-            .get(&from)
-            .and_then(|q| q.front())
+            .iter()
+            .find(|(p, _)| *p == from)
+            .and_then(|(_, q)| q.front())
             .is_some_and(|m| m.id == *msg && m.occ == occ)
     }
 }
@@ -127,10 +184,12 @@ struct Entity<'c> {
     occ: Arc<Mutex<OccTable>>,
     /// `cfg.refuse`, as ids of the backend's primitives.
     refuse: Vec<(u32, PlaceId)>,
-    sessions: BTreeMap<u64, EntSession>,
-    runnable: BTreeSet<u64>,
-    /// The sessions one sweep steps, reused from sweep to sweep.
-    stepping: Vec<u64>,
+    sessions: Slab<EntSession>,
+    /// Slots of the sessions with work, each at most once (see
+    /// `EntSession::queued`).
+    runnable: Vec<usize>,
+    /// The slots one sweep steps, reused from sweep to sweep.
+    stepping: Vec<usize>,
     /// One row's enabled offers, reused for every move.
     enabled: Vec<usize>,
     /// Frames for the hub, sent at the end of the sweep.
@@ -159,8 +218,8 @@ impl<'c> Entity<'c> {
             cfg,
             backend,
             occ,
-            sessions: BTreeMap::new(),
-            runnable: BTreeSet::new(),
+            sessions: Slab::new(),
+            runnable: Vec::new(),
             stepping: Vec::new(),
             enabled: Vec::new(),
             outbox: Vec::new(),
@@ -206,20 +265,10 @@ impl<'c> Entity<'c> {
                     rec.record(EventKind::SessionOpen, session, 0, seed, 0);
                 }
                 let rng = StdRng::seed_from_u64(fx_hash(&(seed, session, self.cfg.place)));
-                self.sessions.insert(
-                    session,
-                    EntSession {
-                        state: self.backend.init(),
-                        rng,
-                        inbox: BTreeMap::new(),
-                        seen: 0,
-                        consumed: 0,
-                        steps: 0,
-                        max_steps,
-                        lc: 0,
-                    },
-                );
-                self.runnable.insert(session);
+                let args = (session, self.backend.init(), rng, max_steps);
+                let slot = self.sessions.open(session, args);
+                self.sessions.at_mut(slot).queued = true;
+                self.runnable.push(slot);
                 self.outcome.sessions_opened += 1;
             }
             WireMsg::Data {
@@ -231,24 +280,32 @@ impl<'c> Entity<'c> {
                 // Resolve the canonical site path to this process's local
                 // occurrence number; the sender's raw number is
                 // meaningless here.
-                let Some(s) = self.sessions.get_mut(&session) else {
-                    return;
+                let Some(slot) = self.sessions.slot(session) else {
+                    return; // late traffic of a closed session
                 };
                 msg.occ = self
                     .occ
                     .lock()
                     .expect("occ table poisoned")
                     .resolve_path(&path);
+                let s = self.sessions.at_mut(slot);
                 s.seen += 1;
                 // Lamport merge: everything this session does next is
                 // causally after the sender's clock at send time.
                 s.lc = s.lc.max(lc);
-                s.inbox.entry(msg.from).or_default().push_back(msg);
-                self.runnable.insert(session);
+                s.inbox_mut(msg.from).push_back(msg);
+                if !std::mem::replace(&mut s.queued, true) {
+                    self.runnable.push(slot);
+                }
             }
             WireMsg::Close { session, .. } => {
-                self.sessions.remove(&session);
-                self.runnable.remove(&session);
+                // A queued slot is freed when it is dequeued, so the
+                // runnable queue never names a slot twice.
+                if let Some(slot) = self.sessions.close(session) {
+                    if !self.sessions.at(slot).queued {
+                        self.sessions.free(slot);
+                    }
+                }
                 self.outcome.sessions_closed += 1;
             }
             WireMsg::Shutdown => self.shutdown = true,
@@ -260,27 +317,32 @@ impl<'c> Entity<'c> {
         }
     }
 
-    /// Step every runnable session once, keeping those with work left.
+    /// Step every runnable session once, keeping those with work left,
+    /// and free the slots of those closed while queued.
     fn step_runnable(&mut self) {
-        let mut stepping = std::mem::take(&mut self.stepping);
-        stepping.clear();
-        stepping.extend(&self.runnable);
-        self.runnable.clear();
-        for &id in &stepping {
-            if self.step_session(id) {
-                self.runnable.insert(id);
+        let mut stepping =
+            std::mem::replace(&mut self.runnable, std::mem::take(&mut self.stepping));
+        for &slot in &stepping {
+            let s = self.sessions.at_mut(slot);
+            s.queued = false;
+            let id = s.id;
+            if self.sessions.slot(id) != Some(slot) {
+                self.sessions.free(slot);
+            } else if self.step_session(slot) {
+                self.sessions.at_mut(slot).queued = true;
+                self.runnable.push(slot);
             }
         }
+        stepping.clear();
         self.stepping = stepping;
     }
 
-    /// Step up to [`SLICE`] moves of one session. Returns `true` when
-    /// the session still has work (reschedule), `false` when it parked
-    /// (a `Status` is in the outbox) or is gone.
-    fn step_session(&mut self, id: u64) -> bool {
-        let Some(s) = self.sessions.get_mut(&id) else {
-            return false;
-        };
+    /// Step up to [`SLICE`] moves of the session in `slot`. Returns
+    /// `true` when the session still has work (reschedule), `false` when
+    /// it parked (a `Status` is in the outbox).
+    fn step_session(&mut self, slot: usize) -> bool {
+        let s = self.sessions.at_mut(slot);
+        let id = s.id;
         let rec = self.rec.as_ref();
         for _ in 0..SLICE {
             let n = self.backend.offers(&s.state);
@@ -293,12 +355,7 @@ impl<'c> Entity<'c> {
                 &mut self.enabled,
             );
             if self.enabled.is_empty() || s.steps >= s.max_steps {
-                park(
-                    id,
-                    s,
-                    facts.delta && s.steps < s.max_steps,
-                    &mut self.outbox,
-                );
+                park(s, facts.delta && s.steps < s.max_steps, &mut self.outbox);
                 return false;
             }
             let k = if self.enabled.len() == 1 {
@@ -349,8 +406,7 @@ impl<'c> Entity<'c> {
                     });
                 }
                 OfferView::Recv { from, .. } => {
-                    let q = s.inbox.get_mut(&from).expect("classified enabled");
-                    let m = q.pop_front().expect("classified enabled");
+                    let m = s.inbox_mut(from).pop_front().expect("classified enabled");
                     if let Some(rec) = rec {
                         let (a, b) = pack_msg_event(rec, &m.id, m.occ, m.from, self.cfg.place);
                         rec.record(EventKind::MediumRecv, id, s.lc, a, b);
@@ -366,12 +422,12 @@ impl<'c> Entity<'c> {
 
 /// Park a session: report a [`WireMsg::Status`] so the hub can count
 /// quiescence.
-fn park(id: u64, s: &EntSession, vote: bool, outbox: &mut Vec<WireMsg>) {
+fn park(s: &EntSession, vote: bool, outbox: &mut Vec<WireMsg>) {
     outbox.push(WireMsg::Status {
-        session: id,
+        session: s.id,
         seen: s.seen,
         consumed: s.consumed,
-        inbox_empty: s.inbox.values().all(|q| q.is_empty()),
+        inbox_empty: s.inbox.iter().all(|(_, q)| q.is_empty()),
         vote,
         blocked: !vote,
         steps: s.steps,
@@ -384,6 +440,7 @@ fn park(id: u64, s: &EntSession, vote: bool, outbox: &mut Vec<WireMsg>) {
 /// transport failure code.
 pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, String> {
     let mut ent = Entity::new(entity, cfg)?;
+    let fingerprint = derivation_fingerprint(entity, cfg.backend);
     let mut link = Link::new(cfg.batch_frames);
     let mut chan: Option<Channel> = None;
     let mut backoff = Backoff::new(
@@ -410,7 +467,7 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
             // While lingering after a shutdown, stop retrying at the
             // flush deadline rather than spend the whole retry budget.
             let give_up = trace_flushed.then_some(flush_deadline);
-            match entity_connect(cfg, &mut link, &mut backoff, give_up) {
+            match entity_connect(cfg, &mut link, fingerprint, &mut backoff, give_up) {
                 Ok((c, leftovers)) => {
                     chan = Some(c);
                     backoff.reset();
@@ -425,7 +482,7 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
                         return Ok(ent.finish(&link));
                     }
                     return Err(format!(
-                        "place {}: link to hub {} is dead: {e}",
+                        "place {}: no link to hub {}: {e}",
                         cfg.place, cfg.hub
                     ));
                 }
@@ -534,17 +591,19 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
 
 /// Connect + handshake + resume, retrying under the backoff schedule
 /// until the retry budget is spent or the next attempt would start
-/// after `give_up`.
+/// after `give_up`. A refusal from the hub ends the retries at once.
 fn entity_connect(
     cfg: &ServeConfig,
     link: &mut Link,
+    fingerprint: u64,
     backoff: &mut Backoff,
     give_up: Option<Instant>,
 ) -> Result<(Channel, Leftovers), String> {
     loop {
-        match try_connect(cfg, link) {
+        match try_connect(cfg, link, fingerprint) {
             Ok(ok) => return Ok(ok),
-            Err(e) => match backoff.next_delay() {
+            Err(ConnectError::Refused(why)) => return Err(format!("refused by the hub: {why}")),
+            Err(ConnectError::Retry(e)) => match backoff.next_delay() {
                 Some(delay) if give_up.is_none_or(|t| Instant::now() + delay < t) => {
                     std::thread::sleep(delay)
                 }
@@ -557,5 +616,124 @@ fn entity_connect(
                 }
             },
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lotos::event::SyncKind;
+    use protogen::Pipeline;
+    use transport::Addr;
+
+    /// The entity of place 1 of `SPEC a1; b2; exit ENDSPEC`: it offers
+    /// `a1`, sends to place 2 and exits, without waiting for anything.
+    fn place_one() -> (Spec, ServeConfig) {
+        let derived = Pipeline::load("SPEC a1; b2; exit ENDSPEC")
+            .unwrap()
+            .check()
+            .unwrap()
+            .derive()
+            .unwrap();
+        let (place, spec) = derived.derivation().entities[0].clone();
+        assert_eq!(place, 1);
+        let cfg = ServeConfig::new(Addr::Tcp("127.0.0.1:1".to_string()), place);
+        (spec, cfg)
+    }
+
+    fn open(session: u64) -> WireMsg {
+        WireMsg::Open {
+            session,
+            seed: 1,
+            max_steps: 1000,
+            trace: 0,
+        }
+    }
+
+    fn close(session: u64) -> WireMsg {
+        WireMsg::Close { session, end: 0 }
+    }
+
+    /// A message from place 2 that the entity never receives, so it
+    /// stays in the inbox.
+    fn stray_data(session: u64) -> WireMsg {
+        WireMsg::Data {
+            session,
+            msg: Msg {
+                from: 2,
+                to: 1,
+                id: MsgId::Node(77),
+                occ: 0,
+                kind: SyncKind::Seq,
+            },
+            path: Vec::new(),
+            lc: 5,
+        }
+    }
+
+    #[test]
+    fn a_close_while_queued_frees_the_slot_once_when_dequeued() {
+        let (spec, cfg) = place_one();
+        let mut ent = Entity::new(&spec, &cfg).unwrap();
+        ent.handle(open(1));
+        let slot = ent.sessions.slot(1).unwrap();
+        ent.handle(close(1));
+        assert_eq!(ent.sessions.slot(1), None);
+        assert!(ent.sessions.free_slots().is_empty(), "freed while queued");
+        assert_eq!(ent.runnable, [slot]);
+        ent.step_runnable();
+        assert_eq!(ent.sessions.free_slots(), [slot]);
+        assert!(ent.runnable.is_empty() && ent.outbox.is_empty());
+        ent.step_runnable();
+        assert_eq!(ent.sessions.free_slots(), [slot], "freed twice");
+        ent.handle(open(2));
+        assert_eq!(ent.sessions.slot(2), Some(slot));
+        assert!(ent.sessions.free_slots().is_empty());
+    }
+
+    #[test]
+    fn late_traffic_for_a_closed_id_skips_the_slots_new_occupant() {
+        let (spec, cfg) = place_one();
+        let mut ent = Entity::new(&spec, &cfg).unwrap();
+        ent.handle(open(1));
+        ent.step_runnable();
+        ent.handle(close(1));
+        ent.handle(open(2));
+        let slot = ent.sessions.slot(2).unwrap();
+        ent.step_runnable();
+        let before = ent.outbox.len();
+        ent.handle(stray_data(1));
+        ent.handle(close(1));
+        assert_eq!(
+            ent.sessions.slot(2),
+            Some(slot),
+            "a late Close ended session 2"
+        );
+        let s = ent.sessions.at(slot);
+        assert_eq!((s.id, s.seen), (2, 0), "a late Data reached session 2");
+        assert_eq!(s.lc, s.steps, "a late Data merged its clock into session 2");
+        assert!(s.inbox.iter().all(|(_, q)| q.is_empty()));
+        assert!(!s.queued && ent.runnable.is_empty());
+        assert_eq!(ent.outbox.len(), before);
+    }
+
+    #[test]
+    fn a_reused_slot_starts_with_empty_inboxes_and_zero_steps() {
+        let (spec, cfg) = place_one();
+        let mut ent = Entity::new(&spec, &cfg).unwrap();
+        ent.handle(open(1));
+        ent.handle(stray_data(1));
+        ent.step_runnable();
+        let slot = ent.sessions.slot(1).unwrap();
+        let s = ent.sessions.at(slot);
+        assert!(s.steps > 0 && s.seen == 1 && s.lc > 5);
+        assert!(s.inbox.iter().any(|(_, q)| !q.is_empty()));
+        ent.handle(close(1));
+        ent.handle(open(2));
+        assert_eq!(ent.sessions.slot(2), Some(slot));
+        let s = ent.sessions.at(slot);
+        assert_eq!((s.id, s.steps, s.seen, s.consumed, s.lc), (2, 0, 0, 0, 0));
+        assert!(s.inbox.iter().all(|(_, q)| q.is_empty()));
+        assert!(s.queued && ent.runnable == [slot]);
     }
 }

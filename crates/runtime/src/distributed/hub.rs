@@ -7,9 +7,10 @@
 //! aborts what is still live and drains the surviving links
 //! ([`Hub::drain`]) so entities can ship their trace tails home.
 
-use super::handshake::{Handshake, Handshakes, Leftovers};
+use super::handshake::{derivation_fingerprint, refuse, Handshake, Handshakes, Leftovers};
 use super::hub_session::{HubSession, Mark, StatusRec};
 use super::link::{fill_poll_set, EntityLink};
+use super::slab::Slab;
 use super::{report_of, DistributedConfig};
 use crate::compiled::lower_for;
 use crate::config::RuntimeConfig;
@@ -21,12 +22,11 @@ use crate::stall::StallTracker;
 use lotos::place::PlaceId;
 use obs::{EventKind, Recorder, Registry};
 use protogen::derive::Derivation;
-use std::collections::BTreeMap;
 use std::io;
 use std::os::fd::RawFd;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use transport::{poll_messages, poll_messages_into, wait_readable, Listener, WireMsg};
+use transport::{poll_messages, poll_messages_into, wait_readable, Listener, Refusal, WireMsg};
 
 /// The live observability routes: Prometheus text at `/metrics` and
 /// the JSON snapshot at `/health`, both rendered from the run's
@@ -95,15 +95,18 @@ pub fn run_hub_on(
     dcfg: &DistributedConfig,
     listener: Listener,
 ) -> io::Result<RuntimeReport> {
-    let started = Instant::now();
     let registry = run_registry(cfg);
-    // The entities run in their own processes, but they are launched from
-    // the same derivation with the same backend choice — so the hub's
-    // `backend` field reports what `cfg.backend` lowers to, and a
-    // `--backend compiled` request that cannot be honored fails the run
-    // here, before any entity is awaited.
+    // The entities run in their own processes, and the handshake admits
+    // only those whose derivation fingerprint (entity spec and backend
+    // choice) is the hub's — so the hub's `backend` field reports what
+    // `cfg.backend` lowers to, and a `--backend compiled` request that
+    // cannot be honored fails the run here, before any entity is
+    // awaited.
     let lowered = lower_for(&d.entities, cfg.backend)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+    // The run's clock starts once the lowering is done, so `wall_s` and
+    // the rates count sessions, not set-up.
+    let started = Instant::now();
     listener.set_nonblocking(true)?;
     let mut hub = Hub::new(d, cfg, dcfg, listener, registry);
     let server = match &dcfg.metrics {
@@ -130,7 +133,7 @@ struct Hub<'r> {
     listener: Listener,
     /// One link per entity, by dense index.
     links: Vec<EntityLink>,
-    sessions: BTreeMap<u64, HubSession>,
+    sessions: Slab<HubSession>,
     /// Sessions decided and not yet closed (see [`Hub::close_decided`]).
     closed: Vec<(u64, SessionEnd)>,
     /// The run's verdicts and metrics; the hub thread is their only
@@ -176,9 +179,12 @@ impl<'r> Hub<'r> {
             links: d
                 .entities
                 .iter()
-                .map(|(p, _)| EntityLink::new(*p, now, dcfg.batch_frames))
+                .map(|(p, spec)| {
+                    let fingerprint = derivation_fingerprint(spec, cfg.backend);
+                    EntityLink::new(*p, fingerprint, now, dcfg.batch_frames)
+                })
                 .collect(),
-            sessions: BTreeMap::new(),
+            sessions: Slab::new(),
             closed: Vec::new(),
             tally: Tally::new(&d.service, cfg, Metrics::for_service(&d.service)),
             published: None,
@@ -278,7 +284,7 @@ impl<'r> Hub<'r> {
         for hs in self.hellos.advance(&ready[1 + n..], &mut self.events) {
             if let Some((idx, leftovers)) = self.adopt(hs) {
                 progress = true;
-                self.dispatch(idx, leftovers);
+                self.dispatch(idx, leftovers, Instant::now());
             }
         }
         if ready[0] {
@@ -316,6 +322,10 @@ impl<'r> Hub<'r> {
 
     /// Keep the session window full; returns whether a session opened.
     fn open_sessions(&mut self) -> bool {
+        if self.next >= self.cfg.sessions || self.sessions.len() >= self.window {
+            return false;
+        }
+        let now = Instant::now();
         let mut opened = false;
         while self.next < self.cfg.sessions && self.sessions.len() < self.window {
             let id = self.next as u64;
@@ -323,8 +333,7 @@ impl<'r> Hub<'r> {
             if let Some(rec) = &self.rec {
                 rec.record(EventKind::SessionOpen, id, 0, seed, 0);
             }
-            self.sessions
-                .insert(id, HubSession::new(id, seed, self.links.len()));
+            self.sessions.open(id, (id, seed, self.links.len(), now));
             let open = WireMsg::Open {
                 session: id,
                 seed,
@@ -380,14 +389,14 @@ impl<'r> Hub<'r> {
             };
             inbuf.clear();
             match poll_messages_into(&mut ch.conn, &mut ch.dec, &mut inbuf) {
+                Ok(()) if inbuf.is_empty() => {}
                 Ok(()) => {
-                    if !inbuf.is_empty() {
-                        let now = Instant::now();
-                        self.links[idx].last_heard = now;
-                        self.last_progress = now;
-                        progress = true;
-                    }
-                    self.dispatch(idx, inbuf.drain(..));
+                    // One clock read stamps everything this read brought.
+                    let now = Instant::now();
+                    self.links[idx].last_heard = now;
+                    self.last_progress = now;
+                    progress = true;
+                    self.dispatch(idx, inbuf.drain(..), now);
                 }
                 Err(e) => {
                     if let Some(rec) = &self.rec {
@@ -401,11 +410,17 @@ impl<'r> Hub<'r> {
         progress
     }
 
-    /// Handle every message link `idx` accepts of `frames`.
-    fn dispatch(&mut self, idx: usize, frames: impl IntoIterator<Item = (u64, WireMsg)>) {
+    /// Handle every message link `idx` accepts of `frames`, which
+    /// arrived at `now`.
+    fn dispatch(
+        &mut self,
+        idx: usize,
+        frames: impl IntoIterator<Item = (u64, WireMsg)>,
+        now: Instant,
+    ) {
         for (seq, m) in frames {
             if let Some(m) = self.links[idx].link.accept(seq, m) {
-                self.handle(m, idx);
+                self.handle(m, idx, now);
             }
         }
     }
@@ -413,19 +428,32 @@ impl<'r> Hub<'r> {
     /// Attach an identified connection to the link of its place.
     /// Returns that link's index and the frames that came behind the
     /// `Hello`, or `None` when the connection is turned away: an
-    /// unknown place or a place whose entity is still connected (with a
-    /// `transport_events` entry either way), or a failed `Welcome`.
-    fn adopt(
-        &mut self,
-        (place, last_seen, chan, leftovers): Handshake,
-    ) -> Option<(usize, Leftovers)> {
+    /// unknown place or a fingerprint that is not the hub's for the
+    /// place (both refused for good), or a place whose entity is still
+    /// connected, with a `transport_events` entry in each case; or a
+    /// failed `Welcome`.
+    fn adopt(&mut self, hs: Handshake) -> Option<(usize, Leftovers)> {
+        let Handshake {
+            place,
+            last_seen,
+            fingerprint,
+            chan,
+            leftovers,
+        } = hs;
         let Some(idx) = self.link_of(place) else {
-            chan.conn.shutdown();
+            refuse(chan, Refusal::UnknownPlace);
             self.events
                 .push(format!("rejected connection for unknown place {place}"));
             return None;
         };
         let link = &mut self.links[idx];
+        if fingerprint != link.fingerprint {
+            refuse(chan, Refusal::Fingerprint);
+            self.events.push(format!(
+                "rejected connection for place {place}: derivation fingerprint mismatch"
+            ));
+            return None;
+        }
         if link.chan.is_some() {
             chan.conn.shutdown();
             self.events.push(format!(
@@ -437,8 +465,9 @@ impl<'r> Hub<'r> {
         if !link.attach(chan, last_seen) {
             return None;
         }
+        let now = Instant::now();
         let was_connected = std::mem::replace(&mut link.ever_connected, true);
-        link.last_heard = Instant::now();
+        link.last_heard = now;
         if was_connected {
             self.events
                 .push(format!("link place:{place}: reconnected and resumed"));
@@ -458,7 +487,7 @@ impl<'r> Hub<'r> {
                 rec.record_global(EventKind::LinkRetransmit, place as u64, resent);
             }
         }
-        self.last_progress = Instant::now();
+        self.last_progress = now;
         Some((idx, leftovers))
     }
 
@@ -467,8 +496,8 @@ impl<'r> Hub<'r> {
         self.links.iter().position(|l| l.place == place)
     }
 
-    /// Dispatch one accepted message from entity `idx`.
-    fn handle(&mut self, msg: WireMsg, idx: usize) {
+    /// Dispatch one accepted message from entity `idx`, read at `now`.
+    fn handle(&mut self, msg: WireMsg, idx: usize, now: Instant) {
         let rec = self.rec.as_ref();
         match msg {
             WireMsg::Prim {
@@ -477,8 +506,7 @@ impl<'r> Hub<'r> {
                 place,
                 lc,
             } => {
-                if let Some(s) = self.sessions.get_mut(&session) {
-                    let now = Instant::now();
+                if let Some(s) = self.sessions.get_mut(session) {
                     let since = s.last_prim.unwrap_or(s.started);
                     s.gaps.push(now.duration_since(since).as_micros() as u64);
                     s.mark(now, Mark::Step);
@@ -497,7 +525,7 @@ impl<'r> Hub<'r> {
                 lc,
             } => {
                 let dest = self.link_of(msg.to);
-                let Some(s) = self.sessions.get_mut(&session) else {
+                let Some(s) = self.sessions.get_mut(session) else {
                     return; // late traffic of a closed session
                 };
                 let Some(dest) = dest else {
@@ -507,7 +535,7 @@ impl<'r> Hub<'r> {
                 };
                 // Mark before the forward counts: the elapsed interval is
                 // classified by what was in flight *during* it.
-                s.mark(Instant::now(), Mark::Step);
+                s.mark(now, Mark::Step);
                 let peer = &mut s.peers[dest];
                 peer.forwarded += 1;
                 let backlog = peer.forwarded.saturating_sub(peer.acked);
@@ -540,8 +568,8 @@ impl<'r> Hub<'r> {
                 steps,
                 ..
             } => {
-                if let Some(s) = self.sessions.get_mut(&session) {
-                    s.mark(Instant::now(), Mark::Notify);
+                if let Some(s) = self.sessions.get_mut(session) {
+                    s.mark(now, Mark::Notify);
                     let peer = &mut s.peers[idx];
                     peer.acked = peer.acked.max(seen);
                     peer.status = Some(StatusRec {
@@ -568,13 +596,17 @@ impl<'r> Hub<'r> {
         }
     }
 
-    /// Close the sessions in `self.closed`: notify every entity, then
-    /// hand each to the tally.
+    /// Close the sessions in `self.closed`: notify every entity, hand
+    /// each to the tally and free its slot.
     fn close_decided(&mut self) {
+        if self.closed.is_empty() {
+            return;
+        }
+        let now = Instant::now();
         let mut closed = std::mem::take(&mut self.closed);
         for &(id, end) in &closed {
-            let Some(mut s) = self.sessions.remove(&id) else {
-                continue;
+            let Some(slot) = self.sessions.close(id) else {
+                continue; // decided twice in one sweep
             };
             for link in self.links.iter_mut() {
                 link.push(
@@ -585,8 +617,10 @@ impl<'r> Hub<'r> {
                     &mut self.events,
                 );
             }
+            let s = self.sessions.at_mut(slot);
             self.tally
-                .close(s.completed(end, self.cfg), self.rec.as_ref());
+                .close(s.completed(end, self.cfg, now), self.rec.as_ref());
+            self.sessions.free(slot);
         }
         closed.clear();
         self.closed = closed;
@@ -653,10 +687,12 @@ impl<'r> Hub<'r> {
     /// Stall forensics: the run's one check, over the hub's sessions.
     /// The link gauges the records carry are refreshed first.
     fn check_stalls(&mut self, now: Instant) {
-        if now >= self.stalls.next_check() {
-            self.refresh_metrics();
+        if now < self.stalls.next_check() {
+            return;
         }
-        let open = self.sessions.values().map(|s| (s.id, s.started, s));
+        self.refresh_metrics();
+        let open = self.sessions.ascending();
+        let open = open.into_iter().map(|(id, s)| (id, s.started, s));
         let registry = self.registry.as_ref();
         self.stalls
             .check(now, self.cfg, &self.tally.metrics, registry, open);
@@ -666,20 +702,20 @@ impl<'r> Hub<'r> {
     /// sessions the window had not opened yet, so every configured
     /// session appears in the report with a verdict.
     fn abort_live(&mut self) {
+        let now = Instant::now();
         while self.next < self.cfg.sessions
             && (self.dead_entity.is_some() || !self.sessions.is_empty())
         {
             let id = self.next as u64;
             let seed = self.cfg.session_seed(self.next);
-            self.sessions
-                .insert(id, HubSession::new(id, seed, self.links.len()));
+            self.sessions.open(id, (id, seed, self.links.len(), now));
             self.next += 1;
         }
         let why = match self.dead_entity {
             Some(p) => format!("entity at place {p} is dead"),
             None => "run stalled".to_string(),
         };
-        for &id in self.sessions.keys() {
+        for (id, _) in self.sessions.ascending() {
             self.events.push(format!("session {id}: aborted ({why})"));
             self.closed.push((id, SessionEnd::Aborted));
         }
@@ -807,5 +843,58 @@ impl<'r> Hub<'r> {
             self.events,
             self.registry.as_ref(),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use protogen::Pipeline;
+    use transport::Addr;
+
+    /// Aborts and stall records name sessions in ascending id order,
+    /// although reused slots hold them in another order.
+    #[test]
+    fn aborts_and_stalls_list_sessions_by_ascending_id() {
+        let derived = Pipeline::load("SPEC a1; b2; exit ENDSPEC")
+            .unwrap()
+            .check()
+            .unwrap()
+            .derive()
+            .unwrap();
+        let d = derived.derivation();
+        let cfg = RuntimeConfig::new()
+            .sessions(40)
+            .threads(2)
+            .stall_after(Duration::ZERO);
+        let dcfg = DistributedConfig::new(Addr::Tcp("127.0.0.1:0".to_string()));
+        let listener = dcfg.listen.listen().unwrap();
+        let mut hub = Hub::new(d, &cfg, &dcfg, listener, None);
+        assert!(hub.open_sessions());
+        assert_eq!(hub.sessions.len(), 32);
+        // Free the slots of sessions 3 and 1; sessions 32 and 33 take
+        // them, so slot order is no longer id order.
+        hub.closed = vec![(3, SessionEnd::Deadlock), (1, SessionEnd::Deadlock)];
+        hub.close_decided();
+        assert!(hub.open_sessions());
+        let (s1, s3) = (hub.sessions.slot(32), hub.sessions.slot(33));
+        assert!(s1.is_some() && s1 < s3, "slots were not reused in order");
+        let live: Vec<u64> = (0..34).filter(|id| ![1, 3].contains(id)).collect();
+
+        hub.check_stalls(Instant::now() + Duration::from_secs(1));
+        let stalls = std::mem::replace(&mut hub.stalls, StallTracker::new(Instant::now()));
+        let flagged: Vec<u64> = stalls.into_records().iter().map(|r| r.session).collect();
+        assert_eq!(flagged, live);
+
+        hub.dead_entity = Some(1);
+        hub.abort_live();
+        let aborted: Vec<u64> = hub
+            .events
+            .iter()
+            .filter_map(|e| e.strip_prefix("session ")?.split(':').next()?.parse().ok())
+            .collect();
+        let all: Vec<u64> = live.into_iter().chain(34..40).collect();
+        assert_eq!(aborted, all);
+        assert!(hub.sessions.is_empty());
     }
 }

@@ -2,6 +2,7 @@
 //! the session's time went, and its verdict once every entity has
 //! parked ([`HubSession::decide`]).
 
+use super::slab::Reopen;
 use crate::config::RuntimeConfig;
 use crate::exec::{configured_refusal, Completed, Monitor};
 use crate::metrics::StageBreakdown;
@@ -71,16 +72,55 @@ pub(super) struct HubSession {
     pub(super) lc: u64,
 }
 
+/// What opening a session takes: its id and seed, the number of
+/// entities, and the time it opens.
+type OpenArgs = (u64, u64, usize, Instant);
+
+impl Reopen for HubSession {
+    type Args = OpenArgs;
+
+    fn new((id, seed, n, now): OpenArgs) -> HubSession {
+        HubSession::in_buffers(
+            id,
+            seed,
+            now,
+            Vec::new(),
+            Vec::new(),
+            vec![Peer::default(); n],
+        )
+    }
+
+    /// Keeps the `trace`, `gaps` and `peers` buffers, emptied.
+    fn reopen(&mut self, (id, seed, n, now): OpenArgs) {
+        let mut trace = std::mem::take(&mut self.trace);
+        let mut gaps = std::mem::take(&mut self.gaps);
+        let mut peers = std::mem::take(&mut self.peers);
+        trace.clear();
+        gaps.clear();
+        peers.clear();
+        peers.resize(n, Peer::default());
+        *self = HubSession::in_buffers(id, seed, now, trace, gaps, peers);
+    }
+}
+
 impl HubSession {
-    pub(super) fn new(id: u64, seed: u64, n: usize) -> HubSession {
-        let now = Instant::now();
+    /// A session opened at `now`, recording into the given empty
+    /// buffers, with one blank peer per entity in `peers`.
+    fn in_buffers(
+        id: u64,
+        seed: u64,
+        now: Instant,
+        trace: Vec<(u32, PlaceId)>,
+        gaps: Vec<u64>,
+        peers: Vec<Peer>,
+    ) -> HubSession {
         HubSession {
             id,
             seed,
-            trace: Vec::new(),
-            gaps: Vec::new(),
+            trace,
+            gaps,
             counts: SessionCounts::default(),
-            peers: vec![Peer::default(); n],
+            peers,
             started: now,
             last_prim: None,
             last_mark: now,
@@ -132,11 +172,16 @@ impl HubSession {
         )
     }
 
-    /// What the hub measured for a session it closes with `end`. A
-    /// message counts as delivered once its receiver acked it.
-    pub(super) fn completed(&mut self, end: SessionEnd, cfg: &RuntimeConfig) -> Completed<'_> {
-        self.mark(Instant::now(), Mark::Notify);
-        let latency_us = self.started.elapsed().as_micros() as u64;
+    /// What the hub measured for a session it closes with `end` at
+    /// `now`. A message counts as delivered once its receiver acked it.
+    pub(super) fn completed(
+        &mut self,
+        end: SessionEnd,
+        cfg: &RuntimeConfig,
+        now: Instant,
+    ) -> Completed<'_> {
+        self.mark(now, Mark::Notify);
+        let latency_us = now.saturating_duration_since(self.started).as_micros() as u64;
         self.counts.delivered = self.acked() as usize;
         Completed {
             id: self.id,

@@ -12,6 +12,8 @@ use transport::{Channel, Link, Listener, WireMsg};
 /// Hub-side state of one entity link.
 pub(super) struct EntityLink {
     pub(super) place: PlaceId,
+    /// The derivation fingerprint this place's entity must send.
+    pub(super) fingerprint: u64,
     pub(super) chan: Option<Channel>,
     pub(super) link: Link,
     pub(super) last_heard: Instant,
@@ -23,9 +25,15 @@ pub(super) struct EntityLink {
 }
 
 impl EntityLink {
-    pub(super) fn new(place: PlaceId, now: Instant, batch_frames: usize) -> EntityLink {
+    pub(super) fn new(
+        place: PlaceId,
+        fingerprint: u64,
+        now: Instant,
+        batch_frames: usize,
+    ) -> EntityLink {
         EntityLink {
             place,
+            fingerprint,
             chan: None,
             link: Link::new(batch_frames),
             last_heard: now,

@@ -63,16 +63,27 @@
 //! ack, heartbeat or silence timer is due. Nothing else ever needs to
 //! wake either loop, so there is no self-pipe.
 //!
+//! ## Session slabs
+//!
+//! Both ends keep their live sessions in a `slab::Slab`: records in
+//! slots, an id→slot map and a free list. A closed session's slot is
+//! reopened for the next session in place, buffers and all, so a
+//! steady run allocates no session records and the hub's window bounds
+//! the slots on both ends. Wherever the hub lists sessions (aborts,
+//! stall records) it sorts them by id.
+//!
 //! ## Modules
 //!
 //! * `hub` — [`run_hub_on`]: the medium, monitor and supervisor, as a
 //!   sequence of sweeps, then a drain;
 //! * `hub_session` — the hub's record of one session and its verdict;
+//! * `slab` — the session slab both ends use;
 //! * `link` — the hub's end of each entity link;
 //! * `entity` — [`serve_entity`]: one protocol entity, stepping its
 //!   sessions through the [`semantics::backend::enabled_offers`] kernel
 //!   with the heads of its inboxes as the guard;
-//! * `handshake` — `Hello`/`Welcome` on both ends of a connection.
+//! * `handshake` — `Hello`/`Welcome` (or `Refused`) on both ends of a
+//!   connection, and the [`derivation_fingerprint`] a `Hello` carries.
 //!
 //! Both ends send, flush and drop a connection through the same three
 //! helpers (`send`, `flush`, `disconnect`).
@@ -82,8 +93,10 @@ mod handshake;
 mod hub;
 mod hub_session;
 mod link;
+mod slab;
 
 pub use entity::{serve_entity, ServeConfig, ServeOutcome};
+pub use handshake::derivation_fingerprint;
 pub use hub::run_hub_on;
 
 use crate::metrics::LinkReport;

@@ -57,7 +57,9 @@ mod stall;
 
 pub use compiled::{lower_for, make_backend, BState, Backend, EntityBackend, OfferView};
 pub use config::{BackendChoice, FaultProfile, RuntimeConfig};
-pub use distributed::{run_hub_on, serve_entity, DistributedConfig, ServeConfig, ServeOutcome};
+pub use distributed::{
+    derivation_fingerprint, run_hub_on, serve_entity, DistributedConfig, ServeConfig, ServeOutcome,
+};
 pub use exec::{run, trace_id_for, try_run};
 pub use faults::FaultLink;
 pub use metrics::{

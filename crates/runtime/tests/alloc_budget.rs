@@ -24,7 +24,7 @@ const BUDGET: f64 = 16.0;
 
 /// Most heap allocations one more transport2 session may cost on the
 /// distributed engine, hub and entities together.
-const DISTRIBUTED_BUDGET: f64 = 56.0;
+const DISTRIBUTED_BUDGET: f64 = 35.0;
 
 struct Counting;
 

@@ -12,7 +12,8 @@
 
 use protogen::Pipeline;
 use runtime::{
-    run_hub_on, serve_entity, DistributedConfig, RuntimeConfig, RuntimeReport, ServeConfig,
+    derivation_fingerprint, run_hub_on, serve_entity, BackendChoice, DistributedConfig,
+    RuntimeConfig, RuntimeReport, ServeConfig,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -306,11 +307,12 @@ fn dead_entity_aborts_sessions_with_diagnostics() {
     let listener = dcfg.listen.listen().unwrap();
     let hub_addr = listener.local_addr().unwrap();
     // Far more sessions than the window — and far more than the batched
-    // hub can finish before the kill below fires — so plenty are
+    // hub can finish before the kill below fires (it closes about 10k
+    // sessions of this spec in those 80 ms on one CPU) — so plenty are
     // unopened when the link dies; they must be reported as aborted too.
     // The dead-entity declaration ends the run long before the count
     // could matter for wall time.
-    const SESSIONS: usize = 10_000;
+    const SESSIONS: usize = 100_000;
     let cfg = RuntimeConfig::new().sessions(SESSIONS).threads(1).seed(7);
 
     // Entity 1 is healthy and direct; entity 2 goes through a proxy that
@@ -805,9 +807,10 @@ fn counters_agree_across_engines() {
 
 /// A transport2 run with both real entities and one hostile peer. Once
 /// the hub has recorded the first entity's connection, `fake` runs
-/// against the hub address and returns whatever it must keep open until
-/// the hub is done. Every session must still conform.
-fn run_beside_fake_peer<K>(case: &str, fake: impl FnOnce(Addr, u8) -> K) -> RuntimeReport {
+/// against the hub address, with that entity's place and derivation
+/// fingerprint, and returns whatever it must keep open until the hub is
+/// done. Every session must still conform.
+fn run_beside_fake_peer<K>(case: &str, fake: impl FnOnce(Addr, u8, u64) -> K) -> RuntimeReport {
     use obs::EventKind;
 
     let watchdog = Watchdog::arm("hostile handshake", Duration::from_secs(120));
@@ -845,6 +848,7 @@ fn run_beside_fake_peer<K>(case: &str, fake: impl FnOnce(Addr, u8) -> K) -> Runt
         })
         .collect();
     let place = d.entities[0].0;
+    let fingerprint = derivation_fingerprint(&d.entities[0].1, cfg.backend);
 
     let report = std::thread::scope(|s| {
         let hub = s.spawn(|| run_hub_on(d, &cfg, &dcfg, listener).expect("hub run"));
@@ -858,7 +862,7 @@ fn run_beside_fake_peer<K>(case: &str, fake: impl FnOnce(Addr, u8) -> K) -> Runt
         while !connected() && !hub.is_finished() {
             std::thread::sleep(Duration::from_millis(1));
         }
-        let kept = fake(hub_addr.clone(), place);
+        let kept = fake(hub_addr.clone(), place, fingerprint);
         let report = hub.join().unwrap();
         drop(kept);
         report
@@ -883,11 +887,12 @@ fn has_event(report: &RuntimeReport, event: &str) -> bool {
 /// typed entry; the run goes on.
 #[test]
 fn hello_for_unknown_place_is_rejected() {
-    let report = run_beside_fake_peer("Hello for place 9", |addr, _| {
+    let report = run_beside_fake_peer("Hello for place 9", |addr, _, fingerprint| {
         let mut fake = addr.connect(Duration::from_secs(2)).unwrap();
         let hello = WireMsg::Hello {
             place: 9,
             last_seen: 0,
+            fingerprint,
         };
         fake.write_all(&hello.encode(0)).unwrap();
         fake
@@ -903,11 +908,12 @@ fn hello_for_unknown_place_is_rejected() {
 /// handshake with a typed entry; the run goes on.
 #[test]
 fn half_a_hello_then_close_fails_the_handshake() {
-    let report = run_beside_fake_peer("half a Hello, then close", |addr, place| {
+    let report = run_beside_fake_peer("half a Hello, then close", |addr, place, fingerprint| {
         let mut fake = addr.connect(Duration::from_secs(2)).unwrap();
         let hello = WireMsg::Hello {
             place,
             last_seen: 0,
+            fingerprint,
         }
         .encode(0);
         fake.write_all(&hello[..hello.len() / 2]).unwrap();
@@ -925,16 +931,20 @@ fn half_a_hello_then_close_fails_the_handshake() {
 #[test]
 fn second_hello_for_a_connected_place_is_rejected() {
     let mut place = 0;
-    let report = run_beside_fake_peer("second Hello for a connected place", |addr, p| {
-        place = p;
-        let mut fake = addr.connect(Duration::from_secs(2)).unwrap();
-        let hello = WireMsg::Hello {
-            place: p,
-            last_seen: 0,
-        };
-        fake.write_all(&hello.encode(0)).unwrap();
-        fake
-    });
+    let report = run_beside_fake_peer(
+        "second Hello for a connected place",
+        |addr, p, fingerprint| {
+            place = p;
+            let mut fake = addr.connect(Duration::from_secs(2)).unwrap();
+            let hello = WireMsg::Hello {
+                place: p,
+                last_seen: 0,
+                fingerprint,
+            };
+            fake.write_all(&hello.encode(0)).unwrap();
+            fake
+        },
+    );
     assert!(
         has_event(
             &report,
@@ -948,5 +958,92 @@ fn second_hello_for_a_connected_place_is_rejected() {
         0,
         "the real entity lost its link: {:?}",
         report.transport_events
+    );
+}
+
+/// A hub deriving `hub_src` under `hub_backend`, beside one entity per
+/// place of `entity_src` derived under `entity_backend`. The mismatch
+/// must be caught at the handshake: each place's entity is refused with
+/// a typed entry, no frame of any session leaves the hub, and each
+/// entity gives up at once instead of spending its retry budget (40
+/// attempts, more than 30 s of backoff).
+fn assert_refused_at_handshake(
+    hub_src: &str,
+    hub_backend: BackendChoice,
+    entity_src: &str,
+    entity_backend: BackendChoice,
+) {
+    let derive = |src: &str| {
+        Pipeline::load(src)
+            .unwrap()
+            .check()
+            .unwrap()
+            .derive()
+            .unwrap()
+    };
+    let (hub_d, entity_d) = (derive(hub_src), derive(entity_src));
+    let dcfg = DistributedConfig {
+        join_deadline: Duration::from_millis(500),
+        reconnect_deadline: Duration::from_millis(300),
+        ..DistributedConfig::new(Addr::Tcp("127.0.0.1:0".to_string()))
+    };
+    let listener = dcfg.listen.listen().unwrap();
+    let hub_addr = listener.local_addr().unwrap();
+    let cfg = RuntimeConfig::new()
+        .sessions(5)
+        .threads(2)
+        .seed(7)
+        .backend(hub_backend);
+    let handles: Vec<_> = entity_d
+        .derivation()
+        .entities
+        .iter()
+        .map(|(p, spec)| {
+            let mut scfg = ServeConfig::new(hub_addr.clone(), *p);
+            scfg.backend = entity_backend;
+            let spec = spec.clone();
+            std::thread::spawn(move || {
+                let t = Instant::now();
+                (serve_entity(&spec, &scfg), t.elapsed())
+            })
+        })
+        .collect();
+    let report = run_hub_on(hub_d.derivation(), &cfg, &dcfg, listener).expect("hub run");
+    for (place, link) in &report.per_link {
+        let place = place.trim_start_matches("place:");
+        let event =
+            format!("rejected connection for place {place}: derivation fingerprint mismatch");
+        assert!(has_event(&report, &event), "{:?}", report.transport_events);
+        assert_eq!(link.bytes_sent, 0, "place {place} was sent frames");
+    }
+    assert_eq!(report.terminated, 0, "{:?}", report.transport_events);
+    assert_eq!(report.aborted, report.sessions);
+    assert_eq!(handles.len(), 2);
+    for h in handles {
+        let (outcome, took) = h.join().unwrap();
+        let err = outcome.expect_err("a mismatched entity served");
+        assert!(err.contains("refused by the hub"), "{err}");
+        assert!(took < Duration::from_secs(10), "gave up after {took:?}");
+    }
+}
+
+#[test]
+fn entities_serving_a_different_spec_are_refused_at_the_handshake() {
+    assert_refused_at_handshake(
+        "SPEC a1; b2; c1; exit ENDSPEC",
+        BackendChoice::Auto,
+        "SPEC a1; b2; exit ENDSPEC",
+        BackendChoice::Auto,
+    );
+}
+
+#[test]
+fn entities_with_a_different_backend_choice_are_refused_at_the_handshake() {
+    let src = transport2();
+    assert_refused_at_handshake(
+        &src,
+        BackendChoice::Interpreted,
+        &src,
+        BackendChoice::Compiled,
     );
 }

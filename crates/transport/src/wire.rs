@@ -45,16 +45,24 @@ use crate::conn::{is_poll_timeout, Conn};
 /// A decoded wire message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireMsg {
-    /// Entity → hub on every (re)connect: which place this is and the
-    /// highest hub→entity sequence number already delivered.
+    /// Entity → hub on every (re)connect: which place this is, the
+    /// highest hub→entity sequence number already delivered, and the
+    /// fingerprint of the derivation it serves (its entity spec and
+    /// requested backend), which must equal the hub's for that place.
     Hello {
         place: u8,
         last_seen: u64,
+        fingerprint: u64,
     },
     /// Hub → entity handshake reply: the highest entity→hub sequence
     /// number the hub has delivered — the entity retransmits the rest.
     Welcome {
         last_seen: u64,
+    },
+    /// Hub → entity handshake reply instead of `Welcome`: the
+    /// connection is turned away for good, and reconnecting cannot help.
+    Refused {
+        why: Refusal,
     },
     /// Cumulative acknowledgement of sequenced traffic (buffer pruning).
     Ack {
@@ -122,6 +130,27 @@ pub enum WireMsg {
     },
 }
 
+/// Why the hub answered a `Hello` with [`WireMsg::Refused`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Refusal {
+    /// The run has no entity at the `Hello`'s place.
+    UnknownPlace,
+    /// The `Hello`'s fingerprint is not the hub's for that place: the
+    /// entity derived a different spec or asked for a different backend.
+    Fingerprint,
+}
+
+impl std::fmt::Display for Refusal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Refusal::UnknownPlace => "the run has no entity at this place",
+            Refusal::Fingerprint => {
+                "derivation fingerprint mismatch (a different spec or backend choice)"
+            }
+        })
+    }
+}
+
 const K_HELLO: u8 = 0;
 const K_WELCOME: u8 = 1;
 const K_ACK: u8 = 2;
@@ -134,6 +163,7 @@ const K_STATUS: u8 = 8;
 const K_CLOSE: u8 = 9;
 const K_SHUTDOWN: u8 = 10;
 const K_TRACE: u8 = 11;
+const K_REFUSED: u8 = 12;
 
 impl WireMsg {
     /// Is this message sequenced (retransmitted on reconnect)?
@@ -142,6 +172,7 @@ impl WireMsg {
             self,
             WireMsg::Hello { .. }
                 | WireMsg::Welcome { .. }
+                | WireMsg::Refused { .. }
                 | WireMsg::Ack { .. }
                 | WireMsg::Heartbeat { .. }
                 | WireMsg::HeartbeatAck { .. }
@@ -172,14 +203,26 @@ impl WireMsg {
     fn encode_payload(&self, seq: u64, ack: u64, p: &mut Vec<u8>) -> u8 {
         put_varint(p, seq);
         let kind = match self {
-            WireMsg::Hello { place, last_seen } => {
+            WireMsg::Hello {
+                place,
+                last_seen,
+                fingerprint,
+            } => {
                 p.push(*place);
                 put_varint(p, *last_seen);
+                put_varint(p, *fingerprint);
                 K_HELLO
             }
             WireMsg::Welcome { last_seen } => {
                 put_varint(p, *last_seen);
                 K_WELCOME
+            }
+            WireMsg::Refused { why } => {
+                p.push(match why {
+                    Refusal::UnknownPlace => 0,
+                    Refusal::Fingerprint => 1,
+                });
+                K_REFUSED
             }
             WireMsg::Ack { upto } => {
                 put_varint(p, *upto);
@@ -286,10 +329,22 @@ impl WireMsg {
             K_HELLO => {
                 let place = rd_byte(b, &mut at)?;
                 let last_seen = rd_varint(b, &mut at)?;
-                WireMsg::Hello { place, last_seen }
+                let fingerprint = rd_varint(b, &mut at)?;
+                WireMsg::Hello {
+                    place,
+                    last_seen,
+                    fingerprint,
+                }
             }
             K_WELCOME => WireMsg::Welcome {
                 last_seen: rd_varint(b, &mut at)?,
+            },
+            K_REFUSED => WireMsg::Refused {
+                why: match rd_byte(b, &mut at)? {
+                    0 => Refusal::UnknownPlace,
+                    1 => Refusal::Fingerprint,
+                    _ => return Err(CodecError::Truncated),
+                },
             },
             K_ACK => WireMsg::Ack {
                 upto: rd_varint(b, &mut at)?,
@@ -461,88 +516,158 @@ mod tests {
 
     #[test]
     fn all_variants_round_trip() {
+        for (seq, m, _) in one_of_each() {
+            round_trip(m, seq);
+        }
         round_trip(
-            WireMsg::Hello {
-                place: 3,
-                last_seen: 17,
+            WireMsg::Refused {
+                why: Refusal::UnknownPlace,
             },
             0,
         );
-        round_trip(WireMsg::Welcome { last_seen: 9 }, 0);
-        round_trip(WireMsg::Ack { upto: 1 << 40 }, 0);
-        round_trip(WireMsg::Heartbeat { nonce: 5 }, 0);
-        round_trip(WireMsg::HeartbeatAck { nonce: 5 }, 0);
-        round_trip(
-            WireMsg::Open {
-                session: 12,
-                seed: 0xC0FFEE,
-                max_steps: 100_000,
-                trace: 0xBEEF,
-            },
-            44,
-        );
-        round_trip(
-            WireMsg::Data {
-                session: 3,
-                msg: Msg {
-                    from: 1,
-                    to: 2,
-                    id: MsgId::Node(14),
-                    occ: 2,
-                    kind: SyncKind::Seq,
-                },
-                path: vec![7, 31, 7],
-                lc: 99,
-            },
-            45,
-        );
-        round_trip(
-            WireMsg::Prim {
-                session: 3,
-                name: "conreq".into(),
+    }
+
+    /// One message of every variant, each with the sequence number and
+    /// piggybacked ack it is pinned with in `frames_are_pinned_byte_for_byte`.
+    fn one_of_each() -> Vec<(u64, WireMsg, u64)> {
+        let msg = Msg {
+            from: 1,
+            to: 2,
+            id: MsgId::Node(14),
+            occ: 2,
+            kind: SyncKind::Seq,
+        };
+        let chunk = obs::Chunk {
+            names: vec!["conreq".into()],
+            events: vec![obs::Event {
+                kind: obs::EventKind::Prim,
                 place: 1,
-                lc: 1 << 33,
-            },
-            46,
-        );
-        round_trip(
-            WireMsg::Trace {
-                chunk: obs::Chunk {
-                    names: vec!["conreq".into()],
-                    events: vec![obs::Event {
-                        kind: obs::EventKind::Prim,
-                        place: 1,
-                        session: 3,
-                        lc: 4,
-                        wall_ns: 123,
-                        a: 0,
-                        b: 1,
-                    }],
-                },
-            },
-            50,
-        );
-        round_trip(
-            WireMsg::Status {
                 session: 3,
-                seen: 10,
-                consumed: 9,
-                inbox_empty: false,
-                vote: true,
-                blocked: true,
-                steps: 512,
-            },
-            47,
+                lc: 4,
+                wall_ns: 123,
+                a: 0,
+                b: 1,
+            }],
+        };
+        vec![
+            (
+                0,
+                WireMsg::Hello {
+                    place: 2,
+                    last_seen: 300,
+                    fingerprint: 0x0123_4567_89AB_CDEF,
+                },
+                0,
+            ),
+            (0, WireMsg::Welcome { last_seen: 77 }, 0),
+            (
+                0,
+                WireMsg::Refused {
+                    why: Refusal::Fingerprint,
+                },
+                0,
+            ),
+            (0, WireMsg::Ack { upto: 1 << 20 }, 0),
+            (0, WireMsg::Heartbeat { nonce: 5 }, 9),
+            (0, WireMsg::HeartbeatAck { nonce: 6 }, 0),
+            (
+                1,
+                WireMsg::Open {
+                    session: 12,
+                    seed: 0xC0FFEE,
+                    max_steps: 100_000,
+                    trace: 0xBEEF,
+                },
+                0,
+            ),
+            (
+                45,
+                WireMsg::Data {
+                    session: 3,
+                    msg,
+                    path: vec![7, 31, 7],
+                    lc: 99,
+                },
+                44,
+            ),
+            (
+                46,
+                WireMsg::Prim {
+                    session: 3,
+                    name: "conreq".into(),
+                    place: 1,
+                    lc: 1 << 33,
+                },
+                0,
+            ),
+            (
+                47,
+                WireMsg::Status {
+                    session: 3,
+                    seen: 10,
+                    consumed: 9,
+                    inbox_empty: false,
+                    vote: true,
+                    blocked: true,
+                    steps: 512,
+                },
+                300,
+            ),
+            (48, WireMsg::Close { session: 3, end: 2 }, 0),
+            (49, WireMsg::Shutdown, 0),
+            (50, WireMsg::Trace { chunk }, 0),
+        ]
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The wire bytes of one frame of every variant, pinned so that no
+    /// codec change (the CRC implementation included) alters the wire
+    /// without failing here. A deliberate layout change bumps
+    /// `WIRE_VERSION` and re-pins these.
+    #[test]
+    fn frames_are_pinned_byte_for_byte() {
+        const GOLDEN: [&str; 13] = [
+            "504704000e0002ac02ef9bafcdf8acd1910100f96ee275",
+            "5047040103004d00a3545140",
+            "5047040c030001001b900de4",
+            "50470402050080804000b7b32fda",
+            "50470403030005096a7aed7b",
+            "50470404030006001d4d3c9b",
+            "504704050d010ceeff8306a08d06effd020019c52b02",
+            "504704060e2d0301020002000e03071f07632caeced83b",
+            "50470407102e030106636f6e72657180808080200015d504b7",
+            "50470408092f030a09068004ac02060a11e7",
+            "5047040904300302001f28f77b",
+            "5047040a0231006562c699",
+            "5047040b12320106636f6e72657101040103047b0001001c906eca",
+        ];
+        let frames = one_of_each();
+        assert_eq!(frames.len(), GOLDEN.len());
+        let mut kinds = std::collections::BTreeSet::new();
+        for ((seq, m, ack), want) in frames.into_iter().zip(GOLDEN) {
+            let bytes = encode_with_ack(&m, seq, ack);
+            kinds.insert(bytes[3]);
+            assert_eq!(hex(&bytes), want, "{m:?}");
+        }
+        assert!(
+            kinds.into_iter().eq(K_HELLO..=K_REFUSED),
+            "a variant is missing"
         );
-        round_trip(WireMsg::Close { session: 3, end: 2 }, 48);
-        round_trip(WireMsg::Shutdown, 49);
     }
 
     #[test]
     fn control_traffic_is_unsequenced() {
         assert!(!WireMsg::Hello {
             place: 1,
-            last_seen: 0
+            last_seen: 0,
+            fingerprint: 0,
+        }
+        .sequenced());
+        assert!(!WireMsg::Refused {
+            why: Refusal::Fingerprint
         }
         .sequenced());
         assert!(!WireMsg::Ack { upto: 3 }.sequenced());
@@ -560,7 +685,7 @@ mod tests {
     /// The trailing piggybacked ack round-trips; `decode` discards it,
     /// `decode_full` surfaces it.
     #[test]
-    fn v3_round_trips_piggybacked_ack() {
+    fn piggybacked_ack_round_trips() {
         let m = WireMsg::Data {
             session: 5,
             msg: Msg {

@@ -15,7 +15,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use transport::WireMsg;
+use transport::{Refusal, WireMsg};
 
 thread_local! {
     /// The largest single allocation this thread asked for since the
@@ -102,7 +102,7 @@ fn build_event((k, place, session, lc, wall_ns, a, b): EventTuple) -> Event {
 /// One random `(seq, msg, ack)` triple covering every `WireMsg` variant.
 fn arb_frame() -> impl Strategy<Value = (u64, WireMsg, u64)> {
     (
-        (0usize..12, any::<u64>(), any::<u64>()),
+        (0usize..13, any::<u64>(), any::<u64>()),
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         (any::<u8>(), any::<u8>(), any::<u8>()),
         vec(any::<u8>(), 0..10),
@@ -127,6 +127,7 @@ fn arb_frame() -> impl Strategy<Value = (u64, WireMsg, u64)> {
                     0 => WireMsg::Hello {
                         place: pa,
                         last_seen: w.0,
+                        fingerprint: w.1,
                     },
                     1 => WireMsg::Welcome { last_seen: w.0 },
                     2 => WireMsg::Ack { upto: w.0 },
@@ -174,6 +175,13 @@ fn arb_frame() -> impl Strategy<Value = (u64, WireMsg, u64)> {
                         end: pa,
                     },
                     10 => WireMsg::Shutdown,
+                    11 => WireMsg::Refused {
+                        why: if flags & 1 == 0 {
+                            Refusal::UnknownPlace
+                        } else {
+                            Refusal::Fingerprint
+                        },
+                    },
                     _ => WireMsg::Trace {
                         chunk: Chunk {
                             names: names.iter().map(|n| word(n)).collect(),
