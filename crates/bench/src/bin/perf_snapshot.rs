@@ -5,7 +5,9 @@
 //! For each corpus spec the protocol is derived and the service and
 //! composed-protocol LTSs are explored exactly the way the harness does
 //! (exhaustive probe at `finite_probe_states`, observable-depth-bounded
-//! fallback), then each verification kernel is timed on those LTSs:
+//! fallback, τ-confluence-reduced composition; the unreduced
+//! composition's state count is recorded beside it), then each
+//! verification kernel is timed on those LTSs:
 //!
 //! * **weak-bisim** — naive (`semantics::naive`: per-state-BFS saturation
 //!   and global-fixpoint partition) vs fast (τ-SCC condensed saturation
@@ -126,12 +128,13 @@ fn main() {
         let spec = lotos::parser::parse_spec(&src).expect("corpus spec parses");
         let d = protogen::derive::derive(&spec).expect("corpus spec derives");
 
-        let (service, comp) = verify::harness::with_big_stack(|| {
+        let (service, comp, unreduced) = verify::harness::with_big_stack(|| {
             let service_sys = EngineService::new(d.service.clone());
             let service = explore_side(&service_sys, true);
-            let comp_sys = EngineComposition::new(&d, medium::MediumConfig::default());
-            let comp = explore_side(&comp_sys, true);
-            (service, comp)
+            let medium = medium::MediumConfig::default();
+            let comp = explore_side(&EngineComposition::new(&d, medium), true);
+            let full_sys = EngineComposition::with_reduction(&d, medium, false);
+            (service, comp, explore_side(&full_sys, true).len())
         });
 
         let bisim = bench_weak_bisim(&service, &comp);
@@ -141,11 +144,12 @@ fn main() {
         let verify_speedup = verify_speedup(&bisim, &trace);
 
         println!(
-            "{name:28} service {:>6} states, composition {:>6} states | \
+            "{name:28} service {:>6} states, composition {:>6} states ({:>6} unreduced) | \
              weak-bisim {:>10.1}µs → {:>8.1}µs ({:>5.1}×) | \
              traces {:>10.1}µs → {:>8.1}µs ({:>5.1}×) | verify {:>5.1}×",
             service.len(),
             comp.len(),
+            unreduced,
             bisim.naive_us,
             bisim.fast_us,
             bisim.speedup(),
@@ -159,6 +163,7 @@ fn main() {
             name,
             service.len(),
             comp.len(),
+            unreduced,
             &bisim,
             &trace,
         ));

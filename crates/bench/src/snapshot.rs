@@ -86,11 +86,14 @@ pub fn verify_speedup(bisim: &KernelTiming, traces: &KernelTiming) -> f64 {
     (bisim.naive_us + traces.naive_us) / (bisim.fast_us + traces.fast_us).max(1e-3)
 }
 
-/// One `BENCH_verify.json` entry.
+/// One `BENCH_verify.json` entry. `composition_states` counts the
+/// reduced composition the kernels ran on, `unreduced_states` the same
+/// exploration with every interleaving.
 pub fn verify_entry(
     spec: &str,
     service_states: usize,
     composition_states: usize,
+    unreduced_states: usize,
     bisim: &KernelTiming,
     traces: &KernelTiming,
 ) -> Json {
@@ -98,6 +101,7 @@ pub fn verify_entry(
         "spec" => spec,
         "service_states" => service_states,
         "composition_states" => composition_states,
+        "composition_states_unreduced" => unreduced_states,
         "weak_bisim" => bisim.to_json(),
         "traces" => traces.to_json(),
         "verify_speedup" => verify_speedup(bisim, traces),

@@ -692,6 +692,10 @@ fn run(args: &[String]) -> Result<(), ProtogenError> {
             print!("{report}");
             if report.passed() {
                 Ok(())
+            } else if let (true, Some(d)) = (report.inconclusive(), report.exact_depth) {
+                Err(ProtogenError::Inconclusive(format!(
+                    "traces agree up to length {d}, where the state cap cut the exploration; raise -s or lower -l"
+                )))
             } else {
                 Err(ProtogenError::Verification(
                     "trace sets differ, deadlock found, or bisimulation failed".into(),

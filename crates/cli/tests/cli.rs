@@ -92,6 +92,25 @@ fn verify_passes_for_simple_service() {
     assert!(stdout.contains("weak bisimulation: EQUIVALENT"), "{stdout}");
 }
 
+/// A state cap below the trace bound makes a trace-equal verdict
+/// inconclusive: exit 7 with the depth reached, not the failure exit 4.
+#[test]
+fn verify_truncated_by_the_state_cap_is_inconclusive() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_protogen"))
+        .args(["verify", "specs/example2_anbn.lotos", "-l", "8", "-s", "40"])
+        .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(7), "{stdout}{stderr}");
+    assert!(
+        stdout.contains("traces ≤ 8: INCONCLUSIVE (equal up to length"),
+        "{stdout}"
+    );
+    assert!(stderr.contains("verification inconclusive"), "{stderr}");
+}
+
 #[test]
 fn verify_fails_for_r1_violation() {
     let (_, stderr, ok) = protogen(

@@ -333,7 +333,7 @@ fn bench_verify_entry() -> String {
         fast_us: 14.7,
         agree: false,
     };
-    verify_entry("example2_anbn.lotos", 19, 240, &bisim, &traces).to_string()
+    verify_entry("example2_anbn.lotos", 19, 134, 240, &bisim, &traces).to_string()
 }
 
 fn current(name: &str) -> String {

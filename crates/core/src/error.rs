@@ -31,6 +31,10 @@ pub enum ProtogenError {
     /// A Section 5 theorem instance failed verification. Carries the
     /// rendered report for diagnostics.
     Verification(String),
+    /// A theorem instance matched as far as it could be compared, but a
+    /// state cap cut the exploration short of the trace bound, so the
+    /// verdict beyond that depth is unknown. Carries the reason.
+    Inconclusive(String),
     /// A distributed transport failure: a socket link died for good
     /// (retry budget exhausted, peer declared dead) and sessions were
     /// aborted rather than completed.
@@ -49,6 +53,7 @@ impl ProtogenError {
     /// | 4 | verification failure |
     /// | 5 | other derivation error |
     /// | 6 | distributed transport failure (dead link, aborted sessions) |
+    /// | 7 | inconclusive verification (state cap hit below the trace bound) |
     /// | 1 | I/O, usage, anything else |
     pub fn exit_code(&self) -> u8 {
         match self {
@@ -57,6 +62,7 @@ impl ProtogenError {
             ProtogenError::Verification(_) => 4,
             ProtogenError::Derive(_) => 5,
             ProtogenError::Transport(_) => 6,
+            ProtogenError::Inconclusive(_) => 7,
             ProtogenError::Io { .. } | ProtogenError::Usage(_) => 1,
         }
     }
@@ -76,6 +82,7 @@ impl fmt::Display for ProtogenError {
             }
             ProtogenError::Derive(msg) => write!(f, "derivation failed: {msg}"),
             ProtogenError::Verification(msg) => write!(f, "verification failed: {msg}"),
+            ProtogenError::Inconclusive(msg) => write!(f, "verification inconclusive: {msg}"),
             ProtogenError::Transport(msg) => write!(f, "transport failed: {msg}"),
             ProtogenError::Usage(msg) => write!(f, "{msg}"),
         }
@@ -115,13 +122,15 @@ mod tests {
         let restr = ProtogenError::Restriction(violations);
         let verif = ProtogenError::Verification("traces differ".into());
         let transport = ProtogenError::Transport("link dead".into());
+        let inconclusive = ProtogenError::Inconclusive("state cap hit".into());
         let codes = [
             parse.exit_code(),
             restr.exit_code(),
             verif.exit_code(),
             transport.exit_code(),
+            inconclusive.exit_code(),
         ];
-        assert_eq!(codes, [2, 3, 4, 6]);
+        assert_eq!(codes, [2, 3, 4, 6, 7]);
     }
 
     #[test]

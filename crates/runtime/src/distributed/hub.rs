@@ -366,8 +366,8 @@ impl<'r> Hub<'r> {
                 }
                 at(l.last_heartbeat + dcfg.heartbeat);
                 at(l.last_heard + dcfg.dead_after);
-            } else if let (true, Some(t)) = (live, l.disconnected_at) {
-                at(t + l.connect_deadline(dcfg));
+            } else if let (true, Some(t)) = (live, l.dead_at(dcfg)) {
+                at(t);
             }
         }
         if live {
@@ -449,6 +449,9 @@ impl<'r> Hub<'r> {
         let link = &mut self.links[idx];
         if fingerprint != link.fingerprint {
             refuse(chan, Refusal::Fingerprint);
+            if link.chan.is_none() {
+                link.refused_at = Some(Instant::now());
+            }
             self.events.push(format!(
                 "rejected connection for place {place}: derivation fingerprint mismatch"
             ));
@@ -628,8 +631,9 @@ impl<'r> Hub<'r> {
 
     /// Heartbeats and supervision: drop silent connections, heartbeat
     /// the rest, and declare an entity dead once it has stayed
-    /// disconnected past its deadline while sessions are live. Returns
-    /// `false` when an entity is dead.
+    /// disconnected past its deadline, or past the reconnect deadline
+    /// after its connection was refused, while sessions are live.
+    /// Returns `false` when an entity is dead.
     fn supervise(&mut self, now: Instant) -> bool {
         for link in self.links.iter_mut() {
             if link.chan.is_some() {
@@ -644,16 +648,24 @@ impl<'r> Hub<'r> {
                     link.push(WireMsg::Heartbeat { nonce }, &mut self.events);
                 }
             }
-            if let Some(t) = link.disconnected_at {
-                let deadline = link.connect_deadline(self.dcfg);
-                if now.duration_since(t) > deadline && !self.sessions.is_empty() {
+            match link.dead_at(self.dcfg) {
+                Some(t) if now > t && !self.sessions.is_empty() => {
                     self.dead_entity = Some(link.place);
-                    self.events.push(format!(
-                        "link place:{}: declared dead after {:?} without a connection",
-                        link.place, deadline
-                    ));
+                    self.events.push(match link.refused_at {
+                        Some(r) => format!(
+                            "link place:{}: declared dead {:?} after refusing its entity (derivation fingerprint mismatch)",
+                            link.place,
+                            now.duration_since(r)
+                        ),
+                        None => format!(
+                            "link place:{}: declared dead after {:?} without a connection",
+                            link.place,
+                            link.connect_deadline(self.dcfg)
+                        ),
+                    });
                     return false;
                 }
+                _ => {}
             }
         }
         true
@@ -711,7 +723,15 @@ impl<'r> Hub<'r> {
             self.sessions.open(id, (id, seed, self.links.len(), now));
             self.next += 1;
         }
+        let refused = |p| {
+            self.links
+                .iter()
+                .any(|l| l.place == p && l.refused_at.is_some())
+        };
         let why = match self.dead_entity {
+            Some(p) if refused(p) => {
+                format!("entity at place {p} was refused: derivation fingerprint mismatch")
+            }
             Some(p) => format!("entity at place {p} is dead"),
             None => "run stalled".to_string(),
         };

@@ -21,6 +21,10 @@ pub(super) struct EntityLink {
     /// never-connected links).
     pub(super) disconnected_at: Option<Instant>,
     pub(super) ever_connected: bool,
+    /// When the hub last refused a connection for this place, while it
+    /// had none, for a derivation fingerprint mismatch; cleared when a
+    /// connection is adopted.
+    pub(super) refused_at: Option<Instant>,
     pub(super) last_heartbeat: Instant,
 }
 
@@ -39,6 +43,7 @@ impl EntityLink {
             last_heard: now,
             disconnected_at: Some(now),
             ever_connected: false,
+            refused_at: None,
             last_heartbeat: now,
         }
     }
@@ -76,6 +81,18 @@ impl EntityLink {
         }
     }
 
+    /// When this disconnected link's entity is declared dead: its
+    /// connect deadline after the disconnection, or the reconnect
+    /// deadline after a refusal if that comes first. `None` while
+    /// connected.
+    pub(super) fn dead_at(&self, dcfg: &DistributedConfig) -> Option<Instant> {
+        let t = self.disconnected_at? + self.connect_deadline(dcfg);
+        Some(match self.refused_at {
+            Some(r) => t.min(r + dcfg.reconnect_deadline),
+            None => t,
+        })
+    }
+
     /// Adopt an identified connection for this disconnected link: answer
     /// `Welcome` and resume the link over it. Returns `false` (and
     /// leaves the link disconnected) if either write fails.
@@ -92,6 +109,7 @@ impl EntityLink {
         }
         self.chan = Some(chan);
         self.disconnected_at = None;
+        self.refused_at = None;
         true
     }
 

@@ -115,6 +115,18 @@ fn profile(which: &str) -> LinkFaults {
     }
 }
 
+/// How long after its proxy starts a profile's faults can still land
+/// on a connection that stays open: the longest first connection
+/// lifetime under `Flaky`, the end of the latest partition window under
+/// `Partition`.
+fn fault_window(faults: LinkFaults) -> Duration {
+    Duration::from_millis(match faults {
+        LinkFaults::Clean => 0,
+        LinkFaults::Flaky { life_ms, .. } => life_ms.1,
+        LinkFaults::Partition { after_ms, heal_ms } => after_ms.1 + heal_ms.1,
+    })
+}
+
 static UDS_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 fn listen_addr(uds: bool) -> Addr {
@@ -129,6 +141,12 @@ fn listen_addr(uds: bool) -> Addr {
 /// One distributed run: hub in this thread, one entity thread per
 /// place, one fault proxy per entity link. Returns the hub report and
 /// the total connections the proxies killed.
+///
+/// Under a faulty profile the last place's entity starts only once
+/// every proxy's [`fault_window`] has passed. No session can finish
+/// without it, so the run outlasts its fault window by construction:
+/// the other entities' links are open, with sessions in flight, when
+/// their faults land, however fast the sessions themselves run.
 fn run_one(
     src: &str,
     name: &str,
@@ -165,6 +183,7 @@ fn run_one(
 
     let mut proxies = Vec::new();
     let mut handles = Vec::new();
+    let last = d.entities.len() - 1;
     for (i, (p, spec)) in d.entities.iter().enumerate() {
         let proxy = FaultProxy::spawn(
             &listen_addr(uds),
@@ -183,7 +202,18 @@ fn run_one(
         scfg.seed = seed;
         scfg.refuse = cfg.refuse.clone();
         let spec = spec.clone();
-        handles.push(std::thread::spawn(move || serve_entity(&spec, &scfg)));
+        // Proxies start in place order, so a release timed from the
+        // last one's start comes after every proxy's window.
+        let hold = if i == last {
+            fault_window(faults)
+        } else {
+            Duration::ZERO
+        };
+        let release = Instant::now() + hold;
+        handles.push(std::thread::spawn(move || {
+            std::thread::sleep(release.saturating_duration_since(Instant::now()));
+            serve_entity(&spec, &scfg)
+        }));
         proxies.push(proxy);
     }
 
@@ -966,7 +996,9 @@ fn second_hello_for_a_connected_place_is_rejected() {
 /// must be caught at the handshake: each place's entity is refused with
 /// a typed entry, no frame of any session leaves the hub, and each
 /// entity gives up at once instead of spending its retry budget (40
-/// attempts, more than 30 s of backoff).
+/// attempts, more than 30 s of backoff). The hub declares the refused
+/// place dead one reconnect deadline after the refusal, well before
+/// its 30 s join deadline or 20 s stall guard, and says why.
 fn assert_refused_at_handshake(
     hub_src: &str,
     hub_backend: BackendChoice,
@@ -983,10 +1015,11 @@ fn assert_refused_at_handshake(
     };
     let (hub_d, entity_d) = (derive(hub_src), derive(entity_src));
     let dcfg = DistributedConfig {
-        join_deadline: Duration::from_millis(500),
         reconnect_deadline: Duration::from_millis(300),
         ..DistributedConfig::new(Addr::Tcp("127.0.0.1:0".to_string()))
     };
+    assert!(dcfg.join_deadline >= Duration::from_secs(30));
+    assert!(dcfg.stall_timeout >= Duration::from_secs(20));
     let listener = dcfg.listen.listen().unwrap();
     let hub_addr = listener.local_addr().unwrap();
     let cfg = RuntimeConfig::new()
@@ -1008,7 +1041,23 @@ fn assert_refused_at_handshake(
             })
         })
         .collect();
+    let started = Instant::now();
     let report = run_hub_on(hub_d.derivation(), &cfg, &dcfg, listener).expect("hub run");
+    let hub_took = started.elapsed();
+    assert!(
+        hub_took < Duration::from_secs(5),
+        "the hub ran {hub_took:?}: {:?}",
+        report.transport_events
+    );
+    assert!(
+        report
+            .transport_events
+            .iter()
+            .any(|e| e.contains("aborted (entity at place")
+                && e.contains("was refused: derivation fingerprint mismatch")),
+        "{:?}",
+        report.transport_events
+    );
     for (place, link) in &report.per_link {
         let place = place.trim_start_matches("place:");
         let event =

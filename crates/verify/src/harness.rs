@@ -11,7 +11,10 @@
 //!
 //! * **bounded observable-trace equivalence** — always performed: the
 //!   observable trace sets of `S` and of the composition, up to a
-//!   configurable length, must coincide;
+//!   configurable length, must coincide. When a state cap cuts an
+//!   exploration short of that length, traces are compared only as deep
+//!   as both explorations are exact, and agreement there is
+//!   *inconclusive*, neither a pass nor a difference;
 //! * **deadlock freedom** — every stuck composition state must be a
 //!   properly terminated one;
 //! * **weak bisimilarity** — attempted when both systems are finite within
@@ -59,6 +62,11 @@ pub struct VerifyConfig {
     pub medium: MediumConfig,
     /// Attempt a full weak-bisimulation check when both sides are finite.
     pub try_bisim: bool,
+    /// Explore only the forced hidden move of a composition state that
+    /// has one (τ-confluence reduction, see
+    /// [`EngineComposition::successors`](crate::parsys::EngineComposition)).
+    /// Every verdict is the same either way; only the state count shrinks.
+    pub reduce: bool,
 }
 
 impl Default for VerifyConfig {
@@ -69,6 +77,7 @@ impl Default for VerifyConfig {
             finite_probe_states: 6_000,
             medium: MediumConfig::default(),
             try_bisim: true,
+            reduce: true,
         }
     }
 }
@@ -113,6 +122,12 @@ impl VerifyConfig {
         self.try_bisim = b;
         self
     }
+
+    /// Enable or disable the τ-confluence reduction of the composition.
+    pub fn reduce(mut self, b: bool) -> Self {
+        self.reduce = b;
+        self
+    }
 }
 
 /// Outcome of verifying one service specification.
@@ -125,6 +140,14 @@ pub struct VerificationReport {
     pub traces_equal: bool,
     /// Whether the verdict is qualified by truncation (state caps hit).
     pub qualified: bool,
+    /// The observable-trace length bound asked for.
+    pub trace_len: usize,
+    /// `Some(d)` when a state cap cut off a state at observable depth
+    /// `d < trace_len`: traces are exact, and were compared, only up to
+    /// length `d`, so equal traces make the verdict inconclusive, never
+    /// a pass or a difference. `None` when the comparison reached
+    /// `trace_len`.
+    pub exact_depth: Option<usize>,
     /// A trace of the service missing from the protocol, if any.
     pub missing_in_protocol: Option<Vec<Label>>,
     /// A trace of the protocol not allowed by the service, if any.
@@ -133,6 +156,10 @@ pub struct VerificationReport {
     pub deadlocks: usize,
     /// Number of composition states explored.
     pub composition_states: usize,
+    /// Whether the composition was explored under the τ-confluence
+    /// reduction ([`VerifyConfig::reduce`]), so `composition_states`
+    /// counts the reduced LTS.
+    pub reduced: bool,
     /// Number of service states explored.
     pub service_states: usize,
     /// Weak bisimilarity verdict (`None` = at least one side infinite /
@@ -147,7 +174,8 @@ pub struct VerificationReport {
 }
 
 impl VerificationReport {
-    /// Did the instance pass (trace-equal and deadlock-free)?
+    /// Did the instance pass (trace-equal up to the whole bound and
+    /// deadlock-free)?
     pub fn passed(&self) -> bool {
         // `congruent` is reported but not required: a derivation that
         // exchanges synchronization messages before the first service
@@ -155,17 +183,37 @@ impl VerificationReport {
         // the composition an initial hidden step, which fails Milner's
         // root condition even though the systems are weakly bisimilar —
         // see EXPERIMENTS.md, "Corrections and deviations" item 6.
+        self.exact_depth.is_none() && self.holds_as_far_as_compared()
+    }
+
+    /// Did the instance hold as far as it could be compared, with the
+    /// state cap cutting the comparison short of the trace bound?
+    pub fn inconclusive(&self) -> bool {
+        self.exact_depth.is_some() && self.holds_as_far_as_compared()
+    }
+
+    fn holds_as_far_as_compared(&self) -> bool {
         self.traces_equal && self.deadlocks == 0 && self.weak_bisimilar != Some(false)
     }
 }
 
 impl fmt::Display for VerificationReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let verdict = match (self.traces_equal, self.exact_depth) {
+            (true, None) => "EQUAL".to_string(),
+            (false, None) => "DIFFER".to_string(),
+            (true, Some(d)) => {
+                format!("INCONCLUSIVE (equal up to length {d}, where the state cap cut the exploration)")
+            }
+            (false, Some(d)) => {
+                format!("DIFFER (within length {d}, where the state cap cut the exploration)")
+            }
+        };
         writeln!(
             f,
             "traces ≤ {}: {} ({} service / {} protocol traces){}",
-            self.service_traces.max_len,
-            if self.traces_equal { "EQUAL" } else { "DIFFER" },
+            self.trace_len,
+            verdict,
             self.service_traces.traces.len(),
             self.protocol_traces.traces.len(),
             if self.qualified { " [bounded]" } else { "" },
@@ -178,8 +226,11 @@ impl fmt::Display for VerificationReport {
         }
         writeln!(
             f,
-            "deadlocks: {}   states: {} service, {} composition",
-            self.deadlocks, self.service_states, self.composition_states
+            "deadlocks: {}   states: {} service, {} composition{}",
+            self.deadlocks,
+            self.service_states,
+            self.composition_states,
+            if self.reduced { " (reduced LTS)" } else { "" },
         )?;
         match self.weak_bisimilar {
             Some(true) => writeln!(f, "weak bisimulation: EQUIVALENT")?,
@@ -249,6 +300,19 @@ fn explore_adaptive<Y: ParSystem>(
     (e, false)
 }
 
+/// The observable depth up to which `e`'s traces are exact: the least
+/// depth of a state the state cap cut off (`usize::MAX` when it cut none).
+/// A trace of the full system at most that long cannot pass through a
+/// missing edge, whose source lies at least that deep.
+fn exact_depth<S>(e: &semantics::explore::ParExploration<S>) -> usize {
+    e.lts
+        .unexpanded
+        .iter()
+        .map(|&s| e.depth[s])
+        .min()
+        .unwrap_or(usize::MAX)
+}
+
 fn verify_derivation_inner(d: &Derivation, opts: &VerifyConfig) -> VerificationReport {
     let threads = opts.explore.effective_threads().max(1);
 
@@ -256,9 +320,10 @@ fn verify_derivation_inner(d: &Derivation, opts: &VerifyConfig) -> VerificationR
     let service_sys = EngineService::new(d.service.clone());
     let (service_expl, _) = explore_adaptive(&service_sys, opts);
     let service_states = service_expl.states.len();
+    let service_exact = exact_depth(&service_expl);
     let service_lts = service_expl.lts;
 
-    let comp = EngineComposition::new(d, opts.medium);
+    let comp = EngineComposition::with_reduction(d, opts.medium, opts.reduce);
     let (comp_expl, _) = explore_adaptive(&comp, opts);
     let deadlocks = comp_expl
         .stuck
@@ -266,14 +331,18 @@ fn verify_derivation_inner(d: &Derivation, opts: &VerifyConfig) -> VerificationR
         .filter(|&&s| !comp_expl.states[s].terminated)
         .count();
     let composition_states = comp_expl.states.len();
+    let comp_exact = exact_depth(&comp_expl);
     let comp_lts = comp_expl.lts;
 
     // --- verdicts -----------------------------------------------------------
     // Trace comparison runs on the bounded determinizations: built once
     // per side, compared by product-automaton walks. The materialized
-    // trace sets are only for the human-facing report.
-    let service_dfa = DetDfa::build(&service_lts, opts.trace_len);
-    let protocol_dfa = DetDfa::build(&comp_lts, opts.trace_len);
+    // trace sets are only for the human-facing report. Both are built
+    // only as deep as both explorations are exact.
+    let depth = service_exact.min(comp_exact).min(opts.trace_len);
+    let exact_depth = (depth < opts.trace_len).then_some(depth);
+    let service_dfa = DetDfa::build(&service_lts, depth);
+    let protocol_dfa = DetDfa::build(&comp_lts, depth);
     let (traces_equal, mut qualified) = DetDfa::equal(&service_dfa, &protocol_dfa);
     // bounded-by-design explorations are exact up to the bound as long as
     // the caps didn't truncate; treat "not exhaustively finite" as
@@ -312,10 +381,13 @@ fn verify_derivation_inner(d: &Derivation, opts: &VerifyConfig) -> VerificationR
         protocol_traces,
         traces_equal,
         qualified,
+        trace_len: opts.trace_len,
+        exact_depth,
         missing_in_protocol,
         extra_in_protocol,
         deadlocks,
         composition_states,
+        reduced: opts.reduce,
         service_states,
         weak_bisimilar,
         congruent,
@@ -466,6 +538,65 @@ mod tests {
         // b2 before a1 is the counterexample
         let extra = r.extra_in_protocol.expect("counterexample expected");
         assert_eq!(extra[0].to_string(), "b2");
+    }
+
+    /// Verify `d` with and without the reduction; every verdict must
+    /// agree. Returns the reduced report.
+    fn verify_both_ways(d: &Derivation) -> VerificationReport {
+        let red = verify_derivation(d, VerifyConfig::default());
+        let full = verify_derivation(d, VerifyConfig::default().reduce(false));
+        assert_eq!(red.protocol_traces.traces, full.protocol_traces.traces);
+        assert_eq!(red.traces_equal, full.traces_equal);
+        assert_eq!(red.deadlocks, full.deadlocks);
+        assert_eq!(red.weak_bisimilar, full.weak_bisimilar);
+        assert_eq!(red.congruent, full.congruent);
+        assert_eq!(red.failures_equal, full.failures_equal);
+        red
+    }
+
+    fn has_trace(r: &VerificationReport, t: &str) -> bool {
+        r.protocol_traces.traces.iter().any(|x| fmt_trace(x) == t)
+    }
+
+    #[test]
+    fn a_send_beside_a_receive_not_yet_enabled_is_not_forced() {
+        // Entity 2 may send at once, or wait for entity 1's message and
+        // then do b2. The send is its only *enabled* move at the start,
+        // but taking it disables the receive: a1.b2 must survive.
+        let spec = parse_spec("SPEC a1;exit >> b2;exit ENDSPEC").unwrap();
+        let mut d = derive(&spec).unwrap();
+        d.entities[1].1 = parse_spec("SPEC (s1(9); exit) [] (r1(1); b2; exit) ENDSPEC").unwrap();
+        let r = verify_both_ways(&d);
+        assert!(has_trace(&r, "a1.b2"), "{r}");
+    }
+
+    #[test]
+    fn a_forced_hidden_cycle_does_not_hide_another_entity_s_move() {
+        // Entities 1 and 3 exchange messages forever, each move the only
+        // transition of its entity; entity 2's visible b2 must stay
+        // reachable, so the cycle cannot be followed alone.
+        let spec = parse_spec("SPEC a1; b2; c3; exit ENDSPEC").unwrap();
+        let mut d = derive(&spec).unwrap();
+        d.entities[0].1 = parse_spec("SPEC P WHERE PROC P = s3(1); r3(2); P END ENDSPEC").unwrap();
+        d.entities[1].1 = parse_spec("SPEC b2; exit ENDSPEC").unwrap();
+        d.entities[2].1 = parse_spec("SPEC Q WHERE PROC Q = r1(1); s1(2); Q END ENDSPEC").unwrap();
+        let r = verify_both_ways(&d);
+        assert!(has_trace(&r, "b2"), "{r}");
+    }
+
+    #[test]
+    fn a_truncated_exploration_still_reports_a_difference_it_reached() {
+        // aⁿbⁿ with entity 2 firing b2 at once: the difference lies at
+        // length 1, inside what a small cap explores exactly.
+        let spec = parse_spec(
+            "SPEC A WHERE PROC A = (a1 ; A >> b2 ; exit) [] (a1 ; b2 ; exit) END ENDSPEC",
+        )
+        .unwrap();
+        let mut d = derive(&spec).unwrap();
+        d.entities[1].1 = parse_spec("SPEC b2; exit ENDSPEC").unwrap();
+        let r = verify_derivation(&d, VerifyConfig::new().max_states(40).finite_probe(40));
+        assert!(r.qualified, "{r}");
+        assert!(!r.traces_equal && !r.inconclusive() && !r.passed(), "{r}");
     }
 
     #[test]

@@ -25,7 +25,9 @@ use protogen::ProtogenError;
 pub trait PipelineVerify {
     /// Check the Section 5 theorem instance and fail the pipeline
     /// (`ProtogenError::Verification`, exit code 4, carrying the rendered
-    /// report) when it does not pass.
+    /// report) when it does not pass, or with
+    /// `ProtogenError::Inconclusive` (exit code 7) when it held only as
+    /// far as the state cap let it be compared.
     fn verify(&self, opts: &VerifyConfig) -> Result<VerificationReport, ProtogenError>;
 
     /// Check the theorem instance and return the report unconditionally,
@@ -38,6 +40,8 @@ impl PipelineVerify for Derived {
         let report = self.verify_report(opts);
         if report.passed() {
             Ok(report)
+        } else if report.inconclusive() {
+            Err(ProtogenError::Inconclusive(report.to_string()))
         } else {
             Err(ProtogenError::Verification(report.to_string()))
         }

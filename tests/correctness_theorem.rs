@@ -148,9 +148,9 @@ fn harness_detects_broken_protocols() {
 }
 
 /// The paper's Example 7 at the default caps: the state cap cuts the
-/// composition off before observable depth 6, and no state it cut off
-/// counts as a deadlock. (The trace verdict is still qualified by the
-/// truncation; an inconclusive verdict for that case is separate work.)
+/// composition off at a shallow observable depth, no state it cut off
+/// counts as a deadlock, and the traces it could compare agree, so the
+/// verdict is inconclusive — never a difference.
 #[test]
 fn example7_has_no_deadlock_at_the_default_caps() {
     let r = verify_src(
@@ -159,4 +159,25 @@ fn example7_has_no_deadlock_at_the_default_caps() {
     );
     assert!(r.qualified, "the default caps no longer truncate:\n{r}");
     assert_eq!(r.deadlocks, 0, "{r}");
+    let d = r.exact_depth.expect("compared below the trace bound");
+    assert!(d < r.trace_len, "{r}");
+    assert!(r.traces_equal && r.inconclusive() && !r.passed(), "{r}");
+    assert!(r.to_string().contains("INCONCLUSIVE"), "{r}");
+}
+
+/// A complete exploration is never inconclusive, and a cap that cuts
+/// the exploration only at the trace bound keeps the verdict conclusive.
+#[test]
+fn complete_and_bound_deep_explorations_are_conclusive() {
+    let r = verify_src("SPEC a1; b2; exit ENDSPEC", VerifyConfig::default());
+    assert_eq!(r.exact_depth, None, "{r}");
+    assert!(r.passed() && !r.inconclusive(), "{r}");
+    // aⁿbⁿ is infinite, so the bounded exploration stops at the bound
+    // without hitting the cap: exact up to the whole bound.
+    let r = verify_src(
+        include_str!("../specs/example2_anbn.lotos"),
+        VerifyConfig::new().trace_len(8),
+    );
+    assert_eq!(r.exact_depth, None, "{r}");
+    assert!(r.passed(), "{r}");
 }
