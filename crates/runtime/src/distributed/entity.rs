@@ -11,7 +11,7 @@
 //! all, serves the next session the hub opens. The runnable queue holds
 //! slots, and a session's `queued` flag keeps it there at most once.
 
-use super::handshake::{derivation_fingerprint, try_connect, ConnectError, Leftovers};
+use super::handshake::{derivation_fingerprint, try_connect, ConnectError};
 use super::slab::{Reopen, Slab};
 use super::{disconnect, flush, report_of, send};
 use crate::compiled::lower_for;
@@ -238,10 +238,15 @@ impl<'c> Entity<'c> {
         }
     }
 
-    /// Handle every message `link` accepts of `frames`.
-    fn accept_all(&mut self, link: &mut Link, frames: impl IntoIterator<Item = (u64, WireMsg)>) {
+    /// Handle every message `link` accepts of `frames`, read at `now`.
+    fn accept_all(
+        &mut self,
+        link: &mut Link,
+        frames: impl IntoIterator<Item = (u64, WireMsg)>,
+        now: Instant,
+    ) {
         for (seq, m) in frames {
-            if let Some(m) = link.accept(seq, m) {
+            if let Some(m) = link.accept(seq, m, now) {
                 self.handle(m);
             }
         }
@@ -450,15 +455,22 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
         fx_hash(&(cfg.seed, cfg.place)),
     );
     let mut trace_flushed = false;
-    let mut flush_deadline = Instant::now();
-    let mut last_heard = Instant::now();
-    let mut last_hb = Instant::now();
+    // Each pass reads the clock once, right after its wait; the next
+    // pass times its wait from that reading.
+    let mut now = Instant::now();
+    let mut flush_deadline = now;
+    let mut last_heard = now;
+    let mut last_hb = now;
+    // Frames read off the hub link (first those behind a `Welcome`),
+    // reused from pass to pass.
     let mut inbuf: Vec<(u64, WireMsg)> = Vec::new();
 
     loop {
+        // Whether the hub answered a (re)connect this pass.
+        let mut welcomed = false;
         // (Re)connect under the backoff policy.
         if chan.is_none() {
-            if trace_flushed && Instant::now() >= flush_deadline {
+            if trace_flushed && now >= flush_deadline {
                 // The run is over and the tail flush is best-effort:
                 // don't burn the whole retry budget chasing a hub that
                 // already closed its drain window.
@@ -467,12 +479,18 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
             // While lingering after a shutdown, stop retrying at the
             // flush deadline rather than spend the whole retry budget.
             let give_up = trace_flushed.then_some(flush_deadline);
-            match entity_connect(cfg, &mut link, fingerprint, &mut backoff, give_up) {
-                Ok((c, leftovers)) => {
+            match entity_connect(
+                cfg,
+                &mut link,
+                fingerprint,
+                &mut backoff,
+                give_up,
+                &mut inbuf,
+            ) {
+                Ok(c) => {
                     chan = Some(c);
                     backoff.reset();
-                    last_heard = Instant::now();
-                    ent.accept_all(&mut link, leftovers);
+                    welcomed = true;
                 }
                 Err(e) => {
                     if trace_flushed {
@@ -490,15 +508,16 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
         }
 
         // Wait for the hub. While this pass has work of its own —
-        // runnable sessions, replies to send, a shutdown to act on — the
-        // socket is only polled. Once everything is parked this wait is
-        // the idle park, bounded by the entity's own timers: the
-        // pure-ack deadline, the next heartbeat, the hub's silence limit
-        // and, while lingering after a shutdown, the trace-flush
-        // deadline.
+        // frames behind a `Welcome`, runnable sessions, replies to send,
+        // a shutdown to act on — the socket is only polled. Once
+        // everything is parked this wait is the idle park, bounded by
+        // the entity's own timers: the pure-ack deadline, the next
+        // heartbeat, the hub's silence limit and, while lingering after
+        // a shutdown, the trace-flush deadline.
         let mut dropped = false;
         if let Some(ch) = chan.as_mut() {
-            let busy = !ent.runnable.is_empty()
+            let busy = welcomed
+                || !ent.runnable.is_empty()
                 || !ent.outbox.is_empty()
                 || (ent.shutdown && ent.sessions.is_empty() && !trace_flushed);
             let timeout = if busy {
@@ -511,30 +530,24 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
                 if trace_flushed {
                     wake = wake.min(flush_deadline);
                 }
-                wake.saturating_duration_since(Instant::now())
+                wake.saturating_duration_since(now)
             };
             let readable = wait_readable(&[ch.conn.raw_fd()], Some(timeout))
                 .map_err(|e| format!("place {}: waiting on the hub link: {e}", cfg.place))?;
-            inbuf.clear();
-            let read = if readable[0] {
-                poll_messages_into(&mut ch.conn, &mut ch.dec, &mut inbuf)
-            } else {
-                Ok(())
-            };
-            match read {
-                Ok(()) => {
-                    if !inbuf.is_empty() {
-                        last_heard = Instant::now();
-                    }
-                    ent.accept_all(&mut link, inbuf.drain(..));
-                }
-                Err(_) => dropped = true,
+            if readable[0] {
+                dropped = poll_messages_into(&mut ch.conn, &mut ch.dec, &mut inbuf).is_err();
             }
         }
+        now = Instant::now();
         if dropped {
+            inbuf.clear();
             disconnect(&mut chan, &mut link);
             continue;
         }
+        if welcomed || !inbuf.is_empty() {
+            last_heard = now;
+        }
+        ent.accept_all(&mut link, inbuf.drain(..), now);
 
         if ent.shutdown && ent.sessions.is_empty() {
             // Ship the flight-recorder tail home: the hub absorbs these
@@ -545,7 +558,7 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
             // hub has acked everything or a bounded deadline passes.
             if !trace_flushed {
                 trace_flushed = true;
-                flush_deadline = Instant::now() + cfg.dead_after.max(Duration::from_secs(2));
+                flush_deadline = now + cfg.dead_after.max(Duration::from_secs(2));
                 if let Some(reg) = &ent.registry {
                     // Chunks batch-encode into the link's one buffer and
                     // leave in one write; a flush that dies leaves them
@@ -554,14 +567,14 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
                     for chunk in reg.drain_chunks(512) {
                         send(&mut chan, &mut link, WireMsg::Trace { chunk });
                     }
-                    flush(&mut chan, &mut link);
+                    flush(&mut chan, &mut link, now, false);
                 }
             }
-            if link.unacked_len() == 0 || Instant::now() >= flush_deadline {
+            if link.unacked_len() == 0 || now >= flush_deadline {
                 // Final cumulative ack so the hub can tell a clean exit
                 // (everything delivered) from a dying link.
                 if let Some(ch) = chan.as_mut() {
-                    let _ = link.maybe_ack(&mut ch.conn, true);
+                    let _ = link.maybe_ack(&mut ch.conn, now, true);
                 }
                 return Ok(ent.finish(&link));
             }
@@ -576,13 +589,14 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
             send(&mut chan, &mut link, m);
         }
         if chan.is_some() {
-            let now = Instant::now();
             if now.duration_since(last_hb) >= cfg.heartbeat {
                 last_hb = now;
                 let nonce = link.stats.frames_sent;
                 send(&mut chan, &mut link, WireMsg::Heartbeat { nonce });
             }
-            if flush(&mut chan, &mut link) && now.duration_since(last_heard) > cfg.dead_after {
+            if flush(&mut chan, &mut link, now, false)
+                && now.duration_since(last_heard) > cfg.dead_after
+            {
                 disconnect(&mut chan, &mut link);
             }
         }
@@ -592,15 +606,17 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
 /// Connect + handshake + resume, retrying under the backoff schedule
 /// until the retry budget is spent or the next attempt would start
 /// after `give_up`. A refusal from the hub ends the retries at once.
+/// Frames that came behind the `Welcome` are left in `buf`.
 fn entity_connect(
     cfg: &ServeConfig,
     link: &mut Link,
     fingerprint: u64,
     backoff: &mut Backoff,
     give_up: Option<Instant>,
-) -> Result<(Channel, Leftovers), String> {
+    buf: &mut Vec<(u64, WireMsg)>,
+) -> Result<Channel, String> {
     loop {
-        match try_connect(cfg, link, fingerprint) {
+        match try_connect(cfg, link, fingerprint, buf) {
             Ok(ok) => return Ok(ok),
             Err(ConnectError::Refused(why)) => return Err(format!("refused by the hub: {why}")),
             Err(ConnectError::Retry(e)) => match backoff.next_delay() {

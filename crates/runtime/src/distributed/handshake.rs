@@ -18,7 +18,7 @@ use semantics::hash::fx_hash;
 use std::io;
 use std::os::fd::RawFd;
 use std::time::{Duration, Instant};
-use transport::{poll_messages, wait_readable, Channel, Link, Listener, Refusal, WireMsg};
+use transport::{poll_messages_into, wait_readable, Channel, Link, Listener, Refusal, WireMsg};
 
 /// How long an entity waits for one connection attempt to the hub.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
@@ -73,16 +73,18 @@ impl From<io::Error> for ConnectError {
 #[derive(Default)]
 pub(super) struct Handshakes {
     pub(super) pending: Vec<(Channel, Instant)>,
+    /// Frames read off one pending connection, reused.
+    buf: Vec<(u64, WireMsg)>,
 }
 
 impl Handshakes {
-    /// Accept every connection the listener has waiting.
-    pub(super) fn accept(&mut self, listener: &Listener, dcfg: &DistributedConfig) {
+    /// Accept every connection the listener has waiting at `now`.
+    pub(super) fn accept(&mut self, listener: &Listener, dcfg: &DistributedConfig, now: Instant) {
         while let Ok(Some(conn)) = listener.accept() {
             if conn.set_read_timeout(Some(READ_BACKSTOP)).is_ok()
                 && conn.set_write_timeout(Some(dcfg.dead_after)).is_ok()
             {
-                let deadline = Instant::now() + dcfg.dead_after;
+                let deadline = now + dcfg.dead_after;
                 self.pending.push((Channel::new(conn), deadline));
             }
         }
@@ -98,14 +100,18 @@ impl Handshakes {
 
     /// Read the pending connections `ready` marks (indexed like
     /// [`Handshakes::fds`]) and return those that said `Hello`. A
-    /// malformed first frame, a closed peer or a passed deadline fails
-    /// the handshake with a `transport_events` entry.
-    pub(super) fn advance(&mut self, ready: &[bool], events: &mut Vec<String>) -> Vec<Handshake> {
-        let now = Instant::now();
+    /// malformed first frame, a closed peer or a deadline passed at
+    /// `now` fails the handshake with a `transport_events` entry.
+    pub(super) fn advance(
+        &mut self,
+        ready: &[bool],
+        events: &mut Vec<String>,
+        now: Instant,
+    ) -> Vec<Handshake> {
         let mut identified = Vec::new();
         for (i, (mut chan, deadline)) in std::mem::take(&mut self.pending).into_iter().enumerate() {
             let hello = if ready.get(i) == Some(&true) {
-                read_hello(&mut chan)
+                read_hello(&mut chan, &mut self.buf)
             } else {
                 Ok(None)
             };
@@ -136,11 +142,16 @@ impl Handshakes {
     }
 }
 
-/// Read what a readable, unidentified connection sent: `None` until a
-/// whole frame is in, then its `Hello` (place, `last_seen`,
-/// fingerprint) and the frames behind it.
-fn read_hello(chan: &mut Channel) -> io::Result<Option<(PlaceId, u64, u64, Leftovers)>> {
-    let mut batch = poll_messages(&mut chan.conn, &mut chan.dec)?.into_iter();
+/// Read what a readable, unidentified connection sent into `buf`:
+/// `None` until a whole frame is in, then its `Hello` (place,
+/// `last_seen`, fingerprint) and the frames behind it.
+fn read_hello(
+    chan: &mut Channel,
+    buf: &mut Vec<(u64, WireMsg)>,
+) -> io::Result<Option<(PlaceId, u64, u64, Leftovers)>> {
+    buf.clear();
+    poll_messages_into(&mut chan.conn, &mut chan.dec, buf)?;
+    let mut batch = buf.drain(..);
     let Some((_, first)) = batch.next() else {
         return Ok(None);
     };
@@ -160,13 +171,14 @@ fn read_hello(chan: &mut Channel) -> io::Result<Option<(PlaceId, u64, u64, Lefto
 
 /// One connection attempt from an entity: connect, say `Hello` with the
 /// entity's `fingerprint`, wait for the `Welcome` and resume `link` over
-/// the new channel. Frames that came behind the `Welcome` are handed
-/// back for normal processing; a `Refused` answer is final.
+/// the new channel. Frames that came behind the `Welcome` are left in
+/// `buf` for normal processing; a `Refused` answer is final.
 pub(super) fn try_connect(
     cfg: &ServeConfig,
     link: &mut Link,
     fingerprint: u64,
-) -> Result<(Channel, Leftovers), ConnectError> {
+    buf: &mut Vec<(u64, WireMsg)>,
+) -> Result<Channel, ConnectError> {
     let conn = cfg.hub.connect(CONNECT_TIMEOUT)?;
     conn.set_read_timeout(Some(READ_BACKSTOP))?;
     conn.set_write_timeout(Some(cfg.dead_after))?;
@@ -178,6 +190,7 @@ pub(super) fn try_connect(
     };
     chan.conn.write_all(&hello.encode(0))?;
     let deadline = Instant::now() + cfg.dead_after;
+    buf.clear();
     loop {
         let left = deadline.saturating_duration_since(Instant::now());
         if left.is_zero() {
@@ -188,19 +201,21 @@ pub(super) fn try_connect(
         if !wait_readable(&[chan.conn.raw_fd()], Some(left))?[0] {
             continue;
         }
-        let mut batch = poll_messages(&mut chan.conn, &mut chan.dec)?.into_iter();
-        match batch.next() {
-            Some((_, WireMsg::Welcome { last_seen })) => {
+        poll_messages_into(&mut chan.conn, &mut chan.dec, buf)?;
+        if buf.is_empty() {
+            continue;
+        }
+        match buf.remove(0).1 {
+            WireMsg::Welcome { last_seen } => {
                 link.resume(&mut chan.conn, last_seen)?;
-                return Ok((chan, batch.collect()));
+                return Ok(chan);
             }
-            Some((_, WireMsg::Refused { why })) => return Err(ConnectError::Refused(why)),
-            Some((_, first)) => {
+            WireMsg::Refused { why } => return Err(ConnectError::Refused(why)),
+            first => {
                 return Err(ConnectError::Retry(format!(
                     "expected Welcome, got {first:?}"
                 )))
             }
-            None => {}
         }
     }
 }

@@ -2,10 +2,13 @@
 //! ([`run_hub_on`]).
 //!
 //! One [`Hub`] owns every entity link, the open sessions and the tally.
-//! Its event loop is a sequence of sweeps ([`Hub::sweep`]); once every
-//! session has closed — or an entity died, or the run stalled — it
-//! aborts what is still live and drains the surviving links
-//! ([`Hub::drain`]) so entities can ship their trace tails home.
+//! Its one event loop is a sequence of sweeps ([`Hub::sweep`]), each
+//! reading the clock once before its wait and once after, and passing
+//! that `now` down. Once every session has closed — or an entity died,
+//! or the run stalled — a sweep aborts what is still live and queues
+//! `Shutdown` on every link; the sweeps that follow are the drain, which
+//! lets entities ship their trace tails home and ends once every link is
+//! finished ([`Hub::finished`]) or the drain deadline passes.
 
 use super::handshake::{derivation_fingerprint, refuse, Handshake, Handshakes, Leftovers};
 use super::hub_session::{HubSession, Mark, StatusRec};
@@ -26,7 +29,7 @@ use std::io;
 use std::os::fd::RawFd;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use transport::{poll_messages, poll_messages_into, wait_readable, Listener, Refusal, WireMsg};
+use transport::{poll_messages_into, wait_readable, Listener, Refusal, WireMsg};
 
 /// The live observability routes: Prometheus text at `/metrics` and
 /// the JSON snapshot at `/health`, both rendered from the run's
@@ -108,17 +111,15 @@ pub fn run_hub_on(
     // the rates count sessions, not set-up.
     let started = Instant::now();
     listener.set_nonblocking(true)?;
-    let mut hub = Hub::new(d, cfg, dcfg, listener, registry);
+    let mut hub = Hub::new(d, cfg, dcfg, listener, registry, started);
     let server = match &dcfg.metrics {
         Some(addr) => Some(obs::MetricsServer::spawn(
             addr,
-            metrics_routes(&hub.share(), hub.registry.as_ref(), started),
+            metrics_routes(&hub.share(started), hub.registry.as_ref(), started),
         )?),
         None => None,
     };
     hub.run()?;
-    hub.abort_live();
-    hub.drain()?;
     let report = hub.finish(backend_desc(&lowered), started);
     if let Some(srv) = server {
         srv.stop();
@@ -160,6 +161,9 @@ struct Hub<'r> {
     next: usize,
     last_progress: Instant,
     dead_entity: Option<PlaceId>,
+    /// Set once the run has stopped and `Shutdown` is queued on every
+    /// link: when the drain gives up on links not yet finished.
+    drain_until: Option<Instant>,
 }
 
 impl<'r> Hub<'r> {
@@ -169,8 +173,8 @@ impl<'r> Hub<'r> {
         dcfg: &'r DistributedConfig,
         listener: Listener,
         registry: Option<Arc<Registry>>,
+        now: Instant,
     ) -> Hub<'r> {
-        let now = Instant::now();
         let window = (cfg.threads.max(1) * 8).max(32);
         let mut hub = Hub {
             cfg,
@@ -199,6 +203,7 @@ impl<'r> Hub<'r> {
             next: 0,
             last_progress: now,
             dead_entity: None,
+            drain_until: None,
         };
         hub.tally.metrics.gauges.window_size = window;
         hub.refresh_metrics();
@@ -206,14 +211,12 @@ impl<'r> Hub<'r> {
     }
 
     /// The copy of the metrics the HTTP routes read, taken from the live
-    /// metrics on the first call; [`Self::publish`] keeps it fresh.
-    fn share(&mut self) -> Arc<Mutex<Metrics>> {
-        let (shared, _) = self.published.get_or_insert_with(|| {
-            (
-                Arc::new(Mutex::new(self.tally.metrics.clone())),
-                Instant::now(),
-            )
-        });
+    /// metrics on the first call (at `now`); [`Self::publish`] keeps it
+    /// fresh.
+    fn share(&mut self, now: Instant) -> Arc<Mutex<Metrics>> {
+        let (shared, _) = self
+            .published
+            .get_or_insert_with(|| (Arc::new(Mutex::new(self.tally.metrics.clone())), now));
         Arc::clone(shared)
     }
 
@@ -234,79 +237,97 @@ impl<'r> Hub<'r> {
         }
     }
 
-    /// Sweep until every session has closed, an entity is declared dead
-    /// or the run stalls.
+    /// Sweep until the run stops — every session closed, an entity
+    /// declared dead or a stall — and then on through the drain.
+    /// Handshakes still pending at the end are reported as abandoned.
     fn run(&mut self) -> io::Result<()> {
         // Whether the previous sweep moved anything: if so, look again
         // without blocking, since traffic usually follows traffic.
         let mut moved = true;
-        while self.next < self.cfg.sessions || !self.sessions.is_empty() {
-            match self.sweep(moved)? {
-                Some(m) => moved = m,
-                None => break,
-            }
+        while let Some(m) = self.sweep(moved)? {
+            moved = m;
+        }
+        for _ in self.hellos.pending.drain(..) {
+            self.events
+                .push("handshake abandoned: the run ended before its Hello arrived".to_string());
         }
         Ok(())
     }
 
     /// One pass of the event loop: wait for readiness, read and handle
-    /// what arrived, supervise the links and flush them. Returns whether
-    /// anything moved, or `None` when the run must stop (a dead entity
-    /// or a stall).
+    /// what arrived, supervise the links, stop the run when it must, and
+    /// flush every link. Returns whether anything moved, or `None` once
+    /// the drain is over.
     fn sweep(&mut self, moved: bool) -> io::Result<Option<bool>> {
-        let mut progress = self.open_sessions();
+        let now = Instant::now();
+        let mut progress = self.open_sessions(now);
 
         // Block until a link, the listener or a pending handshake is
         // readable, or the earliest timer is due.
         let timeout = if moved || progress {
             Some(Duration::ZERO)
         } else {
-            self.next_wake()
-                .map(|t| t.saturating_duration_since(Instant::now()))
+            self.next_wake().map(|t| t.saturating_duration_since(now))
         };
-        fill_poll_set(
-            &mut self.fds,
-            &self.listener,
-            &self.links,
-            &self.hellos,
-            |_| true,
-        );
+        fill_poll_set(&mut self.fds, &self.listener, &self.links, &self.hellos);
         let ready = wait_readable(&self.fds, timeout)?;
+        let now = Instant::now();
         let n = self.links.len();
 
         // Read every readable link and process its traffic. Replies and
         // forwards queue on the destination links; they go out in the
         // flush below, one write per link per sweep.
-        progress |= self.read_links(&ready[1..=n]);
+        progress |= self.read_links(&ready[1..=n], now);
 
         // Finish the handshakes that became readable, then accept new
         // connections into the pending set (the next wait covers them).
-        for hs in self.hellos.advance(&ready[1 + n..], &mut self.events) {
-            if let Some((idx, leftovers)) = self.adopt(hs) {
+        for hs in self.hellos.advance(&ready[1 + n..], &mut self.events, now) {
+            if let Some((idx, leftovers)) = self.adopt(hs, now) {
                 progress = true;
-                self.dispatch(idx, leftovers, Instant::now());
+                self.dispatch(idx, leftovers, now);
             }
         }
         if ready[0] {
-            self.hellos.accept(&self.listener, self.dcfg);
+            self.hellos.accept(&self.listener, self.dcfg, now);
         }
-        self.close_decided();
+        self.close_decided(now);
+        if self.drain_until.is_none() && self.must_stop(now) {
+            self.abort_live(now);
+            for link in self.links.iter_mut() {
+                link.push(WireMsg::Shutdown, now, &mut self.events);
+            }
+            self.drain_until = Some(now + self.dcfg.reconnect_deadline);
+        }
 
-        let now = Instant::now();
-        if !self.supervise(now) {
-            return Ok(None);
-        }
-        // One write per link carries everything this sweep
-        // queued (forwards, Opens, Closes, heartbeats) plus any due
-        // pure ack.
+        // One write per link carries everything this sweep queued
+        // (forwards, Opens, Closes, heartbeats, the Shutdown) plus any
+        // due pure ack. The drain acks every frame it read at once, so
+        // an entity sees its trace tail delivered and exits instead of
+        // waiting out its flush window.
+        let draining = self.drain_until.is_some();
         for link in self.links.iter_mut() {
-            progress |= link.flush(&mut self.events);
+            progress |= link.flush(now, draining, &mut self.events);
         }
         self.publish(now);
         self.check_stalls(now);
+        match self.drain_until {
+            Some(t) if now >= t || self.links.iter().all(|l| self.finished(l)) => Ok(None),
+            _ => Ok(Some(progress)),
+        }
+    }
 
-        // Global stall guard: nothing moved for too long — abort rather
-        // than hang (this also catches bugs in quiescence accounting).
+    /// Whether the run must stop: every session has closed, an entity
+    /// is declared dead ([`Self::supervise`]) or nothing moved for
+    /// [`DistributedConfig::stall_timeout`] — a global guard that
+    /// aborts rather than hangs, and also catches bugs in quiescence
+    /// accounting.
+    fn must_stop(&mut self, now: Instant) -> bool {
+        if self.next >= self.cfg.sessions && self.sessions.is_empty() {
+            return true;
+        }
+        if !self.supervise(now) {
+            return true;
+        }
         if !self.sessions.is_empty()
             && now.duration_since(self.last_progress) > self.dcfg.stall_timeout
         {
@@ -315,17 +336,27 @@ impl<'r> Hub<'r> {
                 self.dcfg.stall_timeout,
                 self.sessions.len()
             ));
-            return Ok(None);
+            return true;
         }
-        Ok(Some(progress))
+        false
     }
 
-    /// Keep the session window full; returns whether a session opened.
-    fn open_sessions(&mut self) -> bool {
+    /// Whether the drain is done with link `l`: its connection is closed
+    /// and either its entity acked everything, `Shutdown` included, or
+    /// it is the dead entity, or no entity ever joined it. A link whose
+    /// connection dropped with frames unacked keeps the drain open for a
+    /// reconnect.
+    fn finished(&self, l: &EntityLink) -> bool {
+        l.chan.is_none()
+            && (l.link.unacked_len() == 0 || !l.ever_connected || Some(l.place) == self.dead_entity)
+    }
+
+    /// Keep the session window full, stamping what opens with `now`;
+    /// returns whether a session opened.
+    fn open_sessions(&mut self, now: Instant) -> bool {
         if self.next >= self.cfg.sessions || self.sessions.len() >= self.window {
             return false;
         }
-        let now = Instant::now();
         let mut opened = false;
         while self.next < self.cfg.sessions && self.sessions.len() < self.window {
             let id = self.next as u64;
@@ -341,7 +372,7 @@ impl<'r> Hub<'r> {
                 trace: self.registry.as_ref().map_or(0, |r| r.trace_id),
             };
             for link in self.links.iter_mut() {
-                link.push(open.clone(), &mut self.events);
+                link.push(open.clone(), now, &mut self.events);
             }
             self.next += 1;
             opened = true;
@@ -351,21 +382,27 @@ impl<'r> Hub<'r> {
 
     /// The earliest timer the hub must wake for when no socket is
     /// readable: the next handshake deadline; each connected link's
-    /// pure-ack deadline, next heartbeat and silence limit; while
-    /// sessions are live, each disconnected link's reconnect or join
-    /// deadline, the next stall check and the global no-progress guard.
-    /// `None` when nothing is pending.
+    /// pure-ack deadline and, until the drain, its next heartbeat and
+    /// silence limit; while sessions are live, each disconnected link's
+    /// reconnect or join deadline, the next stall check and the global
+    /// no-progress guard; the drain deadline. `None` when nothing is
+    /// pending.
     fn next_wake(&self) -> Option<Instant> {
         let (dcfg, live) = (self.dcfg, !self.sessions.is_empty());
         let mut wake = self.hellos.next_deadline();
         let mut at = |t: Instant| wake = Some(wake.map_or(t, |w| w.min(t)));
+        if let Some(t) = self.drain_until {
+            at(t);
+        }
         for l in &self.links {
             if l.chan.is_some() {
                 if let Some(t) = l.link.ack_due() {
                     at(t);
                 }
-                at(l.last_heartbeat + dcfg.heartbeat);
-                at(l.last_heard + dcfg.dead_after);
+                if self.drain_until.is_none() {
+                    at(l.last_heartbeat + dcfg.heartbeat);
+                    at(l.last_heard + dcfg.dead_after);
+                }
             } else if let (true, Some(t)) = (live, l.dead_at(dcfg)) {
                 at(t);
             }
@@ -378,9 +415,10 @@ impl<'r> Hub<'r> {
     }
 
     /// Read each link `ready` marks (indexed like `links`) and handle
-    /// what it sent; a read error drops its connection. Returns whether
-    /// any traffic arrived.
-    fn read_links(&mut self, ready: &[bool]) -> bool {
+    /// what it sent, at `now`. A read error drops its connection, or,
+    /// during the drain with nothing left unacked, closes it as the
+    /// entity's clean exit. Returns whether any traffic arrived.
+    fn read_links(&mut self, ready: &[bool], now: Instant) -> bool {
         let mut progress = false;
         let mut inbuf = std::mem::take(&mut self.inbuf);
         for (idx, _) in ready.iter().enumerate().filter(|(_, r)| **r) {
@@ -391,18 +429,21 @@ impl<'r> Hub<'r> {
             match poll_messages_into(&mut ch.conn, &mut ch.dec, &mut inbuf) {
                 Ok(()) if inbuf.is_empty() => {}
                 Ok(()) => {
-                    // One clock read stamps everything this read brought.
-                    let now = Instant::now();
                     self.links[idx].last_heard = now;
                     self.last_progress = now;
                     progress = true;
                     self.dispatch(idx, inbuf.drain(..), now);
                 }
+                Err(_) if self.drain_until.is_some() && self.links[idx].link.unacked_len() == 0 => {
+                    if let Some(ch) = self.links[idx].chan.take() {
+                        ch.conn.shutdown();
+                    }
+                }
                 Err(e) => {
                     if let Some(rec) = &self.rec {
                         rec.record_global(EventKind::LinkDown, self.links[idx].place as u64, 0);
                     }
-                    self.links[idx].drop_conn(&mut self.events, &e.to_string());
+                    self.links[idx].drop_conn(now, &mut self.events, &e.to_string());
                 }
             }
         }
@@ -419,7 +460,7 @@ impl<'r> Hub<'r> {
         now: Instant,
     ) {
         for (seq, m) in frames {
-            if let Some(m) = self.links[idx].link.accept(seq, m) {
+            if let Some(m) = self.links[idx].link.accept(seq, m, now) {
                 self.handle(m, idx, now);
             }
         }
@@ -432,7 +473,7 @@ impl<'r> Hub<'r> {
     /// place (both refused for good), or a place whose entity is still
     /// connected, with a `transport_events` entry in each case; or a
     /// failed `Welcome`.
-    fn adopt(&mut self, hs: Handshake) -> Option<(usize, Leftovers)> {
+    fn adopt(&mut self, hs: Handshake, now: Instant) -> Option<(usize, Leftovers)> {
         let Handshake {
             place,
             last_seen,
@@ -450,7 +491,7 @@ impl<'r> Hub<'r> {
         if fingerprint != link.fingerprint {
             refuse(chan, Refusal::Fingerprint);
             if link.chan.is_none() {
-                link.refused_at = Some(Instant::now());
+                link.refused_at = Some(now);
             }
             self.events.push(format!(
                 "rejected connection for place {place}: derivation fingerprint mismatch"
@@ -465,10 +506,9 @@ impl<'r> Hub<'r> {
             return None;
         }
         let resent_before = link.link.stats.frames_resent;
-        if !link.attach(chan, last_seen) {
+        if !link.attach(chan, last_seen, now) {
             return None;
         }
-        let now = Instant::now();
         let was_connected = std::mem::replace(&mut link.ever_connected, true);
         link.last_heard = now;
         if was_connected {
@@ -555,6 +595,7 @@ impl<'r> Hub<'r> {
                         path,
                         lc,
                     },
+                    now,
                     &mut self.events,
                 );
             }
@@ -587,7 +628,7 @@ impl<'r> Hub<'r> {
                 }
             }
             WireMsg::Heartbeat { nonce } => {
-                self.links[idx].push(WireMsg::HeartbeatAck { nonce }, &mut self.events);
+                self.links[idx].push(WireMsg::HeartbeatAck { nonce }, now, &mut self.events);
             }
             WireMsg::HeartbeatAck { .. } => {}
             other => {
@@ -599,13 +640,12 @@ impl<'r> Hub<'r> {
         }
     }
 
-    /// Close the sessions in `self.closed`: notify every entity, hand
-    /// each to the tally and free its slot.
-    fn close_decided(&mut self) {
+    /// Close the sessions in `self.closed` at `now`: notify every
+    /// entity, hand each to the tally and free its slot.
+    fn close_decided(&mut self, now: Instant) {
         if self.closed.is_empty() {
             return;
         }
-        let now = Instant::now();
         let mut closed = std::mem::take(&mut self.closed);
         for &(id, end) in &closed {
             let Some(slot) = self.sessions.close(id) else {
@@ -617,6 +657,7 @@ impl<'r> Hub<'r> {
                         session: id,
                         end: end.code(),
                     },
+                    now,
                     &mut self.events,
                 );
             }
@@ -641,11 +682,11 @@ impl<'r> Hub<'r> {
                     if let Some(rec) = &self.rec {
                         rec.record_global(EventKind::LinkDown, link.place as u64, 0);
                     }
-                    link.drop_conn(&mut self.events, "heartbeat silence");
+                    link.drop_conn(now, &mut self.events, "heartbeat silence");
                 } else if now.duration_since(link.last_heartbeat) >= self.dcfg.heartbeat {
                     link.last_heartbeat = now;
                     let nonce = link.link.stats.frames_sent;
-                    link.push(WireMsg::Heartbeat { nonce }, &mut self.events);
+                    link.push(WireMsg::Heartbeat { nonce }, now, &mut self.events);
                 }
             }
             match link.dead_at(self.dcfg) {
@@ -710,11 +751,10 @@ impl<'r> Hub<'r> {
             .check(now, self.cfg, &self.tally.metrics, registry, open);
     }
 
-    /// Abort whatever is still live (dead entity or stall) — including
-    /// sessions the window had not opened yet, so every configured
-    /// session appears in the report with a verdict.
-    fn abort_live(&mut self) {
-        let now = Instant::now();
+    /// Abort whatever is still live (dead entity or stall) at `now` —
+    /// including sessions the window had not opened yet, so every
+    /// configured session appears in the report with a verdict.
+    fn abort_live(&mut self, now: Instant) {
         while self.next < self.cfg.sessions
             && (self.dead_entity.is_some() || !self.sessions.is_empty())
         {
@@ -739,111 +779,7 @@ impl<'r> Hub<'r> {
             self.events.push(format!("session {id}: aborted ({why})"));
             self.closed.push((id, SessionEnd::Aborted));
         }
-        self.close_decided();
-    }
-
-    /// Orderly shutdown of surviving entities, with a bounded drain: the
-    /// listener stays open so an entity that was mid-reconnect can come
-    /// back for its buffered Close/Shutdown frames. A link is done once
-    /// its peer has acked everything and closed the connection (an
-    /// entity force-acks right before exiting on Shutdown); anything
-    /// else is capped by the reconnect deadline.
-    fn drain(&mut self) -> io::Result<()> {
-        for link in self.links.iter_mut() {
-            link.push(WireMsg::Shutdown, &mut self.events);
-            // `push` only coalesces; force the batch out now — the
-            // Shutdown (and any abort-path Closes still queued) must not
-            // wait for the entity to time out and reconnect for its
-            // resume retransmit.
-            link.flush(&mut self.events);
-        }
-        let drain_deadline = Instant::now() + self.dcfg.reconnect_deadline;
-        let mut done: Vec<bool> = self
-            .links
-            .iter()
-            .map(|l| Some(l.place) == self.dead_entity)
-            .collect();
-        let n = self.links.len();
-        while done.iter().any(|d| !d) {
-            let now = Instant::now();
-            if now >= drain_deadline {
-                break;
-            }
-            let wake = self
-                .hellos
-                .next_deadline()
-                .map_or(drain_deadline, |t| t.min(drain_deadline));
-            fill_poll_set(
-                &mut self.fds,
-                &self.listener,
-                &self.links,
-                &self.hellos,
-                |i| !done[i],
-            );
-            let ready = wait_readable(&self.fds, Some(wake.saturating_duration_since(now)))?;
-            for (idx, done_flag) in done.iter_mut().enumerate() {
-                if !*done_flag && ready[1 + idx] {
-                    *done_flag = self.drain_link(idx);
-                }
-            }
-            for hs in self.hellos.advance(&ready[1 + n..], &mut self.events) {
-                if let Some((idx, leftovers)) = self.adopt(hs) {
-                    self.drain_frames(idx, leftovers);
-                }
-            }
-            if ready[0] {
-                self.hellos.accept(&self.listener, self.dcfg);
-            }
-        }
-        for _ in self.hellos.pending.drain(..) {
-            self.events
-                .push("handshake abandoned: the run ended before its Hello arrived".to_string());
-        }
-        Ok(())
-    }
-
-    /// Accept `frames` on link `idx` during the drain, absorbing trace
-    /// chunks — the one payload still expected: an entity flushes its
-    /// recorder right before exiting. Then force-ack, so the entity sees
-    /// delivery, retires its resend buffer and exits instead of waiting
-    /// out its flush window.
-    fn drain_frames(&mut self, idx: usize, frames: impl IntoIterator<Item = (u64, WireMsg)>) {
-        let link = &mut self.links[idx];
-        for (seq, m) in frames {
-            if let Some(WireMsg::Trace { chunk }) = link.link.accept(seq, m) {
-                if let Some(reg) = &self.registry {
-                    reg.absorb(&chunk);
-                }
-            }
-        }
-        if let Some(ch) = link.chan.as_mut() {
-            let _ = link.link.maybe_ack(&mut ch.conn, true);
-        }
-    }
-
-    /// Read a readable link during the drain. Returns whether the link
-    /// is done: its entity closed the connection with nothing left
-    /// unacked.
-    fn drain_link(&mut self, idx: usize) -> bool {
-        let link = &mut self.links[idx];
-        let Some(ch) = link.chan.as_mut() else {
-            return false;
-        };
-        match poll_messages(&mut ch.conn, &mut ch.dec) {
-            Ok(batch) => {
-                self.drain_frames(idx, batch);
-                false
-            }
-            Err(_) => {
-                if let Some(ch) = link.chan.take() {
-                    ch.conn.shutdown();
-                }
-                // EOF with an empty resume buffer means the entity saw
-                // everything and exited; otherwise keep the reconnect
-                // window open.
-                link.link.unacked_len() == 0
-            }
-        }
+        self.close_decided(now);
     }
 
     /// The run's report, once the drain is over.
@@ -889,25 +825,26 @@ mod tests {
             .stall_after(Duration::ZERO);
         let dcfg = DistributedConfig::new(Addr::Tcp("127.0.0.1:0".to_string()));
         let listener = dcfg.listen.listen().unwrap();
-        let mut hub = Hub::new(d, &cfg, &dcfg, listener, None);
-        assert!(hub.open_sessions());
+        let now = Instant::now();
+        let mut hub = Hub::new(d, &cfg, &dcfg, listener, None, now);
+        assert!(hub.open_sessions(now));
         assert_eq!(hub.sessions.len(), 32);
         // Free the slots of sessions 3 and 1; sessions 32 and 33 take
         // them, so slot order is no longer id order.
         hub.closed = vec![(3, SessionEnd::Deadlock), (1, SessionEnd::Deadlock)];
-        hub.close_decided();
-        assert!(hub.open_sessions());
+        hub.close_decided(now);
+        assert!(hub.open_sessions(now));
         let (s1, s3) = (hub.sessions.slot(32), hub.sessions.slot(33));
         assert!(s1.is_some() && s1 < s3, "slots were not reused in order");
         let live: Vec<u64> = (0..34).filter(|id| ![1, 3].contains(id)).collect();
 
-        hub.check_stalls(Instant::now() + Duration::from_secs(1));
-        let stalls = std::mem::replace(&mut hub.stalls, StallTracker::new(Instant::now()));
+        hub.check_stalls(now + Duration::from_secs(1));
+        let stalls = std::mem::replace(&mut hub.stalls, StallTracker::new(now));
         let flagged: Vec<u64> = stalls.into_records().iter().map(|r| r.session).collect();
         assert_eq!(flagged, live);
 
         hub.dead_entity = Some(1);
-        hub.abort_live();
+        hub.abort_live(now);
         let aborted: Vec<u64> = hub
             .events
             .iter()

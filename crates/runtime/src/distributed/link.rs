@@ -48,19 +48,24 @@ impl EntityLink {
         }
     }
 
-    /// Queue `msg` for the sweep's flush (see [`super::send`]).
-    pub(super) fn push(&mut self, msg: WireMsg, events: &mut Vec<String>) {
+    /// Queue `msg` for the sweep's flush (see [`super::send`]) at `now`.
+    pub(super) fn push(&mut self, msg: WireMsg, now: Instant, events: &mut Vec<String>) {
         if !super::send(&mut self.chan, &mut self.link, msg) {
-            self.lost(events, "send failed");
+            self.lost(now, events, "send failed");
         }
     }
 
-    /// Sweep flush (see [`super::flush`]). Returns whether any frames
-    /// went out.
-    pub(super) fn flush(&mut self, events: &mut Vec<String>) -> bool {
+    /// Sweep flush at `now` (see [`super::flush`]), acking any owed
+    /// frame with `force_ack`. Returns whether any frames went out.
+    pub(super) fn flush(
+        &mut self,
+        now: Instant,
+        force_ack: bool,
+        events: &mut Vec<String>,
+    ) -> bool {
         let had_queued = self.chan.is_some() && self.link.queued_frames() > 0;
-        if !super::flush(&mut self.chan, &mut self.link) {
-            self.lost(events, "flush failed");
+        if !super::flush(&mut self.chan, &mut self.link, now, force_ack) {
+            self.lost(now, events, "flush failed");
         }
         had_queued
     }
@@ -93,10 +98,10 @@ impl EntityLink {
         })
     }
 
-    /// Adopt an identified connection for this disconnected link: answer
-    /// `Welcome` and resume the link over it. Returns `false` (and
-    /// leaves the link disconnected) if either write fails.
-    pub(super) fn attach(&mut self, mut chan: Channel, last_seen: u64) -> bool {
+    /// Adopt an identified connection for this disconnected link at
+    /// `now`: answer `Welcome` and resume the link over it. Returns
+    /// `false` (and leaves the link disconnected) if either write fails.
+    pub(super) fn attach(&mut self, mut chan: Channel, last_seen: u64, now: Instant) -> bool {
         let welcome = WireMsg::Welcome {
             last_seen: self.link.last_delivered(),
         };
@@ -104,7 +109,7 @@ impl EntityLink {
             || self.link.resume(&mut chan.conn, last_seen).is_err()
         {
             chan.conn.shutdown();
-            self.disconnected_at.get_or_insert_with(Instant::now);
+            self.disconnected_at.get_or_insert(now);
             return false;
         }
         self.chan = Some(chan);
@@ -113,15 +118,15 @@ impl EntityLink {
         true
     }
 
-    pub(super) fn drop_conn(&mut self, events: &mut Vec<String>, why: &str) {
+    pub(super) fn drop_conn(&mut self, now: Instant, events: &mut Vec<String>, why: &str) {
         if super::disconnect(&mut self.chan, &mut self.link) {
-            self.lost(events, why);
+            self.lost(now, events, why);
         }
     }
 
-    /// Open the reconnect window of a connection just closed.
-    fn lost(&mut self, events: &mut Vec<String>, why: &str) {
-        self.disconnected_at = Some(Instant::now());
+    /// Open the reconnect window of a connection just closed at `now`.
+    fn lost(&mut self, now: Instant, events: &mut Vec<String>, why: &str) {
+        self.disconnected_at = Some(now);
         events.push(format!(
             "link place:{}: connection lost ({why})",
             self.place
@@ -130,19 +135,17 @@ impl EntityLink {
 }
 
 /// Lay out one readiness wait: the listener, then one slot per link
-/// (`-1` when it is disconnected or `watch` declines it), then every
-/// pending handshake.
+/// (`-1` when it is disconnected), then every pending handshake.
 pub(super) fn fill_poll_set(
     fds: &mut Vec<RawFd>,
     listener: &Listener,
     links: &[EntityLink],
     hellos: &Handshakes,
-    watch: impl Fn(usize) -> bool,
 ) {
     fds.clear();
     fds.push(listener.raw_fd());
-    fds.extend(links.iter().enumerate().map(|(i, l)| match &l.chan {
-        Some(ch) if watch(i) => ch.conn.raw_fd(),
+    fds.extend(links.iter().map(|l| match &l.chan {
+        Some(ch) => ch.conn.raw_fd(),
         _ => -1,
     }));
     fds.extend(hellos.fds());

@@ -51,17 +51,22 @@
 //!
 //! ## Event loops
 //!
-//! Both loops are driven by readiness, not by timers. Each hub sweep
-//! blocks in one `poll(2)` ([`transport::wait_readable`]) over the
-//! listener, every connected link and every connection still owing its
-//! `Hello`, and reads only what is readable. The wait is zero right
-//! after a sweep that moved something; otherwise it lasts until the
-//! earliest timer the hub keeps anyway (a pure-ack deadline, a
-//! heartbeat, a silence limit, a reconnect or join deadline, the stall
-//! check). An entity polls its one socket without waiting while it has
+//! Each end of a link runs one event loop, driven by readiness, not by
+//! timers. Each hub sweep blocks in one `poll(2)`
+//! ([`transport::wait_readable`]) over the listener, every connected
+//! link and every connection still owing its `Hello`, and reads only
+//! what is readable. The wait is zero right after a sweep that moved
+//! something; otherwise it lasts until the earliest timer the hub keeps
+//! anyway (a pure-ack deadline, a heartbeat, a silence limit, a
+//! reconnect or join deadline, the stall check, the drain deadline).
+//! The shutdown drain is a phase of the same sweeps, not a loop of its
+//! own. An entity polls its one socket without waiting while it has
 //! runnable sessions and otherwise blocks until data arrives or its own
 //! ack, heartbeat or silence timer is due. Nothing else ever needs to
-//! wake either loop, so there is no self-pipe.
+//! wake either loop, so there is no self-pipe. Each pass reads the
+//! clock once after its wait (the hub also once before, for the wait's
+//! timeout) and hands that `now` down: [`transport::Link`] reads no
+//! clock at all.
 //!
 //! ## Session slabs
 //!
@@ -74,8 +79,8 @@
 //!
 //! ## Modules
 //!
-//! * `hub` — [`run_hub_on`]: the medium, monitor and supervisor, as a
-//!   sequence of sweeps, then a drain;
+//! * `hub` — [`run_hub_on`]: the medium, monitor and supervisor, as one
+//!   sequence of sweeps that ends with the shutdown drain;
 //! * `hub_session` — the hub's record of one session and its verdict;
 //! * `slab` — the session slab both ends use;
 //! * `link` — the hub's end of each entity link;
@@ -100,7 +105,7 @@ pub use handshake::derivation_fingerprint;
 pub use hub::run_hub_on;
 
 use crate::metrics::LinkReport;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use transport::{Addr, Channel, Link, WireMsg};
 
 /// Read timeout set once on every connection. The event loops read a
@@ -129,14 +134,15 @@ fn send(chan: &mut Option<Channel>, link: &mut Link, msg: WireMsg) -> bool {
     true
 }
 
-/// Push a pure ack if one is due, then write the queued batch in one
-/// `write_all`. Returns `false` when the write lost the connection
-/// (it is then closed).
-fn flush(chan: &mut Option<Channel>, link: &mut Link) -> bool {
+/// Push a pure ack if one is due at `now` (or owed at all, with
+/// `force_ack`), then write the queued batch in one `write_all`.
+/// Returns `false` when the write lost the connection (it is then
+/// closed).
+fn flush(chan: &mut Option<Channel>, link: &mut Link, now: Instant, force_ack: bool) -> bool {
     let Some(ch) = chan.as_mut() else {
         return true;
     };
-    if link.maybe_ack(&mut ch.conn, false).is_ok() && link.flush(&mut ch.conn).is_ok() {
+    if link.maybe_ack(&mut ch.conn, now, force_ack).is_ok() && link.flush(&mut ch.conn).is_ok() {
         return true;
     }
     disconnect(chan, link);

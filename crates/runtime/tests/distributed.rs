@@ -998,7 +998,10 @@ fn second_hello_for_a_connected_place_is_rejected() {
 /// entity gives up at once instead of spending its retry budget (40
 /// attempts, more than 30 s of backoff). The hub declares the refused
 /// place dead one reconnect deadline after the refusal, well before
-/// its 30 s join deadline or 20 s stall guard, and says why.
+/// its 30 s join deadline or 20 s stall guard, and says why. Its
+/// shutdown drain then ends at once: no entity ever joined the other
+/// place's link either, so there is nothing to wait another reconnect
+/// deadline for.
 fn assert_refused_at_handshake(
     hub_src: &str,
     hub_backend: BackendChoice,
@@ -1015,7 +1018,7 @@ fn assert_refused_at_handshake(
     };
     let (hub_d, entity_d) = (derive(hub_src), derive(entity_src));
     let dcfg = DistributedConfig {
-        reconnect_deadline: Duration::from_millis(300),
+        reconnect_deadline: Duration::from_secs(1),
         ..DistributedConfig::new(Addr::Tcp("127.0.0.1:0".to_string()))
     };
     assert!(dcfg.join_deadline >= Duration::from_secs(30));
@@ -1047,6 +1050,11 @@ fn assert_refused_at_handshake(
     assert!(
         hub_took < Duration::from_secs(5),
         "the hub ran {hub_took:?}: {:?}",
+        report.transport_events
+    );
+    assert!(
+        hub_took < Duration::from_millis(1600),
+        "the hub drained never-joined links for a reconnect deadline: ran {hub_took:?}: {:?}",
         report.transport_events
     );
     assert!(

@@ -35,4 +35,4 @@ pub use addr::{Addr, Listener};
 pub use conn::{is_poll_timeout, wait_readable, Conn};
 pub use link::{Backoff, Channel, Link, LinkStats};
 pub use proxy::{FaultProxy, LinkFaults};
-pub use wire::{poll_messages, poll_messages_into, Refusal, WireMsg};
+pub use wire::{poll_messages_into, Refusal, WireMsg};

@@ -258,10 +258,10 @@ impl Link {
         }
     }
 
-    /// Filter one incoming message. Control traffic (sequence 0) always
-    /// passes. Sequenced messages pass exactly once, in order; stale
-    /// retransmissions return `None`.
-    pub fn accept(&mut self, seq: u64, msg: WireMsg) -> Option<WireMsg> {
+    /// Filter one incoming message, read at `now`. Control traffic
+    /// (sequence 0) always passes. Sequenced messages pass exactly once,
+    /// in order; stale retransmissions return `None`.
+    pub fn accept(&mut self, seq: u64, msg: WireMsg, now: Instant) -> Option<WireMsg> {
         if seq == 0 {
             if let WireMsg::Ack { upto } = msg {
                 self.on_ack(upto);
@@ -281,7 +281,7 @@ impl Link {
         self.last_delivered = seq;
         self.since_ack += 1;
         if self.ack_due.is_none() {
-            self.ack_due = Some(Instant::now() + ACK_DELAY);
+            self.ack_due = Some(now + ACK_DELAY);
         }
         Some(msg)
     }
@@ -295,13 +295,13 @@ impl Link {
 
     /// Push a pure cumulative ack if one is owed: unconditionally with
     /// `force`, after [`ACK_EVERY`] sequenced frames as a backstop, or
-    /// once the idle timer ([`ACK_DELAY`]) expires with no outgoing
-    /// frame having piggybacked the ack meanwhile.
-    pub fn maybe_ack(&mut self, conn: &mut Conn, force: bool) -> io::Result<()> {
+    /// once the idle timer ([`ACK_DELAY`]) has expired at `now` with no
+    /// outgoing frame having piggybacked the ack meanwhile.
+    pub fn maybe_ack(&mut self, conn: &mut Conn, now: Instant, force: bool) -> io::Result<()> {
         if self.since_ack == 0 {
             return Ok(());
         }
-        let due = self.since_ack >= ACK_EVERY || self.ack_due.is_some_and(|t| Instant::now() >= t);
+        let due = self.since_ack >= ACK_EVERY || self.ack_due.is_some_and(|t| now >= t);
         if !force && !due {
             return Ok(());
         }
@@ -431,7 +431,7 @@ impl Channel {
 mod tests {
     use super::*;
     use crate::addr::Addr;
-    use crate::wire::poll_messages;
+    use crate::wire::poll_messages_into;
 
     /// The runtime's default `--batch-frames`.
     const BATCH_FRAMES: usize = 128;
@@ -449,7 +449,7 @@ mod tests {
             .unwrap();
         let mut got = Vec::new();
         for _ in 0..20 {
-            got.extend(poll_messages(conn, dec).unwrap());
+            poll_messages_into(conn, dec, &mut got).unwrap();
             if !got.is_empty() {
                 break;
             }
@@ -493,13 +493,18 @@ mod tests {
     fn accept_dedups_retransmissions() {
         let mut link = Link::new(BATCH_FRAMES);
         let m = WireMsg::Shutdown;
-        assert!(link.accept(1, m.clone()).is_some());
-        assert!(link.accept(1, m.clone()).is_none(), "duplicate delivered");
-        assert!(link.accept(2, m.clone()).is_some());
+        let now = Instant::now();
+        assert!(link.accept(1, m.clone(), now).is_some());
+        assert!(
+            link.accept(1, m.clone(), now).is_none(),
+            "duplicate delivered"
+        );
+        assert!(link.accept(2, m.clone(), now).is_some());
         assert_eq!(link.stats.dup_dropped, 1);
         // Control traffic always passes; acks are consumed internally.
-        assert!(link.accept(0, WireMsg::Heartbeat { nonce: 1 }).is_some());
-        assert!(link.accept(0, WireMsg::Ack { upto: 0 }).is_none());
+        let hb = WireMsg::Heartbeat { nonce: 1 };
+        assert!(link.accept(0, hb, now).is_some());
+        assert!(link.accept(0, WireMsg::Ack { upto: 0 }, now).is_none());
     }
 
     #[test]
@@ -556,7 +561,7 @@ mod tests {
             got_a = drain(&mut a, &mut dec_a);
         }
         for (seq, msg) in got_a {
-            assert!(la.accept(seq, msg).is_some());
+            assert!(la.accept(seq, msg, Instant::now()).is_some());
         }
         // a queues a batch; the first frame piggybacks the ack for b's
         // Shutdown, so b's unacked ring empties without a pure Ack.
@@ -574,7 +579,7 @@ mod tests {
         let mut delivered = Vec::new();
         while delivered.len() < 3 {
             for (seq, msg) in drain(&mut b, &mut dec_b) {
-                if let Some(m) = lb.accept(seq, msg) {
+                if let Some(m) = lb.accept(seq, msg, Instant::now()) {
                     delivered.push((seq, m));
                 }
             }
@@ -637,19 +642,18 @@ mod tests {
         let (mut a, _b) = pair();
         let mut link = Link::new(BATCH_FRAMES);
         assert!(link.ack_due().is_none());
-        assert!(link.accept(1, WireMsg::Shutdown).is_some());
+        let now = Instant::now();
+        assert!(link.accept(1, WireMsg::Shutdown, now).is_some());
         let due = link.ack_due().expect("ack owed after a sequenced frame");
+        assert_eq!(due, now + ACK_DELAY);
         // Not yet due: no backstop count, timer still running.
-        if Instant::now() < due {
-            link.maybe_ack(&mut a, false).unwrap();
-            assert_eq!(link.stats.acks_sent, 0);
-        }
-        std::thread::sleep(due.saturating_duration_since(Instant::now()));
-        link.maybe_ack(&mut a, false).unwrap();
+        link.maybe_ack(&mut a, now, false).unwrap();
+        assert_eq!(link.stats.acks_sent, 0);
+        link.maybe_ack(&mut a, due, false).unwrap();
         assert_eq!(link.stats.acks_sent, 1);
         assert!(link.ack_due().is_none());
         // Nothing further owed.
-        link.maybe_ack(&mut a, true).unwrap();
+        link.maybe_ack(&mut a, due, true).unwrap();
         assert_eq!(link.stats.acks_sent, 1);
     }
 

@@ -28,7 +28,7 @@
 //! cumulative-ack varint: the sender's `last_delivered` high-water mark
 //! for *incoming* sequenced traffic rides on every outgoing frame, so a
 //! busy link almost never spends a frame on a pure [`WireMsg::Ack`].
-//! [`poll_messages`] surfaces a nonzero trailing ack as a synthetic
+//! [`poll_messages_into`] surfaces a nonzero trailing ack as a synthetic
 //! `(0, Ack)` entry ahead of the message it rode on, so link
 //! bookkeeping is identical for pure and piggybacked acks.
 //!
@@ -447,24 +447,17 @@ fn rd_byte(b: &[u8], at: &mut usize) -> Result<u8, CodecError> {
 }
 
 /// Read whatever bytes are available within the connection's read
-/// timeout, feed the frame decoder, and return the decoded messages.
-/// `Ok(..)` with an empty vec means no whole frame arrived (the read
-/// timed out, or only part of a frame is in); `Err` means the
+/// timeout, feed the frame decoder, and append the decoded messages to
+/// `out`, which callers reuse so a steady-state poll allocates nothing
+/// for framing (message payloads still own their strings/paths).
+/// `Ok(())` with nothing appended means no whole frame arrived (the
+/// read timed out, or only part of a frame is in); `Err` means the
 /// connection is gone (EOF, reset, or corrupt stream).
 ///
 /// A frame carrying a nonzero piggybacked ack yields a synthetic
 /// `(0, WireMsg::Ack)` entry *before* the message itself, so callers
 /// route every ack — pure or piggybacked — through the same
 /// [`crate::Link::accept`] bookkeeping.
-pub fn poll_messages(conn: &mut Conn, dec: &mut FrameDecoder) -> io::Result<Vec<(u64, WireMsg)>> {
-    let mut out = Vec::new();
-    poll_messages_into(conn, dec, &mut out)?;
-    Ok(out)
-}
-
-/// [`poll_messages`] appending into a caller-owned vec — the hot loops
-/// reuse one vec per link so a steady-state poll allocates nothing for
-/// framing (message payloads still own their strings/paths).
 pub fn poll_messages_into(
     conn: &mut Conn,
     dec: &mut FrameDecoder,
@@ -711,7 +704,7 @@ mod tests {
     }
 
     /// A frame with a nonzero piggybacked ack surfaces through
-    /// `poll_messages` as a synthetic `(0, Ack)` ahead of the message.
+    /// `poll_messages_into` as a synthetic `(0, Ack)` ahead of the message.
     #[test]
     fn poll_messages_synthesizes_ack_from_piggyback() {
         use crate::addr::Addr;
@@ -726,7 +719,7 @@ mod tests {
         let mut dec = FrameDecoder::new();
         let mut got = Vec::new();
         for _ in 0..20 {
-            got.extend(poll_messages(&mut b, &mut dec).unwrap());
+            poll_messages_into(&mut b, &mut dec, &mut got).unwrap();
             if got.len() >= 2 {
                 break;
             }

@@ -34,7 +34,6 @@ use semantics::bisim::weak_and_congruent_threads;
 use semantics::detdfa::DetDfa;
 use semantics::explore::{explore_par, DepthMode, ExploreConfig, ParSystem};
 use semantics::failures::{failures, failures_equal};
-use semantics::lts::Lts;
 use semantics::term::{Env, Label};
 use semantics::traces::TraceSet;
 use std::fmt;
@@ -154,6 +153,11 @@ pub struct VerificationReport {
     pub extra_in_protocol: Option<Vec<Label>>,
     /// Number of non-terminated stuck (deadlock) composition states.
     pub deadlocks: usize,
+    /// `Some(d)` when the finiteness probe was truncated and the
+    /// composition was explored only to observable depth `d`, so
+    /// `deadlocks` counts only the stuck states within that depth.
+    /// `None` when the composition was explored completely.
+    pub deadlocks_within: Option<usize>,
     /// Number of composition states explored.
     pub composition_states: usize,
     /// Whether the composition was explored under the τ-confluence
@@ -224,9 +228,13 @@ impl fmt::Display for VerificationReport {
         if let Some(t) = &self.extra_in_protocol {
             writeln!(f, "  protocol trace not in service:       {}", fmt_trace(t))?;
         }
+        let within = match self.deadlocks_within {
+            Some(d) => format!(" (among states within observable depth {d})"),
+            None => String::new(),
+        };
         writeln!(
             f,
-            "deadlocks: {}   states: {} service, {} composition{}",
+            "deadlocks: {}{within}   states: {} service, {} composition{}",
             self.deadlocks,
             self.service_states,
             self.composition_states,
@@ -324,7 +332,7 @@ fn verify_derivation_inner(d: &Derivation, opts: &VerifyConfig) -> VerificationR
     let service_lts = service_expl.lts;
 
     let comp = EngineComposition::with_reduction(d, opts.medium, opts.reduce);
-    let (comp_expl, _) = explore_adaptive(&comp, opts);
+    let (comp_expl, comp_complete) = explore_adaptive(&comp, opts);
     let deadlocks = comp_expl
         .stuck
         .iter()
@@ -386,6 +394,7 @@ fn verify_derivation_inner(d: &Derivation, opts: &VerifyConfig) -> VerificationR
         missing_in_protocol,
         extra_in_protocol,
         deadlocks,
+        deadlocks_within: (!comp_complete).then_some(opts.trace_len),
         composition_states,
         reduced: opts.reduce,
         service_states,
@@ -407,19 +416,6 @@ impl crate::explorer::System for TermSystem<'_> {
     }
     fn successors(&self, s: &Self::State) -> Vec<(Label, Self::State)> {
         semantics::sos::transitions(self.env, s)
-    }
-}
-
-/// Convenience: keep only the LTS of a bounded service exploration (used
-/// by tests and benches).
-pub fn service_lts(spec: &Spec, trace_len: usize, max_states: usize) -> Lts {
-    let sys = EngineService::new(spec.clone());
-    let cap = ExploreConfig::new().max_states(max_states);
-    let full = explore_par(&sys, &cap, DepthMode::Observable);
-    if full.lts.complete {
-        full.lts
-    } else {
-        explore_par(&sys, &cap.max_depth(trace_len), DepthMode::Observable).lts
     }
 }
 
@@ -597,6 +593,35 @@ mod tests {
         let r = verify_derivation(&d, VerifyConfig::new().max_states(40).finite_probe(40));
         assert!(r.qualified, "{r}");
         assert!(!r.traces_equal && !r.inconclusive() && !r.passed(), "{r}");
+    }
+
+    /// Specgen seed 16 (3 places, depth 2, `[>`): the unreduced
+    /// composition overflows the finiteness probe and is explored only
+    /// to the observable trace bound, which holds none of its deadlocks;
+    /// the report must say the count is bounded. The reduced composition
+    /// fits the probe and finds them.
+    #[test]
+    fn a_deadlock_count_bounded_by_the_trace_depth_says_so() {
+        let spec = specgen::generate(specgen::GenConfig {
+            seed: 16,
+            places: 3,
+            max_depth: 2,
+            allow_disable: true,
+            ..specgen::GenConfig::default()
+        });
+        let d = derive(&spec).unwrap();
+        let bounded = verify_derivation(&d, VerifyConfig::default().reduce(false));
+        assert_eq!(bounded.deadlocks_within, Some(6), "{bounded}");
+        assert!(
+            bounded
+                .to_string()
+                .contains("deadlocks: 0 (among states within observable depth 6)"),
+            "{bounded}"
+        );
+        let complete = verify_derivation(&d, VerifyConfig::default());
+        assert_eq!(complete.deadlocks_within, None, "{complete}");
+        assert_eq!(complete.deadlocks, 8, "{complete}");
+        assert!(!complete.to_string().contains("among states"), "{complete}");
     }
 
     #[test]
