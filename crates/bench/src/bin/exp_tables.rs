@@ -196,7 +196,6 @@ fn table_e9_derivation_scaling() {
     for (places, scale) in [(3u8, 2u32), (3, 3), (3, 4), (3, 5), (4, 5), (6, 5), (8, 5)] {
         let spec = scaled_spec(places, scale, 42);
         let size = spec_size(&spec);
-        let t0 = Instant::now();
         let attrs_time = {
             let t = Instant::now();
             for _ in 0..10 {
@@ -211,7 +210,6 @@ fn table_e9_derivation_scaling() {
         }
         let derive_time = t1.elapsed().as_micros() / 10;
         let msgs = message_stats(d.as_ref().unwrap()).total;
-        let _ = t0;
         println!(
             "{:>6} | {:>7} | {:>12} | {:>12} | {:>10}",
             places, size, derive_time, attrs_time, msgs

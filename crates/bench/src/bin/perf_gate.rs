@@ -1,17 +1,17 @@
 //! `perf-gate` — the CI performance-regression gate. Compares a fresh
-//! `runtime-snapshot`/`distributed-snapshot` output against the
+//! `snapshot runtime`/`snapshot distributed` output against the
 //! committed baseline (`BENCH_runtime.json` / `BENCH_distributed.json`)
 //! and exits nonzero when throughput fell past a noise threshold.
 //!
-//! Entries are paired by the benchmark key — `(spec, mode,
-//! profile/link_faults, backend, threads)`, where `backend` is the
+//! Entries are read through [`LoadEntry::from_json`] and paired by its
+//! key — `(spec, mode, faults, backend, threads)`, where `backend` is the
 //! requested choice — so the same workload is always compared against
-//! itself and `--quick` runs never gate against full baselines. A key
-//! must be unique within a snapshot; a duplicate is a parse error. A
+//! itself and `--quick` runs never gate against full baselines. An entry
+//! missing a field, or a key two entries share, is a parse error. A
 //! pairing holds two checks:
 //!
 //! * **throughput**: fresh `sessions_per_sec` below
-//!   `baseline × (1 − threshold)` is a regression;
+//!   `baseline × (1 − THRESHOLD)` is a regression;
 //! * **tail latency**: the latency quantiles are log₂-bucketed, so a
 //!   single bucket step is already 2× — only a fresh `latency_p99_us`
 //!   beyond 4× baseline is flagged.
@@ -21,31 +21,23 @@
 //! 2 usage / unreadable / unparseable input.
 //!
 //! Usage:
-//!   perf-gate --baseline BENCH_runtime.json --fresh fresh.json \
-//!             [--threshold 0.25] [--report-only]
+//!   perf-gate --baseline BENCH_runtime.json --fresh fresh.json [--report-only]
 
+use bench::snapshot::LoadEntry;
 use semantics::json::Json;
 use std::collections::{BTreeSet, HashMap};
 use std::process::ExitCode;
 
-/// Default relative throughput drop tolerated as noise. Shared CI
-/// runners jitter hard; a quarter keeps the gate quiet on noise while
-/// still catching the 2x cliffs the gate exists for.
-const DEFAULT_THRESHOLD: f64 = 0.25;
+/// Relative throughput drop tolerated as noise. Shared CI runners
+/// jitter hard; a quarter keeps the gate quiet on noise while still
+/// catching the 2x cliffs the gate exists for.
+const THRESHOLD: f64 = 0.25;
 
 /// Tail-latency multiplier: quantiles come from log₂ histograms, so
 /// anything under one bucket step (2x) is indistinguishable from noise.
 const P99_FACTOR: f64 = 4.0;
 
-#[derive(Debug, Clone)]
-struct Entry {
-    key: String,
-    sessions_per_sec: f64,
-    latency_p99_us: u64,
-}
-
 /// One compared pairing (or an unpaired key).
-#[derive(Debug)]
 struct Verdict {
     line: String,
     regression: bool,
@@ -53,7 +45,7 @@ struct Verdict {
 
 /// The entries of a snapshot document's `entries` array, each under a
 /// key no other entry has.
-fn parse_snapshot(text: &str) -> Result<Vec<Entry>, String> {
+fn parse_snapshot(text: &str) -> Result<Vec<LoadEntry>, String> {
     let doc = Json::parse(text)?;
     let entries = doc["entries"].as_array().ok_or("no \"entries\" array")?;
     if entries.is_empty() {
@@ -61,50 +53,30 @@ fn parse_snapshot(text: &str) -> Result<Vec<Entry>, String> {
     }
     let entries = entries
         .iter()
-        .map(|e| {
-            let spec = e["spec"]
-                .as_str()
-                .ok_or_else(|| format!("entry without spec: {e}"))?;
-            let mode = e["mode"].as_str().unwrap_or("full");
-            // runtime snapshots call the fault column `profile`,
-            // distributed ones `link_faults`; either names the workload.
-            let profile = e["profile"]
-                .as_str()
-                .or(e["link_faults"].as_str())
-                .unwrap_or("-");
-            let backend = e["backend"].as_str().unwrap_or("-");
-            let threads = e["threads"].as_u64().unwrap_or(0);
-            Ok(Entry {
-                key: format!("{spec}/{mode}/{profile}/{backend}/t{threads}"),
-                sessions_per_sec: e["sessions_per_sec"]
-                    .as_f64()
-                    .ok_or_else(|| format!("entry without sessions_per_sec: {e}"))?,
-                latency_p99_us: e["latency_p99_us"].as_f64().map_or(0, |v| v as u64),
-            })
-        })
-        .collect::<Result<Vec<Entry>, String>>()?;
+        .map(LoadEntry::from_json)
+        .collect::<Result<Vec<_>, String>>()?;
     let mut keys = BTreeSet::new();
     for e in &entries {
-        if !keys.insert(e.key.as_str()) {
-            return Err(format!("duplicate entry key {}", e.key));
+        if !keys.insert(e.key()) {
+            return Err(format!("duplicate entry key {}", e.key()));
         }
     }
     Ok(entries)
 }
 
 /// Pair baseline and fresh entries by key and judge each pairing.
-fn compare(baseline: &[Entry], fresh: &[Entry], threshold: f64) -> Vec<Verdict> {
+fn compare(baseline: &[LoadEntry], fresh: &[LoadEntry]) -> Vec<Verdict> {
     let mut out = Vec::new();
-    let mut unpaired: HashMap<&str, &Entry> = fresh.iter().map(|f| (f.key.as_str(), f)).collect();
+    let mut unpaired: HashMap<String, &LoadEntry> = fresh.iter().map(|f| (f.key(), f)).collect();
     for b in baseline {
-        let Some(f) = unpaired.remove(b.key.as_str()) else {
+        let Some(f) = unpaired.remove(&b.key()) else {
             out.push(Verdict {
-                line: format!("  MISSING  {}  (baseline only — corpus changed?)", b.key),
+                line: format!("  MISSING  {}  (baseline only — corpus changed?)", b.key()),
                 regression: false,
             });
             continue;
         };
-        let floor = b.sessions_per_sec * (1.0 - threshold);
+        let floor = b.sessions_per_sec * (1.0 - THRESHOLD);
         let delta = (f.sessions_per_sec - b.sessions_per_sec) / b.sessions_per_sec * 100.0;
         let slow = f.sessions_per_sec < floor;
         let p99_blown =
@@ -119,15 +91,19 @@ fn compare(baseline: &[Entry], fresh: &[Entry], threshold: f64) -> Vec<Verdict> 
         out.push(Verdict {
             line: format!(
                 "  {tag:<14} {}  {:.1} -> {:.1}/s ({delta:+.1}%)  p99 {} -> {}us",
-                b.key, b.sessions_per_sec, f.sessions_per_sec, b.latency_p99_us, f.latency_p99_us
+                b.key(),
+                b.sessions_per_sec,
+                f.sessions_per_sec,
+                b.latency_p99_us,
+                f.latency_p99_us
             ),
             regression: slow || p99_blown,
         });
     }
     for f in fresh {
-        if unpaired.contains_key(f.key.as_str()) {
+        if unpaired.contains_key(&f.key()) {
             out.push(Verdict {
-                line: format!("  NEW      {}  (no baseline yet)", f.key),
+                line: format!("  NEW      {}  (no baseline yet)", f.key()),
                 regression: false,
             });
         }
@@ -135,27 +111,19 @@ fn compare(baseline: &[Entry], fresh: &[Entry], threshold: f64) -> Vec<Verdict> 
     out
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn run() -> Result<bool, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let baseline_path = flag_value(&args, "--baseline").ok_or("missing --baseline <file>")?;
-    let fresh_path = flag_value(&args, "--fresh").ok_or("missing --fresh <file>")?;
-    let threshold: f64 = match flag_value(&args, "--threshold") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("bad --threshold value: {v}"))?,
-        None => DEFAULT_THRESHOLD,
-    };
-    if !(0.0..1.0).contains(&threshold) {
-        return Err(format!("--threshold must be in [0,1): {threshold}"));
+    let mut args = std::env::args().skip(1);
+    let (mut baseline_path, mut fresh_path, mut report_only) = (None, None, false);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--baseline" => baseline_path = args.next(),
+            "--fresh" => fresh_path = args.next(),
+            "--report-only" => report_only = true,
+            other => return Err(format!("unknown argument `{other}`")),
+        }
     }
-    let report_only = args.iter().any(|a| a == "--report-only");
+    let baseline_path = baseline_path.ok_or("missing --baseline <file>")?;
+    let fresh_path = fresh_path.ok_or("missing --fresh <file>")?;
 
     let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("read {p}: {e}"));
     let baseline = parse_snapshot(&read(&baseline_path)?)
@@ -167,16 +135,16 @@ fn run() -> Result<bool, String> {
         "perf-gate: {} baseline vs {} fresh entries, threshold {:.0}%{}",
         baseline.len(),
         fresh.len(),
-        threshold * 100.0,
+        THRESHOLD * 100.0,
         if report_only { " (report only)" } else { "" }
     );
-    let verdicts = compare(&baseline, &fresh, threshold);
+    let verdicts = compare(&baseline, &fresh);
     for v in &verdicts {
         println!("{}", v.line);
     }
     let regressions = verdicts.iter().filter(|v| v.regression).count();
     if regressions > 0 {
-        println!("perf-gate: {regressions} regression(s) past the {threshold:.2} threshold");
+        println!("perf-gate: {regressions} regression(s) past the {THRESHOLD:.2} threshold");
     } else {
         println!("perf-gate: no regressions");
     }
@@ -189,10 +157,7 @@ fn main() -> ExitCode {
         Ok(true) => ExitCode::from(1),
         Err(e) => {
             eprintln!("perf-gate: {e}");
-            eprintln!(
-                "usage: perf-gate --baseline <file> --fresh <file> \
-                 [--threshold <frac>] [--report-only]"
-            );
+            eprintln!("usage: perf-gate --baseline <file> --fresh <file> [--report-only]");
             ExitCode::from(2)
         }
     }
@@ -202,20 +167,33 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    fn entry(key: &str, rate: f64, p99: u64) -> LoadEntry {
+        let mut parts = key.split('/').map(str::to_string);
+        let mut part = || parts.next().unwrap();
+        LoadEntry {
+            spec: part(),
+            mode: part(),
+            faults: part(),
+            backend: part(),
+            threads: 4,
+            ran: "compiled".to_string(),
+            sessions: 2000,
+            sessions_per_sec: rate,
+            latency_p50_us: p99 / 2,
+            latency_p99_us: p99,
+            overhead_ratio: 0.88,
+            messages: 14234,
+            frames_lost: 0,
+            retransmissions: 0,
+            reconnects: 0,
+            kills: 0,
+        }
+    }
+
     fn snapshot(rates: &[(&str, f64, u64)]) -> String {
-        let entries = rates.iter().map(|(key, rate, p99)| {
-            let mut parts = key.split('/');
-            let mut part = || parts.next().unwrap();
-            semantics::json_obj! {
-                "spec" => part(),
-                "mode" => part(),
-                "profile" => part(),
-                "backend" => part(),
-                "threads" => 4u64,
-                "sessions_per_sec" => *rate,
-                "latency_p99_us" => *p99,
-            }
-        });
+        let entries = rates
+            .iter()
+            .map(|&(key, rate, p99)| entry(key, rate, p99).to_json());
         let doc = semantics::json_obj! {
             "config" => semantics::json_obj! { "threads" => 4u64 },
             "entries" => entries.collect::<Json>(),
@@ -227,7 +205,7 @@ mod tests {
     fn identical_snapshots_pass() {
         let s = snapshot(&[("a.lotos/full/reliable/compiled", 1000.0, 512)]);
         let e = parse_snapshot(&s).unwrap();
-        let v = compare(&e, &e, 0.25);
+        let v = compare(&e, &e);
         assert_eq!(v.len(), 1);
         assert!(!v[0].regression, "{}", v[0].line);
     }
@@ -245,7 +223,7 @@ mod tests {
             ("a.lotos/full/lossy/compiled", 790.0, 1024),
         ]))
         .unwrap();
-        let v = compare(&base, &fresh, 0.25);
+        let v = compare(&base, &fresh);
         assert!(v[0].regression, "{}", v[0].line);
         assert!(!v[1].regression, "{}", v[1].line);
     }
@@ -260,7 +238,7 @@ mod tests {
         .unwrap();
         let fresh =
             parse_snapshot(&snapshot(&[("a.lotos/full/reliable/compiled", 801.0, 512)])).unwrap();
-        assert!(!compare(&base, &fresh, 0.25)[0].regression);
+        assert!(!compare(&base, &fresh)[0].regression);
     }
 
     #[test]
@@ -277,7 +255,7 @@ mod tests {
             4096,
         )]))
         .unwrap();
-        let v = compare(&base, &fresh, 0.25);
+        let v = compare(&base, &fresh);
         assert!(v[0].regression, "{}", v[0].line);
         assert!(v[0].line.contains("P99-REGRESSION"), "{}", v[0].line);
     }
@@ -310,7 +288,7 @@ mod tests {
             512,
         )]))
         .unwrap();
-        let v = compare(&base, &fresh, 0.25);
+        let v = compare(&base, &fresh);
         assert_eq!(v.len(), 2);
         assert!(v.iter().all(|v| !v.regression));
         assert!(v.iter().any(|v| v.line.contains("MISSING")));
@@ -331,26 +309,45 @@ mod tests {
             512,
         )]))
         .unwrap();
-        assert!(compare(&base, &fresh, 0.25).iter().all(|v| !v.regression));
+        assert!(compare(&base, &fresh).iter().all(|v| !v.regression));
     }
 
     /// Entries may carry nested objects and arrays (spread records,
     /// per-layer breakdowns); the gate reads its fields around them.
     #[test]
     fn nested_entries_parse() {
-        let text = r#"{"entries": [
-            {"spec": "a.lotos", "spread": {"iqr": [1, {"x": 2}]},
-             "sessions_per_sec": 900.5, "threads": 2, "latency_p99_us": 64},
-            {"spec": "b.lotos", "sessions_per_sec": 10}]}"#;
-        let e = parse_snapshot(text).unwrap();
-        assert_eq!(e.len(), 2);
-        assert_eq!(e[0].key, "a.lotos/full/-/-/t2");
+        let mut e = entry("a.lotos/full/reliable/auto", 900.5, 64).to_json();
+        let Json::Obj(members) = &mut e else {
+            unreachable!()
+        };
+        let spread = Json::parse(r#"{"iqr": [1, {"x": 2}]}"#).unwrap();
+        members.insert(1, ("spread".to_string(), spread));
+        let e = parse_snapshot(&format!(r#"{{"entries": [{e}]}}"#)).unwrap();
+        assert_eq!(e.len(), 1);
+        assert_eq!(e[0].key(), "a.lotos/full/reliable/auto/t4");
         assert_eq!(e[0].sessions_per_sec, 900.5);
         assert_eq!(e[0].latency_p99_us, 64);
-        assert_eq!(e[1].sessions_per_sec, 10.0);
+        // Rows that name no workload are errors, not defaults.
+        let keyless = r#"{"entries": [{"spec": "b.lotos", "sessions_per_sec": 10}]}"#;
+        assert!(parse_snapshot(keyless).is_err());
         assert!(parse_snapshot(r#"{"entries": [{"spec": "a"}]}"#).is_err());
         assert!(parse_snapshot(r#"{"entries": []}"#).is_err());
         assert!(parse_snapshot(r#"{"entries": [{"#).is_err());
+    }
+
+    /// An entry without one of its key columns is a parse error: the
+    /// gate never files it under a default such as `full`, `-` or `t0`.
+    #[test]
+    fn missing_key_column_is_rejected() {
+        for column in ["spec", "mode", "faults", "backend", "threads"] {
+            let mut e = entry("a.lotos/full/reliable/auto", 1000.0, 512).to_json();
+            let Json::Obj(members) = &mut e else {
+                unreachable!()
+            };
+            members.retain(|(k, _)| k != column);
+            let err = parse_snapshot(&format!(r#"{{"entries": [{e}]}}"#)).unwrap_err();
+            assert!(err.contains(&format!("entry without {column}")), "{err}");
+        }
     }
 
     #[test]
@@ -361,9 +358,24 @@ mod tests {
             let entries = parse_snapshot(&text).expect(name);
             assert!(entries.len() >= 4, "{name}: {} entries", entries.len());
             // Comparing a committed baseline against itself is clean.
-            assert!(compare(&entries, &entries, 0.25)
-                .iter()
-                .all(|v| !v.regression));
+            assert!(compare(&entries, &entries).iter().all(|v| !v.regression));
+        }
+    }
+
+    /// Every committed flaky-link row prices recovery: its proxies cut a
+    /// connection and the hub saw the entity reconnect.
+    #[test]
+    fn committed_flaky_rows_price_recovery() {
+        let root = format!("{}/../..", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(format!("{root}/BENCH_distributed.json")).unwrap();
+        let entries = parse_snapshot(&text).unwrap();
+        let flaky: Vec<_> = entries
+            .iter()
+            .filter(|e| e.faults == "flaky-link")
+            .collect();
+        assert!(!flaky.is_empty());
+        for e in flaky {
+            assert!(e.kills >= 1 && e.reconnects >= 1, "{}: {e:?}", e.key());
         }
     }
 }

@@ -9,25 +9,16 @@ use lotos::Spec;
 use specgen::{GenConfig, OpWeights};
 
 /// The paper's Example 3 (reverse file copy with interrupt).
-pub const EXAMPLE3: &str = "SPEC S [> interrupt3 ; exit WHERE \
-     PROC S = (read1; push2; S >> pop2; write3; exit) \
-           [] (eof1; make3; exit) END ENDSPEC";
+pub const EXAMPLE3: &str = include_str!("../../../specs/example3_file_copy.lotos");
 
 /// The paper's Example 2 (non-regular aⁿbⁿ).
-pub const EXAMPLE2: &str =
-    "SPEC A WHERE PROC A = (a1 ; A >> b2 ; exit) [] (a1 ; b2 ; exit) END ENDSPEC";
+pub const EXAMPLE2: &str = include_str!("../../../specs/example2_anbn.lotos");
 
 /// The two-party transport service (experiment E8).
-pub const TRANSPORT2: &str = "SPEC conreq1; conind2; conresp2; conconf1; DATA \
-    WHERE PROC DATA = (dtreq1; dtind2; DATA) [] (disreq1; disind2; exit) END \
-    ENDSPEC";
+pub const TRANSPORT2: &str = include_str!("../../../specs/transport2.lotos");
 
 /// The three-party transport service with abort (experiment E8).
-pub const TRANSPORT3: &str = "SPEC \
-    conreq1; conind2; conresp2; conconf1; up3; \
-    ((DATA [> abort2; bye2; exit) >> down3; exit) \
-    WHERE PROC DATA = (dtreq1; dtind2; DATA) [] (disreq1; disind2; bye2; exit) END \
-    ENDSPEC";
+pub const TRANSPORT3: &str = include_str!("../../../specs/transport3_abort.lotos");
 
 /// Parse a named corpus member.
 pub fn corpus_spec(src: &str) -> Spec {

@@ -1,60 +1,98 @@
-//! The `BENCH_*.json` snapshot documents, shared by the
-//! `runtime-snapshot`, `distributed-snapshot` and `perf-snapshot`
-//! binaries (and pinned by the JSON golden test).
+//! The `BENCH_*.json` snapshot documents: written by the `snapshot`
+//! binary, read back by `perf-gate`, and pinned by the JSON golden test.
 
 use runtime::metrics::RuntimeReport;
 use semantics::json::Json;
 use semantics::json_obj;
 
-/// Threads every load snapshot runs with.
+/// Threads (concurrent engine) or session window (hub) of every load run.
 pub const THREADS: usize = 4;
 
-/// One `BENCH_runtime.json` entry. `backend` is the requested choice,
-/// part of the entry's key; `ran` is what the run resolved it to
-/// (`auto` falls back to `interpreted` where an entity does not lower).
-pub fn runtime_entry(spec: &str, mode: &str, profile: &str, report: &RuntimeReport) -> Json {
-    json_obj! {
-        "spec" => spec,
-        "mode" => mode,
-        "profile" => profile,
-        "backend" => report.config.backend.to_string(),
-        "ran" => report.backend,
-        "sessions" => report.sessions,
-        "threads" => THREADS,
-        "sessions_per_sec" => report.sessions_per_sec,
-        "latency_p50_us" => report.session_latency.p50 as u64,
-        "latency_p99_us" => report.session_latency.p99 as u64,
-        "overhead_ratio" => report.overhead_ratio(),
-        "messages" => report.messages,
-        "frames_lost" => report.frames_lost,
-        "retransmissions" => report.retransmissions,
-    }
+/// Declare [`LoadEntry`] from one field list, so its writer and its
+/// reader cannot drift apart: each field is written under its own name
+/// and read back with the `Json` accessor named beside it.
+macro_rules! load_entry {
+    ($($field:ident: $ty:ty = $read:ident,)*) => {
+        /// One `BENCH_runtime.json` or `BENCH_distributed.json` entry: a
+        /// load run on one engine, keyed by [`LoadEntry::key`]. `backend`
+        /// is the requested choice; `ran` is what the run resolved it to
+        /// (`auto` falls back to `interpreted` where an entity does not
+        /// lower). Every measured field but `kills` (the connections the
+        /// fault proxies cut) comes from the run's [`RuntimeReport`]; a
+        /// field the engine does not produce is 0.
+        #[derive(Clone, Debug, PartialEq)]
+        pub struct LoadEntry {
+            $(pub $field: $ty,)*
+        }
+
+        impl LoadEntry {
+            pub fn to_json(&self) -> Json {
+                json_obj! { $(stringify!($field) => self.$field.clone(),)* }
+            }
+
+            /// Read an entry back; `Err` names the first missing or
+            /// mistyped field. Members the type does not know are ignored.
+            pub fn from_json(e: &Json) -> Result<Self, String> {
+                Ok(LoadEntry {
+                    $($field: e[stringify!($field)]
+                        .$read()
+                        .map(Into::into)
+                        .ok_or_else(|| format!("entry without {}: {e}", stringify!($field)))?,)*
+                })
+            }
+        }
+    };
 }
 
-/// One `BENCH_distributed.json` entry; `kills` counts the connections
-/// the fault proxies cut, `backend`/`ran` as in [`runtime_entry`].
-pub fn distributed_entry(
-    spec: &str,
-    mode: &str,
-    link_faults: &str,
-    report: &RuntimeReport,
-    kills: u64,
-) -> Json {
-    json_obj! {
-        "spec" => spec,
-        "mode" => mode,
-        "link_faults" => link_faults,
-        "backend" => report.config.backend.to_string(),
-        "ran" => report.backend,
-        "sessions" => report.sessions,
-        "threads" => THREADS,
-        "sessions_per_sec" => report.sessions_per_sec,
-        "latency_p50_us" => report.session_latency.p50 as u64,
-        "latency_p99_us" => report.session_latency.p99 as u64,
-        "messages" => report.messages,
-        "kills" => kills,
-        "reconnects" => report.per_link.values().map(|l| l.reconnects).sum::<usize>(),
-        "retransmissions" => report.per_link.values().map(|l| l.retransmissions).sum::<usize>(),
+load_entry! {
+    spec: String = as_str,
+    mode: String = as_str,
+    faults: String = as_str,
+    backend: String = as_str,
+    ran: String = as_str,
+    sessions: u64 = as_u64,
+    threads: u64 = as_u64,
+    sessions_per_sec: f64 = as_f64,
+    latency_p50_us: u64 = as_u64,
+    latency_p99_us: u64 = as_u64,
+    overhead_ratio: f64 = as_f64,
+    messages: u64 = as_u64,
+    frames_lost: u64 = as_u64,
+    retransmissions: u64 = as_u64,
+    reconnects: u64 = as_u64,
+    kills: u64 = as_u64,
+}
+
+impl LoadEntry {
+    pub fn new(spec: &str, mode: &str, faults: &str, report: &RuntimeReport, kills: u64) -> Self {
+        LoadEntry {
+            spec: spec.to_string(),
+            mode: mode.to_string(),
+            faults: faults.to_string(),
+            backend: report.config.backend.to_string(),
+            ran: report.backend.to_string(),
+            sessions: report.sessions as u64,
+            threads: THREADS as u64,
+            sessions_per_sec: report.sessions_per_sec,
+            latency_p50_us: report.session_latency.p50 as u64,
+            latency_p99_us: report.session_latency.p99 as u64,
+            overhead_ratio: report.overhead_ratio(),
+            messages: report.messages as u64,
+            frames_lost: report.frames_lost as u64,
+            retransmissions: report.retransmissions as u64,
+            reconnects: report.per_link.values().map(|l| l.reconnects as u64).sum(),
+            kills,
+        }
+    }
+
+    /// The key no other entry of a snapshot may share:
+    /// `(spec, mode, faults, backend, threads)`.
+    pub fn key(&self) -> String {
+        let e = self;
+        format!(
+            "{}/{}/{}/{}/t{}",
+            e.spec, e.mode, e.faults, e.backend, e.threads
+        )
     }
 }
 
@@ -80,12 +118,6 @@ impl KernelTiming {
     }
 }
 
-/// The full verification kernel (weak bisimulation + trace
-/// comparison), naive vs fast — the headline number of an entry.
-pub fn verify_speedup(bisim: &KernelTiming, traces: &KernelTiming) -> f64 {
-    (bisim.naive_us + traces.naive_us) / (bisim.fast_us + traces.fast_us).max(1e-3)
-}
-
 /// One `BENCH_verify.json` entry. `composition_states` counts the
 /// reduced composition the kernels ran on, `unreduced_states` the same
 /// exploration with every interleaving.
@@ -104,7 +136,9 @@ pub fn verify_entry(
         "composition_states_unreduced" => unreduced_states,
         "weak_bisim" => bisim.to_json(),
         "traces" => traces.to_json(),
-        "verify_speedup" => verify_speedup(bisim, traces),
+        // The full verification kernel, naive vs fast: the headline.
+        "verify_speedup" => (bisim.naive_us + traces.naive_us)
+            / (bisim.fast_us + traces.fast_us).max(1e-3),
     }
 }
 

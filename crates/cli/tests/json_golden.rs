@@ -3,13 +3,15 @@
 //! the CLI), a Chrome trace and one entry of each BENCH snapshot layout.
 //!
 //! `tests/golden/*.json` holds what the writers produced for the fixed
-//! fixtures below before they moved onto `semantics::json::Json`. Each
+//! fixtures below before they moved onto `semantics::json::Json`
+//! (`bench_load_entry.json`: what `LoadEntry::to_json` wrote when the
+//! runtime and distributed entries became that one type). Each
 //! writer's current output must have the same key paths in the same
 //! order, equal strings, integers and booleans, and floats equal at the
 //! precision the golden file printed them with. The golden documents
 //! double as real inputs for the parser's hostile-input checks.
 
-use bench::snapshot::{distributed_entry, runtime_entry, verify_entry, KernelTiming};
+use bench::snapshot::{verify_entry, KernelTiming, LoadEntry};
 use lotos::event::SyncKind;
 use obs::{Event, EventKind, TraceEvent, TraceLog, NO_SESSION};
 use proptest::prelude::*;
@@ -23,14 +25,13 @@ use std::collections::BTreeMap;
 use std::process::Command;
 use std::time::Duration;
 
-const GOLDEN: [&str; 8] = [
+const GOLDEN: [&str; 7] = [
     "report",
     "health",
     "config",
     "codegen_transport2",
     "chrome_trace",
-    "bench_runtime_entry",
-    "bench_distributed_entry",
+    "bench_load_entry",
     "bench_verify_entry",
 ];
 
@@ -298,28 +299,15 @@ fn chrome_trace() -> String {
     .to_string()
 }
 
-fn load_report(backend: &'static str) -> RuntimeReport {
+fn bench_load_entry() -> String {
     let mut r = report();
-    r.backend = backend;
+    r.backend = "mixed";
     r.sessions = 2000;
     r.sessions_per_sec = 84_303.712;
     r.session_latency = hist(2000, 950.5, 896.0, 4000);
-    r
-}
-
-fn bench_runtime_entry() -> String {
-    runtime_entry("transport2.lotos", "full", "lossy", &load_report("mixed")).to_string()
-}
-
-fn bench_distributed_entry() -> String {
-    distributed_entry(
-        "transport2.lotos",
-        "quick",
-        "flaky-link",
-        &load_report("interpreted"),
-        6,
-    )
-    .to_string()
+    LoadEntry::new("transport2.lotos", "full", "flaky-link", &r, 6)
+        .to_json()
+        .to_string()
 }
 
 fn bench_verify_entry() -> String {
@@ -343,8 +331,7 @@ fn current(name: &str) -> String {
         "config" => config(),
         "codegen_transport2" => codegen(),
         "chrome_trace" => chrome_trace(),
-        "bench_runtime_entry" => bench_runtime_entry(),
-        "bench_distributed_entry" => bench_distributed_entry(),
+        "bench_load_entry" => bench_load_entry(),
         "bench_verify_entry" => bench_verify_entry(),
         _ => unreachable!("{name}"),
     }
