@@ -28,8 +28,8 @@
 //! run with the interrupting primitive refused, the normal-completion
 //! regime of EXPERIMENTS.md E6 under which the §3.3 deviation cannot
 //! occur. A snapshot that would record a non-conforming or aborted run,
-//! a flaky row without a kill and a reconnect, or disagreeing kernel
-//! verdicts panics instead. `--quick` (load suites only) runs fewer
+//! a flaky row without a kill or without a reconnect, or disagreeing
+//! kernel verdicts panics instead. `--quick` (load suites only) runs fewer
 //! sessions and marks each entry `"mode":"quick"`, so `perf-gate` never
 //! pairs it with a full baseline.
 
@@ -64,11 +64,11 @@ enum Suite {
 }
 use Suite::{Distributed, Runtime, Verify};
 
-/// Every snapshot spec, the disable triggers its load runs refuse, and
-/// the suites that run it.
-/// Disable triggers refused, as `(primitive, place)`.
+/// Disable triggers a load run refuses, as `(primitive, place)`.
 type Refusals = &'static [(&'static str, u8)];
 
+/// Every snapshot spec, the disable triggers its load runs refuse, and
+/// the suites that run it.
 const CORPUS: &[(&str, Refusals, &[Suite])] = &[
     ("example1_invocation.lotos", &[], &[Verify]),
     ("example2_anbn.lotos", &[], &[Verify]),
@@ -84,9 +84,11 @@ const CORPUS: &[(&str, Refusals, &[Suite])] = &[
 ];
 const ALL: &[Suite] = &[Runtime, Distributed, Verify];
 
-/// Each proxied connection dies 3–15 ms after it opens, twice per
-/// entity: inside even a quick run, whose sessions take tens of
-/// milliseconds, where `flaky-link`'s 60–160 ms would miss it.
+/// The link faults of a `flaky-link` row: each proxied connection dies
+/// 3–15 ms after it opens, twice per entity. A flaky row lasts 27–93 ms
+/// in quick mode on 2 cores, so every proxy spends its kills. This is
+/// not the CLI's `--link-faults flaky-link` (60–160 ms lives), whose
+/// first kill would come after these runs end.
 const FLAKY: LinkFaults = LinkFaults::Flaky {
     max_kills: 2,
     life_ms: (3, 15),
@@ -100,13 +102,15 @@ fn derive(name: &str) -> Derived {
         .unwrap_or_else(|e| panic!("specs/{name}: {e}"))
 }
 
-/// A distributed run, each entity behind a fault proxy when `faults` is
-/// set: the hub's report and the connections the proxies killed.
+/// A distributed run with a 20 000-step session budget, each entity
+/// behind a fault proxy when `faults` is set: the hub's report and the
+/// connections the proxies killed.
 fn run_sockets(
     d: &Derivation,
     cfg: &RuntimeConfig,
     faults: Option<LinkFaults>,
 ) -> (RuntimeReport, u64) {
+    let cfg = &cfg.clone().max_steps(20_000);
     let dcfg = DistributedConfig::new(Addr::Tcp("127.0.0.1:0".to_string()));
     let listener = dcfg.listen.listen().expect("bind hub");
     let hub_addr = listener.local_addr().expect("hub addr");
@@ -153,8 +157,11 @@ fn load_entries(
     refuse: &[(&str, u8)],
     quick: bool,
 ) -> Vec<Json> {
-    let mode = if quick { "quick" } else { "full" };
-    let sessions = if quick { 400 } else { 2000 };
+    let (mode, sessions) = match (suite, quick) {
+        (_, false) => ("full", 2000),
+        (Runtime, true) => ("quick", 200),
+        (_, true) => ("quick", 1000),
+    };
     let d = derived.derivation();
     let mut entries = Vec::new();
     for backend in [BackendChoice::Interpreted, BackendChoice::Auto] {
@@ -215,7 +222,10 @@ fn time_us<T>(mut f: impl FnMut() -> T) -> (f64, T) {
     while runs < 9 || (start.elapsed() < budget && runs < 50_000) {
         let t0 = Instant::now();
         out = f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e6);
+        let dt = t0.elapsed().as_secs_f64() * 1e6;
+        if dt < best {
+            best = dt;
+        }
         runs += 1;
     }
     (best, out)

@@ -88,10 +88,9 @@ impl LoadEntry {
     /// The key no other entry of a snapshot may share:
     /// `(spec, mode, faults, backend, threads)`.
     pub fn key(&self) -> String {
-        let e = self;
         format!(
             "{}/{}/{}/{}/t{}",
-            e.spec, e.mode, e.faults, e.backend, e.threads
+            self.spec, self.mode, self.faults, self.backend, self.threads
         )
     }
 }
@@ -118,6 +117,12 @@ impl KernelTiming {
     }
 }
 
+/// The full verification kernel (weak bisimulation + trace
+/// comparison), naive vs fast — the headline number of an entry.
+pub fn verify_speedup(bisim: &KernelTiming, traces: &KernelTiming) -> f64 {
+    (bisim.naive_us + traces.naive_us) / (bisim.fast_us + traces.fast_us).max(1e-3)
+}
+
 /// One `BENCH_verify.json` entry. `composition_states` counts the
 /// reduced composition the kernels ran on, `unreduced_states` the same
 /// exploration with every interleaving.
@@ -136,9 +141,7 @@ pub fn verify_entry(
         "composition_states_unreduced" => unreduced_states,
         "weak_bisim" => bisim.to_json(),
         "traces" => traces.to_json(),
-        // The full verification kernel, naive vs fast: the headline.
-        "verify_speedup" => (bisim.naive_us + traces.naive_us)
-            / (bisim.fast_us + traces.fast_us).max(1e-3),
+        "verify_speedup" => verify_speedup(bisim, traces),
     }
 }
 
