@@ -19,9 +19,11 @@
 //!   composition; the unreduced composition's state count is recorded
 //!   beside it): **weak-bisim** naive (`semantics::naive`: per-state-BFS
 //!   saturation and global-fixpoint partition) vs fast (τ-SCC condensed
-//!   saturation and worklist refinement), and **traces** naive
+//!   saturation and worklist refinement), **traces** naive
 //!   (materialized `TraceSet`s) vs fast (hash-consed determinization and
-//!   product-automaton walks).
+//!   product-automaton walks), and **failures** naive
+//!   (`semantics::failures`: per-trace refusal families) vs fast (both
+//!   determinizations and the product walk over their stable initials).
 //!
 //! The load suites run each spec under the interpreted and `auto`
 //! backends and write one [`LoadEntry`] per run. Disable (`[>`) specs
@@ -43,6 +45,7 @@ use runtime::{
 };
 use semantics::detdfa::DetDfa;
 use semantics::explore::{explore_par, DepthMode, ExploreConfig};
+use semantics::failures::{failures, failures_equal};
 use semantics::json::Json;
 use semantics::json_obj;
 use semantics::lts::Lts;
@@ -290,9 +293,28 @@ fn verify_entry_of(name: &str, d: &Derivation) -> Json {
             (DetDfa::equal(&ds, &dc), diff(&ds, &dc), diff(&dc, &ds))
         },
     );
+    let fail = kernel(
+        || {
+            let (fs, fc) = (failures(&service, TRACE_LEN), failures(&comp, TRACE_LEN));
+            failures_equal(&fs, &fc)
+        },
+        || {
+            let ds = DetDfa::build(&service, TRACE_LEN);
+            DetDfa::failures_equal(&ds, &DetDfa::build(&comp, TRACE_LEN))
+        },
+    );
     assert!(bisim.agree, "{name}: weak-bisim verdicts disagree");
     assert!(trace.agree, "{name}: trace verdicts disagree");
-    verify_entry(name, service.len(), comp.len(), unreduced, &bisim, &trace)
+    assert!(fail.agree, "{name}: stable-failures verdicts disagree");
+    verify_entry(
+        name,
+        service.len(),
+        comp.len(),
+        unreduced,
+        &bisim,
+        &trace,
+        &fail,
+    )
 }
 
 fn main() -> ExitCode {

@@ -117,10 +117,13 @@ impl KernelTiming {
     }
 }
 
-/// The full verification kernel (weak bisimulation + trace
-/// comparison), naive vs fast — the headline number of an entry.
-pub fn verify_speedup(bisim: &KernelTiming, traces: &KernelTiming) -> f64 {
-    (bisim.naive_us + traces.naive_us) / (bisim.fast_us + traces.fast_us).max(1e-3)
+/// The full verification kernel (weak bisimulation, trace comparison
+/// and stable failures), naive vs fast — the headline number of an
+/// entry.
+pub fn verify_speedup(kernels: &[&KernelTiming]) -> f64 {
+    let naive: f64 = kernels.iter().map(|k| k.naive_us).sum();
+    let fast: f64 = kernels.iter().map(|k| k.fast_us).sum();
+    naive / fast.max(1e-3)
 }
 
 /// One `BENCH_verify.json` entry. `composition_states` counts the
@@ -133,6 +136,7 @@ pub fn verify_entry(
     unreduced_states: usize,
     bisim: &KernelTiming,
     traces: &KernelTiming,
+    failures: &KernelTiming,
 ) -> Json {
     json_obj! {
         "spec" => spec,
@@ -141,7 +145,8 @@ pub fn verify_entry(
         "composition_states_unreduced" => unreduced_states,
         "weak_bisim" => bisim.to_json(),
         "traces" => traces.to_json(),
-        "verify_speedup" => verify_speedup(bisim, traces),
+        "failures" => failures.to_json(),
+        "verify_speedup" => verify_speedup(&[bisim, traces, failures]),
     }
 }
 

@@ -321,7 +321,21 @@ fn bench_verify_entry() -> String {
         fast_us: 14.7,
         agree: false,
     };
-    verify_entry("example2_anbn.lotos", 19, 134, 240, &bisim, &traces).to_string()
+    let failures = KernelTiming {
+        naive_us: 61.31,
+        fast_us: 12.5,
+        agree: true,
+    };
+    verify_entry(
+        "example2_anbn.lotos",
+        19,
+        134,
+        240,
+        &bisim,
+        &traces,
+        &failures,
+    )
+    .to_string()
 }
 
 fn current(name: &str) -> String {

@@ -4,7 +4,7 @@
 //! `BTreeSet<Vec<Label>>` whose size is exponential in the trace bound —
 //! and compared them. This module builds the *determinized automaton*
 //! once per LTS (subset construction with hash-consed state sets, each
-//! distinct subset expanded exactly once) and answers the two questions
+//! distinct subset expanded exactly once) and answers the questions
 //! verification actually asks directly on the automata:
 //!
 //! * [`DetDfa::equal`] — do the systems have the same observable traces
@@ -14,6 +14,13 @@
 //!   one system that the other lacks, identical to what scanning the two
 //!   `BTreeSet`s produced, found by a label-ordered DFS over the product
 //!   with a "no difference within k steps" memo.
+//! * [`DetDfa::failures_equal`] — do the systems have the same bounded
+//!   stable failures? A trace's refusals depend only on the ε-closed
+//!   subset it reaches, so each subset records, when it is interned, the
+//!   antichain of minimal initials sets of its stable members (over the
+//!   union alphabet a refusal is the complement of an initials set), and
+//!   the verdict is one BFS over the product. It agrees with
+//!   [`crate::failures::failures_equal`] on every pair of LTSs.
 //!
 //! Labels are interned per automaton with ids assigned in [`Label`] sort
 //! order, so the hot walks compare and search plain `u32`s; comparing two
@@ -25,7 +32,9 @@ use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::lts::Lts;
 use crate::term::Label;
 use crate::traces::TraceSet;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::rc::Rc;
 
 /// The bounded determinization of an LTS: ε-closed subset states, each
@@ -47,6 +56,108 @@ pub struct DetDfa {
     pub bound: usize,
     /// Whether the underlying LTS was complete.
     pub complete: bool,
+    /// Per determinized state, the minimal initials sets of its stable
+    /// members (LTS states with no τ move).
+    stable: Antichains,
+}
+
+/// ⊥ in a product pair: the side that cannot follow the trace. It has
+/// no moves and no stable member.
+const BOTTOM: u32 = u32::MAX;
+
+/// Per determinized state `d`, an antichain of label sets: sets
+/// `off[d]..off[d + 1]` of one flat arena, each `words` bitset words
+/// (bit = label id). A state with no set has no stable member. A stable
+/// member with no observable move contributes the empty set, which
+/// counts even when the alphabet is empty and a set has no words.
+#[derive(Clone)]
+struct Antichains {
+    off: Vec<u32>,
+    sets: Vec<u64>,
+    words: usize,
+    /// Sets recorded so far (`sets.len() / words` unless `words` is 0).
+    len: usize,
+}
+
+/// Is bitset `x` a subset of bitset `y`?
+fn subset(x: &[u64], y: &[u64]) -> bool {
+    x.iter().zip(y).all(|(a, b)| a & !b == 0)
+}
+
+impl Antichains {
+    fn new(words: usize) -> Antichains {
+        Antichains {
+            off: vec![0],
+            sets: Vec::new(),
+            words,
+            len: 0,
+        }
+    }
+
+    fn set(&self, k: usize) -> &[u64] {
+        &self.sets[k * self.words..(k + 1) * self.words]
+    }
+
+    /// The set indices of state `d` (none for ⊥).
+    fn range(&self, d: u32) -> Range<usize> {
+        if d == BOTTOM {
+            return 0..0;
+        }
+        self.off[d as usize] as usize..self.off[d as usize + 1] as usize
+    }
+
+    /// Add `set` to the antichain of the state being recorded: dropped
+    /// when one of its sets is a subset of it, and otherwise replacing
+    /// its supersets.
+    fn insert(&mut self, set: &[u64]) {
+        let start = *self.off.last().expect("offsets start at 0") as usize;
+        if (start..self.len).any(|k| subset(self.set(k), set)) {
+            return;
+        }
+        let w = self.words;
+        let mut kept = start;
+        for k in start..self.len {
+            if !subset(set, self.set(k)) {
+                self.sets.copy_within(k * w..(k + 1) * w, kept * w);
+                kept += 1;
+            }
+        }
+        self.sets.truncate(kept * w);
+        self.sets.extend_from_slice(set);
+        self.len = kept + 1;
+    }
+
+    /// Close the antichain of the state being recorded.
+    fn close(&mut self) {
+        self.off.push(self.len as u32);
+    }
+
+    /// The same antichains over a label index of `n` labels that
+    /// contains this one, `map` taking each label id to its id there.
+    fn remap(&self, map: &[u32], n: usize) -> Cow<'_, Antichains> {
+        if n == map.len() {
+            // an order-preserving map onto as many labels is the identity
+            return Cow::Borrowed(self);
+        }
+        let words = n.div_ceil(64);
+        let mut sets = vec![0u64; self.len * words];
+        for k in 0..self.len {
+            for (w, &bits) in self.set(k).iter().enumerate() {
+                let mut bits = bits;
+                while bits != 0 {
+                    let id = map[w * 64 + bits.trailing_zeros() as usize] as usize;
+                    sets[k * words + id / 64] |= 1 << (id % 64);
+                    bits &= bits - 1;
+                }
+            }
+        }
+        Cow::Owned(Antichains {
+            off: self.off.clone(),
+            sets,
+            words,
+            len: self.len,
+        })
+    }
 }
 
 impl DetDfa {
@@ -153,6 +264,25 @@ impl DetDfa {
             out.sort_unstable();
         };
 
+        // The antichain of a new subset: the minimal initials sets of its
+        // stable members, built in one reusable bitset.
+        let mut stable = Antichains::new(labels.len().div_ceil(64));
+        let mut initials = vec![0u64; stable.words];
+        let mut record = |subset: &[u32], stable: &mut Antichains| {
+            for &s in subset {
+                let su = s as usize;
+                if tau_off[su] != tau_off[su + 1] {
+                    continue;
+                }
+                initials.fill(0);
+                for &(id, _) in &obs_flat[obs_off[su] as usize..obs_off[su + 1] as usize] {
+                    initials[id as usize / 64] |= 1 << (id % 64);
+                }
+                stable.insert(&initials);
+            }
+            stable.close();
+        };
+
         let mut stack: Vec<u32> = Vec::new();
         let mut scratch: Vec<u32> = Vec::new();
         let mut index: FxHashMap<Rc<[u32]>, u32> = FxHashMap::default();
@@ -161,6 +291,7 @@ impl DetDfa {
         let mut depth: Vec<u32> = Vec::new();
 
         closure(&[lts.initial as u32], &mut stack, &mut scratch);
+        record(&scratch, &mut stable);
         let init: Rc<[u32]> = Rc::from(&scratch[..]);
         index.insert(init.clone(), 0);
         subsets.push(init);
@@ -199,6 +330,7 @@ impl DetDfa {
                     Some(&id) => id,
                     None => {
                         let id = subsets.len() as u32;
+                        record(&scratch, &mut stable);
                         let closed: Rc<[u32]> = Rc::from(&scratch[..]);
                         index.insert(closed.clone(), id);
                         subsets.push(closed);
@@ -221,6 +353,7 @@ impl DetDfa {
             depth,
             bound,
             complete: lts.complete,
+            stable,
         }
     }
 
@@ -269,6 +402,132 @@ impl DetDfa {
             self.enumerate(t, len + 1, path, out);
             path.pop();
         }
+    }
+
+    /// The number of distinct traces up to the bound, the empty trace
+    /// included: `trace_set().traces.len()` without building the set.
+    /// Every path of the deterministic automaton is one trace, so this
+    /// counts paths, one level of remaining length at a time (saturating
+    /// at `u64::MAX`).
+    pub fn trace_count(&self) -> u64 {
+        // paths[d] = paths of length ≤ r from state d, for r = 0, 1, …
+        let mut paths = vec![1u64; self.trans.len()];
+        for _ in 0..self.bound {
+            paths = self
+                .trans
+                .iter()
+                .map(|es| {
+                    es.iter()
+                        .fold(1u64, |n, &(_, t)| n.saturating_add(paths[t as usize]))
+                })
+                .collect();
+        }
+        paths[self.initial as usize]
+    }
+
+    /// Do `a` and `b` have the same stable failures up to the common
+    /// bound? The same verdict as [`crate::failures::failures_equal`] on
+    /// the two LTSs' [`crate::failures::failures`], decided by a BFS over
+    /// the product that compares each reachable pair once:
+    ///
+    /// * a trace's refusals depend only on the ε-closed subset it
+    ///   reaches, so they are compared per product pair;
+    /// * over the union alphabet `U` a stable state `s` refuses exactly
+    ///   `U \ init(s)`, so `X ⊆ Y ⇔ init(s) ⊇ init(t)`: maximal refusals
+    ///   are the minimal initials sets, and one side's refusals are all
+    ///   subsumed by the other's when each of its minimal initials sets
+    ///   has a subset among the other's;
+    /// * a trace only one system has pairs that system's subset with ⊥,
+    ///   which has no stable member: it differs exactly when the subset
+    ///   has one.
+    pub fn failures_equal(a: &DetDfa, b: &DetDfa) -> bool {
+        let bound = a.bound.min(b.bound);
+        let (map_a, map_b, n) = Self::union_index(a, b);
+        let (sa, sb) = (a.stable.remap(&map_a, n), b.stable.remap(&map_b, n));
+        let refusals_equal = |da: u32, db: u32| {
+            let (ra, rb) = (sa.range(da), sb.range(db));
+            if ra.is_empty() || rb.is_empty() {
+                return ra.is_empty() == rb.is_empty();
+            }
+            let covered = |x: &Antichains, rx: &Range<usize>, y: &Antichains, ry: &Range<usize>| {
+                rx.clone()
+                    .all(|i| ry.clone().any(|j| subset(y.set(j), x.set(i))))
+            };
+            covered(&sa, &ra, &sb, &rb) && covered(&sb, &rb, &sa, &ra)
+        };
+        // BFS over the product; each pair compared and expanded at its
+        // minimal depth, which dominates any later (deeper) visit.
+        let mut seen: FxHashSet<(u32, u32)> = FxHashSet::default();
+        let mut frontier: Vec<(u32, u32)> = vec![(a.initial, b.initial)];
+        seen.insert((a.initial, b.initial));
+        for level in 0..=bound {
+            let mut next: Vec<(u32, u32)> = Vec::new();
+            for (da, db) in frontier {
+                if !refusals_equal(da, db) {
+                    return false;
+                }
+                if level == bound {
+                    continue;
+                }
+                // merge the two successor lists by union label id
+                let (ea, eb) = (a.moves(da), b.moves(db));
+                let (mut i, mut j) = (0, 0);
+                while i < ea.len() || j < eb.len() {
+                    let la = ea.get(i).map_or(u32::MAX, |&(l, _)| map_a[l as usize]);
+                    let lb = eb.get(j).map_or(u32::MAX, |&(l, _)| map_b[l as usize]);
+                    let pair = match la.cmp(&lb) {
+                        std::cmp::Ordering::Less => (ea[i].1, BOTTOM),
+                        std::cmp::Ordering::Greater => (BOTTOM, eb[j].1),
+                        std::cmp::Ordering::Equal => (ea[i].1, eb[j].1),
+                    };
+                    i += usize::from(la <= lb);
+                    j += usize::from(lb <= la);
+                    if seen.insert(pair) {
+                        next.push(pair);
+                    }
+                }
+            }
+            if next.is_empty() {
+                break;
+            }
+            frontier = next;
+        }
+        true
+    }
+
+    /// The observable moves of state `d` (none for ⊥).
+    fn moves(&self, d: u32) -> &[(u32, u32)] {
+        if d == BOTTOM {
+            &[]
+        } else {
+            &self.trans[d as usize]
+        }
+    }
+
+    /// The union of the two sorted label tables: each side's label ids
+    /// mapped to their ids in the union, and the union's size — a linear
+    /// merge like [`DetDfa::label_map`].
+    fn union_index(a: &DetDfa, b: &DetDfa) -> (Vec<u32>, Vec<u32>, usize) {
+        let mut map_a = Vec::with_capacity(a.labels.len());
+        let mut map_b = Vec::with_capacity(b.labels.len());
+        let (mut i, mut j, mut n) = (0usize, 0usize, 0u32);
+        while i < a.labels.len() || j < b.labels.len() {
+            let ord = match (a.labels.get(i), b.labels.get(j)) {
+                (Some(x), Some(y)) => x.cmp(y),
+                (Some(_), None) => std::cmp::Ordering::Less,
+                _ => std::cmp::Ordering::Greater,
+            };
+            if ord.is_le() {
+                map_a.push(n);
+                i += 1;
+            }
+            if ord.is_ge() {
+                map_b.push(n);
+                j += 1;
+            }
+            n += 1;
+        }
+        (map_a, map_b, n as usize)
     }
 
     /// Are the bounded trace sets of `a` and `b` equal up to the smaller

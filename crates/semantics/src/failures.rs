@@ -15,6 +15,11 @@
 //! Failures are computed over a finite [`Lts`] for traces up to a bound,
 //! recording per trace the **maximal refusal sets** (every refusal is a
 //! subset of a maximal one, so families compare by mutual subsumption).
+//!
+//! This module is the oracle: the verification harness decides the
+//! same verdict with [`crate::detdfa::DetDfa::failures_equal`] on the
+//! determinized pair its trace check already built, and the
+//! differential tests hold the two to the same answer.
 
 use crate::lts::Lts;
 use crate::term::Label;

@@ -12,10 +12,14 @@
 //!   equality);
 //! * determinized product-walk trace comparison vs materialized
 //!   `TraceSet` equality and `BTreeSet`-scan `first_difference`
-//!   (identical witnesses), at several trace bounds.
+//!   (identical witnesses), at several trace bounds;
+//! * the product-walk stable-failures verdict vs `semantics::failures`
+//!   (per-trace refusal families), at bounds 0 to 5, and path counting
+//!   vs the materialized trace set.
 
 use proptest::prelude::*;
 use semantics::detdfa::DetDfa;
+use semantics::failures::{failures, failures_equal};
 use semantics::lts::Lts;
 use semantics::term::Label;
 use semantics::{naive, traces};
@@ -147,6 +151,29 @@ proptest! {
     }
 
     #[test]
+    fn failures_verdict_matches_oracle(
+        na in 1usize..8,
+        ea in edges_strategy(),
+        nb in 1usize..8,
+        eb in edges_strategy(),
+    ) {
+        let a = lts_from(na, &ea);
+        let b = lts_from(nb, &eb);
+        for bound in 0usize..=5 {
+            let da = DetDfa::build(&a, bound);
+            let db = DetDfa::build(&b, bound);
+            prop_assert_eq!(
+                DetDfa::failures_equal(&da, &db),
+                failures_equal(&failures(&a, bound), &failures(&b, bound)),
+                "bound {}", bound
+            );
+            for d in [&da, &db] {
+                prop_assert_eq!(d.trace_count(), d.trace_set().traces.len() as u64);
+            }
+        }
+    }
+
+    #[test]
     fn self_equivalence_always_holds(n in 1usize..10, edges in edges_strategy()) {
         let l = lts_from(n, &edges);
         prop_assert_eq!(semantics::bisim::weak_equiv(&l, &l), Some(true));
@@ -203,6 +230,62 @@ fn fused_verdicts_cover_every_outcome() {
                 *want,
                 "@{threads} threads"
             );
+        }
+    }
+}
+
+/// The LTS of a behaviour expression.
+fn lts_of(src: &str) -> Lts {
+    let (spec, root) = lotos::parser::parse_expr(src).unwrap();
+    let env = semantics::term::Env::new(spec);
+    let t = env.instantiate(root, 0);
+    semantics::lts::build_term_lts(&env, t, 10_000).0
+}
+
+/// Pairs chosen for each rule of the product-walk failures check: the
+/// verdict agrees with the oracle at bounds 0 to 4, both ways round, and
+/// is the one given at bound 4.
+#[test]
+fn failures_verdicts_on_pinned_pairs() {
+    let i = 0u8;
+    let cases = [
+        // an internal choice refuses a branch the external one offers
+        (
+            lts_of("a1;exit [] b1;exit"),
+            lts_of("i;a1;exit [] i;b1;exit"),
+            false,
+        ),
+        // trace-equal, but after a1 the right side refuses b1 or c1
+        (
+            lts_of("a1;(b1;exit [] c1;exit)"),
+            lts_of("a1;b1;exit [] a1;c1;exit"),
+            false,
+        ),
+        // different alphabets: each trace reaches ⊥ on the other side
+        (lts_of("a1;exit"), lts_of("b1;exit"), false),
+        // an initial hidden step is invisible to failures
+        (lts_of("i;a1;b1;exit"), lts_of("a1;b1;exit"), true),
+        // no observable label at all: one stable state refusing
+        // everything against a divergence with no stable state
+        (lts_from(1, &[]), lts_from(1, &[(0, i, 0)]), false),
+    ];
+    for (k, (x, y, want)) in cases.iter().enumerate() {
+        for bound in 0usize..=4 {
+            let oracle = failures_equal(&failures(x, bound), &failures(y, bound));
+            let (dx, dy) = (DetDfa::build(x, bound), DetDfa::build(y, bound));
+            assert_eq!(
+                DetDfa::failures_equal(&dx, &dy),
+                oracle,
+                "pair {k}, bound {bound}"
+            );
+            assert_eq!(
+                DetDfa::failures_equal(&dy, &dx),
+                oracle,
+                "pair {k}, bound {bound}, flipped"
+            );
+            if bound == 4 {
+                assert_eq!(oracle, *want, "pair {k}: oracle");
+            }
         }
     }
 }

@@ -33,7 +33,6 @@ pub use semantics::bigstack::with_big_stack;
 use semantics::bisim::weak_and_congruent_threads;
 use semantics::detdfa::DetDfa;
 use semantics::explore::{explore_par, DepthMode, ExploreConfig, ParSystem};
-use semantics::failures::{failures, failures_equal};
 use semantics::term::{Env, Label};
 use semantics::traces::TraceSet;
 use std::fmt;
@@ -131,10 +130,11 @@ impl VerifyConfig {
 
 /// Outcome of verifying one service specification.
 pub struct VerificationReport {
-    /// Observable traces of the service, up to the bound.
-    pub service_traces: TraceSet,
-    /// Observable traces of the composed protocol, up to the bound.
-    pub protocol_traces: TraceSet,
+    /// The bounded determinization of the service the verdicts were
+    /// decided on.
+    service_dfa: DetDfa,
+    /// The bounded determinization of the composed protocol.
+    protocol_dfa: DetDfa,
     /// Trace sets equal up to the bound?
     pub traces_equal: bool,
     /// Whether the verdict is qualified by truncation (state caps hit).
@@ -178,6 +178,17 @@ pub struct VerificationReport {
 }
 
 impl VerificationReport {
+    /// Observable traces of the service, up to the bound the traces were
+    /// compared to.
+    pub fn service_traces(&self) -> TraceSet {
+        self.service_dfa.trace_set()
+    }
+
+    /// Observable traces of the composed protocol, up to the same bound.
+    pub fn protocol_traces(&self) -> TraceSet {
+        self.protocol_dfa.trace_set()
+    }
+
     /// Did the instance pass (trace-equal up to the whole bound and
     /// deadlock-free)?
     pub fn passed(&self) -> bool {
@@ -218,8 +229,8 @@ impl fmt::Display for VerificationReport {
             "traces ≤ {}: {} ({} service / {} protocol traces){}",
             self.trace_len,
             verdict,
-            self.service_traces.traces.len(),
-            self.protocol_traces.traces.len(),
+            self.service_dfa.trace_count(),
+            self.protocol_dfa.trace_count(),
             if self.qualified { " [bounded]" } else { "" },
         )?;
         if let Some(t) = &self.missing_in_protocol {
@@ -343,10 +354,10 @@ fn verify_derivation_inner(d: &Derivation, opts: &VerifyConfig) -> VerificationR
     let comp_lts = comp_expl.lts;
 
     // --- verdicts -----------------------------------------------------------
-    // Trace comparison runs on the bounded determinizations: built once
-    // per side, compared by product-automaton walks. The materialized
-    // trace sets are only for the human-facing report. Both are built
-    // only as deep as both explorations are exact.
+    // Traces and stable failures are decided on the bounded
+    // determinizations: built once per side, compared by
+    // product-automaton walks. Both are built only as deep as both
+    // explorations are exact.
     let depth = service_exact.min(comp_exact).min(opts.trace_len);
     let exact_depth = (depth < opts.trace_len).then_some(depth);
     let service_dfa = DetDfa::build(&service_lts, depth);
@@ -367,26 +378,25 @@ fn verify_derivation_inner(d: &Derivation, opts: &VerifyConfig) -> VerificationR
             DetDfa::first_difference(&protocol_dfa, &service_dfa),
         )
     };
-    let service_traces = service_dfa.trace_set();
-    let protocol_traces = protocol_dfa.trace_set();
 
+    // Complete explorations cut nothing off, so here the automata reach
+    // the whole trace bound.
     let (weak_bisimilar, congruent, failures_eq) =
         if opts.try_bisim && service_lts.complete && comp_lts.complete {
-            let fa = failures(&service_lts, opts.trace_len);
-            let fb = failures(&comp_lts, opts.trace_len);
+            debug_assert_eq!(depth, opts.trace_len);
             let verdicts = weak_and_congruent_threads(&service_lts, &comp_lts, threads);
             (
                 verdicts.map(|(weak, _)| weak),
                 verdicts.map(|(_, congruent)| congruent),
-                Some(failures_equal(&fa, &fb)),
+                Some(DetDfa::failures_equal(&service_dfa, &protocol_dfa)),
             )
         } else {
             (None, None, None)
         };
 
     VerificationReport {
-        service_traces,
-        protocol_traces,
+        service_dfa,
+        protocol_dfa,
         traces_equal,
         qualified,
         trace_len: opts.trace_len,
@@ -511,11 +521,13 @@ mod tests {
             assert_eq!(seq.composition_states, par.composition_states, "{src}");
             assert_eq!(seq.weak_bisimilar, par.weak_bisimilar, "{src}");
             assert_eq!(
-                seq.service_traces.traces, par.service_traces.traces,
+                seq.service_traces().traces,
+                par.service_traces().traces,
                 "{src}"
             );
             assert_eq!(
-                seq.protocol_traces.traces, par.protocol_traces.traces,
+                seq.protocol_traces().traces,
+                par.protocol_traces().traces,
                 "{src}"
             );
         }
@@ -541,7 +553,7 @@ mod tests {
     fn verify_both_ways(d: &Derivation) -> VerificationReport {
         let red = verify_derivation(d, VerifyConfig::default());
         let full = verify_derivation(d, VerifyConfig::default().reduce(false));
-        assert_eq!(red.protocol_traces.traces, full.protocol_traces.traces);
+        assert_eq!(red.protocol_traces().traces, full.protocol_traces().traces);
         assert_eq!(red.traces_equal, full.traces_equal);
         assert_eq!(red.deadlocks, full.deadlocks);
         assert_eq!(red.weak_bisimilar, full.weak_bisimilar);
@@ -551,7 +563,7 @@ mod tests {
     }
 
     fn has_trace(r: &VerificationReport, t: &str) -> bool {
-        r.protocol_traces.traces.iter().any(|x| fmt_trace(x) == t)
+        r.protocol_traces().traces.iter().any(|x| fmt_trace(x) == t)
     }
 
     #[test]

@@ -5,15 +5,19 @@
 //! the medium → explore) and the *fast* verdicts — condensed worklist
 //! weak bisimilarity, determinized product-walk trace comparison — are
 //! compared against `semantics::naive` on exactly the LTSs the harness
-//! checks, at 1 and 4 threads.
+//! checks, at 1 and 4 threads. The harness's own stable-failures
+//! verdict is checked against `semantics::failures` on every spec whose
+//! explorations are complete.
 
 use medium::MediumConfig;
 use protogen::derive::derive;
 use semantics::detdfa::DetDfa;
 use semantics::explore::{explore_par, DepthMode, ExploreConfig};
+use semantics::failures::{failures, failures_equal};
 use semantics::lts::Lts;
 use semantics::{naive, traces};
-use verify::{EngineComposition, EngineService};
+use std::collections::BTreeMap;
+use verify::{verify_derivation, EngineComposition, EngineService, VerifyConfig};
 
 const TRACE_LEN: usize = 5;
 
@@ -163,4 +167,53 @@ fn saturation_and_quotient_match_naive_on_corpus() {
             assert_eq!(l.minimize(), naive::minimize(l), "{name}: quotient");
         }
     }
+}
+
+/// A report's `failures_equal` is the oracle's verdict on the LTSs the
+/// harness decided it on — the service and the reduced composition, each
+/// explored completely within the finiteness probe — for every `specs/`
+/// file where both explorations are complete.
+#[test]
+fn report_failures_verdict_matches_oracle_on_corpus() {
+    let cfg = VerifyConfig::default();
+    let probe = cfg.explore.clone().max_states(cfg.finite_probe_states);
+    let mut names: Vec<String> = std::fs::read_dir(spec_path(""))
+        .expect("read specs/")
+        .map(|e| e.expect("dir entry").file_name().into_string().unwrap())
+        .filter(|n| n.ends_with(".lotos"))
+        .collect();
+    names.sort();
+    let mut verdicts = BTreeMap::new();
+    for name in &names {
+        let src = std::fs::read_to_string(spec_path(name)).expect("read spec");
+        let d = derive(&lotos::parser::parse_spec(&src).expect("parse spec")).expect("derive");
+        let service = explore_par(
+            &EngineService::new(d.service.clone()),
+            &probe,
+            DepthMode::Observable,
+        )
+        .lts;
+        let comp_sys = EngineComposition::with_reduction(&d, cfg.medium, cfg.reduce);
+        let comp = explore_par(&comp_sys, &probe, DepthMode::Observable).lts;
+        if !(service.complete && comp.complete) {
+            continue;
+        }
+        let oracle = failures_equal(
+            &failures(&service, cfg.trace_len),
+            &failures(&comp, cfg.trace_len),
+        );
+        let report = verify_derivation(&d, cfg.clone());
+        assert_eq!(report.failures_equal, Some(oracle), "{name}\n{report}");
+        verdicts.insert(name.as_str(), oracle);
+    }
+    assert_eq!(
+        verdicts.get("example1_invocation.lotos"),
+        Some(&true),
+        "{verdicts:?}"
+    );
+    assert_eq!(
+        verdicts.get("example6_disable.lotos"),
+        Some(&false),
+        "{verdicts:?}"
+    );
 }

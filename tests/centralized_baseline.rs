@@ -143,9 +143,12 @@ fn centralized_message_count_is_two_per_foreign_primitive() {
 /// Stable-failures semantics separates the two implementations where
 /// traces cannot: the distributed derivation preserves the service's
 /// refusal behaviour, while the centralized server's internal commitment
-/// refuses the un-chosen branch of a user choice.
+/// refuses the un-chosen branch of a user choice. The harness's
+/// product-walk check on the determinized pair gives the same verdicts
+/// as the per-trace refusal families.
 #[test]
 fn failures_distinguish_centralized_from_distributed() {
+    use lotos_protogen::semantics::detdfa::DetDfa;
     use lotos_protogen::semantics::failures::{failures, failures_equal};
     use lotos_protogen::semantics::term::Env;
     use lotos_protogen::verify::explorer::explore_full;
@@ -178,6 +181,16 @@ fn failures_distinguish_centralized_from_distributed() {
         assert!(
             !failures_equal(&service_failures, &cent_failures),
             "centralized baseline should be testing-distinguishable"
+        );
+
+        let service_dfa = DetDfa::build(&service_lts, 4);
+        assert!(
+            DetDfa::failures_equal(&service_dfa, &DetDfa::build(&dist_lts, 4)),
+            "product walk: distributed failures diverge from the service"
+        );
+        assert!(
+            !DetDfa::failures_equal(&service_dfa, &DetDfa::build(&cent_lts, 4)),
+            "product walk: centralized baseline should be testing-distinguishable"
         );
     });
 }
